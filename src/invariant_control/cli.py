@@ -70,6 +70,21 @@ _DEFAULTS = {
 }
 
 
+#: physical parameters that must be finite and positive, or nonnegative
+_POSITIVE_PARAMS = ("nu0_hz", "omega_ratio", "mass", "t_f", "t_f_lo", "t_f_hi")
+_NONNEGATIVE_PARAMS = ("n_bar",)
+
+
+def _finite_param(params, key) -> float:
+    try:
+        value = float(params[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"params.{key}: expected a number, got {params[key]!r}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"params.{key}: must be finite, got {params[key]!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description with JSON round-trip."""
@@ -102,6 +117,19 @@ class ExperimentConfig:
         self._validate()
 
     def _validate(self):
+        p = self.params
+        for key in _POSITIVE_PARAMS:
+            if key in p and _finite_param(p, key) <= 0:
+                raise ConfigError(f"params.{key}: must be positive, got {p[key]!r}")
+        for key in _NONNEGATIVE_PARAMS:
+            if key in p and _finite_param(p, key) < 0:
+                raise ConfigError(f"params.{key}: must be nonnegative, got {p[key]!r}")
+        if "t_f_lo" in p and "t_f_hi" in p and float(p["t_f_lo"]) > float(p["t_f_hi"]):
+            raise ConfigError("params.t_f_lo: must not exceed params.t_f_hi")
+        if "n_t_f" in p:
+            n_t_f = _finite_param(p, "n_t_f")
+            if n_t_f < 1 or n_t_f != int(n_t_f):
+                raise ConfigError(f"params.n_t_f: must be an integer >= 1, got {p['n_t_f']!r}")
         for i, ch in enumerate(self.channels):
             if not isinstance(ch, dict) or "operator_tag" not in ch or "eta" not in ch:
                 raise ConfigError(
@@ -120,8 +148,9 @@ class ExperimentConfig:
                     f"channels[{i}]: tag {tag!r} has Pauli units, but the "
                     "experiment is an oscillator run"
                 )
-            if float(ch["eta"]) < 0:
-                raise ConfigError(f"channels[{i}].eta: must be nonnegative")
+            eta = float(ch["eta"])
+            if not (np.isfinite(eta) and eta >= 0):
+                raise ConfigError(f"channels[{i}].eta: must be finite and nonnegative")
         if self.scan:
             ranges = self.scan.get("ranges", [])
             sizes = self.scan.get("sizes", [])
@@ -133,7 +162,7 @@ class ExperimentConfig:
             for n in sizes:
                 if int(n) < 1:
                     raise ConfigError("scan.sizes: entries must be >= 1")
-        if self.rtol <= 0 or self.atol <= 0:
+        if not (self.rtol > 0 and self.atol > 0):
             raise ConfigError("tolerances must be positive")
         if self.fock_dim != "auto" and int(self.fock_dim) < 2:
             raise ConfigError("fock_dim: need at least two levels or 'auto'")
@@ -206,6 +235,29 @@ def _tls_fidelity(protocol, channels, t_f, rtol, atol):
         rtol=rtol, atol=atol, max_step=t_f / 100,
     )
     return float(rhos[-1][1, 1].real)
+
+
+def _coherent_fidelity(proto, alpha, omega_f, channel, rtol):
+    """Gaussian fidelity of a coherent-state trap expansion with its target.
+
+    q noise takes the exact invariant-frame route (dynamics.exact_q_moments);
+    q^2 noise integrates the moment equations.
+    """
+    init = states.coherent_state(alpha, proto.omega0, proto.mass, "gaussian").raw()
+    if channel.operator_tag == "q":
+        final = dynamics.exact_q_moments(proto, init, channel)
+    else:
+        _, ys = dynamics.integrate_moments(
+            proto.omega_sq, init, channel, proto.t_f, proto.mass,
+            t_eval=[0.0, proto.t_f], rtol=rtol, atol=1e-14,
+        )
+        final = ys[-1]
+    target = states.target_coherent(
+        alpha, proto.g_phase, proto.omega0, omega_f, proto.mass
+    )
+    return states.gaussian_fidelity(
+        states.GaussianMoments.from_raw(*final), target.gaussian()
+    )
 
 
 def _resolve_channels(config):
@@ -348,7 +400,6 @@ def run_ho_coherent(config: ExperimentConfig):
     channel = channels[0]
     (r6_axis,) = _axes(config)
 
-    init = states.coherent_state(alpha, omega0, mass, "gaussian")
     skipped = []
     entries = []
     for r6 in r6_axis:
@@ -363,13 +414,7 @@ def run_ho_coherent(config: ExperimentConfig):
         s0 = measures.ho_overlap_Sn(
             lambda t: proto.rho(t), 0, mass, omega0, t_f
         )
-        _, ys = dynamics.integrate_moments(
-            proto.omega_sq, init.raw(), channel, t_f, mass,
-            t_eval=[0.0, t_f], rtol=config.rtol, atol=1e-14,
-        )
-        final = states.GaussianMoments.from_raw(*ys[-1])
-        target = states.target_coherent(alpha, proto.g_phase, omega0, omega_f, mass)
-        fid = states.gaussian_fidelity(final, target.gaussian())
+        fid = _coherent_fidelity(proto, alpha, omega_f, channel, config.rtol)
         entries.append((float(r6), proto, s0, fid))
     if not entries:
         raise NoRoot("no r6 cell admitted a g-constrained protocol")
@@ -378,7 +423,7 @@ def run_ho_coherent(config: ExperimentConfig):
     rows = [[r6, s0, s0 / s0_max, fid] for r6, _, s0, fid in entries]
     header = _header(config, [
         f"g_target_s: {g_target}", f"S0_max: {s0_max:.12g}",
-        "integrator: gaussian_moments", *skipped,
+        "integrator: exact_q_moments (invariant-frame closed form)", *skipped,
     ])
     path = _write_csv(
         _out_path(config), header,
@@ -564,19 +609,8 @@ def _verb_simulate(config, free):
         rows = [[fid]]
     elif config.experiment == "ho_coherent":
         alpha = complex(float(p["alpha_re"]), float(p["alpha_im"]))
-        mass = float(p["mass"])
-        omega0 = TWO_PI * float(p["nu0_hz"])
-        omega_f = omega0 / float(p["omega_ratio"])
-        init = states.coherent_state(alpha, omega0, mass, "gaussian")
-        _, ys = dynamics.integrate_moments(
-            proto.omega_sq, init.raw(), channels[0], proto.t_f, mass,
-            t_eval=[0.0, proto.t_f], rtol=config.rtol, atol=1e-14,
-        )
-        final = states.GaussianMoments.from_raw(*ys[-1])
-        target = states.target_coherent(
-            alpha, proto.g_phase, omega0, omega_f, mass
-        )
-        rows = [[states.gaussian_fidelity(final, target.gaussian())]]
+        omega_f = proto.omega0 / float(p["omega_ratio"])
+        rows = [[_coherent_fidelity(proto, alpha, omega_f, channels[0], config.rtol)]]
     else:
         mass = float(p["mass"])
         omega0 = TWO_PI * float(p["nu0_hz"])
@@ -663,16 +697,15 @@ def _load_config(args) -> ExperimentConfig:
         config.out_dir = args.out
     if args.workers:
         config.workers = args.workers
-    if args.tol:
+    if args.tol is not None:
         config.rtol = args.tol
-        config._validate()
     if args.fock_dim:
         config.fock_dim = (
             "auto" if args.fock_dim == "auto" else int(args.fock_dim)
         )
-        config._validate()
-    if args.grid and config.scan:
+    if args.grid is not None and config.scan:
         config.scan["sizes"] = [args.grid] * len(config.scan["sizes"])
+    config._validate()
     return config
 
 

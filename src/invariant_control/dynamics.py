@@ -7,7 +7,10 @@ The noise model is a sum of double-commutator (unital) dissipators,
 integrated with an adaptive embedded Runge-Kutta 4(5) stepper. Dense 2x2
 states cover the two-level runs; oscillator runs use either a truncated
 Fock basis (integrated in the interaction picture of the exactly solvable
-noiseless flow) or the closed Gaussian-moment equations.
+noiseless flow) or the closed Gaussian-moment equations. Under q noise the
+moments also have an exact route without an ODE: exact_q_moments propagates
+them through the invariant's closed-form Heisenberg flow and adds the noise
+by one quadrature.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "fock_operators",
     "gaussian_moment_rhs",
     "integrate_moments",
+    "exact_q_moments",
     "lambda_dot",
     "dissipative_matrix_elements",
     "dissipator_superoperator",
@@ -334,6 +338,60 @@ def integrate_moments(
     if not sol.success:
         raise StepSizeUnderflow(sol.message)
     return sol.t, sol.y.T
+
+
+#: Simpson samples per period of cos(2 theta) in the q-noise quadrature, and
+#: the fewest intervals it uses however short the run
+_SAMPLES_PER_PERIOD = 16
+_MIN_INTERVALS = 64
+#: samples evaluated at once; bounds the quadrature's working set (~1 MB)
+_BLOCK = 4096
+
+
+def _q_noise_gram(protocol: HoProtocol) -> np.ndarray:
+    """int_0^tf c c^T ds with c = (-fp, fq) = M^-1 e_p, by composite Simpson.
+
+    The grid is uniform in t with _SAMPLES_PER_PERIOD samples per period of
+    cos(2 theta) on average, and is swept in blocks of _BLOCK samples.
+    """
+    t_f = protocol.t_f
+    periods = float(protocol.theta(t_f)) / np.pi
+    half = int(np.ceil(0.5 * _SAMPLES_PER_PERIOD * periods))
+    n = 2 * max(_MIN_INTERVALS // 2, half)  # Simpson needs an even count
+    h = t_f / n
+    pp = pq = qq = 0.0
+    for start in range(0, n + 1, _BLOCK):
+        i = np.arange(start, min(start + _BLOCK, n + 1))
+        w = np.where(i % 2 == 1, 4.0, 2.0)
+        w[(i == 0) | (i == n)] = 1.0
+        fq, fp, _, _ = protocol.heisenberg_coeffs(i * h)
+        wfp = w * fp
+        pp += wfp @ fp
+        pq += wfp @ fq
+        qq += (w * fq) @ fq
+    return (h / 3.0) * np.array([[pp, -pq], [-pq, qq]])
+
+
+def exact_q_moments(protocol: HoProtocol, y0, channel: NoiseChannel) -> np.ndarray:
+    """Moments (<q>, <p>, <q^2>, <p^2>, <qp+pq>/2) at t_f under q noise, no ODE.
+
+    With M(t) = [[fq, fp], [gq, gp]] the noiseless Heisenberg flow of the
+    invariant (HoProtocol.heisenberg_coeffs), the means are M(t_f) m0. q noise
+    only adds the constant 2 eta to d<p^2>/dt, so by variation of constants
+    the raw second moments are S(t_f) = M [S0 + 2 eta int c c^T ds] M^T with
+    c = M^-1 e_p = (-fp, fq). q^2 noise couples to <q^2> and has no such
+    closed form; integrate it with integrate_moments.
+    """
+    if channel.operator_tag != "q":
+        raise UnsupportedChannel("the exact invariant-frame route covers q noise only")
+    mq, mp, qq, pp, qp = np.asarray(y0, dtype=float)
+    s = np.array([[qq, qp], [qp, pp]])
+    if channel.eta:
+        s += 2.0 * channel.eta * _q_noise_gram(protocol)
+    flow = np.reshape(protocol.heisenberg_coeffs(protocol.t_f), (2, 2))
+    mean = flow @ (mq, mp)
+    s = flow @ s @ flow.T
+    return np.array([mean[0], mean[1], s[0, 0], s[1, 1], s[0, 1]])
 
 
 # ---------------------------------------------------------------------------

@@ -471,11 +471,6 @@ class HoProtocol:
         r1, r2, r3 = self.rho(t, 1), self.rho(t, 2), self.rho(t, 3)
         return -4.0 * self.omega0**2 * r1 / rho**5 - (r3 * rho - r2 * r1) / rho**2
 
-    @property
-    def trap_inverted(self) -> bool:
-        ts = np.linspace(0.0, self.t_f, self.grid)
-        return bool(np.any(self.omega_sq(ts) < 0))
-
     @cached_property
     def g_phase(self) -> float:
         """Phase integral g = int_0^tf dt / rho(t)^2 (composite Simpson)."""

@@ -18,6 +18,7 @@ from conftest import tls_fidelity
 from invariant_control import algebra, dynamics, measures, protocols, states
 from invariant_control.cli import (
     ExperimentConfig,
+    run_ho_coherent,
     run_ho_thermal,
     run_tls_dual,
     run_tls_single,
@@ -46,13 +47,16 @@ def test_noiseless_coherent_expansion_is_exact():
     alpha = 1.0 + 1.0j
     proto = protocols.make_ho_protocol(omega0, omega_f, mass, t_f)
     init = states.coherent_state(alpha, omega0, mass, "gaussian")
+    channel = NoiseChannel("q", 0.0)
     _, ys = dynamics.integrate_moments(
-        proto.omega_sq, init.raw(), NoiseChannel("q", 0.0), t_f, mass,
-        t_eval=[0.0, t_f],
+        proto.omega_sq, init.raw(), channel, t_f, mass, t_eval=[0.0, t_f],
     )
-    final = states.GaussianMoments.from_raw(*ys[-1])
+    exact = dynamics.exact_q_moments(proto, init.raw(), channel)
     target = states.target_coherent(alpha, proto.g_phase, omega0, omega_f, mass)
-    assert states.gaussian_fidelity(final, target.gaussian()) > 1.0 - 1e-6
+    # moment ODE and invariant-frame closed form
+    for moments in (ys[-1], exact):
+        final = states.GaussianMoments.from_raw(*moments)
+        assert states.gaussian_fidelity(final, target.gaussian()) > 1.0 - 1e-6
 
 
 def test_noiseless_thermal_expansion_is_exact():
@@ -326,7 +330,8 @@ def test_fock_and_moment_integrators_agree(tmp_path):
     _, ys = dynamics.integrate_moments(
         proto.omega_sq, init.raw(), channel, t_f, mass, t_eval=[0.0, t_f]
     )
-    m_gauss = ys[-1]
+    # two Gaussian routes: moment ODE and invariant-frame closed form
+    gaussian_routes = (ys[-1], dynamics.exact_q_moments(proto, init.raw(), channel))
 
     # per-component scales from the position/momentum spreads, so the
     # relative comparison stays meaningful if a mean passes through zero
@@ -334,15 +339,16 @@ def test_fock_and_moment_integrators_agree(tmp_path):
     floor = np.array([sq, sp, sq * sq, sp * sp, sq * sp])
     denom = np.maximum(np.abs(m_large), 1e-3 * floor)
     assert np.max(np.abs(m_large - m_small) / denom) < 1e-6
-    assert np.max(np.abs(m_gauss - m_large) / denom) < 1e-4
 
     target = states.target_coherent(alpha, proto.g_phase, omega0, omega_f, mass)
     f_fock = states.uhlmann_fidelity(large.final_rho, target.frame_fock(80))
-    f_gauss = states.gaussian_fidelity(
-        states.GaussianMoments.from_raw(*m_gauss), target.gaussian()
-    )
     assert 0.0 < f_fock <= 1.0
-    assert abs(f_gauss - f_fock) < 1e-3
+    for m_gauss in gaussian_routes:
+        assert np.max(np.abs(m_gauss - m_large) / denom) < 1e-4
+        f_gauss = states.gaussian_fidelity(
+            states.GaussianMoments.from_raw(*m_gauss), target.gaussian()
+        )
+        assert abs(f_gauss - f_fock) < 1e-3
     assert time.monotonic() - start < 300.0
 
 
@@ -366,7 +372,22 @@ def test_improved_thermal_protocol_dominates_standard(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# 11. two-channel overlap landscape extremes
+# 11. coherent expansion scan: S0 ranks fidelity
+
+
+def test_coherent_scan_S0_ranks_fidelity(tmp_path):
+    start = time.monotonic()
+    config = ExperimentConfig(experiment="ho_coherent", out_dir=str(tmp_path))
+    rows, _, _ = run_ho_coherent(config)
+    assert len(rows) == 9
+    s0 = [r[1] for r in rows]
+    fid = [r[3] for r in rows]
+    assert spearmanr(s0, fid).statistic <= -0.9
+    assert time.monotonic() - start < 30.0
+
+
+# ---------------------------------------------------------------------------
+# 12. two-channel overlap landscape extremes
 
 
 def test_landscape_extremes_match_closed_forms():

@@ -39,6 +39,9 @@ def test_config_validation_errors():
         ExperimentConfig(experiment="ho_thermal",
                          channels=[{"operator_tag": "sigma_z", "eta": 1.0}])
     with pytest.raises(ConfigError):
+        ExperimentConfig(experiment="ho_coherent",
+                         channels=[{"operator_tag": "q", "eta": float("nan")}])
+    with pytest.raises(ConfigError):
         ExperimentConfig(experiment="tls_single",
                          scan={"ranges": [[0.0, 1.0]], "sizes": [3, 4]})
     with pytest.raises(ConfigError):
@@ -155,3 +158,41 @@ def test_single_channel_dual_scan_matches_single_scan(tmp_path):
 def test_reproduce_figure_map_covers_all_experiments():
     assert sorted(cli._FIGURES) == ["fig1", "fig2", "fig3", "fig4"]
     assert set(cli._FIGURES.values()) == set(cli._RUNNERS)
+
+
+@pytest.mark.parametrize(
+    "params", [{"omega_ratio": 0}, {"omega_ratio": -2}, {"t_f": -1e-6}]
+)
+def test_bad_oscillator_param_exits_2(tmp_path, capsys, params):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"experiment": "ho_coherent", "params": params}))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "scan"]) == 2
+    assert "config error: params." in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "experiment, params",
+    [
+        ("ho_coherent", {"nu0_hz": float("nan")}),
+        ("ho_coherent", {"mass": 0.0}),
+        ("ho_coherent", {"t_f": "soon"}),
+        ("ho_thermal", {"n_bar": -1.0}),
+        ("ho_thermal", {"t_f_lo": 5e-6, "t_f_hi": 1e-6}),
+        ("ho_thermal", {"n_t_f": 0}),
+        ("ho_thermal", {"n_t_f": 2.5}),
+        ("ho_thermal", {"t_f_hi": float("inf")}),
+        ("tls_single", {"t_f": -1.0}),
+    ],
+)
+def test_physical_param_validation(experiment, params):
+    with pytest.raises(ConfigError):
+        ExperimentConfig(experiment=experiment, params=params)
+
+
+@pytest.mark.parametrize("flag", ["--grid", "--tol"])
+def test_zero_grid_or_tol_exits_2(tmp_path, capsys, flag):
+    argv = [flag, "0", "--out", str(tmp_path), "scan", "--experiment", "tls_single"]
+    assert cli.main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from invariant_control import algebra, dynamics, states
-from invariant_control.constants import TWO_PI
+from invariant_control.constants import MASS_100_CA40, TWO_PI
 from invariant_control.errors import DimensionMismatch, UnsupportedChannel
-from invariant_control.protocols import make_ho_protocol
+from invariant_control.protocols import constrain_g_phase, make_ho_protocol
 
 
 def _random_density(rng, d):
@@ -303,3 +303,45 @@ def test_ho_master_rejects_pauli_channel():
             proto, lambda d: np.eye(d) / d,
             dynamics.NoiseChannel("sigma_z", 1.0),
         )
+
+
+@pytest.mark.parametrize(
+    "t_f, r6, eta", [(20e-6, 0.0, 0.0), (20e-6, -10.0, 10.0), (50e-6, 5.0, 10.0)]
+)
+def test_exact_q_moments_match_moment_integrator(t_f, r6, eta):
+    # fig3 cells (g = 0.505 t_f): the invariant-frame closed form against
+    # DOP853 at rtol 1e-10. Measured agreement: |dF| <= 1.2e-10, moments to
+    # 5e-8 relative, which is the ODE's own error (it shrinks to 1e-9 at
+    # rtol 1e-13, while the quadrature changes F by < 1e-11 from 16 to 64
+    # samples per period)
+    omega0 = TWO_PI * 15.92e6
+    omega_f = omega0 / 100.0
+    mass = MASS_100_CA40
+    alpha = 1.0 + 1.0j
+    proto = constrain_g_phase(
+        omega0, omega_f, 0.505 * t_f, mass, t_f, "inverse_sqrt_poly", r6=r6
+    )
+    channel = dynamics.NoiseChannel("q", eta)
+    y0 = states.coherent_state(alpha, omega0, mass, "gaussian").raw()
+    _, ys = dynamics.integrate_moments(
+        proto.omega_sq, y0, channel, t_f, mass, t_eval=[0.0, t_f],
+        rtol=1e-10, atol=1e-14,
+    )
+    exact = dynamics.exact_q_moments(proto, y0, channel)
+    np.testing.assert_allclose(exact, ys[-1], rtol=1e-6)
+
+    target = states.target_coherent(alpha, proto.g_phase, omega0, omega_f, mass)
+    f_ode, f_exact = (
+        states.gaussian_fidelity(states.GaussianMoments.from_raw(*y), target.gaussian())
+        for y in (ys[-1], exact)
+    )
+    assert abs(f_exact - f_ode) <= 1e-7
+
+
+def test_exact_q_moments_reject_other_channels():
+    omega0 = TWO_PI * 15.92e6
+    proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6)
+    y0 = states.coherent_state(1.0, omega0, proto.mass, "gaussian").raw()
+    for tag in ("q_squared", "sigma_z"):
+        with pytest.raises(UnsupportedChannel):
+            dynamics.exact_q_moments(proto, y0, dynamics.NoiseChannel(tag, 1.0))
