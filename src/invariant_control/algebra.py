@@ -121,7 +121,6 @@ def su2_controls_from_angles(g, g_dot, b, b_dot):
         raise SingularControl("sin(B) vanishes where Gdot != 0")
     omega = np.where(np.abs(sin_b) < _SINGULAR_ATOL, 0.0, g_dot / np.where(sin_b == 0, 1.0, sin_b))
 
-    tan_prod = np.tan(g) * np.tan(b)
     # Gdot/(tanG tanB) written as Gdot*cosG*cosB/(sinG*sinB) to keep the
     # tanB -> inf limit exact.
     num = g_dot * np.cos(g) * np.cos(b)
@@ -131,7 +130,6 @@ def su2_controls_from_angles(g, g_dot, b, b_dot):
         raise SingularControl("tan(G) tan(B) vanishes where Gdot != 0")
     corr = np.where(np.abs(den) < _SINGULAR_ATOL, 0.0, num / np.where(den == 0, 1.0, den))
     delta = -b_dot + corr
-    del tan_prod
     if delta.ndim == 0:
         return float(delta), float(omega)
     return delta, omega

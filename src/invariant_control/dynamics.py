@@ -10,7 +10,8 @@ Fock basis (integrated in the interaction picture of the exactly solvable
 noiseless flow) or the closed Gaussian-moment equations. Under q noise the
 moments also have an exact route without an ODE: exact_q_moments propagates
 them through the invariant's closed-form Heisenberg flow and adds the noise
-by one quadrature.
+by one quadrature. tls_fidelity, coherent_fidelity and thermal_fidelity are
+the one fidelity routine of each simulated system.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import RK45, solve_ivp
 
+from . import measures, states
 from .errors import (
     DimensionMismatch,
     StepSizeUnderflow,
@@ -38,6 +40,9 @@ __all__ = [
     "gaussian_moment_rhs",
     "integrate_moments",
     "exact_q_moments",
+    "tls_fidelity",
+    "coherent_fidelity",
+    "thermal_fidelity",
     "lambda_dot",
     "dissipative_matrix_elements",
     "dissipator_superoperator",
@@ -392,6 +397,61 @@ def exact_q_moments(protocol: HoProtocol, y0, channel: NoiseChannel) -> np.ndarr
     mean = flow @ (mq, mp)
     s = flow @ s @ flow.T
     return np.array([mean[0], mean[1], s[0, 0], s[1, 1], s[0, 1]])
+
+
+# ---------------------------------------------------------------------------
+# fidelity of the paper's two systems: one routine each
+
+
+def tls_fidelity(protocol, channels=(), rtol: float = 1e-9, atol: float = 1e-12) -> float:
+    """Final |1><1| population of a two-level inversion run.
+
+    Starts from the first basis state and integrates the master equation
+    under protocol.hamiltonian; a perfect inversion ends at 1.
+    """
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    t_f = protocol.t_f
+    _, rhos = integrate_master(
+        rho0, protocol.hamiltonian, channels, t_f, t_eval=[0.0, t_f],
+        rtol=rtol, atol=atol, max_step=t_f / 100,
+    )
+    return float(rhos[-1][1, 1].real)
+
+
+def coherent_fidelity(protocol: HoProtocol, alpha: complex, channel: NoiseChannel) -> float:
+    """Gaussian fidelity of a coherent-state trap expansion under q noise
+    with its target, through the exact invariant-frame route."""
+    mass = protocol.mass
+    init = states.coherent_state(alpha, protocol.omega0, mass, "gaussian").raw()
+    final = exact_q_moments(protocol, init, channel)
+    target = states.target_coherent(
+        alpha, protocol.g_phase, protocol.omega0, protocol.omega_f, mass
+    )
+    return states.gaussian_fidelity(
+        states.GaussianMoments.from_raw(*final), target.gaussian()
+    )
+
+
+def thermal_fidelity(protocol, n_bar: float, mass: float, channel: NoiseChannel,
+                     rtol: float = 1e-10) -> tuple[float, float]:
+    """(fidelity, mean drive power) of a thermal-state trap expansion.
+
+    protocol is any trap control with omega0, omega_f, t_f, omega_sq and
+    omega_sq_dot (HoProtocol or ConstantMuControl). The moments are sampled
+    on 401 points so the power integral shares the fidelity's trajectory.
+    """
+    t_f = protocol.t_f
+    init = states.thermal_state(n_bar, protocol.omega0, mass, "gaussian")
+    ts, ys = integrate_moments(
+        protocol.omega_sq, init.raw(), channel, t_f, mass,
+        t_eval=np.linspace(0.0, t_f, 401), rtol=rtol, atol=1e-14,
+    )
+    target = states.thermal_state(n_bar, protocol.omega_f, mass, "gaussian")
+    fid = states.gaussian_fidelity(states.GaussianMoments.from_raw(*ys[-1]), target)
+    power = measures.average_power(
+        protocol.omega_sq_dot, ys[:, 2], mass, t_f, grid=len(ts)
+    )
+    return fid, power
 
 
 # ---------------------------------------------------------------------------

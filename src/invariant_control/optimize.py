@@ -2,13 +2,11 @@
 
 The primary mode is a full-factorial grid scan of the free polynomial
 coefficients; Nelder-Mead refinement is available as a convenience.
-Everything is deterministic: identical inputs give bit-identical tables
-regardless of worker count.
+Everything is deterministic: identical inputs give bit-identical tables.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -40,20 +38,18 @@ class Objective:
 
 @dataclass
 class ScanRow:
-    """One scan cell: free coefficients, measures, and a fidelity slot the
-    simulation harness fills in afterwards."""
+    """One scan cell: free coefficients and the measures evaluated there."""
 
     coeffs: tuple[float, ...]
     measures: dict = field(default_factory=dict)
-    fidelity: float | None = None
 
 
-def scan(evaluate, ranges, sizes, workers: int | None = None) -> list[ScanRow]:
+def scan(evaluate, ranges, sizes) -> list[ScanRow]:
     """Full-factorial scan of `evaluate` over a coefficient box.
 
     ranges is a sequence of (lo, hi) pairs, sizes the per-axis point counts.
     evaluate(coeffs) may return a float or a dict of named measures. Rows
-    are ordered row-major over the axes regardless of worker scheduling.
+    are ordered row-major over the axes.
     """
     ranges = list(ranges)
     sizes = list(sizes)
@@ -71,9 +67,6 @@ def scan(evaluate, ranges, sizes, workers: int | None = None) -> list[ScanRow]:
             out = {"value": float(out)}
         return ScanRow(coeffs=coeffs, measures=out)
 
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, cells))
     return [run(c) for c in cells]
 
 
@@ -97,8 +90,7 @@ def minimize(objective, x0, xatol: float = 1e-6, max_iter: int = 500):
     return x0, f0
 
 
-def constrained_minimize(build_constrained, r6_values, measure,
-                         workers: int | None = None):
+def constrained_minimize(build_constrained, r6_values, measure):
     """Scan r6, solving the equality constraint for r7 at every cell.
 
     build_constrained(r6) must return a protocol satisfying the constraint
@@ -112,10 +104,6 @@ def constrained_minimize(build_constrained, r6_values, measure,
         proto = build_constrained(r6)
         return r6, proto, float(measure(proto))
 
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, r6_values))
-    else:
-        rows = [run(v) for v in r6_values]
+    rows = [run(v) for v in r6_values]
     best = min(rows, key=lambda row: row[2])
     return best[1], best[0], best[2], rows

@@ -178,9 +178,6 @@ class TlsProtocol:
         g, b = self.g_poly(t), self.b_poly(t)
         return algebra.su2_invariant_matrix(float(g), float(b), self.omega_r)
 
-    def invariant_path(self, times):
-        return np.array([self.invariant(t) for t in np.atleast_1d(times)])
-
     def to_dict(self):
         return {
             "kind": "tls_inversion",
@@ -715,7 +712,12 @@ _KINDS = (
 
 @dataclass(frozen=True)
 class ProtocolFamily:
-    """Serializable description of a protocol family plus free coefficients."""
+    """Serializable description of a protocol family plus free coefficients.
+
+    An "ho_coherent" family whose params carry g_target has r6 as its only
+    free coefficient; build() then solves r7 so the phase integral hits
+    g_target (constrain_g_phase).
+    """
 
     kind: str
     params: dict
@@ -742,6 +744,13 @@ class ProtocolFamily:
             return make_tls_dual_protocol(
                 p["delta0"], self.t_f, shape, b_dip,
                 p.get("window", 0.12), p.get("chain", DEFAULT_STEEP_CHAIN),
+            )
+        if self.kind == "ho_coherent" and "g_target" in p:
+            (r6,) = self.free
+            return constrain_g_phase(
+                p["omega0"], p["omega_f"], p["g_target"],
+                p.get("mass", MASS_100_CA40), self.t_f, "inverse_sqrt_poly",
+                r6=r6,
             )
         if self.kind == "ho_coherent":
             return make_ho_protocol(

@@ -130,8 +130,14 @@ def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def gaussian_fidelity(a: GaussianMoments, b: GaussianMoments) -> float:
-    """Single-mode Gaussian-state fidelity from means and covariances."""
+    """Single-mode Gaussian-state fidelity from means and covariances.
+
+    Raises InvalidCovariance for non-finite moments, which would otherwise
+    clip to a perfect fidelity.
+    """
     va, vb = a.covariance, b.covariance
+    if not np.all(np.isfinite([va, vb])) or not np.all(np.isfinite([a.mean, b.mean])):
+        raise InvalidCovariance("moments must be finite")
     vsum = va + vb
     delta = b.mean - a.mean
     big = float(np.linalg.det(vsum))

@@ -1,31 +1,3 @@
 """Shared helpers for the test suite."""
 
-import numpy as np
-
-from invariant_control import algebra, dynamics
-
-
-def tls_fidelity(protocol, channels=(), rtol=1e-9, atol=1e-12):
-    """Final excited-basis population of a two-level inversion run.
-
-    Starts from the first basis state and integrates the master equation
-    under the synthesized controls; for a perfect inversion the population
-    of the second basis state ends at 1.
-    """
-    rho0 = np.diag([1.0, 0.0]).astype(complex)
-
-    def hamiltonian(t):
-        delta, omega = protocol.controls(np.array([t]))
-        return 0.5 * delta[0] * algebra.PAULI_Z + 0.5 * omega[0] * algebra.PAULI_X
-
-    _, rhos = dynamics.integrate_master(
-        rho0,
-        hamiltonian,
-        channels,
-        protocol.t_f,
-        t_eval=[0.0, protocol.t_f],
-        rtol=rtol,
-        atol=atol,
-        max_step=protocol.t_f / 100,
-    )
-    return float(rhos[-1][1, 1].real)
+from invariant_control.dynamics import tls_fidelity  # noqa: F401

@@ -16,13 +16,7 @@ from scipy.stats import spearmanr
 
 from conftest import tls_fidelity
 from invariant_control import algebra, dynamics, measures, protocols, states
-from invariant_control.cli import (
-    ExperimentConfig,
-    run_ho_coherent,
-    run_ho_thermal,
-    run_tls_dual,
-    run_tls_single,
-)
+from invariant_control.cli import ExperimentConfig, run_scan
 from invariant_control.constants import MASS_100_CA40, TWO_PI
 from invariant_control.dynamics import NoiseChannel
 from invariant_control.errors import NonPositiveRho
@@ -168,7 +162,7 @@ def test_free_dephasing_matches_analytic_decay():
 def test_single_channel_scan_measure_ranks_fidelity(tmp_path):
     start = time.monotonic()
     config = ExperimentConfig(experiment="tls_single", out_dir=str(tmp_path))
-    rows, _ = run_tls_single(config)
+    rows, _ = run_scan(config)
     assert len(rows) == 41
     o_z = [r[1] for r in rows]
     fid = [r[3] for r in rows]
@@ -205,7 +199,7 @@ def test_dual_channel_optimum_attains_weighted_bound(tmp_path):
             out_dir=str(tmp_path),
             basename=f"dual_{eta_z:g}_{eta_x:g}",
         )
-        rows, _ = run_tls_dual(config)
+        rows, _ = run_scan(config)
         assert len(rows) == n_shape * n_dip
         best = int(np.argmax([r[5] for r in rows]))
         theory = O_MAX * min(eta_z, eta_x) / (eta_z + eta_x)
@@ -359,7 +353,7 @@ def test_fock_and_moment_integrators_agree(tmp_path):
 def test_improved_thermal_protocol_dominates_standard(tmp_path):
     start = time.monotonic()
     config = ExperimentConfig(experiment="ho_thermal", out_dir=str(tmp_path))
-    rows, _ = run_ho_thermal(config)
+    rows, _ = run_scan(config)
     by_protocol = {}
     for t_f, name, _, fid, _ in rows:
         by_protocol.setdefault(name, {})[t_f] = fid
@@ -378,7 +372,7 @@ def test_improved_thermal_protocol_dominates_standard(tmp_path):
 def test_coherent_scan_S0_ranks_fidelity(tmp_path):
     start = time.monotonic()
     config = ExperimentConfig(experiment="ho_coherent", out_dir=str(tmp_path))
-    rows, _, _ = run_ho_coherent(config)
+    rows, _, _ = run_scan(config)
     assert len(rows) == 9
     s0 = [r[1] for r in rows]
     fid = [r[3] for r in rows]

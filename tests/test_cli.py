@@ -144,8 +144,8 @@ def test_single_channel_dual_scan_matches_single_scan(tmp_path):
         out_dir=str(tmp_path),
         basename="single",
     )
-    dual_rows, _ = cli.run_tls_dual(dual)
-    single_rows, _ = cli.run_tls_single(single)
+    dual_rows, _ = cli.run_scan(dual)
+    single_rows, _ = cli.run_scan(single)
     dual_by_shape = {row[0]: row for row in dual_rows}
     single_by_g4 = {row[0]: row for row in single_rows}
     for s in shapes:
@@ -157,11 +157,12 @@ def test_single_channel_dual_scan_matches_single_scan(tmp_path):
 
 def test_reproduce_figure_map_covers_all_experiments():
     assert sorted(cli._FIGURES) == ["fig1", "fig2", "fig3", "fig4"]
-    assert set(cli._FIGURES.values()) == set(cli._RUNNERS)
+    assert set(cli._FIGURES.values()) == set(cli._EXPERIMENTS)
 
 
 @pytest.mark.parametrize(
-    "params", [{"omega_ratio": 0}, {"omega_ratio": -2}, {"t_f": -1e-6}]
+    "params", [{"omega_ratio": 0}, {"omega_ratio": -2}, {"t_f": -1e-6},
+               {"g_target": float("nan")}]
 )
 def test_bad_oscillator_param_exits_2(tmp_path, capsys, params):
     cfg_path = tmp_path / "config.json"
@@ -183,6 +184,12 @@ def test_bad_oscillator_param_exits_2(tmp_path, capsys, params):
         ("ho_thermal", {"n_t_f": 2.5}),
         ("ho_thermal", {"t_f_hi": float("inf")}),
         ("tls_single", {"t_f": -1.0}),
+        ("tls_single", {"delta0_hz": float("nan")}),
+        ("tls_dual", {"delta0_hz": -1.0}),
+        ("ho_coherent", {"g_target": float("nan")}),
+        ("ho_coherent", {"g_target": 0.0}),
+        ("ho_coherent", {"alpha_re": float("nan")}),
+        ("ho_coherent", {"alpha_im": float("inf")}),
     ],
 )
 def test_physical_param_validation(experiment, params):
@@ -196,3 +203,72 @@ def test_zero_grid_or_tol_exits_2(tmp_path, capsys, flag):
     assert cli.main(argv) == 2
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_custom_experiment_id_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"experiment": "custom"}))
+    for verb in ("synthesize", "measure", "scan"):
+        assert cli.main(["--config", str(cfg_path), verb]) == 2
+        assert "unknown id 'custom'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment, free", [("tls_single", ["0.1", "0.2"]), ("tls_dual", ["0.5"]),
+                         ("ho_coherent", [])],
+)
+def test_free_needs_one_value_per_scan_axis(tmp_path, capsys, experiment, free):
+    argv = ["--out", str(tmp_path), "simulate", "--experiment", experiment,
+            "--free", *free]
+    assert cli.main(argv) == 2
+    assert "config error: --free" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_simulate_with_two_q_channels_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "ho_coherent",
+        "channels": [{"operator_tag": "q", "eta": 10.0},
+                     {"operator_tag": "q", "eta": 1000.0}],
+    }))
+    for verb in ("simulate", "scan"):
+        assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), verb]) == 2
+        assert "config error: channels" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def _data_rows(path):
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    columns = lines[0].split(",")
+    return [dict(zip(columns, ln.split(","))) for ln in lines[1:]]
+
+
+@pytest.mark.parametrize(
+    "experiment, scan, free",
+    [
+        ("tls_single", {"ranges": [[0.0, 1.0]], "sizes": [2]}, ["1"]),
+        ("tls_dual", {"ranges": [[-1.0, 0.0], [0.0, 1.0]], "sizes": [2, 1]},
+         ["-1", "0"]),
+        ("ho_coherent", {"ranges": [[-20.0, 5.0]], "sizes": [3]}, ["-20"]),
+    ],
+)
+def test_measure_and_simulate_reproduce_scan_row(tmp_path, experiment, scan, free):
+    """measure and simulate at --free x print the scan row at x digit for digit."""
+    config = ExperimentConfig(experiment=experiment, scan=scan, rtol=1e-6,
+                              atol=1e-9, out_dir=str(tmp_path))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(config.to_json())
+    for verb in ("scan", "measure", "simulate"):
+        args = [] if verb == "scan" else ["--free", *free]
+        assert cli.main(["--config", str(cfg_path), verb, *args]) == 0
+    n_free = len(free)
+    (row,) = [r for r in _data_rows(tmp_path / f"{experiment}.csv")
+              if list(r.values())[:n_free] == free]
+    cell = {}
+    for suffix in ("_measures", "_fidelity"):
+        (values,) = _data_rows(tmp_path / f"{experiment}{suffix}.csv")
+        cell.update(values)
+    assert "fidelity" in cell and len(cell) >= 2
+    for column, value in cell.items():
+        assert row[column] == value, column

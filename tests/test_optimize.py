@@ -23,14 +23,6 @@ def test_scan_row_major_order_and_grid():
     assert [r.coeffs for r in rows] == expected
     for r in rows:
         assert r.measures["value"] == pytest.approx(quadratic(r.coeffs))
-        assert r.fidelity is None
-
-
-def test_scan_worker_count_does_not_change_rows():
-    serial = optimize.scan(quadratic, [(-2.0, 2.0)], [17], workers=1)
-    parallel = optimize.scan(quadratic, [(-2.0, 2.0)], [17], workers=4)
-    assert [r.coeffs for r in serial] == [r.coeffs for r in parallel]
-    assert [r.measures for r in serial] == [r.measures for r in parallel]
 
 
 def test_scan_dict_measures_and_validation():

@@ -292,3 +292,16 @@ def test_protocol_family_unknown_kind():
 def test_protocol_family_with_free():
     fam = ProtocolFamily("tls_steep_blend", {"delta0": DELTA0}, T_F, (0.0,))
     assert fam.with_free((0.7,)).free == (0.7,)
+
+
+def test_protocol_family_with_g_target_solves_the_phase_constraint():
+    params = {"omega0": TWO_PI * 15.92e6, "omega_f": TWO_PI * 15.92e4,
+              "mass": MASS_100_CA40, "g_target": 50.5e-6}
+    fam = ProtocolFamily("ho_coherent", params, 100e-6, (-10.0,))
+    assert ProtocolFamily.from_json(fam.to_json()) == fam
+    proto = fam.build()
+    direct = constrain_g_phase(params["omega0"], params["omega_f"], 50.5e-6, r6=-10.0)
+    assert proto.inner.free_values == direct.inner.free_values
+    assert proto.g_phase == pytest.approx(50.5e-6, rel=1e-6)
+    with pytest.raises(ValueError):
+        fam.with_free((-10.0, 1.0)).build()  # r7 is solved, not free

@@ -98,6 +98,17 @@ def test_gaussian_fidelity_displaced_coherent_closed_form():
     assert f == pytest.approx(np.exp(-0.5 * abs(alpha - beta) ** 2), rel=1e-10)
 
 
+def test_gaussian_fidelity_rejects_non_finite_moments():
+    good = states.coherent_state(0.5 + 0.5j, 1.0, 1.0, "gaussian")
+    nan = float("nan")
+    for bad in (states.GaussianMoments(nan, 0.0, 1.0, 1.0, 0.0),
+                states.GaussianMoments(0.0, 0.0, nan, 1.0, 0.0)):
+        with pytest.raises(InvalidCovariance):
+            states.gaussian_fidelity(bad, good)
+        with pytest.raises(InvalidCovariance):
+            states.gaussian_fidelity(good, bad)
+
+
 def test_gaussian_fidelity_matches_fock_uhlmann():
     omega, mass, dim = 1.0, 1.0, 80
     pairs = [
