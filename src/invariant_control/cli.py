@@ -20,6 +20,7 @@ import copy
 import csv
 import hashlib
 import json
+import numbers
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -116,8 +117,10 @@ class ExperimentConfig:
             raise ConfigError(f"scan: {self.experiment} needs {n_free} ranges and as many "
                               f"sizes, one per free coefficient")
         for r in ranges:
-            if len(r) != 2 or not all(np.isfinite(v) for v in r):
+            if len(r) != 2:
                 raise ConfigError(f"scan.ranges: bad interval {r!r}")
+        for ends in zip(*ranges):
+            _EXPERIMENTS[self.experiment].check_free(ends, "scan.ranges")
         for n in sizes:
             if int(n) < 1:
                 raise ConfigError("scan.sizes: entries must be >= 1")
@@ -187,10 +190,11 @@ def _family(config, kind=None, t_f=None) -> protocols.ProtocolFamily:
 
 
 def _cell(config, exp, channels, family):
-    """Measure and fidelity columns of one protocol, plus the protocol.
+    """Measure and fidelity columns of one protocol.
 
-    An experiment that skips infeasible cells gets {"skipped": reason}
-    when the build fails.
+    Rows keep no protocol, so a scan frees each protocol (and its cached
+    phase spline) after its cell. An experiment that skips infeasible cells
+    gets {"skipped": reason} when the build fails.
     """
     try:
         proto = family.build()
@@ -198,7 +202,7 @@ def _cell(config, exp, channels, family):
         if not exp.skips_infeasible:
             raise
         return {"skipped": str(exc)}
-    return {"protocol": proto, **exp.measure(proto, config, channels),
+    return {**exp.measure(proto, config, channels),
             **exp.fidelity(proto, config, channels)}
 
 
@@ -311,7 +315,7 @@ def _finish_fig3(config, channels, results):
     trace = [
         [label, float(t), float(w2)]
         for label, r in (("best", by_fid[-1]), ("worst", by_fid[0]))
-        for t, w2 in zip(ts, r.measures["protocol"].omega_sq(ts))
+        for t, w2 in zip(ts, family.with_free(r.coeffs).build().omega_sq(ts))
     ]
     return [("", header, ["r6", "S0", "S0_normalized", "fidelity"], rows),
             ("_trace", [], ["row", "t", "omega_sq"], trace)]
@@ -330,7 +334,9 @@ def _finish_fig4(config, channels, results):
         # max keeps the first of equal fidelities, so ties keep the standard row
         rows.append([family.t_f, label, *max(cells, key=lambda c: c[1])])
     header = [
-        f"n_bar: {float(config.params['n_bar'])}", "integrator: gaussian_moments",
+        f"n_bar: {float(config.params['n_bar'])}",
+        f"integrator: constant_mu integrate_moments (DOP853, rtol {config.rtol}); "
+        "standard_sta, improved_sta magnus_q2_moments (invariant-frame Magnus-4)",
         "improved_sta: scan-best r6 (grid includes the standard protocol)",
     ]
     return [("", header, ["t_f", "protocol", "r6", "fidelity", "abs_mean_power"], rows)]
@@ -350,6 +356,16 @@ class _Experiment:
     finish: Callable             # see the finishing steps above
     plan: Callable = _grid_plan  # config -> optimize.scan calls
     skips_infeasible: bool = False
+    free_bounds: tuple = ()      # (lo, hi) per free coefficient; () = any
+
+    def check_free(self, values, what):
+        """Reject free coefficients that are not finite numbers or that leave
+        the family's domain, before anything is built."""
+        for i, v in enumerate(values):
+            lo, hi = self.free_bounds[i] if self.free_bounds else (-np.inf, np.inf)
+            if not (isinstance(v, numbers.Real) and np.isfinite(v) and lo <= v <= hi):
+                raise ConfigError(f"{what}: free coefficient {i} must be finite and in "
+                                  f"[{lo}, {hi}], got {v!r}")
 
 
 _EXPERIMENTS = {
@@ -371,6 +387,7 @@ _EXPERIMENTS = {
         },
         kind="tls_dual", tags=("sigma_x", "sigma_z"), measure=_tls_dual_measures,
         fidelity=_tls_fidelity, finish=_finish_fig2,
+        free_bounds=((-1.0, 1.0), (0.0, 1.0)),  # shape, b_dip
     ),
     "ho_coherent": _Experiment(
         figure="fig3", defaults={
@@ -450,6 +467,7 @@ def _build_cell(config, free):
     free = [0.0] * n if free is None else free
     if len(free) != n:
         raise ConfigError(f"--free: {config.experiment} takes {n} value(s), got {len(free)}")
+    _EXPERIMENTS[config.experiment].check_free(free, "--free")
     return _family(config).with_free(free).build()
 
 

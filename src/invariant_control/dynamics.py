@@ -7,11 +7,14 @@ The noise model is a sum of double-commutator (unital) dissipators,
 integrated with an adaptive embedded Runge-Kutta 4(5) stepper. Dense 2x2
 states cover the two-level runs; oscillator runs use either a truncated
 Fock basis (integrated in the interaction picture of the exactly solvable
-noiseless flow) or the closed Gaussian-moment equations. Under q noise the
-moments also have an exact route without an ODE: exact_q_moments propagates
-them through the invariant's closed-form Heisenberg flow and adds the noise
-by one quadrature. tls_fidelity, coherent_fidelity and thermal_fidelity are
-the one fidelity routine of each simulated system.
+noiseless flow) or the closed Gaussian-moment equations. The invariant's
+closed-form Heisenberg flow also gives the moments without an ODE: under q
+noise exact_q_moments adds the noise by one quadrature, and under q^2 noise
+magnus_q2_moments propagates the invariant-frame second moments with
+fourth-order Magnus steps. integrate_moments stays the route of controls
+without such a flow and the test oracle of both. tls_fidelity,
+coherent_fidelity and thermal_fidelity are the one fidelity routine of each
+simulated system.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "gaussian_moment_rhs",
     "integrate_moments",
     "exact_q_moments",
+    "magnus_q2_moments",
     "tls_fidelity",
     "coherent_fidelity",
     "thermal_fidelity",
@@ -399,6 +403,111 @@ def exact_q_moments(protocol: HoProtocol, y0, channel: NoiseChannel) -> np.ndarr
     return np.array([mean[0], mean[1], s[0, 0], s[1, 1], s[0, 1]])
 
 
+#: intervals of the q^2 propagator's uniform output grid; its Magnus step
+#: count is a multiple of this, so every output sample is a step boundary
+_Q2_INTERVALS = 400
+#: bound on the estimated error of the sampled invariant-frame moments,
+#: relative to their largest entry; the default rtol of the moment ODE it
+#: replaces. fig4 cells stop at 800 steps (1600 at t_f = 20 us), within
+#: 2.4e-11 of F and 4.4e-9 of the mean power of DOP853 at rtol 1e-13
+_Q2_TOL = 1e-8
+#: the step count stops doubling here (the step arrays then take ~15 MB each)
+_Q2_MAX_STEPS = _Q2_INTERVALS * 2**8
+#: Gauss-Legendre nodes of one step sit at h (1/2 -+ _GL)
+_GL = np.sqrt(3.0) / 6.0
+#: step exponentials: Taylor degree, and the norm the scaling brings them to
+_TAYLOR_DEGREE = 12
+_TAYLOR_NORM = 0.5
+
+
+def _expm3(x: np.ndarray) -> np.ndarray:
+    """exp of a batch of 3x3 matrices: Taylor series with scaling and squaring."""
+    norm = float(np.abs(x).sum(axis=-1).max())
+    squarings = int(np.ceil(np.log2(norm / _TAYLOR_NORM))) if norm > _TAYLOR_NORM else 0
+    x = x / 2.0**squarings
+    eye = np.eye(3)
+    out = eye + x / _TAYLOR_DEGREE
+    for k in range(_TAYLOR_DEGREE - 1, 0, -1):
+        out = eye + (x @ out) / k
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _q2_invariant_path(protocol: HoProtocol, kappa: float, s0, n: int) -> np.ndarray:
+    """Scaled invariant-frame moments on the output grid after n Magnus-4 steps.
+
+    s = (S_I00, S_I01, S_I11) with p in units of m omega0 obeys
+    ds/dt = kappa u w^T s, u = (fp^2, -fp fq, fq^2), w = (fq^2, 2 fq fp, fp^2).
+    Each step takes Omega = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1] on its
+    two Gauss-Legendre nodes; the samples are running products of the steps.
+    """
+    h = protocol.t_f / n
+    left = np.arange(n) * h
+    fq, fp, _, _ = protocol.heisenberg_coeffs(
+        np.concatenate([left + (0.5 - _GL) * h, left + (0.5 + _GL) * h]))
+    fp = fp * (protocol.mass * protocol.omega0)
+    u = np.stack([fp * fp, -fp * fq, fq * fq], axis=-1)
+    w = np.stack([fq * fq, 2.0 * fq * fp, fp * fp], axis=-1)
+    a = kappa * u[:, :, None] * w[:, None, :]
+    a1, a2 = a[:n], a[n:]
+    steps = _expm3(0.5 * h * (a1 + a2) + (np.sqrt(3.0) / 12.0 * h * h) * (a2 @ a1 - a1 @ a2))
+    # product over each output interval, then running products over intervals
+    k = n // _Q2_INTERVALS
+    prod = steps[::k]
+    for j in range(1, k):
+        prod = steps[j::k] @ prod
+    d = 1
+    while d < len(prod):
+        prod[d:] = prod[d:] @ prod[:-d]
+        d *= 2
+    return np.vstack([s0, prod @ s0])
+
+
+def magnus_q2_moments(protocol: HoProtocol, y0, channel: NoiseChannel):
+    """Moments (<q>, <p>, <q^2>, <p^2>, <qp+pq>/2) under q^2 noise, sampled on
+    401 uniform points of [0, t_f]; returns (times, 5-column array).
+
+    With M(t) the invariant's Heisenberg flow (HoProtocol.heisenberg_coeffs)
+    the raw second moments are S = M S_I M^T, and q^2 noise drives S_I by the
+    rank-one linear generator 8 eta <q^2> c c^T, c = (-fp, fq). It is
+    propagated by fourth-order Magnus steps; the step count starts at 400 and
+    doubles until n and 2n steps agree to _Q2_TOL. The means stay M m0.
+    """
+    if channel.operator_tag != "q_squared":
+        raise UnsupportedChannel("the invariant-frame propagator covers q^2 noise only")
+    mq, mp, qq, pp, qp = np.asarray(y0, dtype=float)
+    scale = protocol.mass * protocol.omega0
+    s = np.array([qq, qp / scale, pp / scale**2])
+    if channel.eta:
+        kappa = 8.0 * channel.eta / scale**2
+        n = _Q2_INTERVALS
+        coarse = _q2_invariant_path(protocol, kappa, s, n)
+        while True:
+            n *= 2
+            fine = _q2_invariant_path(protocol, kappa, s, n)
+            # Magnus-4: the error of the finer run is about (fine - coarse)/15
+            if np.abs(fine - coarse).max() <= 15.0 * _Q2_TOL * np.abs(fine).max():
+                break
+            if n >= _Q2_MAX_STEPS or not np.isfinite(fine).all():
+                raise StepSizeUnderflow(
+                    f"q^2 propagator not converged at {n} Magnus steps "
+                    f"(largest moment {np.abs(fine).max():.3g})")
+            coarse = fine
+        s = fine
+    a, b, c = np.atleast_2d(s).T * np.array([[1.0], [scale], [scale**2]])
+    ts = np.linspace(0.0, protocol.t_f, _Q2_INTERVALS + 1)
+    fq, fp, gq, gp = protocol.heisenberg_coeffs(ts)
+    ys = np.column_stack([
+        fq * mq + fp * mp,
+        gq * mq + gp * mp,
+        fq * fq * a + 2.0 * fq * fp * b + fp * fp * c,
+        gq * gq * a + 2.0 * gq * gp * b + gp * gp * c,
+        fq * gq * a + (fq * gp + fp * gq) * b + fp * gp * c,
+    ])
+    return ts, ys
+
+
 # ---------------------------------------------------------------------------
 # fidelity of the paper's two systems: one routine each
 
@@ -437,15 +546,24 @@ def thermal_fidelity(protocol, n_bar: float, mass: float, channel: NoiseChannel,
     """(fidelity, mean drive power) of a thermal-state trap expansion.
 
     protocol is any trap control with omega0, omega_f, t_f, omega_sq and
-    omega_sq_dot (HoProtocol or ConstantMuControl). The moments are sampled
-    on 401 points so the power integral shares the fidelity's trajectory.
+    omega_sq_dot. An HoProtocol (of the same mass) goes through the
+    invariant-frame propagator magnus_q2_moments, which keeps its own error
+    control, so rtol is not used; a ConstantMuControl has no Heisenberg flow
+    and goes through integrate_moments at rtol. Either way the moments are
+    sampled on 401 points so the power integral shares the fidelity's
+    trajectory.
     """
     t_f = protocol.t_f
     init = states.thermal_state(n_bar, protocol.omega0, mass, "gaussian")
-    ts, ys = integrate_moments(
-        protocol.omega_sq, init.raw(), channel, t_f, mass,
-        t_eval=np.linspace(0.0, t_f, 401), rtol=rtol, atol=1e-14,
-    )
+    if isinstance(protocol, HoProtocol):
+        if mass != protocol.mass:
+            raise ValueError("mass differs from the protocol's mass")
+        ts, ys = magnus_q2_moments(protocol, init.raw(), channel)
+    else:
+        ts, ys = integrate_moments(
+            protocol.omega_sq, init.raw(), channel, t_f, mass,
+            t_eval=np.linspace(0.0, t_f, _Q2_INTERVALS + 1), rtol=rtol, atol=1e-14,
+        )
     target = states.thermal_state(n_bar, protocol.omega_f, mass, "gaussian")
     fid = states.gaussian_fidelity(states.GaussianMoments.from_raw(*ys[-1]), target)
     power = measures.average_power(

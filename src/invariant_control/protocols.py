@@ -507,14 +507,6 @@ class HoProtocol:
         rho = self.rho(t)
         return self.rho(t, 2) + self.omega_sq(t) * rho - self.omega0**2 / rho**3
 
-    def invariant_matrix(self, t, q: np.ndarray, p: np.ndarray):
-        """Invariant pi^2/2m + m omega0^2 x^2 / 2 in a given (q, p) representation."""
-        rho = float(self.rho(t))
-        rho_dot = float(self.rho(t, 1))
-        pi_op = rho * p - self.mass * rho_dot * q
-        x_op = q / rho
-        return pi_op @ pi_op / (2 * self.mass) + 0.5 * self.mass * self.omega0**2 * x_op @ x_op
-
     def to_dict(self):
         return {
             "kind": "ho_expansion",

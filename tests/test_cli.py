@@ -225,6 +225,39 @@ def test_free_needs_one_value_per_scan_axis(tmp_path, capsys, experiment, free):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "experiment, free", [("tls_dual", ["2", "0"]), ("tls_dual", ["0", "1.5"]),
+                         ("tls_dual", ["-1.01", "0"]), ("tls_single", ["nan"])],
+)
+def test_free_outside_the_family_domain_exits_2(tmp_path, capsys, experiment, free):
+    for verb in ("synthesize", "measure", "simulate"):
+        argv = ["--out", str(tmp_path), verb, "--experiment", experiment, "--free", *free]
+        assert cli.main(argv) == 2
+        assert "config error: --free" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("ranges", [[[-1.5, 1.0], [0.0, 1.0]], [[-1.0, 1.0], [0.0, 2.0]],
+                                    [[1.0, -1.25], [0.0, 1.0]], [["a", 1.0], [0.0, 1.0]]])
+def test_tls_dual_scan_range_outside_the_domain_exits_2(tmp_path, capsys, ranges):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"experiment": "tls_dual",
+                                    "scan": {"ranges": ranges, "sizes": [2, 2]}}))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "scan"]) == 2
+    assert "config error: scan.ranges" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_thermal_scan_header_names_the_route_of_each_protocol(tmp_path):
+    config = ExperimentConfig(experiment="ho_thermal", out_dir=str(tmp_path),
+                              params={"n_t_f": 1}, scan={"ranges": [[0.0, 0.0]],
+                                                         "sizes": [1]})
+    _, path = cli.run_scan(config)
+    (line,) = [ln for ln in path.read_text().splitlines() if ln.startswith("# integrator:")]
+    assert "constant_mu integrate_moments (DOP853, rtol 1e-08)" in line
+    assert "standard_sta, improved_sta magnus_q2_moments" in line
+
+
 def test_simulate_with_two_q_channels_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({
