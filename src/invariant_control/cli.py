@@ -64,7 +64,6 @@ class ExperimentConfig:
     channels: list = field(default_factory=list)
     scan: dict = field(default_factory=dict)
     rtol: float = 1e-8
-    atol: float = 1e-11
     out_dir: str = "."
     basename: str | None = None
 
@@ -124,8 +123,8 @@ class ExperimentConfig:
         for n in sizes:
             if int(n) < 1:
                 raise ConfigError("scan.sizes: entries must be >= 1")
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ConfigError("tolerances must be positive")
+        if not self.rtol > 0:
+            raise ConfigError("rtol: must be positive")
 
     # -- serialization ----------------------------------------------------
 
@@ -253,7 +252,7 @@ def _coherent_measures(proto, config, channels):
 
 
 def _tls_fidelity(proto, config, channels):
-    return {"fidelity": dynamics.tls_fidelity(proto, channels, config.rtol, config.atol)}
+    return {"fidelity": dynamics.tls_fidelity(proto, channels)}
 
 
 def _coherent_fidelity(proto, config, channels):

@@ -4,17 +4,20 @@ The noise model is a sum of double-commutator (unital) dissipators,
 
     drho/dt = -i [H(t), rho] - sum_k eta_k [X_k, [X_k, rho]],
 
-integrated with an adaptive embedded Runge-Kutta 4(5) stepper. Dense 2x2
-states cover the two-level runs; oscillator runs use either a truncated
-Fock basis (integrated in the interaction picture of the exactly solvable
-noiseless flow) or the closed Gaussian-moment equations. The invariant's
-closed-form Heisenberg flow also gives the moments without an ODE: under q
-noise exact_q_moments adds the noise by one quadrature, and under q^2 noise
-magnus_q2_moments propagates the invariant-frame second moments with
-fourth-order Magnus steps. integrate_moments stays the route of controls
-without such a flow and the test oracle of both. tls_fidelity,
-coherent_fidelity and thermal_fidelity are the one fidelity routine of each
-simulated system.
+integrated with an adaptive embedded Runge-Kutta 4(5) stepper on dense
+matrices (integrate_master) or, for oscillator runs, in a truncated Fock
+basis (in the interaction picture of the exactly solvable noiseless flow)
+or through the closed Gaussian-moment equations. The Pauli channels of a
+two-level run are unital, so its Bloch vector obeys a linear 3x3 ODE:
+tls_fidelity propagates it with fourth-order Magnus steps on a uniform grid,
+doubling the step count until the fidelity settles, and integrate_master is
+its test oracle. The invariant's closed-form Heisenberg flow also gives the
+oscillator moments without an ODE: under q noise exact_q_moments adds the
+noise by one quadrature, and under q^2 noise magnus_q2_moments propagates
+the invariant-frame second moments with the same Magnus steps.
+integrate_moments stays the route of controls without such a flow and the
+test oracle of both. tls_fidelity, coherent_fidelity and thermal_fidelity
+are the one fidelity routine of each simulated system.
 """
 
 from __future__ import annotations
@@ -413,6 +416,13 @@ _Q2_INTERVALS = 400
 _Q2_TOL = 1e-8
 #: the step count stops doubling here (the step arrays then take ~15 MB each)
 _Q2_MAX_STEPS = _Q2_INTERVALS * 2**8
+#: bound on the estimated error of a two-level fidelity: the Bloch-frame step
+#: count starts at _TLS_MIN_STEPS and doubles until n and 2n steps agree to
+#: 15 times it, and raises StepSizeUnderflow past _TLS_MAX_STEPS (the step
+#: arrays then take ~5 MB each)
+_TLS_TOL = 1e-9
+_TLS_MIN_STEPS = 512
+_TLS_MAX_STEPS = 2**16
 #: Gauss-Legendre nodes of one step sit at h (1/2 -+ _GL)
 _GL = np.sqrt(3.0) / 6.0
 #: step exponentials: Taylor degree, and the norm the scaling brings them to
@@ -512,19 +522,61 @@ def magnus_q2_moments(protocol: HoProtocol, y0, channel: NoiseChannel):
 # fidelity of the paper's two systems: one routine each
 
 
-def tls_fidelity(protocol, channels=(), rtol: float = 1e-9, atol: float = 1e-12) -> float:
+def _bloch_final_z(protocol, damping: np.ndarray, n: int) -> float:
+    """<sigma_z>(t_f) after n Magnus-4 steps of dr/dt = A(t) r from r = e_z.
+
+    r = (<sigma_x>, <sigma_y>, <sigma_z>) and A is the rotation about
+    (Omega, 0, Delta) plus diag(damping). Each step takes
+    Omega_4 = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1] on its two
+    Gauss-Legendre nodes; n must be a power of two, so the steps reduce by
+    pairwise products.
+    """
+    h = protocol.t_f / n
+    left = np.arange(n) * h
+    delta, omega = protocol.controls(
+        np.concatenate([left + (0.5 - _GL) * h, left + (0.5 + _GL) * h]))
+    a = np.zeros((2 * n, 3, 3))
+    a[:, 0, 1], a[:, 1, 0] = -delta, delta
+    a[:, 1, 2], a[:, 2, 1] = -omega, omega
+    a[:, (0, 1, 2), (0, 1, 2)] = damping
+    a1, a2 = a[:n], a[n:]
+    prod = _expm3(0.5 * h * (a1 + a2) + (np.sqrt(3.0) / 12.0 * h * h) * (a2 @ a1 - a1 @ a2))
+    while len(prod) > 1:
+        prod = prod[1::2] @ prod[::2]
+    return float(prod[0, 2, 2])
+
+
+def tls_fidelity(protocol, channels=()) -> float:
     """Final |1><1| population of a two-level inversion run.
 
-    Starts from the first basis state and integrates the master equation
-    under protocol.hamiltonian; a perfect inversion ends at 1.
+    Starts from the first basis state, r = (0, 0, 1), under
+    H = Delta/2 sigma_z + Omega/2 sigma_x from protocol.controls; a perfect
+    inversion ends at F = (1 - r_z)/2 = 1. sigma_z and sigma_x channels damp
+    the Bloch vector by diag(-4 eta_z, -4 (eta_z + eta_x), -4 eta_x), and any
+    other channel raises UnsupportedChannel. The Bloch ODE is propagated by
+    Magnus-4 steps (_bloch_final_z), doubling the step count from
+    _TLS_MIN_STEPS until n and 2n steps agree to 15 _TLS_TOL in F.
     """
-    rho0 = np.diag([1.0, 0.0]).astype(complex)
-    t_f = protocol.t_f
-    _, rhos = integrate_master(
-        rho0, protocol.hamiltonian, channels, t_f, t_eval=[0.0, t_f],
-        rtol=rtol, atol=atol, max_step=t_f / 100,
-    )
-    return float(rhos[-1][1, 1].real)
+    eta = dict.fromkeys(PAULI_TAGS, 0.0)
+    for ch in channels:
+        if ch.operator_tag not in PAULI_TAGS:
+            raise UnsupportedChannel("the Bloch-frame propagator covers Pauli channels only")
+        eta[ch.operator_tag] += ch.eta
+    eta_z, eta_x = eta["sigma_z"], eta["sigma_x"]
+    damping = -4.0 * np.array([eta_z, eta_z + eta_x, eta_x])
+    n = _TLS_MIN_STEPS
+    coarse = 0.5 * (1.0 - _bloch_final_z(protocol, damping, n))
+    while True:
+        n *= 2
+        fine = 0.5 * (1.0 - _bloch_final_z(protocol, damping, n))
+        # Magnus-4: the error of the finer run is about (fine - coarse)/15
+        if abs(fine - coarse) <= 15.0 * _TLS_TOL:
+            return fine
+        if n >= _TLS_MAX_STEPS or not np.isfinite(fine):
+            raise StepSizeUnderflow(
+                f"two-level propagator not converged at {n} Magnus steps "
+                f"(F = {fine:.6g}, change {abs(fine - coarse):.3g})")
+        coarse = fine
 
 
 def coherent_fidelity(protocol: HoProtocol, alpha: complex, channel: NoiseChannel) -> float:

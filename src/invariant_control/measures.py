@@ -85,13 +85,8 @@ def overlap_matrix(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
     return a.conj().T @ b
 
 
-def _eig_sorted(mat: np.ndarray):
-    vals, vecs = np.linalg.eigh(mat)
-    return vals, vecs
-
-
 def _excess_overlap(inv: np.ndarray, x_vecs: np.ndarray, gap_floor: float) -> float:
-    vals, vecs = _eig_sorted(inv)
+    vals, vecs = np.linalg.eigh(inv)  # ascending eigenvalues
     n = inv.shape[0]
     gaps = np.diff(vals)
     if np.any(gaps < gap_floor):
@@ -109,7 +104,7 @@ def measure_O(invariant_path, x: np.ndarray, t_f: float, grid: int = 2001) -> fl
     ts = np.linspace(0.0, t_f, grid)
     mats = _sample_path(invariant_path, ts)
     x = np.asarray(x, dtype=complex)
-    _, x_vecs = _eig_sorted(x)
+    _, x_vecs = np.linalg.eigh(x)
     scale = max(np.max(np.abs(m)) for m in mats)
     vals = np.array([_excess_overlap(m, x_vecs, 1e-10 * scale) for m in mats])
     return float(simpson(vals, x=ts) / t_f)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline
 from scipy.optimize import bisect
@@ -44,6 +45,9 @@ __all__ = [
 DEFAULT_GRID = 2001
 
 _SHIFT_FRACTION = 1e-6  # step for one-sided limits, relative to t_f
+#: a polynomial root counts as real when its imaginary part is below this,
+#: relative to its modulus (a double root splits by ~sqrt(machine epsilon))
+_REAL_ROOT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -422,8 +426,19 @@ class HoProtocol:
     def __post_init__(self):
         if self.form not in ("inverse_sqrt_poly", "sqrt_poly"):
             raise ValueError(f"unknown form {self.form!r}")
-        ts = np.linspace(0.0, self.t_f, self.grid)
-        if np.any(self.inner(ts) <= 0):
+        # P > 0 on [0, t_f] exactly: positive at both ends and no real root
+        # in between, from the coefficients in s = t / duration
+        c = self.inner.coefficients
+        s_end = self.t_f / self.inner.duration
+        if c[0] <= 0 or npoly.polyval(s_end, c) <= 0:
+            raise NonPositiveRho("inner polynomial is not positive at 0 or t_f")
+        # roots: eigenvalues of the companion matrix of P / c[top]
+        top = np.flatnonzero(c)[-1]
+        companion = np.eye(top, k=-1)
+        companion[:, top - 1:] = -c[:top, None] / c[top]
+        roots = np.linalg.eigvals(companion)
+        real = roots.real[np.abs(roots.imag) <= _REAL_ROOT_TOL * np.abs(roots)]
+        if np.any((real >= 0.0) & (real <= s_end)):
             raise NonPositiveRho("inner polynomial crosses zero on [0, t_f]")
 
     def rho(self, t, order: int = 0):

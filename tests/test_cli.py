@@ -48,6 +48,8 @@ def test_config_validation_errors():
         ExperimentConfig(experiment="tls_single", rtol=-1.0)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "tls_single", "bogus": 1})
+    with pytest.raises(ConfigError):  # no route reads an absolute tolerance
+        ExperimentConfig.from_dict({"experiment": "tls_single", "atol": 1e-11})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json("{not json")
 
@@ -111,7 +113,6 @@ def test_scan_verb_small_grid(tmp_path):
         scan={"ranges": [[0.0, 1.0]], "sizes": [3]},
         out_dir=str(tmp_path),
         rtol=1e-7,
-        atol=1e-10,
     )
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(config.to_json())
@@ -289,7 +290,7 @@ def _data_rows(path):
 def test_measure_and_simulate_reproduce_scan_row(tmp_path, experiment, scan, free):
     """measure and simulate at --free x print the scan row at x digit for digit."""
     config = ExperimentConfig(experiment=experiment, scan=scan, rtol=1e-6,
-                              atol=1e-9, out_dir=str(tmp_path))
+                              out_dir=str(tmp_path))
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(config.to_json())
     for verb in ("scan", "measure", "simulate"):

@@ -7,9 +7,11 @@ from conftest import tls_fidelity
 from invariant_control import algebra
 from invariant_control.constants import MASS_100_CA40, TWO_PI
 from invariant_control.errors import NonPositiveRho, NoRoot
+from invariant_control.polynomial import BoundaryPolynomial
 from invariant_control.protocols import (
     BSpec,
     DEFAULT_STEEP_CHAIN,
+    HoProtocol,
     ProtocolFamily,
     SmoothstepChain,
     constrain_g_phase,
@@ -137,7 +139,7 @@ def test_dual_plateau_protocol_inverts_without_noise():
     # the polar angle only moves inside two narrow windows; the integrator
     # must not step across them even though H = 0 on the long plateau
     proto = make_tls_dual_protocol(DELTA0, T_F, -1.0, 0.5)
-    assert tls_fidelity(proto, rtol=1e-9, atol=1e-12) > 1.0 - 1e-6
+    assert tls_fidelity(proto) > 1.0 - 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +188,23 @@ def test_ho_rho_crossing_zero_raises():
             omega0, omega0 / 100.0, t_f=5e-6, form="inverse_sqrt_poly",
             r_extra=(500.0, 0.0),
         )
+
+
+def test_ho_rho_dip_between_samples_raises():
+    # P(s) = (s - a)(s - b) with both roots between the samples s = 0.3 and
+    # 0.3005 of the default 2001-point grid: positive on every sample, but
+    # negative on (a, b); lifting it by 1e-6 clears the dip
+    omega0 = TWO_PI * 2.53e6
+    t_f = 5e-6
+    a, b = 0.30011, 0.30039
+    dip = BoundaryPolynomial(np.array([a * b, -(a + b), 1.0]), t_f)
+    lifted = BoundaryPolynomial(dip.coefficients + [1e-6, 0.0, 0.0], t_f)
+    assert np.all(dip(np.linspace(0.0, t_f, 2001)) > 0)
+    trap = dict(form="sqrt_poly", omega0=omega0, omega_f=omega0 / 100.0,
+                mass=MASS_100_CA40, t_f=t_f)
+    HoProtocol(inner=lifted, **trap)
+    with pytest.raises(NonPositiveRho):
+        HoProtocol(inner=dip, **trap)
 
 
 def test_heisenberg_coeffs_symplectic():
