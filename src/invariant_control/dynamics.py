@@ -9,15 +9,15 @@ matrices (integrate_master) or, for oscillator runs, in a truncated Fock
 basis (in the interaction picture of the exactly solvable noiseless flow)
 or through the closed Gaussian-moment equations. The Pauli channels of a
 two-level run are unital, so its Bloch vector obeys a linear 3x3 ODE:
-tls_fidelity propagates it with fourth-order Magnus steps on a uniform grid,
-doubling the step count until the fidelity settles, and integrate_master is
-its test oracle. The invariant's closed-form Heisenberg flow also gives the
-oscillator moments without an ODE: under q noise exact_q_moments adds the
-noise by one quadrature, and under q^2 noise magnus_q2_moments propagates
-the invariant-frame second moments with the same Magnus steps.
-integrate_moments stays the route of controls without such a flow and the
-test oracle of both. tls_fidelity, coherent_fidelity and thermal_fidelity
-are the one fidelity routine of each simulated system.
+tls_fidelity propagates it with fourth-order Magnus steps on a uniform grid
+whose error-carrying steps it splits until the fidelity settles, and
+integrate_master is its test oracle. The invariant's closed-form Heisenberg
+flow also gives the oscillator moments without an ODE: under q noise
+exact_q_moments adds the noise by one quadrature, and under q^2 noise
+magnus_q2_moments propagates the invariant-frame second moments with the
+same Magnus steps. integrate_moments stays the route of controls without
+such a flow and the test oracle of both. tls_fidelity, coherent_fidelity and
+thermal_fidelity are the one fidelity routine of each simulated system.
 """
 
 from __future__ import annotations
@@ -416,13 +416,16 @@ _Q2_INTERVALS = 400
 _Q2_TOL = 1e-8
 #: the step count stops doubling here (the step arrays then take ~15 MB each)
 _Q2_MAX_STEPS = _Q2_INTERVALS * 2**8
-#: bound on the estimated error of a two-level fidelity: the Bloch-frame step
-#: count starts at _TLS_MIN_STEPS and doubles until n and 2n steps agree to
-#: 15 times it, and raises StepSizeUnderflow past _TLS_MAX_STEPS (the step
-#: arrays then take ~5 MB each)
+#: bound on the estimated error of a two-level fidelity: the Bloch-frame grid
+#: starts with _TLS_MIN_STEPS uniform steps, and while its one-step and
+#: two-half-step runs differ by more than 15 times it, every step whose own
+#: difference exceeds _TLS_SPLIT times the largest is split. It raises
+#: StepSizeUnderflow rather than grow past _TLS_MAX_STEPS half steps (one
+#: batch of step generators then takes up to ~14 MB)
 _TLS_TOL = 1e-9
 _TLS_MIN_STEPS = 512
 _TLS_MAX_STEPS = 2**16
+_TLS_SPLIT = 1e-3
 #: Gauss-Legendre nodes of one step sit at h (1/2 -+ _GL)
 _GL = np.sqrt(3.0) / 6.0
 #: step exponentials: Taylor degree, and the norm the scaling brings them to
@@ -522,28 +525,37 @@ def magnus_q2_moments(protocol: HoProtocol, y0, channel: NoiseChannel):
 # fidelity of the paper's two systems: one routine each
 
 
-def _bloch_final_z(protocol, damping: np.ndarray, n: int) -> float:
-    """<sigma_z>(t_f) after n Magnus-4 steps of dr/dt = A(t) r from r = e_z.
+def _bloch_steps(protocol, damping: np.ndarray, left: np.ndarray, h: np.ndarray):
+    """Magnus-4 propagators of dr/dt = A(t) r over the steps [left, left + h):
+    (one step each, product of its two half steps each).
 
     r = (<sigma_x>, <sigma_y>, <sigma_z>) and A is the rotation about
-    (Omega, 0, Delta) plus diag(damping). Each step takes
-    Omega_4 = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1] on its two
-    Gauss-Legendre nodes; n must be a power of two, so the steps reduce by
-    pairwise products.
+    (Omega, 0, Delta) plus diag(damping). A step of width w takes
+    Omega_4 = w/2 (A1 + A2) + sqrt(3) w^2/12 [A2, A1] on its two
+    Gauss-Legendre nodes; protocol.controls runs once on all of them.
     """
-    h = protocol.t_f / n
-    left = np.arange(n) * h
+    n = len(h)
+    start = np.concatenate([left, left, left + 0.5 * h])
+    width = np.concatenate([h, 0.5 * h, 0.5 * h])
     delta, omega = protocol.controls(
-        np.concatenate([left + (0.5 - _GL) * h, left + (0.5 + _GL) * h]))
-    a = np.zeros((2 * n, 3, 3))
+        np.concatenate([start + (0.5 - _GL) * width, start + (0.5 + _GL) * width]))
+    a = np.zeros((6 * n, 3, 3))
     a[:, 0, 1], a[:, 1, 0] = -delta, delta
     a[:, 1, 2], a[:, 2, 1] = -omega, omega
     a[:, (0, 1, 2), (0, 1, 2)] = damping
-    a1, a2 = a[:n], a[n:]
-    prod = _expm3(0.5 * h * (a1 + a2) + (np.sqrt(3.0) / 12.0 * h * h) * (a2 @ a1 - a1 @ a2))
-    while len(prod) > 1:
-        prod = prod[1::2] @ prod[::2]
-    return float(prod[0, 2, 2])
+    a1, a2 = a[:3 * n], a[3 * n:]
+    w = width[:, None, None]
+    u = _expm3(0.5 * w * (a1 + a2) + (np.sqrt(3.0) / 12.0) * w * w * (a2 @ a1 - a1 @ a2))
+    return u[:n], u[2 * n:] @ u[n:2 * n]
+
+
+def _final_z(steps: np.ndarray) -> float:
+    """<sigma_z>(t_f) from r = e_z through time-ordered step propagators,
+    reduced by pairwise products."""
+    while len(steps) > 1:
+        even = len(steps) - len(steps) % 2
+        steps = np.concatenate([steps[1:even:2] @ steps[:even:2], steps[even:]])
+    return float(steps[0, 2, 2])
 
 
 def tls_fidelity(protocol, channels=()) -> float:
@@ -554,8 +566,11 @@ def tls_fidelity(protocol, channels=()) -> float:
     inversion ends at F = (1 - r_z)/2 = 1. sigma_z and sigma_x channels damp
     the Bloch vector by diag(-4 eta_z, -4 (eta_z + eta_x), -4 eta_x), and any
     other channel raises UnsupportedChannel. The Bloch ODE is propagated by
-    Magnus-4 steps (_bloch_final_z), doubling the step count from
-    _TLS_MIN_STEPS until n and 2n steps agree to 15 _TLS_TOL in F.
+    Magnus-4 steps (_bloch_steps) on _TLS_MIN_STEPS uniform steps, each also
+    taken as two half steps. Until the two runs agree to 15 _TLS_TOL in F,
+    the steps that carry the error are split: the steep control windows get
+    fine steps and the rest of the run keeps its coarse ones, so a cell
+    costs about the same whatever its steepness.
     """
     eta = dict.fromkeys(PAULI_TAGS, 0.0)
     for ch in channels:
@@ -564,19 +579,32 @@ def tls_fidelity(protocol, channels=()) -> float:
         eta[ch.operator_tag] += ch.eta
     eta_z, eta_x = eta["sigma_z"], eta["sigma_x"]
     damping = -4.0 * np.array([eta_z, eta_z + eta_x, eta_x])
-    n = _TLS_MIN_STEPS
-    coarse = 0.5 * (1.0 - _bloch_final_z(protocol, damping, n))
+    h = np.full(_TLS_MIN_STEPS, protocol.t_f / _TLS_MIN_STEPS)
+    left = np.arange(_TLS_MIN_STEPS) * h
+    one, two = _bloch_steps(protocol, damping, left, h)
     while True:
-        n *= 2
-        fine = 0.5 * (1.0 - _bloch_final_z(protocol, damping, n))
-        # Magnus-4: the error of the finer run is about (fine - coarse)/15
-        if abs(fine - coarse) <= 15.0 * _TLS_TOL:
+        coarse = 0.5 * (1.0 - _final_z(one))
+        fine = 0.5 * (1.0 - _final_z(two))
+        # Magnus-4: the error of the half-step run is about (fine - coarse)/15
+        gap = abs(fine - coarse)
+        if gap <= 15.0 * _TLS_TOL:
             return fine
-        if n >= _TLS_MAX_STEPS or not np.isfinite(fine):
+        # each flagged step is split into 2^k, k the doublings of every step
+        # that an error falling as h^4 would need
+        diff = np.abs(two - one).max(axis=(1, 2))
+        flagged = diff > _TLS_SPLIT * diff.max()
+        k = np.ceil(np.log2(gap / (15.0 * _TLS_TOL)) / 4.0)
+        if not np.isfinite(gap) or 2 * (len(h) + flagged.sum() * (2**k - 1)) > _TLS_MAX_STEPS:
             raise StepSizeUnderflow(
-                f"two-level propagator not converged at {n} Magnus steps "
-                f"(F = {fine:.6g}, change {abs(fine - coarse):.3g})")
-        coarse = fine
+                f"two-level propagator not converged on {2 * len(h)} Magnus half steps "
+                f"(F = {fine:.6g}, change {gap:.3g})")
+        parts = np.where(flagged, 2 ** int(k), 1)
+        idx = np.repeat(np.arange(len(h)), parts)
+        h = h[idx] / parts[idx]
+        left = left[idx] + (np.arange(len(idx)) - (np.cumsum(parts) - parts)[idx]) * h
+        split = parts[idx] > 1
+        one, two = one[idx], two[idx]
+        one[split], two[split] = _bloch_steps(protocol, damping, left[split], h[split])
 
 
 def coherent_fidelity(protocol: HoProtocol, alpha: complex, channel: NoiseChannel) -> float:
