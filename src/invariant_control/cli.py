@@ -131,9 +131,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if "experiment" not in data:
@@ -155,8 +152,11 @@ class ExperimentConfig:
     def digest(self) -> str:
         # hash only the fields that affect the computed numbers, so the
         # same physical configuration hashes identically wherever the
-        # output lands
-        data = {k: v for k, v in self.to_dict().items() if k not in ("out_dir", "basename")}
+        # output lands; rtol only where a route reads it
+        skip = {"out_dir", "basename"}
+        if not _EXPERIMENTS[self.experiment].reads_rtol:
+            skip.add("rtol")
+        data = {k: v for k, v in self.to_dict().items() if k not in skip}
         return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -356,6 +356,7 @@ class _Experiment:
     plan: Callable = _grid_plan  # config -> optimize.scan calls
     skips_infeasible: bool = False
     free_bounds: tuple = ()      # (lo, hi) per free coefficient; () = any
+    reads_rtol: bool = False     # a fidelity route takes config.rtol
 
     def check_free(self, values, what):
         """Reject free coefficients that are not finite numbers or that leave
@@ -410,6 +411,7 @@ _EXPERIMENTS = {
         # no closed-form measure: the mean power needs the simulated moments
         kind="ho_thermal", tags=("q_squared",), measure=lambda *_: {},
         fidelity=_thermal_fidelity, finish=_finish_fig4, plan=_thermal_plan,
+        reads_rtol=True,
     ),
 }
 

@@ -1,4 +1,4 @@
-"""Master-equation integrators and invariant-drift diagnostics.
+"""Master-equation integrators and the fidelity routine of each system.
 
 The noise model is a sum of double-commutator (unital) dissipators,
 
@@ -17,7 +17,8 @@ exact_q_moments adds the noise by one quadrature, and under q^2 noise
 magnus_q2_moments propagates the invariant-frame second moments with the
 same Magnus steps. integrate_moments stays the route of controls without
 such a flow and the test oracle of both. tls_fidelity, coherent_fidelity and
-thermal_fidelity are the one fidelity routine of each simulated system.
+thermal_fidelity are the one fidelity routine of each simulated system; the
+dissipator in the invariant eigenbasis backs the common-eigenbasis check.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import RK45, solve_ivp
 
-from . import measures, states
+from . import algebra, measures, states
 from .errors import (
     DimensionMismatch,
     StepSizeUnderflow,
@@ -50,7 +51,6 @@ __all__ = [
     "tls_fidelity",
     "coherent_fidelity",
     "thermal_fidelity",
-    "lambda_dot",
     "dissipative_matrix_elements",
     "dissipator_superoperator",
     "HoFockTrajectory",
@@ -77,18 +77,11 @@ class NoiseChannel:
         if self.eta < 0:
             raise ValueError("noise strength must be nonnegative")
 
-    def matrix(self, q=None, p=None) -> np.ndarray:
-        from . import algebra
-
-        if self.operator_tag == "sigma_z":
-            return algebra.PAULI_Z
-        if self.operator_tag == "sigma_x":
-            return algebra.PAULI_X
-        if q is None:
-            raise UnsupportedChannel(
-                "oscillator channels need an explicit position operator"
-            )
-        return q if self.operator_tag == "q" else q @ q
+    def matrix(self) -> np.ndarray:
+        """The Pauli matrix of a two-level channel."""
+        if self.operator_tag not in PAULI_TAGS:
+            raise UnsupportedChannel("only Pauli channels have a fixed matrix")
+        return algebra.PAULI_Z if self.operator_tag == "sigma_z" else algebra.PAULI_X
 
 
 def _double_commutator(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -97,16 +90,15 @@ def _double_commutator(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def lindblad_rhs(rho: np.ndarray, h: np.ndarray, channels) -> np.ndarray:
-    """Right-hand side -i[H, rho] - sum_k eta_k [X_k, [X_k, rho]]."""
+    """Right-hand side -i[H, rho] - sum_k eta_k [X_k, [X_k, rho]] of the
+    dense oracle integrate_master, for channels as (X_k, eta_k) pairs."""
     rho = np.asarray(rho, dtype=complex)
     h = np.asarray(h, dtype=complex)
     if rho.shape != h.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatch("rho and H must be square matrices of equal size")
     out = -1j * (h @ rho - rho @ h)
-    for ch in channels:
-        x, eta = (ch if isinstance(ch, tuple) else (ch.matrix(), ch.eta))
-        x = np.asarray(x, dtype=complex)
-        if x.shape != rho.shape:
+    for x, eta in channels:
+        if np.shape(x) != rho.shape:
             raise DimensionMismatch("channel operator has the wrong dimension")
         if eta != 0.0:
             out -= eta * _double_commutator(x, rho)
@@ -114,7 +106,9 @@ def lindblad_rhs(rho: np.ndarray, h: np.ndarray, channels) -> np.ndarray:
 
 
 def _rk45_matrix(rhs, rho0, t_eval, rtol, atol, max_step=np.inf):
-    """Adaptive RK45 over a matrix-valued ODE with per-step hermitization."""
+    """Adaptive RK45 over a matrix-valued ODE with per-step hermitization:
+    the integrator of both oracles, dense (integrate_master) and truncated
+    Fock (integrate_ho_master)."""
     t_eval = np.asarray(t_eval, dtype=float)
     n = rho0.shape[0]
     y0 = np.asarray(rho0, dtype=complex).ravel()
@@ -154,22 +148,21 @@ def integrate_master(
     rho0: np.ndarray,
     hamiltonian,
     channels,
-    t_f: float,
-    t_eval=None,
+    t_eval,
     rtol: float = 1e-9,
     atol: float = 1e-12,
     max_step: float = np.inf,
 ):
-    """Integrate the dense master equation on [0, t_f].
+    """Integrate the dense master equation from 0 to t_eval[-1].
 
-    hamiltonian is a callable t -> matrix; channels is a sequence of
-    NoiseChannel (Pauli tags) or (matrix, eta) pairs. Returns (times, rhos).
-    max_step caps the adaptive step so narrow control pulses surrounded by
-    long H = 0 stretches cannot be stepped over.
+    The test oracle of tls_fidelity (two-level route against RK45) and of
+    the Gaussian moments (static-trap Fock check). hamiltonian is a callable
+    t -> matrix; channels is a sequence of NoiseChannel (Pauli tags) or
+    (matrix, eta) pairs. Returns (times, rhos). max_step caps the adaptive
+    step so narrow control pulses surrounded by long H = 0 stretches cannot
+    be stepped over.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    if t_eval is None:
-        t_eval = np.linspace(0.0, t_f, 201)
     resolved = []
     for ch in channels:
         x, eta = (ch if isinstance(ch, tuple) else (ch.matrix(), ch.eta))
@@ -209,12 +202,10 @@ class HoFockTrajectory:
     times: np.ndarray
     rhos: np.ndarray
     dim: int
-    converged: bool
 
-    def moments(self, mass: float | None = None):
+    def moments(self):
         """Lab-frame (<q>, <p>, <q^2>, <p^2>, <qp+pq>/2) at each sample."""
-        m = self.protocol.mass if mass is None else mass
-        q, p, _ = fock_operators(self.dim, m, self.protocol.omega0)
+        q, p, _ = fock_operators(self.dim, self.protocol.mass, self.protocol.omega0)
         fq, fp, gq, gp = self.protocol.heisenberg_coeffs(self.times)
         out = np.empty((len(self.times), 5))
         for i, rho in enumerate(self.rhos):
@@ -259,18 +250,18 @@ def integrate_ho_master(
     channel: NoiseChannel,
     t_eval=None,
     dim: int | None = None,
-    excitation_scale: float = 0.0,
     rtol: float = 1e-9,
     atol: float = 1e-12,
     max_dim: int = 512,
 ) -> HoFockTrajectory:
     """Integrate an oscillator run in the truncated Fock basis.
 
-    rho0_builder(d) must return the initial density matrix at truncation d
-    (in the omega0 representation). The truncation starts at
-    d0 = max(40, 8 * (excitation_scale + 1)) and doubles until the top two
-    levels stay below 1e-8 population, warning with TruncationWarning if the
-    cap is reached first.
+    The Fock oracle of the Gaussian routes (acceptance check of Fock against
+    moments). rho0_builder(d) must return the initial density matrix at
+    truncation d (in the omega0 representation). Unless dim fixes it, the
+    truncation starts at 40 levels and doubles until the top two levels stay
+    below 1e-8 population, warning with TruncationWarning if max_dim is
+    reached first.
     """
     if channel.operator_tag not in OSC_TAGS:
         raise UnsupportedChannel("oscillator integrator needs a q or q^2 channel")
@@ -278,7 +269,7 @@ def integrate_ho_master(
         t_eval = np.linspace(0.0, protocol.t_f, 201)
     t_eval = np.asarray(t_eval, dtype=float)
 
-    d = dim if dim is not None else int(max(40, np.ceil(8 * (excitation_scale + 1))))
+    d = dim if dim is not None else 40
     while True:
         rhos = _integrate_ho_fixed_dim(
             protocol, rho0_builder, channel, t_eval, d, rtol, atol
@@ -288,13 +279,13 @@ def integrate_ho_master(
         )
         top = max(top, float(np.max(np.real(rhos[:, -1, -1] + rhos[:, -2, -2]))))
         if top < 1e-8:
-            return HoFockTrajectory(protocol, t_eval, rhos, d, True)
+            return HoFockTrajectory(protocol, t_eval, rhos, d)
         if dim is not None or 2 * d > max_dim:
             warnings.warn(
                 f"population {top:.2e} on the top two of {d} Fock levels",
                 TruncationWarning,
             )
-            return HoFockTrajectory(protocol, t_eval, rhos, d, False)
+            return HoFockTrajectory(protocol, t_eval, rhos, d)
         d *= 2
 
 
@@ -653,23 +644,7 @@ def thermal_fidelity(protocol, n_bar: float, mass: float, channel: NoiseChannel,
 
 
 # ---------------------------------------------------------------------------
-# invariant-drift diagnostics
-
-
-def lambda_dot(eigenvalues, eigenvectors, x: np.ndarray, eta: float):
-    """Eigenvalue drift of the invariant under one double-commutator channel.
-
-    lambdadot_l = 2 eta (lambda_l <l|X^2|l> - sum_k lambda_k |<k|X|l>|^2).
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
-    phi = np.asarray(eigenvectors, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    if phi.shape[0] != x.shape[0]:
-        raise DimensionMismatch("eigenvector and operator dimensions differ")
-    x_phi = phi.conj().T @ x @ phi  # <k|X|l> as matrix [k, l]
-    x2_diag = np.real(np.diag(phi.conj().T @ (x @ x) @ phi))
-    cross = np.abs(x_phi) ** 2  # |<k|X|l>|^2
-    return 2.0 * eta * (lam * x2_diag - cross.T @ lam)
+# the dissipator in the invariant eigenbasis
 
 
 def dissipative_matrix_elements(rho_basis: np.ndarray, eigenvectors: np.ndarray,
@@ -677,7 +652,9 @@ def dissipative_matrix_elements(rho_basis: np.ndarray, eigenvectors: np.ndarray,
     """Dissipator matrix elements in the invariant eigenbasis.
 
     rho_basis holds rho_lk = <phi_l|rho|phi_k>; the result is
-    <phi_l| L rho |phi_k> for L rho = -eta [X, [X, rho]].
+    <phi_l| L rho |phi_k> for L rho = -eta [X, [X, rho]]. With
+    dissipator_superoperator, the two routes of the acceptance check of
+    common-eigenbasis dissipation rates.
     """
     phi = np.asarray(eigenvectors, dtype=complex)
     rho_basis = np.asarray(rho_basis, dtype=complex)
@@ -690,7 +667,8 @@ def dissipative_matrix_elements(rho_basis: np.ndarray, eigenvectors: np.ndarray,
 
 
 def dissipator_superoperator(x: np.ndarray, eta: float) -> np.ndarray:
-    """Matrix of L rho = -eta [X, [X, rho]] acting on vec(rho) (column stacking)."""
+    """Matrix of L rho = -eta [X, [X, rho]] acting on vec(rho) (column
+    stacking): the direct route of the common-eigenbasis rate check."""
     x = np.asarray(x, dtype=complex)
     d = x.shape[0]
     eye = np.eye(d)

@@ -13,10 +13,6 @@ class SingularControl(InvariantControlError):
     """A control formula denominator vanishes with a nonzero numerator."""
 
 
-class ConstraintViolated(InvariantControlError):
-    """Invariant component functions break their algebraic constraint."""
-
-
 class NonPositiveRho(InvariantControlError):
     """The Ermakov scaling function is not strictly positive."""
 

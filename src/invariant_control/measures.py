@@ -9,7 +9,6 @@ two-channel landscape and the average power complete the set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -25,7 +24,6 @@ from .errors import (
 )
 
 __all__ = [
-    "MeasureReport",
     "overlap_matrix",
     "measure_O",
     "measure_A",
@@ -42,38 +40,6 @@ __all__ = [
 
 #: tight upper bound of sum |S_ij| - n for n = 2
 O_MAX_TWO_LEVEL = 2.0 * np.sqrt(2.0) - 2.0
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    """Per-channel measures plus their strength-weighted average."""
-
-    kind: str  # "O" or "A"
-    values: tuple[float, ...]
-    strengths: tuple[float, ...]
-    dimension: int = 2
-    truncation_dim: int | None = None
-
-    def __post_init__(self):
-        n = self.dimension
-        hi = O_MAX_TWO_LEVEL if (self.kind == "O" and n == 2) else (
-            float(n * n - n) if self.kind == "O" else 1.0
-        )
-        for v in self.values:
-            if v < -1e-9 or v > hi + 1e-9:
-                raise ValueError(f"measure {v!r} outside [0, {hi}]")
-
-    @property
-    def weighted(self) -> float:
-        return weighted_average(self.values, self.strengths)
-
-    @property
-    def bound(self) -> float:
-        if self.kind == "A":
-            return 1.0
-        return O_MAX_TWO_LEVEL if self.dimension == 2 else float(
-            self.dimension**2 - self.dimension
-        )
 
 
 def overlap_matrix(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
@@ -98,11 +64,11 @@ def _excess_overlap(inv: np.ndarray, x_vecs: np.ndarray, gap_floor: float) -> fl
 def measure_O(invariant_path, x: np.ndarray, t_f: float, grid: int = 2001) -> float:
     """Time-averaged excess overlap (1/t_f) int (sum |S_ij| - n) dt.
 
-    invariant_path is a callable t -> Hermitian matrix (or an array of
-    matrices sampled on the uniform grid).
+    invariant_path is a callable t -> Hermitian matrix. The direct route
+    that checks the closed forms (closed_form_O_z on a protocol's invariant).
     """
     ts = np.linspace(0.0, t_f, grid)
-    mats = _sample_path(invariant_path, ts)
+    mats = [np.asarray(invariant_path(t), dtype=complex) for t in ts]
     x = np.asarray(x, dtype=complex)
     _, x_vecs = np.linalg.eigh(x)
     scale = max(np.max(np.abs(m)) for m in mats)
@@ -112,9 +78,13 @@ def measure_O(invariant_path, x: np.ndarray, t_f: float, grid: int = 2001) -> fl
 
 def measure_A(invariant_path, x: np.ndarray, t_f: float, grid: int = 2001,
               norm_floor: float = 1e-300) -> float:
-    """Commutator measure A = int ||[X, I]|| dt / (2 int ||X I|| dt) (Frobenius)."""
+    """Commutator measure A = int ||[X, I]|| dt / (2 int ||X I|| dt) (Frobenius).
+
+    The direct route that checks closed_form_A_z and the closed-form limits
+    A = 1 (anticommuting pair) and A = 0 (commuting pair).
+    """
     ts = np.linspace(0.0, t_f, grid)
-    mats = _sample_path(invariant_path, ts)
+    mats = [np.asarray(invariant_path(t), dtype=complex) for t in ts]
     x = np.asarray(x, dtype=complex)
     comm = np.empty(grid)
     prod = np.empty(grid)
@@ -128,15 +98,6 @@ def measure_A(invariant_path, x: np.ndarray, t_f: float, grid: int = 2001,
     return float(simpson(comm, x=ts) / denom)
 
 
-def _sample_path(path, ts):
-    if callable(path):
-        return [np.asarray(path(t), dtype=complex) for t in ts]
-    mats = np.asarray(path, dtype=complex)
-    if len(mats) != len(ts):
-        raise DimensionMismatch("sampled path length must match the grid")
-    return list(mats)
-
-
 # ---------------------------------------------------------------------------
 # two-level closed forms
 
@@ -144,7 +105,7 @@ def _sample_path(path, ts):
 def closed_form_O_z(g_path, t_f: float, grid: int = 4001) -> float:
     """O for X = sigma_z: (1/t_f) int 2(|sin(G/2)| + |cos(G/2)| - 1) dt."""
     ts = np.linspace(0.0, t_f, grid)
-    g = _eval_path(g_path, ts)
+    g = g_path(ts)
     integrand = 2.0 * (np.abs(np.sin(g / 2)) + np.abs(np.cos(g / 2)) - 1.0)
     return float(simpson(integrand, x=ts) / t_f)
 
@@ -152,29 +113,19 @@ def closed_form_O_z(g_path, t_f: float, grid: int = 4001) -> float:
 def closed_form_A_z(g_path, t_f: float, grid: int = 4001) -> float:
     """A for X = sigma_z: (1/t_f) int |sin G| dt."""
     ts = np.linspace(0.0, t_f, grid)
-    g = _eval_path(g_path, ts)
+    g = g_path(ts)
     return float(simpson(np.abs(np.sin(g)), x=ts) / t_f)
 
 
 def closed_form_O_x(g_path, b_path, t_f: float, grid: int = 4001) -> float:
     """O for X = sigma_x, depending on both angles through cos(B) sin(G)."""
     ts = np.linspace(0.0, t_f, grid)
-    g = _eval_path(g_path, ts)
-    b = _eval_path(b_path, ts)
+    g, b = g_path(ts), b_path(ts)
     cbsg = np.cos(b) * np.sin(g)
     integrand = 2.0 * (
         np.sqrt((1.0 - cbsg) / 2.0) + np.sqrt((1.0 + cbsg) / 2.0) - 1.0
     )
     return float(simpson(integrand, x=ts) / t_f)
-
-
-def _eval_path(path, ts):
-    if callable(path):
-        return np.asarray(path(ts), dtype=float)
-    arr = np.asarray(path, dtype=float)
-    if len(arr) != len(ts):
-        raise DimensionMismatch("sampled path length must match the grid")
-    return arr
 
 
 def weighted_average(measures, strengths) -> float:
@@ -223,7 +174,7 @@ def ho_overlap_Sn(rho_path, n: int, mass: float, omega0: float, t_f: float,
     which is why minimizing S_n at any n minimizes all of them.
     """
     ts = np.linspace(0.0, t_f, grid)
-    rho = _eval_path(rho_path, ts)
+    rho = rho_path(ts)
     if np.any(rho <= 0):
         raise NonPositiveRho("rho must be positive along the path")
     c_n = (
@@ -235,19 +186,18 @@ def ho_overlap_Sn(rho_path, n: int, mass: float, omega0: float, t_f: float,
     return float(c_n * simpson(np.sqrt(rho), x=ts) / t_f)
 
 
-def average_power(omega_sq_dot, qq_path, mass: float, t_f: float,
+def average_power(omega_sq_dot, qq, mass: float, t_f: float,
                   grid: int = 2001) -> float:
     """Mean drive power (1/t_f) int m omega omegadot <q^2> dt.
 
-    Both paths are callables of t (or samples on the uniform grid); the
-    product omega * omegadot is evaluated as d(omega^2)/dt / 2, so
-    transiently inverted traps need no complex square root. The sign is
-    preserved; take the absolute value at the reporting layer if needed.
+    omega_sq_dot is a callable of t and qq holds <q^2> sampled on the
+    uniform grid; the product omega * omegadot is evaluated as
+    d(omega^2)/dt / 2, so transiently inverted traps need no complex square
+    root. The sign is preserved; take the absolute value at the reporting
+    layer if needed.
     """
     ts = np.linspace(0.0, t_f, grid)
-    w2d = _eval_path(omega_sq_dot, ts)
-    qq = _eval_path(qq_path, ts)
-    return float(simpson(0.5 * mass * w2d * qq, x=ts) / t_f)
+    return float(simpson(0.5 * mass * omega_sq_dot(ts) * qq, x=ts) / t_f)
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,6 @@ class BoundaryPolynomial:
         c = self._scaled_coeffs(order)
         return npoly.polyval(s, c) / self.duration**order
 
-    def constraint_residuals(self) -> np.ndarray:
-        return np.array(
-            [self(c.time, c.order) - c.value for c in self.constraints]
-        )
-
     def with_free_values(self, free_values) -> "BoundaryPolynomial":
         """Re-solve the same constraint set with new free coefficients."""
         return solve_boundary_polynomial(

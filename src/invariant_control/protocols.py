@@ -8,7 +8,6 @@ through the Ermakov scaling function rho. A constant-mu reference expansion
 
 from __future__ import annotations
 
-import json
 from math import comb
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -21,7 +20,7 @@ from scipy.optimize import bisect
 
 from . import algebra
 from .constants import MASS_100_CA40
-from .errors import NonPositiveRho, NoRoot, SingularControl
+from .errors import NonPositiveRho, NoRoot
 from .polynomial import BoundaryPolynomial, Constraint, solve_boundary_polynomial
 
 __all__ = [
@@ -58,6 +57,8 @@ class BSpec:
     multiple of pi there, otherwise the detuning diverges; the default
     B = pi/2 with zero slopes keeps both controls regular for every
     admissible G, at the price of a zero synthesized detuning at the edges.
+    Edge slopes give an edge detuning: where G touches a pole quadratically
+    the removable limit is Delta(t_b) = -3 Bdot(t_b).
     """
 
     b0: float = np.pi / 2
@@ -66,20 +67,6 @@ class BSpec:
     bf_dot: float = 0.0
     extra: tuple[float, ...] = ()
     pins: tuple[float, ...] = ()
-
-    @classmethod
-    def with_boundary_detuning(cls, delta0: float, extra=()):
-        """Slopes chosen so the synthesized detuning hits +-delta0 at the edges.
-
-        For a quadratic touch of G at the boundary the removable limit gives
-        Delta(t_b) = -3 Bdot(t_b), hence Bdot(0) = -delta0/3, Bdot(t_f) = delta0/3.
-        Interior pins hold B near pi/2 between the edges so that sin(B) stays
-        bounded away from zero even when delta0 * t_f is large.
-        """
-        return cls(
-            b0_dot=-delta0 / 3.0, bf_dot=delta0 / 3.0, extra=tuple(extra),
-            pins=(0.25, 0.5, 0.75),
-        )
 
 
 def _solve_angle_poly(t_f, v0, vf, d0, df, extra, pins=()):
@@ -110,75 +97,54 @@ class TlsProtocol:
     delta0: float
     t_f: float
 
-    def angles(self, t):
-        return self.g_poly(t), self.b_poly(t)
-
     def controls(self, t):
         """Detuning and Rabi controls (Delta(t), Omega(t)) on a grid."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        delta, omega = self._controls_raw(t)
-        bad = ~np.isfinite(delta) | ~np.isfinite(omega)
-        if np.any(bad):
-            # removable 0/0 samples: one-sided limit a small step inward
+        delta, omega, removable = self._controls_raw(t)
+        if np.any(removable):
+            # removable 0/0 samples: one-sided limit a small step inward,
+            # taking the formula's quotient there even below its tolerance
             shift = _SHIFT_FRACTION * self.t_f
-            t_in = np.where(t[bad] < 0.5 * self.t_f, t[bad] + shift, t[bad] - shift)
-            d2, o2 = self._controls_raw(t_in, limit=True)
-            delta[bad], omega[bad] = d2, o2
+            t_in = t[removable]
+            t_in = np.where(t_in < 0.5 * self.t_f, t_in + shift, t_in - shift)
+            delta[removable], omega[removable], _ = self._controls_raw(t_in)
         return delta, omega
 
     @cached_property
-    def _b_flat(self) -> bool:
-        c = getattr(self.b_poly, "coefficients", None)
-        if c is not None:
-            return bool(np.all(np.abs(c[1:]) < 1e-12 * (1.0 + abs(c[0]))))
-        ss = np.linspace(0.0, self.t_f, 257)
-        return bool(
-            np.max(np.abs(self.b_poly(ss) - self.b_poly(0.0))) < 1e-12
-            and np.max(np.abs(self.b_poly(ss, 1))) * self.t_f < 1e-12
-        )
-
-    def _controls_raw(self, t, limit: bool = False):
-        g = self.g_poly(t)
-        g_dot = self.g_poly(t, 1)
-        b = self.b_poly(t)
-        b_dot = self.b_poly(t, 1)
-        sg, cg = np.sin(g), np.cos(g)
-        sb, cb = np.sin(b), np.cos(b)
-        if self._b_flat:
-            # constant B = pi/2 (mod pi): kill the cot(B) term despite roundoff
-            cb = np.where(np.abs(cb) < 1e-12, 0.0, cb)
-        scale = np.max(np.abs(g_dot)) + np.abs(self.omega_r)
-
-        num = g_dot * cg * cb
-        den = sg * sb
-        if limit:
-            zero = den == 0.0
-            if np.any(zero & (np.abs(num) > 1e-9 * scale)):
-                raise SingularControl("control limit does not exist at a sample")
-            # den == 0 with num at roundoff level: the cot term is absent
-            corr = np.where(zero, 0.0, num / np.where(zero, 1.0, den))
+    def _b_on_equator(self) -> bool:
+        """B is constant at pi/2 (mod pi), so the cot(B) term is exactly 0."""
+        b = self.b_poly
+        if isinstance(b, PathCombo):
+            flat = not any(b.weights)
         else:
-            small = np.abs(den) < 1e-9
-            if np.any(small & (np.abs(num) > 1e-9 * scale)):
-                raise SingularControl("tan(G) tan(B) vanishes where Gdot != 0")
-            # removable points: 0 is exact for flat B, otherwise defer to the
-            # one-sided limit taken by controls()
-            fill = 0.0 if self._b_flat else np.nan
-            corr = np.where(small, fill, num / np.where(small, 1.0, den))
-        delta = -b_dot + corr
+            c = b.coefficients
+            flat = bool(np.all(np.abs(c[1:]) < 1e-12 * (1.0 + abs(c[0]))))
+        return flat and abs(np.cos(b(0.0))) < 1e-12
 
-        small_b = np.abs(sb) < 1e-9
-        if np.any(small_b & (np.abs(g_dot) > 1e-9 * scale)):
-            raise SingularControl("sin(B) vanishes where Gdot != 0")
-        omega = np.where(small_b, 0.0, g_dot / np.where(small_b, 1.0, sb))
-        return np.asarray(delta, dtype=float), np.asarray(omega, dtype=float)
+    def _controls_raw(self, t):
+        """(Delta, Omega, removable) from algebra.su2_controls_from_angles."""
+        b_dot = self.b_poly(t, 1)
+        delta, omega, removable = algebra.su2_controls_from_angles(
+            self.g_poly(t), self.g_poly(t, 1), self.b_poly(t), b_dot)
+        if self._b_on_equator:
+            # the cot(B) term holds only the roundoff of cos(pi/2): drop it,
+            # and with it every 0/0 of that term
+            return -b_dot, omega, np.zeros_like(removable)
+        return delta, omega, removable
 
     def hamiltonian(self, t):
-        """H(t) = Delta/2 sigma_z + Omega/2 sigma_x at a single time."""
+        """H(t) = Delta/2 sigma_z + Omega/2 sigma_x at a single time.
+
+        The right-hand side of the dense master-equation oracle
+        (dynamics.integrate_master) that checks tls_fidelity.
+        """
         delta, omega = self.controls(np.atleast_1d(t))
         return 0.5 * delta[0] * algebra.PAULI_Z + 0.5 * omega[0] * algebra.PAULI_X
 
     def invariant(self, t):
+        """Invariant matrix at a single time: the path that the direct
+        measures (measures.measure_O, measure_A) take to check the closed
+        forms."""
         g, b = self.g_poly(t), self.b_poly(t)
         return algebra.su2_invariant_matrix(float(g), float(b), self.omega_r)
 
@@ -290,15 +256,6 @@ class SmoothstepChain:
                 val = _smoothstep_scalar(n, val, 0)
             return sec * scale * scale
         raise ValueError("chain derivatives implemented up to order 2")
-
-    @property
-    def center_slope(self) -> float:
-        """Slope of the composition at its midpoint in the window variable."""
-        val, der = 0.5, 1.0
-        for n in reversed(self.orders):
-            der *= float(_smoothstep_scalar(n, val, 1))
-            val = float(_smoothstep_scalar(n, val, 0))
-        return der
 
 
 @dataclass(frozen=True)
@@ -519,6 +476,8 @@ class HoProtocol:
         return fq, fp, gq, gp
 
     def ermakov_residual(self, t):
+        """rhoddot + omega^2 rho - omega0^2 / rho^3, zero for a consistent
+        trap control: the Ermakov check of the acceptance suite."""
         rho = self.rho(t)
         return self.rho(t, 2) + self.omega_sq(t) * rho - self.omega0**2 / rho**3
 
@@ -704,11 +663,10 @@ def make_constant_mu_protocol(omega0: float, omega_f: float, t_f: float) -> Cons
 
 
 # ---------------------------------------------------------------------------
-# serializable family descriptions
+# protocol families
 
 
 _KINDS = (
-    "tls_inversion",
     "tls_steep_blend",
     "tls_dual",
     "ho_coherent",
@@ -719,7 +677,7 @@ _KINDS = (
 
 @dataclass(frozen=True)
 class ProtocolFamily:
-    """Serializable description of a protocol family plus free coefficients.
+    """Description of a protocol family plus free coefficients.
 
     An "ho_coherent" family whose params carry g_target has r6 as its only
     free coefficient; build() then solves r7 so the phase integral hits
@@ -737,10 +695,6 @@ class ProtocolFamily:
 
     def build(self):
         p = self.params
-        if self.kind == "tls_inversion":
-            b = p.get("b_spec")
-            b_spec = BSpec(**b) if isinstance(b, dict) else b
-            return make_tls_protocol(p["delta0"], self.t_f, self.free, b_spec)
         if self.kind == "tls_steep_blend":
             (g4,) = self.free
             return make_tls_steep_protocol(
@@ -773,22 +727,3 @@ class ProtocolFamily:
 
     def with_free(self, free) -> "ProtocolFamily":
         return replace(self, free=tuple(float(v) for v in free))
-
-    def to_json(self) -> str:
-        params = {
-            k: (v.__dict__ if isinstance(v, BSpec) else v)
-            for k, v in self.params.items()
-        }
-        return json.dumps(
-            {"kind": self.kind, "params": params, "t_f": self.t_f,
-             "free": list(self.free)},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProtocolFamily":
-        data = json.loads(text)
-        return cls(
-            kind=data["kind"], params=data["params"], t_f=data["t_f"],
-            free=tuple(data.get("free", ())),
-        )

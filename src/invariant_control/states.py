@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidCovariance, NonPSDInput
 
 __all__ = [
-    "DenseState",
     "GaussianMoments",
     "uhlmann_fidelity",
     "gaussian_fidelity",
@@ -25,33 +24,6 @@ __all__ = [
     "target_coherent",
     "CoherentTarget",
 ]
-
-
-@dataclass(frozen=True)
-class DenseState:
-    """Validated density matrix."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise DimensionMismatch("density matrix must be square")
-        if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-9:
-            raise ValueError("trace must equal 1 to 1e-9")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-            raise ValueError("density matrix must be Hermitian to 1e-12")
-        if np.linalg.eigvalsh(rho)[0] < -1e-8:
-            raise NonPSDInput("density matrix has a significantly negative eigenvalue")
-        object.__setattr__(self, "rho", rho)
-
-    @property
-    def dimension(self) -> int:
-        return self.rho.shape[0]
-
-    @property
-    def purity(self) -> float:
-        return float(np.trace(self.rho @ self.rho).real)
 
 
 @dataclass(frozen=True)
@@ -83,10 +55,6 @@ class GaussianMoments:
     @property
     def mean(self) -> np.ndarray:
         return np.array([self.mean_q, self.mean_p])
-
-    @property
-    def purity(self) -> float:
-        return float(0.5 / np.sqrt(self.det_v))
 
     @classmethod
     def from_raw(cls, mq, mp, qq, pp, qp_sym) -> "GaussianMoments":
@@ -212,11 +180,6 @@ class CoherentTarget:
 
     def gaussian(self) -> GaussianMoments:
         return coherent_state(self.alpha_tilde, self.omega, self.mass, "gaussian")
-
-    def fock(self, dim: int) -> np.ndarray:
-        """Target in the final-trap eigenbasis (equivalently, in the
-        invariant-mode basis at the final time)."""
-        return coherent_state(self.alpha_tilde, self.omega, self.mass, "fock", dim)
 
     def frame_fock(self, dim: int) -> np.ndarray:
         """Target conjugated into the co-moving invariant frame.

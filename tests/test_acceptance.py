@@ -33,8 +33,8 @@ def test_noiseless_tls_inversion_is_exact():
     proto = protocols.make_tls_protocol(TWO_PI * 10e3, t_f)
     # Bloch-frame Magnus route and the dense master equation
     _, rhos = dynamics.integrate_master(
-        np.diag([1.0, 0.0]).astype(complex), proto.hamiltonian, [], t_f,
-        t_eval=[0.0, t_f], max_step=t_f / 100,
+        np.diag([1.0, 0.0]).astype(complex), proto.hamiltonian, [], [0.0, t_f],
+        max_step=t_f / 100,
     )
     for fidelity in (tls_fidelity(proto), rhos[-1][1, 1].real):
         assert fidelity > 1.0 - 1e-6
@@ -154,8 +154,7 @@ def test_free_dephasing_matches_analytic_decay():
         rho0,
         lambda t: np.zeros((2, 2), dtype=complex),
         [NoiseChannel("sigma_z", eta)],
-        checkpoints[-1],
-        t_eval=checkpoints,
+        checkpoints,
         rtol=1e-11,
         atol=1e-14,
     )

@@ -1,63 +1,12 @@
-"""Lie-algebra inverse engineering building blocks."""
+"""SU(2) and Ermakov inverse-engineering building blocks."""
 
 import numpy as np
 import pytest
 
 from invariant_control import algebra
-from invariant_control.errors import (
-    ConstraintViolated,
-    DimensionMismatch,
-    NonPositiveRho,
-    SingularControl,
-)
-
-
-def _jacobi_residual(alpha):
-    """Max violation of the Jacobi identity for structure constants.
-
-    [[T_a, T_b], T_c] + cyclic = 0 translates into
-    sum_d (alpha_dab alpha_edc + alpha_dbc alpha_eda + alpha_dca alpha_edb) = 0.
-    """
-    t1 = np.einsum("dab,edc->eabc", alpha, alpha)
-    t2 = np.einsum("dbc,eda->eabc", alpha, alpha)
-    t3 = np.einsum("dca,edb->eabc", alpha, alpha)
-    return float(np.max(np.abs(t1 + t2 + t3)))
-
-
-@pytest.mark.parametrize("spec_fn", [algebra.su2, algebra.su11])
-def test_structure_constants_antisymmetric_and_jacobi(spec_fn):
-    spec = spec_fn()
-    alpha = spec.structure_constants
-    assert spec.dimension == 3
-    np.testing.assert_allclose(alpha, -alpha.transpose(0, 2, 1), atol=1e-14)
-    assert _jacobi_residual(alpha) < 1e-12
-
-
-def test_su2_commutators_in_pauli_representation():
-    # [T1, T2] = i T3 and cyclic, with T_a = sigma_a / 2
-    t = [algebra.PAULI_X / 2, algebra.PAULI_Y / 2, algebra.PAULI_Z / 2]
-    alpha = algebra.su2().structure_constants
-    for b in range(3):
-        for c in range(3):
-            comm = t[b] @ t[c] - t[c] @ t[b]
-            recon = sum(alpha[a, b, c] * t[a] for a in range(3))
-            np.testing.assert_allclose(comm, recon, atol=1e-14)
-
-
-def test_coupling_matrix_rows_match_hand_computation():
-    g2 = algebra.build_coupling_matrix(algebra.su2(), (0.0, 0.0, 1.0))
-    np.testing.assert_allclose(
-        g2, [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], atol=1e-14
-    )
-    g11 = algebra.build_coupling_matrix(algebra.su11(), (1.0, 1.0, 0.0))
-    np.testing.assert_allclose(
-        g11, [[0.0, 0.0, 2.0], [0.0, 0.0, -2.0], [-1.0, 1.0, 0.0]], atol=1e-14
-    )
-
-
-def test_coupling_matrix_shape_check():
-    with pytest.raises(DimensionMismatch):
-        algebra.build_coupling_matrix(algebra.su2(), (1.0, 2.0))
+from invariant_control.constants import TWO_PI
+from invariant_control.errors import NonPositiveRho, SingularControl
+from invariant_control.protocols import BSpec, make_tls_protocol
 
 
 def test_invariant_matrix_spectrum_and_hermiticity():
@@ -70,30 +19,6 @@ def test_invariant_matrix_spectrum_and_hermiticity():
         np.testing.assert_allclose(
             np.linalg.eigvalsh(inv), [-omega_r, omega_r], atol=1e-12
         )
-
-
-def test_angle_and_component_controls_agree():
-    rng = np.random.default_rng(5)
-    omega_r = 1.7
-    ts = np.linspace(0.1, 0.9, 41)
-    for _ in range(5):
-        a1, a2 = rng.uniform(0.2, 0.8), rng.uniform(-0.3, 0.3)
-        g = 0.4 + a1 * np.sin(np.pi * ts) ** 2
-        g_dot = a1 * np.pi * np.sin(2.0 * np.pi * ts)
-        b = np.pi / 2 + a2 * np.sin(2.0 * np.pi * ts)
-        b_dot = 2.0 * np.pi * a2 * np.cos(2.0 * np.pi * ts)
-        d_ang, o_ang = algebra.su2_controls_from_angles(g, g_dot, b, b_dot)
-        f = algebra.polar_components(g, b, omega_r)
-        f_dot = np.stack(
-            [
-                omega_r * (np.cos(g) * np.cos(b) * g_dot - np.sin(g) * np.sin(b) * b_dot),
-                -omega_r * (np.cos(g) * np.sin(b) * g_dot + np.sin(g) * np.cos(b) * b_dot),
-                -omega_r * np.sin(g) * g_dot,
-            ]
-        )
-        d_cmp, o_cmp = algebra.su2_controls_from_components(f, f_dot)
-        np.testing.assert_allclose(d_cmp, d_ang, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(o_cmp, o_ang, rtol=1e-9, atol=1e-9)
 
 
 def test_invariant_equation_holds_for_synthesized_controls():
@@ -111,7 +36,7 @@ def test_invariant_equation_holds_for_synthesized_controls():
         g, b = g_of(t), b_of(t)
         g_dot = (g_of(t + h_step) - g_of(t - h_step)) / (2.0 * h_step)
         b_dot = (b_of(t + h_step) - b_of(t - h_step)) / (2.0 * h_step)
-        delta, omega = algebra.su2_controls_from_angles(g, g_dot, b, b_dot)
+        delta, omega, _ = algebra.su2_controls_from_angles(g, g_dot, b, b_dot)
         h = 0.5 * delta * algebra.PAULI_Z + 0.5 * omega * algebra.PAULI_X
         inv_p = algebra.su2_invariant_matrix(g_of(t + h_step), b_of(t + h_step), 1.0)
         inv_m = algebra.su2_invariant_matrix(g_of(t - h_step), b_of(t - h_step), 1.0)
@@ -122,17 +47,19 @@ def test_invariant_equation_holds_for_synthesized_controls():
 
 
 def test_singular_controls_raise():
+    # one tolerance, 1e-9, on sin(B) and on sin(G) sin(B); Gdot = 1 throughout
+    for g, b in ((0.5, 0.0), (0.0, np.pi / 4), (np.pi / 2, 0.5e-9), (0.5e-9, np.pi / 4)):
+        with pytest.raises(SingularControl):
+            algebra.su2_controls_from_angles(g, 1.0, b, 0.0)
+    for g, b in ((np.pi / 2, 2e-9), (2e-9, np.pi / 4)):
+        _, omega, removable = algebra.su2_controls_from_angles(g, 1.0, b, 0.0)
+        assert np.isfinite(omega) and not removable
+    # 0/0 with Gdot = 0 is removable, not singular
+    assert algebra.su2_controls_from_angles(0.0, 0.0, np.pi / 4, 0.0)[2]
+    # the protocol raises through the same formula: B held at 0 while G moves
+    proto = make_tls_protocol(TWO_PI * 10e3, 0.5e-3, b_spec=BSpec(b0=0.0, bf=0.0))
     with pytest.raises(SingularControl):
-        algebra.su2_controls_from_angles(0.5, 1.0, 0.0, 0.0)  # sin(B) = 0
-    with pytest.raises(SingularControl):
-        algebra.su2_controls_from_angles(0.0, 1.0, np.pi / 4, 0.0)  # sin(G) = 0
-
-
-def test_component_sphere_constraint_enforced():
-    f = np.array([[1.0], [0.5], [0.3]])
-    f_dot = np.array([[1.0], [1.0], [1.0]])  # strongly breaks f . fdot = 0
-    with pytest.raises(ConstraintViolated):
-        algebra.su2_controls_from_components(f, f_dot)
+        proto.controls(np.linspace(0.0, 0.5e-3, 11))
 
 
 def test_omega_sq_from_rho():
@@ -143,13 +70,3 @@ def test_omega_sq_from_rho():
     assert algebra.omega_sq_from_rho(rho, 0.0, omega0) == pytest.approx(omega**2)
     with pytest.raises(NonPositiveRho):
         algebra.omega_sq_from_rho(-1.0, 0.0, 1.0)
-
-
-def test_frictionless_residual():
-    assert algebra.frictionless_residual(algebra.PAULI_Z, algebra.PAULI_Z) == 0.0
-    # ||[s_z, s_x]|| = ||2i s_y|| = 2 sqrt(2), normalizer ||s_z|| ||s_x|| = 2
-    assert algebra.frictionless_residual(
-        algebra.PAULI_Z, algebra.PAULI_X
-    ) == pytest.approx(np.sqrt(2.0))
-    with pytest.raises(DimensionMismatch):
-        algebra.frictionless_residual(np.eye(2), np.eye(3))

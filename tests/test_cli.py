@@ -14,7 +14,7 @@ def test_config_defaults_merged_and_round_trip():
     config = ExperimentConfig(experiment="tls_single")
     assert config.params["delta0_hz"] == pytest.approx(10e3)
     assert config.channels[0]["operator_tag"] == "sigma_z"
-    again = ExperimentConfig.from_json(config.to_json())
+    again = ExperimentConfig.from_json(json.dumps(config.to_dict()))
     assert again == config
     assert again.digest == config.digest
 
@@ -25,7 +25,7 @@ def test_config_param_overrides_survive_round_trip():
     )
     assert config.params["n_bar"] == 5.0
     assert config.params["nu0_hz"] == pytest.approx(2.53e6)
-    again = ExperimentConfig.from_json(config.to_json())
+    again = ExperimentConfig.from_json(json.dumps(config.to_dict()))
     assert again == config
 
 
@@ -99,7 +99,7 @@ def test_measure_and_simulate_verbs(tmp_path, capsys):
         experiment="tls_single", out_dir=str(tmp_path), rtol=1e-8
     )
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(config.to_json())
+    cfg_path.write_text(json.dumps(config.to_dict()))
     assert cli.main(["--config", str(cfg_path), "measure", "--free", "0.0"]) == 0
     assert cli.main(["--config", str(cfg_path), "simulate", "--free", "0.0"]) == 0
     fid_text = (tmp_path / "tls_single_fidelity.csv").read_text()
@@ -115,7 +115,7 @@ def test_scan_verb_small_grid(tmp_path):
         rtol=1e-7,
     )
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(config.to_json())
+    cfg_path.write_text(json.dumps(config.to_dict()))
     assert cli.main(["--config", str(cfg_path), "scan"]) == 0
     lines = [
         line for line in (tmp_path / "tls_single.csv").read_text().splitlines()
@@ -206,6 +206,15 @@ def test_zero_grid_or_tol_exits_2(tmp_path, capsys, flag):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_tol_changes_the_config_hash_only_where_rtol_is_read():
+    # only fig4's constant-mu rows read rtol (the moment ODE)
+    def digest(*argv):
+        return cli._load_config(cli._parser().parse_args([*argv])).digest
+
+    assert digest("--tol", "1e-6", "reproduce", "fig1") == digest("reproduce", "fig1")
+    assert digest("--tol", "1e-6", "reproduce", "fig4") != digest("reproduce", "fig4")
+
+
 def test_custom_experiment_id_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"experiment": "custom"}))
@@ -292,7 +301,7 @@ def test_measure_and_simulate_reproduce_scan_row(tmp_path, experiment, scan, fre
     config = ExperimentConfig(experiment=experiment, scan=scan, rtol=1e-6,
                               out_dir=str(tmp_path))
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(config.to_json())
+    cfg_path.write_text(json.dumps(config.to_dict()))
     for verb in ("scan", "measure", "simulate"):
         args = [] if verb == "scan" else ["--free", *free]
         assert cli.main(["--config", str(cfg_path), verb, *args]) == 0

@@ -1,4 +1,4 @@
-"""Protocol construction: boundary conditions, controls, serialization."""
+"""Protocol construction: boundary conditions, controls, families."""
 
 import numpy as np
 import pytest
@@ -32,7 +32,8 @@ T_F = 0.5e-3
 
 def test_tls_boundary_conditions():
     proto = make_tls_protocol(DELTA0, T_F)
-    g, b = proto.angles(np.array([0.0, T_F]))
+    ts = np.array([0.0, T_F])
+    g, b = proto.g_poly(ts), proto.b_poly(ts)
     np.testing.assert_allclose(g, [np.pi, 0.0], atol=1e-9)
     np.testing.assert_allclose(b, [np.pi / 2, np.pi / 2], atol=1e-9)
     assert abs(proto.g_poly(0.0, 1)) < 1e-9 / T_F
@@ -64,9 +65,10 @@ def test_tls_invariant_equation_on_interior_grid():
 
 
 def test_boundary_detuning_spec_hits_target_at_edges():
-    proto = make_tls_protocol(
-        DELTA0, T_F, b_spec=BSpec.with_boundary_detuning(DELTA0)
-    )
+    # G touches the poles quadratically, so the removable limit gives
+    # Delta(t_b) = -3 Bdot(t_b); interior pins hold B near pi/2
+    b_spec = BSpec(b0_dot=-DELTA0 / 3.0, bf_dot=DELTA0 / 3.0, pins=(0.25, 0.5, 0.75))
+    proto = make_tls_protocol(DELTA0, T_F, b_spec=b_spec)
     delta, _ = proto.controls(np.array([0.0, T_F]))
     assert delta[0] == pytest.approx(DELTA0, rel=1e-3)
     assert delta[-1] == pytest.approx(-DELTA0, rel=1e-3)
@@ -95,7 +97,7 @@ def test_smoothstep_chain_edges_and_derivatives():
 def test_smoothstep_chain_center_slope():
     # single cubic step slope at the midpoint is 140/64; composition multiplies
     chain = SmoothstepChain((3, 3, 3), 1.0)
-    assert chain.center_slope == pytest.approx((140.0 / 64.0) ** 3, rel=1e-12)
+    assert chain(0.5, 1) == pytest.approx((140.0 / 64.0) ** 3, rel=1e-12)
 
 
 def test_windowed_chain_flat_outside_window():
@@ -109,7 +111,7 @@ def test_windowed_chain_flat_outside_window():
 def test_steep_blend_endpoints_and_midpoint():
     for g4 in (0.0, 0.5, 1.0):
         proto = make_tls_steep_protocol(DELTA0, T_F, g4)
-        g, _ = proto.angles(np.array([0.0, 0.5 * T_F, T_F]))
+        g = proto.g_poly(np.array([0.0, 0.5 * T_F, T_F]))
         np.testing.assert_allclose(g, [np.pi, np.pi / 2, 0.0], atol=1e-12)
 
 
@@ -122,17 +124,35 @@ def test_dual_family_reduces_to_steep_blend_without_plateau():
         single = make_tls_steep_protocol(DELTA0, T_F, shape)
         np.testing.assert_allclose(dual.g_poly(ts), single.g_poly(ts), atol=1e-14)
         np.testing.assert_allclose(dual.b_poly(ts), np.pi / 2, atol=1e-14)
+        # B is exactly flat on the equator, so the detuning is exactly 0
+        assert not np.any(dual.controls(ts)[0])
 
 
 def test_dual_family_plateau_and_dip():
     proto = make_tls_dual_protocol(DELTA0, T_F, -1.0, 1.0)
-    g, b = proto.angles(np.array([0.5 * T_F]))
+    g, b = proto.g_poly(np.array([0.5 * T_F])), proto.b_poly(np.array([0.5 * T_F]))
     assert g[0] == pytest.approx(np.pi / 2, abs=1e-12)
     assert b[0] == pytest.approx(np.pi / 2 - 0.95 * np.pi / 2, abs=1e-12)
     with pytest.raises(ValueError):
         make_tls_dual_protocol(DELTA0, T_F, 1.5, 0.0)
     with pytest.raises(ValueError):
         make_tls_dual_protocol(DELTA0, T_F, 0.0, -0.1)
+
+
+def test_tls_controls_go_through_the_algebra_formula(monkeypatch):
+    # the one SU(2) control formula, looked up at call time
+    calls = []
+    formula = algebra.su2_controls_from_angles
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return formula(*args)
+
+    monkeypatch.setattr(algebra, "su2_controls_from_angles", counting)
+    proto = make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.5)
+    delta, omega = proto.controls(np.linspace(0.0, T_F, 101))
+    assert calls and calls[0] == 101
+    assert np.all(np.isfinite(delta)) and np.all(np.isfinite(omega))
 
 
 def test_dual_plateau_protocol_inverts_without_noise():
@@ -268,12 +288,11 @@ def test_constant_mu_protocol():
 
 
 # ---------------------------------------------------------------------------
-# serializable families
+# protocol families
 
 
-def test_protocol_family_round_trip_and_build():
+def test_protocol_family_builds_every_kind():
     families = [
-        ProtocolFamily("tls_inversion", {"delta0": DELTA0}, T_F, (0.2, -0.1)),
         ProtocolFamily("tls_steep_blend", {"delta0": DELTA0}, T_F, (0.8,)),
         ProtocolFamily("tls_dual", {"delta0": DELTA0}, T_F, (-0.5, 0.3)),
         ProtocolFamily(
@@ -296,11 +315,7 @@ def test_protocol_family_round_trip_and_build():
         ),
     ]
     for fam in families:
-        again = ProtocolFamily.from_json(fam.to_json())
-        assert again == fam
-        assert again.to_json() == fam.to_json()
-        proto = again.build()
-        assert proto is not None
+        assert fam.build() is not None
 
 
 def test_protocol_family_unknown_kind():
@@ -317,7 +332,6 @@ def test_protocol_family_with_g_target_solves_the_phase_constraint():
     params = {"omega0": TWO_PI * 15.92e6, "omega_f": TWO_PI * 15.92e4,
               "mass": MASS_100_CA40, "g_target": 50.5e-6}
     fam = ProtocolFamily("ho_coherent", params, 100e-6, (-10.0,))
-    assert ProtocolFamily.from_json(fam.to_json()) == fam
     proto = fam.build()
     direct = constrain_g_phase(params["omega0"], params["omega_f"], 50.5e-6, r6=-10.0)
     assert proto.inner.free_values == direct.inner.free_values

