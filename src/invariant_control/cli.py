@@ -83,6 +83,9 @@ class ExperimentConfig:
 
     def _validate(self):
         p = self.params
+        unknown = sorted(set(p) - set(_EXPERIMENTS[self.experiment].defaults["params"]))
+        if unknown:
+            raise ConfigError(f"params: not parameters of {self.experiment}: {', '.join(unknown)}")
         for key, sign in _PARAM_SIGNS.items():
             if key not in p:
                 continue
@@ -462,25 +465,26 @@ def run_scan(config: ExperimentConfig):
     return (tables[0][3], *paths)
 
 
-def _build_cell(config, free):
-    """The experiment's protocol at one point of its scan grid."""
+def _cell_family(config, free) -> protocols.ProtocolFamily:
+    """The experiment's protocol family at one point of its scan grid."""
     n = len(config.scan["ranges"])
     free = [0.0] * n if free is None else free
     if len(free) != n:
         raise ConfigError(f"--free: {config.experiment} takes {n} value(s), got {len(free)}")
     _EXPERIMENTS[config.experiment].check_free(free, "--free")
-    return _family(config).with_free(free).build()
+    return _family(config).with_free(free)
 
 
 def _verb_synthesize(config, free):
-    proto = _build_cell(config, free)
+    family = _cell_family(config, free)
+    proto = family.build()
     ts = np.linspace(0.0, proto.t_f, 401)
     if hasattr(proto, "controls"):
         columns = dict(zip(("t", "delta", "omega"), (ts, *proto.controls(ts))))
     else:
         columns = {"t": ts, "omega_sq": proto.omega_sq(ts)}
     rows = [[float(v) for v in row] for row in zip(*columns.values())]
-    extra = [f"protocol: {json.dumps(proto.to_dict(), sort_keys=True)}"]
+    extra = [f"protocol: {json.dumps(asdict(family), sort_keys=True)}"]
     return _write_table(config, "_controls", list(columns), rows, extra)
 
 
@@ -488,7 +492,7 @@ def _verb_measure(config, free, simulate=False):
     """One-row table of the cell's measure (or, simulating, fidelity) columns."""
     exp = _EXPERIMENTS[config.experiment]
     columns = (exp.fidelity if simulate else exp.measure)(
-        _build_cell(config, free), config, _channels(config))
+        _cell_family(config, free).build(), config, _channels(config))
     if not columns:
         raise ConfigError(f"measure: {config.experiment} has no closed-form measure")
     suffix = "_fidelity" if simulate else "_measures"

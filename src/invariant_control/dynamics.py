@@ -8,17 +8,18 @@ integrated with an adaptive embedded Runge-Kutta 4(5) stepper on dense
 matrices (integrate_master) or, for oscillator runs, in a truncated Fock
 basis (in the interaction picture of the exactly solvable noiseless flow)
 or through the closed Gaussian-moment equations. The Pauli channels of a
-two-level run are unital, so its Bloch vector obeys a linear 3x3 ODE:
-tls_fidelity propagates it with fourth-order Magnus steps on a uniform grid
-whose error-carrying steps it splits until the fidelity settles, and
-integrate_master is its test oracle. The invariant's closed-form Heisenberg
-flow also gives the oscillator moments without an ODE: under q noise
-exact_q_moments adds the noise by one quadrature, and under q^2 noise
-magnus_q2_moments propagates the invariant-frame second moments with the
-same Magnus steps. integrate_moments stays the route of controls without
-such a flow and the test oracle of both. tls_fidelity, coherent_fidelity and
-thermal_fidelity are the one fidelity routine of each simulated system; the
-dissipator in the invariant eigenbasis backs the common-eigenbasis check.
+two-level run are unital, so its Bloch vector obeys a linear 3x3 ODE
+dx/dt = A(t) x; in the frame of the invariant's closed-form Heisenberg flow
+so do an oscillator's second moments under q^2 noise. One error-controlled
+propagator (_magnus_path: fourth-order Magnus steps on a uniform start grid,
+whose error-carrying steps it splits until the one-step and half-step runs
+agree) serves both: tls_fidelity, with integrate_master as its test oracle,
+and magnus_q2_moments. Under q noise exact_q_moments adds the noise to the
+same flow by one quadrature. integrate_moments stays the route of controls
+without such a flow and the test oracle of both oscillator routes.
+tls_fidelity, coherent_fidelity and thermal_fidelity are the one fidelity
+routine of each simulated system; the dissipator in the invariant eigenbasis
+backs the common-eigenbasis check.
 """
 
 from __future__ import annotations
@@ -383,7 +384,7 @@ def exact_q_moments(protocol: HoProtocol, y0, channel: NoiseChannel) -> np.ndarr
     only adds the constant 2 eta to d<p^2>/dt, so by variation of constants
     the raw second moments are S(t_f) = M [S0 + 2 eta int c c^T ds] M^T with
     c = M^-1 e_p = (-fp, fq). q^2 noise couples to <q^2> and has no such
-    closed form; integrate it with integrate_moments.
+    closed form; magnus_q2_moments propagates it.
     """
     if channel.operator_tag != "q":
         raise UnsupportedChannel("the exact invariant-frame route covers q noise only")
@@ -397,26 +398,29 @@ def exact_q_moments(protocol: HoProtocol, y0, channel: NoiseChannel) -> np.ndarr
     return np.array([mean[0], mean[1], s[0, 0], s[1, 1], s[0, 1]])
 
 
-#: intervals of the q^2 propagator's uniform output grid; its Magnus step
-#: count is a multiple of this, so every output sample is a step boundary
+# ---------------------------------------------------------------------------
+# one error-controlled Magnus propagator of dx/dt = A(t) x, x in R^3: the
+# Bloch vector of a two-level run and the invariant-frame q^2 moments
+
+
+#: bound on the estimated error of a two-level fidelity, and the uniform
+#: start grid of its propagator
+_TLS_TOL = 1e-9
+_TLS_MIN_STEPS = 512
+#: intervals of the q^2 propagator's uniform output grid, which is also its
+#: start grid
 _Q2_INTERVALS = 400
 #: bound on the estimated error of the sampled invariant-frame moments,
 #: relative to their largest entry; the default rtol of the moment ODE it
-#: replaces. fig4 cells stop at 800 steps (1600 at t_f = 20 us), within
+#: replaces. fig4 cells stop at 800 half steps (1600 at t_f = 20 us), within
 #: 2.4e-11 of F and 4.4e-9 of the mean power of DOP853 at rtol 1e-13
 _Q2_TOL = 1e-8
-#: the step count stops doubling here (the step arrays then take ~15 MB each)
-_Q2_MAX_STEPS = _Q2_INTERVALS * 2**8
-#: bound on the estimated error of a two-level fidelity: the Bloch-frame grid
-#: starts with _TLS_MIN_STEPS uniform steps, and while its one-step and
-#: two-half-step runs differ by more than 15 times it, every step whose own
-#: difference exceeds _TLS_SPLIT times the largest is split. It raises
-#: StepSizeUnderflow rather than grow past _TLS_MAX_STEPS half steps (one
-#: batch of step generators then takes up to ~14 MB)
-_TLS_TOL = 1e-9
-_TLS_MIN_STEPS = 512
-_TLS_MAX_STEPS = 2**16
-_TLS_SPLIT = 1e-3
+#: a refinement splits every step whose own one-step/half-step difference
+#: exceeds _SPLIT times the largest; the propagator raises StepSizeUnderflow
+#: rather than grow past _MAX_HALF_STEPS half steps (one batch of step
+#: generators then takes up to ~14 MB)
+_SPLIT = 1e-3
+_MAX_HALF_STEPS = 2**16
 #: Gauss-Legendre nodes of one step sit at h (1/2 -+ _GL)
 _GL = np.sqrt(3.0) / 6.0
 #: step exponentials: Taylor degree, and the norm the scaling brings them to
@@ -438,34 +442,107 @@ def _expm3(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _q2_invariant_path(protocol: HoProtocol, kappa: float, s0, n: int) -> np.ndarray:
-    """Scaled invariant-frame moments on the output grid after n Magnus-4 steps.
+def _magnus_steps(generator, left: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Magnus-4 propagators of dx/dt = A(t) x over the steps [left, left + width).
 
-    s = (S_I00, S_I01, S_I11) with p in units of m omega0 obeys
-    ds/dt = kappa u w^T s, u = (fp^2, -fp fq, fq^2), w = (fq^2, 2 fq fp, fp^2).
-    Each step takes Omega = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1] on its
-    two Gauss-Legendre nodes; the samples are running products of the steps.
+    A step of width w takes Omega_4 = w/2 (A1 + A2) + sqrt(3) w^2/12 [A2, A1]
+    on its two Gauss-Legendre nodes; generator(t) -> A(t), a batch of 3x3
+    matrices, runs once on the nodes of every step.
     """
-    h = protocol.t_f / n
-    left = np.arange(n) * h
-    fq, fp, _, _ = protocol.heisenberg_coeffs(
-        np.concatenate([left + (0.5 - _GL) * h, left + (0.5 + _GL) * h]))
-    fp = fp * (protocol.mass * protocol.omega0)
-    u = np.stack([fp * fp, -fp * fq, fq * fq], axis=-1)
-    w = np.stack([fq * fq, 2.0 * fq * fp, fp * fp], axis=-1)
-    a = kappa * u[:, :, None] * w[:, None, :]
-    a1, a2 = a[:n], a[n:]
-    steps = _expm3(0.5 * h * (a1 + a2) + (np.sqrt(3.0) / 12.0 * h * h) * (a2 @ a1 - a1 @ a2))
-    # product over each output interval, then running products over intervals
-    k = n // _Q2_INTERVALS
-    prod = steps[::k]
-    for j in range(1, k):
-        prod = steps[j::k] @ prod
-    d = 1
-    while d < len(prod):
-        prod[d:] = prod[d:] @ prod[:-d]
-        d *= 2
-    return np.vstack([s0, prod @ s0])
+    a = generator(np.concatenate([left + (0.5 - _GL) * width, left + (0.5 + _GL) * width]))
+    a1, a2 = a[:len(left)], a[len(left):]
+    w = width[:, None, None]
+    return _expm3(0.5 * w * (a1 + a2) + (np.sqrt(3.0) / 12.0) * w * w * (a2 @ a1 - a1 @ a2))
+
+
+def _one_and_halves(generator, left, h, one=None):
+    """(one step, first half, second half) propagators of the steps
+    [left, left + h); one, when given, holds the known one-step propagators."""
+    starts, widths = [left, left + 0.5 * h], [0.5 * h, 0.5 * h]
+    if one is None:
+        starts, widths = [left, *starts], [h, *widths]
+    u = _magnus_steps(generator, np.concatenate(starts), np.concatenate(widths))
+    n = len(left)
+    return (u[:n] if one is None else one), u[-2 * n:-n], u[-n:]
+
+
+def _running_products(count: np.ndarray, *runs) -> np.ndarray:
+    """Products of time-ordered step propagators from t = 0 to the end of each
+    start step, one row per run. Start step g holds count[g] steps, and a run
+    gives each step as its factors in time order: (one step,) or (first
+    half, second half).
+
+    Within each start step the factors are multiplied left to right. A
+    pairwise scan over the start steps of all runs at once then multiplies
+    adjacent entries level by level up to a single product and, on the way
+    back down, gives every entry its running product by at most one more
+    product.
+    """
+    first = np.cumsum(count) - count
+    prod = np.empty((len(runs), len(count), 3, 3))
+    for r, factors in enumerate(runs):
+        prod[r] = factors[0][first]
+        for f in factors[1:]:
+            prod[r] = f[first] @ prod[r]
+    for j in range(1, count.max()):
+        more = np.flatnonzero(count > j)
+        for r, factors in enumerate(runs):
+            p = prod[r, more]
+            for f in factors:
+                p = f[first[more] + j] @ p
+            prod[r, more] = p
+    levels = []
+    while prod.shape[1] > 1:
+        levels.append(prod)
+        prod = prod[:, 1::2] @ prod[:, :-1:2]
+    for low in reversed(levels):
+        low[:, 2::2] = low[:, 2::2] @ prod[:, :(low.shape[1] - 1) // 2]
+        low[:, 1::2] = prod
+        prod = low
+    return prod
+
+
+def _magnus_path(generator, t_f: float, n_start: int, x0, error) -> np.ndarray:
+    """x(t) of dx/dt = A(t) x, x(0) = x0, at the n_start + 1 ends of a uniform
+    start grid on [0, t_f].
+
+    Every step is taken as one Magnus-4 step and as two half steps. Until the
+    two runs agree, error(one-step run, half-step run) <= 15 in units of the
+    route's tolerance (Magnus-4: the half-step run's error is about a
+    fifteenth of their gap), each step that carries the error is split into
+    2^k, k the doublings of every step that an error falling as h^4 would
+    need. The steep stretches of a run get fine steps and the rest keeps its
+    coarse ones. A step split in two takes its halves as the one-step runs of
+    its parts. Returns the half-step run.
+    """
+    h = np.full(n_start, t_f / n_start)
+    left = np.arange(n_start) * h
+    count = np.ones(n_start, dtype=int)  # steps in each start step
+    one, first, second = _one_and_halves(generator, left, h)
+    while True:
+        ends = _running_products(count, (one,), (first, second)) @ x0
+        coarse, fine = np.concatenate([np.broadcast_to(x0, (2, 1, 3)), ends], axis=1)
+        gap = error(coarse, fine)
+        if gap <= 15.0:
+            return fine
+        diff = np.abs(second @ first - one).max(axis=(1, 2))
+        flagged = diff > _SPLIT * diff.max()
+        k = np.ceil(np.log2(gap / 15.0) / 4.0)
+        if not np.isfinite(gap) or 2 * (len(h) + flagged.sum() * (2**k - 1)) > _MAX_HALF_STEPS:
+            raise StepSizeUnderflow(
+                f"Magnus propagator not converged on {2 * len(h)} half steps "
+                f"(estimated error {gap / 15.0:.3g} times its tolerance)")
+        parts = np.where(flagged, 2 ** int(k), 1)
+        count = np.add.reduceat(parts, np.cumsum(count) - count)
+        idx = np.repeat(np.arange(len(h)), parts)
+        h = h[idx] / parts[idx]
+        left = left[idx] + (np.arange(len(idx)) - (np.cumsum(parts) - parts)[idx]) * h
+        split = parts[idx] > 1
+        known = (np.stack([first[flagged], second[flagged]], axis=1).reshape(-1, 3, 3)
+                 if k == 1 else None)
+        one, first, second = one[idx], first[idx], second[idx]
+        one[split], first[split], second[split] = _one_and_halves(
+            generator, left[split], h[split], known)
 
 
 def magnus_q2_moments(protocol: HoProtocol, y0, channel: NoiseChannel):
@@ -474,9 +551,12 @@ def magnus_q2_moments(protocol: HoProtocol, y0, channel: NoiseChannel):
 
     With M(t) the invariant's Heisenberg flow (HoProtocol.heisenberg_coeffs)
     the raw second moments are S = M S_I M^T, and q^2 noise drives S_I by the
-    rank-one linear generator 8 eta <q^2> c c^T, c = (-fp, fq). It is
-    propagated by fourth-order Magnus steps; the step count starts at 400 and
-    doubles until n and 2n steps agree to _Q2_TOL. The means stay M m0.
+    rank-one linear generator 8 eta <q^2> c c^T, c = (-fp, fq): with p in
+    units of m omega0, s = (S_I00, S_I01, S_I11) obeys ds/dt = kappa u w^T s,
+    u = (fp^2, -fp fq, fq^2), w = (fq^2, 2 fq fp, fp^2). The Magnus
+    propagator (_magnus_path) starts on the 400 output intervals and refines
+    until the largest change of a sampled moment is within _Q2_TOL of the
+    largest moment. The means stay M m0.
     """
     if channel.operator_tag != "q_squared":
         raise UnsupportedChannel("the invariant-frame propagator covers q^2 noise only")
@@ -485,20 +565,17 @@ def magnus_q2_moments(protocol: HoProtocol, y0, channel: NoiseChannel):
     s = np.array([qq, qp / scale, pp / scale**2])
     if channel.eta:
         kappa = 8.0 * channel.eta / scale**2
-        n = _Q2_INTERVALS
-        coarse = _q2_invariant_path(protocol, kappa, s, n)
-        while True:
-            n *= 2
-            fine = _q2_invariant_path(protocol, kappa, s, n)
-            # Magnus-4: the error of the finer run is about (fine - coarse)/15
-            if np.abs(fine - coarse).max() <= 15.0 * _Q2_TOL * np.abs(fine).max():
-                break
-            if n >= _Q2_MAX_STEPS or not np.isfinite(fine).all():
-                raise StepSizeUnderflow(
-                    f"q^2 propagator not converged at {n} Magnus steps "
-                    f"(largest moment {np.abs(fine).max():.3g})")
-            coarse = fine
-        s = fine
+
+        def generator(t):
+            fq, fp, _, _ = protocol.heisenberg_coeffs(t)
+            fp = fp * scale
+            u = np.stack([fp * fp, -fp * fq, fq * fq], axis=-1)
+            w = np.stack([fq * fq, 2.0 * fq * fp, fp * fp], axis=-1)
+            return kappa * u[:, :, None] * w[:, None, :]
+
+        s = _magnus_path(
+            generator, protocol.t_f, _Q2_INTERVALS, s,
+            lambda coarse, fine: np.abs(fine - coarse).max() / (_Q2_TOL * np.abs(fine).max()))
     a, b, c = np.atleast_2d(s).T * np.array([[1.0], [scale], [scale**2]])
     ts = np.linspace(0.0, protocol.t_f, _Q2_INTERVALS + 1)
     fq, fp, gq, gp = protocol.heisenberg_coeffs(ts)
@@ -516,39 +593,6 @@ def magnus_q2_moments(protocol: HoProtocol, y0, channel: NoiseChannel):
 # fidelity of the paper's two systems: one routine each
 
 
-def _bloch_steps(protocol, damping: np.ndarray, left: np.ndarray, h: np.ndarray):
-    """Magnus-4 propagators of dr/dt = A(t) r over the steps [left, left + h):
-    (one step each, product of its two half steps each).
-
-    r = (<sigma_x>, <sigma_y>, <sigma_z>) and A is the rotation about
-    (Omega, 0, Delta) plus diag(damping). A step of width w takes
-    Omega_4 = w/2 (A1 + A2) + sqrt(3) w^2/12 [A2, A1] on its two
-    Gauss-Legendre nodes; protocol.controls runs once on all of them.
-    """
-    n = len(h)
-    start = np.concatenate([left, left, left + 0.5 * h])
-    width = np.concatenate([h, 0.5 * h, 0.5 * h])
-    delta, omega = protocol.controls(
-        np.concatenate([start + (0.5 - _GL) * width, start + (0.5 + _GL) * width]))
-    a = np.zeros((6 * n, 3, 3))
-    a[:, 0, 1], a[:, 1, 0] = -delta, delta
-    a[:, 1, 2], a[:, 2, 1] = -omega, omega
-    a[:, (0, 1, 2), (0, 1, 2)] = damping
-    a1, a2 = a[:3 * n], a[3 * n:]
-    w = width[:, None, None]
-    u = _expm3(0.5 * w * (a1 + a2) + (np.sqrt(3.0) / 12.0) * w * w * (a2 @ a1 - a1 @ a2))
-    return u[:n], u[2 * n:] @ u[n:2 * n]
-
-
-def _final_z(steps: np.ndarray) -> float:
-    """<sigma_z>(t_f) from r = e_z through time-ordered step propagators,
-    reduced by pairwise products."""
-    while len(steps) > 1:
-        even = len(steps) - len(steps) % 2
-        steps = np.concatenate([steps[1:even:2] @ steps[:even:2], steps[even:]])
-    return float(steps[0, 2, 2])
-
-
 def tls_fidelity(protocol, channels=()) -> float:
     """Final |1><1| population of a two-level inversion run.
 
@@ -556,12 +600,11 @@ def tls_fidelity(protocol, channels=()) -> float:
     H = Delta/2 sigma_z + Omega/2 sigma_x from protocol.controls; a perfect
     inversion ends at F = (1 - r_z)/2 = 1. sigma_z and sigma_x channels damp
     the Bloch vector by diag(-4 eta_z, -4 (eta_z + eta_x), -4 eta_x), and any
-    other channel raises UnsupportedChannel. The Bloch ODE is propagated by
-    Magnus-4 steps (_bloch_steps) on _TLS_MIN_STEPS uniform steps, each also
-    taken as two half steps. Until the two runs agree to 15 _TLS_TOL in F,
-    the steps that carry the error are split: the steep control windows get
-    fine steps and the rest of the run keeps its coarse ones, so a cell
-    costs about the same whatever its steepness.
+    other channel raises UnsupportedChannel. r is propagated by the Magnus
+    propagator (_magnus_path) on the rotation about (Omega, 0, Delta) plus
+    that damping, from _TLS_MIN_STEPS uniform steps until the error it
+    estimates in F is within _TLS_TOL, so a steep cell costs about as much
+    as a smooth one.
     """
     eta = dict.fromkeys(PAULI_TAGS, 0.0)
     for ch in channels:
@@ -570,32 +613,21 @@ def tls_fidelity(protocol, channels=()) -> float:
         eta[ch.operator_tag] += ch.eta
     eta_z, eta_x = eta["sigma_z"], eta["sigma_x"]
     damping = -4.0 * np.array([eta_z, eta_z + eta_x, eta_x])
-    h = np.full(_TLS_MIN_STEPS, protocol.t_f / _TLS_MIN_STEPS)
-    left = np.arange(_TLS_MIN_STEPS) * h
-    one, two = _bloch_steps(protocol, damping, left, h)
-    while True:
-        coarse = 0.5 * (1.0 - _final_z(one))
-        fine = 0.5 * (1.0 - _final_z(two))
-        # Magnus-4: the error of the half-step run is about (fine - coarse)/15
-        gap = abs(fine - coarse)
-        if gap <= 15.0 * _TLS_TOL:
-            return fine
-        # each flagged step is split into 2^k, k the doublings of every step
-        # that an error falling as h^4 would need
-        diff = np.abs(two - one).max(axis=(1, 2))
-        flagged = diff > _TLS_SPLIT * diff.max()
-        k = np.ceil(np.log2(gap / (15.0 * _TLS_TOL)) / 4.0)
-        if not np.isfinite(gap) or 2 * (len(h) + flagged.sum() * (2**k - 1)) > _TLS_MAX_STEPS:
-            raise StepSizeUnderflow(
-                f"two-level propagator not converged on {2 * len(h)} Magnus half steps "
-                f"(F = {fine:.6g}, change {gap:.3g})")
-        parts = np.where(flagged, 2 ** int(k), 1)
-        idx = np.repeat(np.arange(len(h)), parts)
-        h = h[idx] / parts[idx]
-        left = left[idx] + (np.arange(len(idx)) - (np.cumsum(parts) - parts)[idx]) * h
-        split = parts[idx] > 1
-        one, two = one[idx], two[idx]
-        one[split], two[split] = _bloch_steps(protocol, damping, left[split], h[split])
+
+    def generator(t):
+        delta, omega = protocol.controls(t)
+        a = np.zeros((len(t), 3, 3))
+        a[:, 0, 1], a[:, 1, 0] = -delta, delta
+        a[:, 1, 2], a[:, 2, 1] = -omega, omega
+        a[:, (0, 1, 2), (0, 1, 2)] = damping
+        return a
+
+    def fidelity(path):
+        return 0.5 * (1.0 - path[-1, 2])
+
+    path = _magnus_path(generator, protocol.t_f, _TLS_MIN_STEPS, np.array([0.0, 0.0, 1.0]),
+                        lambda coarse, fine: abs(fidelity(fine) - fidelity(coarse)) / _TLS_TOL)
+    return float(fidelity(path))
 
 
 def coherent_fidelity(protocol: HoProtocol, alpha: complex, channel: NoiseChannel) -> float:

@@ -16,7 +16,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline
-from scipy.optimize import bisect
 
 from . import algebra
 from .constants import MASS_100_CA40
@@ -38,10 +37,7 @@ __all__ = [
     "make_ho_protocol",
     "constrain_g_phase",
     "make_constant_mu_protocol",
-    "DEFAULT_GRID",
 ]
-
-DEFAULT_GRID = 2001
 
 _SHIFT_FRACTION = 1e-6  # step for one-sided limits, relative to t_f
 #: a polynomial root counts as real when its imaginary part is below this,
@@ -147,21 +143,6 @@ class TlsProtocol:
         forms."""
         g, b = self.g_poly(t), self.b_poly(t)
         return algebra.su2_invariant_matrix(float(g), float(b), self.omega_r)
-
-    def to_dict(self):
-        return {
-            "kind": "tls_inversion",
-            "delta0": self.delta0,
-            "t_f": self.t_f,
-            "g_extra": list(getattr(self.g_poly, "free_values", ())),
-            "b_spec": {
-                "b0": float(self.b_poly(0.0)),
-                "bf": float(self.b_poly(self.t_f)),
-                "b0_dot": float(self.b_poly(0.0, 1)),
-                "bf_dot": float(self.b_poly(self.t_f, 1)),
-                "extra": list(getattr(self.b_poly, "free_values", ())),
-            },
-        }
 
 
 def make_tls_protocol(delta0: float, t_f: float, g_extra=(), b_spec: BSpec | None = None) -> TlsProtocol:
@@ -378,7 +359,6 @@ class HoProtocol:
     omega_f: float
     mass: float
     t_f: float
-    grid: int = DEFAULT_GRID
 
     def __post_init__(self):
         if self.form not in ("inverse_sqrt_poly", "sqrt_poly"):
@@ -399,36 +379,22 @@ class HoProtocol:
             raise NonPositiveRho("inner polynomial crosses zero on [0, t_f]")
 
     def rho(self, t, order: int = 0):
+        """rho = P^a, a = -1/2 or +1/2 by form, or its derivative of the given
+        order (up to 3) by the chain rule."""
+        a = -0.5 if self.form == "inverse_sqrt_poly" else 0.5
         p = self.inner(t)
         if order == 0:
-            return p ** (-0.5) if self.form == "inverse_sqrt_poly" else p**0.5
+            return p**a
         p1 = self.inner(t, 1)
-        if self.form == "inverse_sqrt_poly":
-            if order == 1:
-                return -0.5 * p ** (-1.5) * p1
-            p2 = self.inner(t, 2)
-            if order == 2:
-                return 0.75 * p ** (-2.5) * p1**2 - 0.5 * p ** (-1.5) * p2
-            p3 = self.inner(t, 3)
-            if order == 3:
-                return (
-                    -1.875 * p ** (-3.5) * p1**3
-                    + 2.25 * p ** (-2.5) * p1 * p2
-                    - 0.5 * p ** (-1.5) * p3
-                )
-        else:
-            if order == 1:
-                return 0.5 * p ** (-0.5) * p1
-            p2 = self.inner(t, 2)
-            if order == 2:
-                return -0.25 * p ** (-1.5) * p1**2 + 0.5 * p ** (-0.5) * p2
-            p3 = self.inner(t, 3)
-            if order == 3:
-                return (
-                    0.375 * p ** (-2.5) * p1**3
-                    - 0.75 * p ** (-1.5) * p1 * p2
-                    + 0.5 * p ** (-0.5) * p3
-                )
+        if order == 1:
+            return a * p ** (a - 1) * p1
+        p2 = self.inner(t, 2)
+        if order == 2:
+            return a * (a - 1) * p ** (a - 2) * p1**2 + a * p ** (a - 1) * p2
+        p3 = self.inner(t, 3)
+        if order == 3:
+            return (a * (a - 1) * (a - 2) * p ** (a - 3) * p1**3
+                    + 3 * a * (a - 1) * p ** (a - 2) * p1 * p2 + a * p ** (a - 1) * p3)
         raise ValueError("rho derivatives implemented up to order 3")
 
     def omega_sq(self, t):
@@ -442,14 +408,14 @@ class HoProtocol:
 
     @cached_property
     def g_phase(self) -> float:
-        """Phase integral g = int_0^tf dt / rho(t)^2 (composite Simpson)."""
-        ts = np.linspace(0.0, self.t_f, self.grid)
+        """Phase integral g = int_0^tf dt / rho(t)^2 (composite Simpson on
+        2001 samples)."""
+        ts = np.linspace(0.0, self.t_f, 2001)
         return float(simpson(1.0 / self.rho(ts) ** 2, x=ts))
 
     @cached_property
     def _theta_spline(self):
-        n = max(4 * self.grid + 1, 8193)
-        ts = np.linspace(0.0, self.t_f, n)
+        ts = np.linspace(0.0, self.t_f, 8193)
         vals = cumulative_simpson(1.0 / self.rho(ts) ** 2, x=ts, initial=0.0)
         return CubicSpline(ts, vals)
 
@@ -481,16 +447,18 @@ class HoProtocol:
         rho = self.rho(t)
         return self.rho(t, 2) + self.omega_sq(t) * rho - self.omega0**2 / rho**3
 
-    def to_dict(self):
-        return {
-            "kind": "ho_expansion",
-            "form": self.form,
-            "omega0": self.omega0,
-            "omega_f": self.omega_f,
-            "mass": self.mass,
-            "t_f": self.t_f,
-            "r_extra": list(self.inner.free_values),
-        }
+
+def _ermakov_inner(omega0, omega_f, t_f, form, extra) -> BoundaryPolynomial:
+    """Inner polynomial P of rho = P^(-+1/2) by form, with the six Ermakov
+    boundary conditions and the free coefficients extra."""
+    p_final = omega_f / omega0 if form == "inverse_sqrt_poly" else omega0 / omega_f
+    return solve_boundary_polynomial(
+        [Constraint(0.0, 0, 1.0), Constraint(t_f, 0, p_final),
+         *(Constraint(t, k, 0.0) for k in (1, 2) for t in (0.0, t_f))],
+        degree=5 + len(extra),
+        free_values=tuple(extra),
+        duration=t_f,
+    )
 
 
 def make_ho_protocol(
@@ -500,31 +468,15 @@ def make_ho_protocol(
     t_f: float = 100e-6,
     form: str = "inverse_sqrt_poly",
     r_extra=(),
-    grid: int = DEFAULT_GRID,
 ) -> HoProtocol:
     """Build a trap-expansion protocol satisfying the six Ermakov boundary
     conditions rho(0)=1, rho(t_f)=sqrt(omega0/omega_f), rhodot = rhoddot = 0
     at both edges."""
     if min(omega0, omega_f, mass, t_f) <= 0:
         raise ValueError("omega0, omega_f, mass and t_f must be positive")
-    p_final = omega_f / omega0 if form == "inverse_sqrt_poly" else omega0 / omega_f
-    extra = tuple(r_extra)
-    inner = solve_boundary_polynomial(
-        [
-            Constraint(0.0, 0, 1.0),
-            Constraint(t_f, 0, p_final),
-            Constraint(0.0, 1, 0.0),
-            Constraint(t_f, 1, 0.0),
-            Constraint(0.0, 2, 0.0),
-            Constraint(t_f, 2, 0.0),
-        ],
-        degree=5 + len(extra),
-        free_values=extra,
-        duration=t_f,
-    )
     return HoProtocol(
-        inner=inner, form=form, omega0=omega0, omega_f=omega_f,
-        mass=mass, t_f=t_f, grid=grid,
+        inner=_ermakov_inner(omega0, omega_f, t_f, form, tuple(r_extra)), form=form,
+        omega0=omega0, omega_f=omega_f, mass=mass, t_f=t_f,
     )
 
 
@@ -536,91 +488,27 @@ def constrain_g_phase(
     t_f: float = 100e-6,
     form: str = "inverse_sqrt_poly",
     r6: float = 0.0,
-    bracket: float = 1.0,
-    max_bracket: float = 1e4,
-    grid: int = DEFAULT_GRID,
 ) -> HoProtocol:
     """Solve the last free coefficient r7 so the phase integral hits g_target.
 
-    For the inverse-square-root form the integrand 1/rho^2 equals the inner
-    polynomial, so g is affine in r7 and the root is solved exactly; for the
-    square-root form the root is bisected after a geometric bracket search.
-    r6 is retained as the scan parameter of the family.
+    Only the inverse-square-root form is solved: its integrand 1/rho^2 is the
+    inner polynomial, so g is affine in r7 and the root is exact. r6 is the
+    scan parameter of the family.
     """
-
-    def build(r7):
-        return make_ho_protocol(
-            omega0, omega_f, mass, t_f, form, (r6, r7), grid=grid
-        )
-
-    if form == "inverse_sqrt_poly":
-        # g(r7) = int P dt is affine in the free coefficient; sample it at
-        # r7 = 0 and 1 without positivity checks, then solve the line
-        p_final = omega_f / omega0
-        base_constraints = [
-            Constraint(0.0, 0, 1.0),
-            Constraint(t_f, 0, p_final),
-            Constraint(0.0, 1, 0.0),
-            Constraint(t_f, 1, 0.0),
-            Constraint(0.0, 2, 0.0),
-            Constraint(t_f, 2, 0.0),
-        ]
-        samples = []
-        for r7 in (0.0, 1.0):
-            inner = solve_boundary_polynomial(
-                base_constraints, degree=7, free_values=(r6, r7),
-                duration=t_f,
-            )
-            samples.append(float(inner.antiderivative_at(t_f)))
-        slope = samples[1] - samples[0]
-        if slope == 0.0:
-            raise NoRoot("phase integral does not depend on r7")
-        r7 = (g_target - samples[0]) / slope
-        # positivity of the inner polynomial is enforced by the constructor;
-        # an infeasible g_target surfaces as NonPositiveRho here
-        proto = build(r7)
-        if abs(proto.g_phase - g_target) > 1e-6 * abs(g_target):
-            raise NoRoot("affine solve converged outside the g tolerance")
-        return proto
-
-    def g_of(r7):
-        try:
-            proto = build(r7)
-        except NonPositiveRho:
-            return None
-        return proto.g_phase - g_target
-
-    # candidate r7 values on a two-sided geometric ladder; infeasible points
-    # (rho crossing zero) are skipped rather than aborting the search, since
-    # the feasible set need not contain the ladder's endpoints
-    ladder = [0.0]
-    step = bracket
-    while step <= max_bracket:
-        ladder.extend((-step, step))
-        step *= 1.5
-    ladder.sort()
-    values = [(r7, g_of(r7)) for r7 in ladder]
-    feasible = [(r7, val) for r7, val in values if val is not None]
-    lo = hi = None
-    for (r_a, f_a), (r_b, f_b) in zip(feasible[:-1], feasible[1:]):
-        if f_a == 0.0 or f_a * f_b < 0:
-            lo, hi = r_a, r_b
-            break
-    if lo is None:
-        raise NoRoot(
-            f"no r7 bracket for g_target={g_target!r} within +-{max_bracket}"
-        )
-
-    def g_strict(r7):
-        val = g_of(r7)
-        if val is None:
-            raise NonPositiveRho("rho crossed zero during root refinement")
-        return val
-
-    r7 = bisect(g_strict, lo, hi, xtol=1e-15 * max(abs(lo), abs(hi), 1.0), rtol=8.881784197001252e-16)
-    proto = build(r7)
+    if form != "inverse_sqrt_poly":
+        raise ValueError(f"the phase constraint is solved for the inverse_sqrt_poly "
+                         f"form only, got {form!r}")
+    # g(r7) = int P dt is affine in the free coefficient; sample it at
+    # r7 = 0 and 1 without positivity checks, then solve the line
+    g0, g1 = (float(_ermakov_inner(omega0, omega_f, t_f, form, (r6, r7)).antiderivative_at(t_f))
+              for r7 in (0.0, 1.0))
+    if g1 == g0:
+        raise NoRoot("phase integral does not depend on r7")
+    # positivity of the inner polynomial is enforced by the constructor;
+    # an infeasible g_target surfaces as NonPositiveRho here
+    proto = make_ho_protocol(omega0, omega_f, mass, t_f, form, (r6, (g_target - g0) / (g1 - g0)))
     if abs(proto.g_phase - g_target) > 1e-6 * abs(g_target):
-        raise NoRoot("bisection converged outside the g tolerance")
+        raise NoRoot("affine solve converged outside the g tolerance")
     return proto
 
 
@@ -646,14 +534,6 @@ class ConstantMuControl:
     def omega_sq_dot(self, t):
         # d(omega^2)/dt = 2 omega omega_dot = 2 mu omega^3
         return 2.0 * self.mu * self.omega(t) ** 3
-
-    def to_dict(self):
-        return {
-            "kind": "ho_constant_mu",
-            "omega0": self.omega0,
-            "omega_f": self.omega_f,
-            "t_f": self.t_f,
-        }
 
 
 def make_constant_mu_protocol(omega0: float, omega_f: float, t_f: float) -> ConstantMuControl:

@@ -80,6 +80,17 @@ def test_synthesize_writes_csv_and_schema(tmp_path, capsys):
     assert schema["columns"] == ["t", "delta", "omega"]
 
 
+def test_synthesize_header_names_the_protocol_family(tmp_path):
+    rc = cli.main(["--out", str(tmp_path), "synthesize", "--experiment", "tls_dual",
+                   "--free", "-0.5", "0.25"])
+    assert rc == 0
+    line, = [line for line in (tmp_path / "tls_dual_controls.csv").read_text().splitlines()
+             if line.startswith("# protocol: ")]
+    header = json.loads(line.removeprefix("# protocol: "))
+    assert header == {"kind": "tls_dual", "params": {"delta0": 2.0 * np.pi * 10e3},
+                      "t_f": 0.5e-3, "free": [-0.5, 0.25]}
+
+
 def test_synthesize_deterministic(tmp_path):
     first = tmp_path / "a"
     second = tmp_path / "b"
@@ -191,6 +202,11 @@ def test_bad_oscillator_param_exits_2(tmp_path, capsys, params):
         ("ho_coherent", {"g_target": 0.0}),
         ("ho_coherent", {"alpha_re": float("nan")}),
         ("ho_coherent", {"alpha_im": float("inf")}),
+        # keys the experiment does not read: they would only change the hash
+        ("tls_single", {"t_F": 1e-6, "n_bar": 3}),
+        ("tls_dual", {"measure": "O"}),
+        ("ho_thermal", {"t_f": 1e-6}),
+        ("ho_coherent", {"n_bar": 1.0}),
     ],
 )
 def test_physical_param_validation(experiment, params):

@@ -148,15 +148,32 @@ def test_tls_fidelity_magnus_route_matches_master_equation(kind, free, etas):
     assert abs(dynamics.tls_fidelity(proto, channels) - rhos[-1][1, 1].real) <= 1e-9
 
 
-def test_tls_fidelity_raises_when_the_step_cap_is_reached(monkeypatch):
-    # the dual cell (-1, 1) does not settle on its first 1024 half steps:
-    # its steep windows must be split
+def _tls_dual_cell():
     proto = ProtocolFamily("tls_dual", {"delta0": TWO_PI * 10e3}, 0.5e-3).with_free(
         (-1.0, 1.0)).build()
     channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
-    monkeypatch.setattr(dynamics, "_TLS_MAX_STEPS", 1024)
+    return lambda: dynamics.tls_fidelity(proto, channels)
+
+
+def _fig4_q2_cell():
+    omega0 = TWO_PI * 2.53e6
+    proto = make_ho_protocol(omega0, omega0 / 100.0, MASS_100_CA40, 20e-6, "sqrt_poly", (0.0,))
+    init = states.thermal_state(12.58, omega0, proto.mass, "gaussian").raw()
+    return lambda: dynamics.magnus_q2_moments(
+        proto, init, dynamics.NoiseChannel("q_squared", 0.0527))
+
+
+@pytest.mark.parametrize("cell, first_grid", [
+    (_tls_dual_cell, 2 * dynamics._TLS_MIN_STEPS),
+    (_fig4_q2_cell, 2 * dynamics._Q2_INTERVALS),
+], ids=["tls_dual", "fig4_q2"])
+def test_magnus_propagator_raises_when_the_step_cap_is_reached(monkeypatch, cell, first_grid):
+    # the dual cell (-1, 1) does not settle on its first 1024 half steps, nor
+    # the fig4 cell at t_f = 20 us on its first 800: their steps must be split
+    run = cell()
+    monkeypatch.setattr(dynamics, "_MAX_HALF_STEPS", first_grid)
     with pytest.raises(StepSizeUnderflow):
-        dynamics.tls_fidelity(proto, channels)
+        run()
 
 
 def test_tls_fidelity_rejects_oscillator_channels():

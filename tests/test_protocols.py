@@ -262,16 +262,10 @@ def test_constrain_g_phase_infeasible_target():
         constrain_g_phase(omega0, omega0 / 100.0, -10e-6, t_f=100e-6)
 
 
-def test_constrain_g_phase_sqrt_poly_form():
+def test_constrain_g_phase_solves_only_the_inverse_sqrt_form():
     omega0 = TWO_PI * 2.53e6
-    t_f = 10e-6
-    base = make_ho_protocol(omega0, omega0 / 100.0, t_f=t_f, form="sqrt_poly",
-                            r_extra=(0.0, 0.0))
-    g_target = 1.05 * base.g_phase
-    proto = constrain_g_phase(
-        omega0, omega0 / 100.0, g_target, t_f=t_f, form="sqrt_poly"
-    )
-    assert proto.g_phase == pytest.approx(g_target, rel=1e-6)
+    with pytest.raises(ValueError):
+        constrain_g_phase(omega0, omega0 / 100.0, 5e-6, t_f=10e-6, form="sqrt_poly")
 
 
 def test_constant_mu_protocol():
