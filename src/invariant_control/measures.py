@@ -9,6 +9,7 @@ two-channel landscape and the average power complete the set.
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial
 
 import numpy as np
@@ -146,8 +147,12 @@ def weighted_average(measures, strengths) -> float:
 # oscillator overlap
 
 
+@cache
 def hermite_abs_integral(n: int) -> float:
-    """J_n = int exp(-y^2/2) |H_n(y)| dy, splitting at the Hermite roots."""
+    """J_n = int exp(-y^2/2) |H_n(y)| dy, splitting at the Hermite roots.
+
+    Cached: J_n depends on n alone, and every S_n evaluation reads it.
+    """
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
     roots = np.sort(hermroots(coeffs).real) if n > 0 else np.array([])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import comb
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -176,23 +176,42 @@ def make_tls_protocol(delta0: float, t_f: float, g_extra=(), b_spec: BSpec | Non
 # boundary conditions stay flat.
 
 
+@cache
+def _smoothstep_coeffs(n: int) -> tuple[float, ...]:
+    """c_n, ..., c_0 of S_n(u) = u^(n+1) sum_k c_k u^k, highest power first.
+
+    c_k = C(n+k, k) C(2n+1, n-k) (-1)^k.
+    """
+    return tuple(float(comb(n + k, k) * comb(2 * n + 1, n - k) * (-1) ** k)
+                 for k in range(n, -1, -1))
+
+
 def _smoothstep_scalar(n: int, u, order: int):
-    """Order-th derivative of the n-th smoothstep S_n (degree 2n+1) on [0,1]."""
+    """Value (order 0) or slope (order 1) of the n-th smoothstep on [0, 1].
+
+    S_n(u) = u^(n+1) sum_k c_k u^k (degree 2n+1): the sum by Horner's rule,
+    then n+1 multiplications by u. S_n'(u) = (2n+1) C(2n, n) (u(1-u))^n by
+    repeated multiplication. Each product carries a factor u or u(1-u), so
+    S(0) = S'(0) = S'(1) = 0 hold exactly, and S(1) = 1 because the integer
+    coefficients sum to 1: windowed chains stay exactly flat outside their
+    window.
+    """
     u = np.asarray(u, dtype=float)
     if order == 0:
-        out = np.zeros_like(u)
-        for k in range(n + 1):
-            out += comb(n + k, k) * comb(2 * n + 1, n - k) * (-u) ** k
-        return u ** (n + 1) * out
-    lead = (2 * n + 1) * comb(2 * n, n)
-    core = (u * (1.0 - u)) ** n
+        coeffs = _smoothstep_coeffs(n)
+        out = coeffs[0]
+        for c in coeffs[1:]:
+            out = out * u + c
+        for _ in range(n + 1):
+            out = out * u
+        return out
     if order == 1:
-        return lead * core
-    if order == 2:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(core == 0.0, 0.0, core / np.where(u * (1 - u) == 0, 1.0, u * (1.0 - u)))
-        return lead * n * (1.0 - 2.0 * u) * ratio
-    raise ValueError("smoothstep derivatives implemented up to order 2")
+        w = u * (1.0 - u)
+        out = np.full_like(u, (2 * n + 1) * comb(2 * n, n))
+        for _ in range(n):
+            out = out * w
+        return out
+    raise ValueError("smoothstep derivatives implemented up to order 1")
 
 
 @dataclass(frozen=True)
@@ -225,18 +244,7 @@ class SmoothstepChain:
                 der = der * _smoothstep_scalar(n, val, 1)
                 val = _smoothstep_scalar(n, val, 0)
             return der * scale
-        if order == 2:
-            val = u
-            der = np.ones_like(u)
-            sec = np.zeros_like(u)
-            for n in reversed(self.orders):
-                f1 = _smoothstep_scalar(n, val, 1)
-                f2 = _smoothstep_scalar(n, val, 2)
-                sec = f2 * der * der + f1 * sec
-                der = der * f1
-                val = _smoothstep_scalar(n, val, 0)
-            return sec * scale * scale
-        raise ValueError("chain derivatives implemented up to order 2")
+        raise ValueError("chain derivatives implemented up to order 1")
 
 
 @dataclass(frozen=True)

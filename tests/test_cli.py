@@ -1,5 +1,6 @@
 """Command-line harness: config handling, CSV emission, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -165,6 +166,17 @@ def test_single_channel_dual_scan_matches_single_scan(tmp_path):
         g = single_by_g4[s]
         assert d[2] == pytest.approx(g[1], abs=1e-10)  # O_z
         assert d[5] == pytest.approx(g[3], abs=1e-10)  # fidelity
+
+
+@pytest.mark.parametrize(
+    "figure, digest", [("fig1", "18332ddeb75f4384"), ("fig2", "35a40bb9b2d679f7")]
+)
+def test_default_two_level_figures_are_byte_identical(tmp_path, figure, digest):
+    # a change that leaves the numerics alone must leave every data row as is
+    assert cli.main(["--out", str(tmp_path), "reproduce", figure]) == 0
+    lines = (tmp_path / f"{figure}.csv").read_bytes().splitlines(keepends=True)
+    rows = b"".join(line for line in lines if not line.startswith(b"#"))
+    assert hashlib.sha256(rows).hexdigest()[:16] == digest
 
 
 def test_reproduce_figure_map_covers_all_experiments():
