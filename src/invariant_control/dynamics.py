@@ -6,8 +6,11 @@ The noise model is a sum of double-commutator (unital) dissipators,
 
 integrated with an adaptive embedded Runge-Kutta 4(5) stepper on dense
 matrices (integrate_master) or, for oscillator runs, in a truncated Fock
-basis (in the interaction picture of the exactly solvable noiseless flow)
-or through the closed Gaussian-moment equations. The Pauli channels of a
+basis (integrate_ho_master, in the interaction picture of the exactly
+solvable noiseless flow) or through the closed Gaussian-moment equations.
+The Fock right-hand side takes the double commutator of Hermitian rho in
+two matrix products (three for q^2) and returns it exactly Hermitian;
+lindblad_rhs's five-product form is its oracle. The Pauli channels of a
 two-level run are unital, so its Bloch vector obeys a linear 3x3 ODE
 dx/dt = A(t) x; in the frame of the invariant's closed-form Heisenberg flow
 so do an oscillator's second moments under q^2 noise. One error-controlled
@@ -130,11 +133,13 @@ def _rk45_matrix(rhs, rho0, t_eval, rtol, atol, max_step=np.inf):
         msg = solver.step()
         if solver.status == "failed":
             raise StepSizeUnderflow(msg or "adaptive step failed")
-        dense = solver.dense_output()
-        while idx < len(t_eval) and t_eval[idx] <= solver.t:
-            r = dense(t_eval[idx]).reshape(n, n)
-            out[idx] = 0.5 * (r + r.conj().T)
-            idx += 1
+        if idx < len(t_eval) and t_eval[idx] <= solver.t:
+            # build the interpolant only for a step that holds a sample
+            dense = solver.dense_output()
+            while idx < len(t_eval) and t_eval[idx] <= solver.t:
+                r = dense(t_eval[idx]).reshape(n, n)
+                out[idx] = 0.5 * (r + r.conj().T)
+                idx += 1
         y = solver.y.reshape(n, n)
         solver.y = (0.5 * (y + y.conj().T)).ravel()
     while idx < len(t_eval):
@@ -224,25 +229,35 @@ class HoFockTrajectory:
         return self.rhos[-1]
 
 
-def _integrate_ho_fixed_dim(protocol, rho0_builder, channel, t_eval, d, rtol, atol):
-    q, p, _ = fock_operators(d, protocol.mass, protocol.omega0)
-    rho0 = rho0_builder(d)
-    eta = channel.eta
-    fq_all, fp_all, _, _ = protocol.heisenberg_coeffs(t_eval)  # warm caches
-    del fq_all, fp_all
+def _fock_rhs(protocol: HoProtocol, channel: NoiseChannel, q, p):
+    """Right-hand side -eta [X, [X, rho]] of a Fock run, X = q_H or q_H^2,
+    q_H = fq q + fp p. With x = sqrt(eta) X (folded into fq, fp) and
+    Hermitian rho, c = x rho - (x rho)^H is [x, rho], and y + y^H with
+    y = c x is -[x, [x, rho]], Hermitian to the last bit."""
     squared = channel.operator_tag == "q_squared"
+    scale = channel.eta ** (0.25 if squared else 0.5)
 
     def rhs(t, rho):
-        if eta == 0.0:
+        if scale == 0.0:
             return np.zeros_like(rho)
         fq, fp, _, _ = protocol.heisenberg_coeffs(t)
-        x = fq * q + fp * p
+        x = (scale * fq) * q + (scale * fp) * p
         if squared:
             x = x @ x
-        return -eta * _double_commutator(x, rho)
+        c = x @ rho
+        c = c - c.conj().T
+        y = c @ x
+        return y + y.conj().T
 
-    rhos = _rk45_matrix(rhs, rho0, t_eval, rtol, atol)
-    return rhos
+    return rhs
+
+
+def _integrate_ho_fixed_dim(protocol, rho0_builder, channel, t_eval, d, rtol, atol):
+    q, p, _ = fock_operators(d, protocol.mass, protocol.omega0)
+    rho0 = np.asarray(rho0_builder(d), dtype=complex)
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
+    protocol.heisenberg_coeffs(t_eval)  # warm caches
+    return _rk45_matrix(_fock_rhs(protocol, channel, q, p), rho0, t_eval, rtol, atol)
 
 
 def integrate_ho_master(
@@ -259,7 +274,11 @@ def integrate_ho_master(
 
     The Fock oracle of the Gaussian routes (acceptance check of Fock against
     moments). rho0_builder(d) must return the initial density matrix at
-    truncation d (in the omega0 representation). Unless dim fixes it, the
+    truncation d (in the omega0 representation); it is made exactly
+    Hermitian once. The right-hand side (_fock_rhs) takes two d x d
+    products for q noise and three for q^2 and is Hermitian to the last
+    bit, so the RK45 stages stay Hermitian; its oracle is lindblad_rhs's
+    five-product _double_commutator. Unless dim fixes it, the
     truncation starts at 40 levels and doubles until the top two levels stay
     below 1e-8 population, warning with TruncationWarning if max_dim is
     reached first.

@@ -34,18 +34,15 @@ class BoundaryPolynomial:
 
     coefficients: np.ndarray
     duration: float
-    constraints: tuple[Constraint, ...] = ()
-    free_indices: tuple[int, ...] = ()
     free_values: tuple[float, ...] = ()
     _derivs: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def _scaled_coeffs(self, order: int) -> np.ndarray:
+        """Coefficients in s of the order-th derivative; order -1 is the
+        antiderivative that vanishes at 0."""
         if order not in self._derivs:
-            self._derivs[order] = npoly.polyder(self.coefficients, order)
+            self._derivs[order] = (npoly.polyint(self.coefficients) if order == -1
+                                   else npoly.polyder(self.coefficients, order))
         return self._derivs[order]
 
     def __call__(self, t, order: int = 0):
@@ -54,18 +51,10 @@ class BoundaryPolynomial:
         c = self._scaled_coeffs(order)
         return npoly.polyval(s, c) / self.duration**order
 
-    def with_free_values(self, free_values) -> "BoundaryPolynomial":
-        """Re-solve the same constraint set with new free coefficients."""
-        return solve_boundary_polynomial(
-            self.constraints, self.degree, free_values, self.free_indices,
-            duration=self.duration,
-        )
-
     def antiderivative_at(self, t) -> np.ndarray:
         """Exact integral of the polynomial from 0 to t."""
-        c = npoly.polyint(self.coefficients)
         s = np.asarray(t, dtype=float) / self.duration
-        return npoly.polyval(s, c) * self.duration
+        return npoly.polyval(s, self._scaled_coeffs(-1)) * self.duration
 
 
 def _constraint_row(c: Constraint, degree: int, duration: float) -> np.ndarray:
@@ -131,9 +120,5 @@ def solve_boundary_polynomial(
     for idx, val in zip(free_indices, free_values):
         coeffs[idx] = val
     return BoundaryPolynomial(
-        coefficients=coeffs,
-        duration=duration,
-        constraints=constraints,
-        free_indices=free_indices,
-        free_values=free_values,
+        coefficients=coeffs, duration=duration, free_values=free_values
     )

@@ -386,10 +386,15 @@ class HoProtocol:
         if np.any((real >= 0.0) & (real <= s_end)):
             raise NonPositiveRho("inner polynomial crosses zero on [0, t_f]")
 
+    @property
+    def _power(self) -> float:
+        """The exponent a of rho = P^a."""
+        return -0.5 if self.form == "inverse_sqrt_poly" else 0.5
+
     def rho(self, t, order: int = 0):
         """rho = P^a, a = -1/2 or +1/2 by form, or its derivative of the given
         order (up to 3) by the chain rule."""
-        a = -0.5 if self.form == "inverse_sqrt_poly" else 0.5
+        a = self._power
         p = self.inner(t)
         if order == 0:
             return p**a
@@ -439,8 +444,11 @@ class HoProtocol:
         the trap equation of motion.
         """
         t = np.asarray(t, dtype=float)
-        rho = self.rho(t)
-        rho_dot = self.rho(t, 1)
+        # rho(t) and rho(t, 1) from one evaluation of P, in their expressions
+        a = self._power
+        p = self.inner(t)
+        rho = p**a
+        rho_dot = a * p ** (a - 1) * self.inner(t, 1)
         th = self.theta(t)
         c, s = np.cos(th), np.sin(th)
         fq = rho * c

@@ -168,15 +168,28 @@ def test_single_channel_dual_scan_matches_single_scan(tmp_path):
         assert d[5] == pytest.approx(g[3], abs=1e-10)  # fidelity
 
 
+def _data_digest(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    rows = b"".join(line for line in lines if not line.startswith(b"#"))
+    return hashlib.sha256(rows).hexdigest()[:16]
+
+
 @pytest.mark.parametrize(
     "figure, digest", [("fig1", "18332ddeb75f4384"), ("fig2", "35a40bb9b2d679f7")]
 )
 def test_default_two_level_figures_are_byte_identical(tmp_path, figure, digest):
     # a change that leaves the numerics alone must leave every data row as is
     assert cli.main(["--out", str(tmp_path), "reproduce", figure]) == 0
-    lines = (tmp_path / f"{figure}.csv").read_bytes().splitlines(keepends=True)
-    rows = b"".join(line for line in lines if not line.startswith(b"#"))
-    assert hashlib.sha256(rows).hexdigest()[:16] == digest
+    assert _data_digest(tmp_path / f"{figure}.csv") == digest
+
+
+@pytest.mark.parametrize("figure, digests", [
+    ("fig3", {"fig3": "870bf3161c7299c7", "fig3_trace": "377c0f6f7745adfb"}),
+    ("fig4", {"fig4": "f5977f587d48eba5"}),
+])
+def test_default_trap_figures_are_byte_identical(tmp_path, figure, digests):
+    assert cli.main(["--out", str(tmp_path), "reproduce", figure]) == 0
+    assert {csv: _data_digest(tmp_path / f"{csv}.csv") for csv in digests} == digests
 
 
 def test_reproduce_figure_map_covers_all_experiments():

@@ -330,6 +330,54 @@ def test_ho_master_rejects_pauli_channel():
         )
 
 
+@pytest.mark.parametrize("tag, eta", [("q", 10.0), ("q_squared", 3.0)])
+def test_fock_rhs_matches_double_commutator(tag, eta):
+    # the two-product right-hand side against lindblad_rhs's five-product
+    # -eta [X, [X, rho]] on random Hermitian rho at d = 40; measured over 50
+    # draws: within 4.9e-16 (q) and 1.1e-15 (q^2) of the largest entry
+    rng = np.random.default_rng(40)
+    omega0 = TWO_PI * 15.92e6
+    proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=20e-6)
+    d = 40
+    q, p, _ = dynamics.fock_operators(d, proto.mass, omega0)
+    rhs = dynamics._fock_rhs(proto, dynamics.NoiseChannel(tag, eta), q, p)
+    for t in rng.uniform(0.0, proto.t_f, 4):
+        rho = _random_hermitian(rng, d)
+        fq, fp, _, _ = proto.heisenberg_coeffs(t)
+        x = fq * q + fp * p
+        if tag == "q_squared":
+            x = x @ x
+        ref = -eta * dynamics._double_commutator(x, rho)
+        out = rhs(t, rho)
+        assert np.array_equal(out, out.conj().T)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_fock_run_matches_five_product_route():
+    # a d = 40 coherent-state run under q noise against RK45 on the
+    # five-product right-hand side at the same tolerances; measured
+    # max |d rho| = 3.9e-16 over the five samples (1.1e-15 at t_f = 20 us)
+    omega0 = TWO_PI * 15.92e6
+    proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6)
+    eta, d = 10.0, 40
+    ts = np.linspace(0.0, proto.t_f, 5)
+
+    def builder(dim):
+        return states.coherent_state(1.0 + 1.0j, omega0, proto.mass, "fock", dim)
+
+    traj = dynamics.integrate_ho_master(
+        proto, builder, dynamics.NoiseChannel("q", eta), t_eval=ts, dim=d)
+    q, p, _ = dynamics.fock_operators(d, proto.mass, omega0)
+
+    def five_products(t, rho):
+        fq, fp, _, _ = proto.heisenberg_coeffs(t)
+        return -eta * dynamics._double_commutator(fq * q + fp * p, rho)
+
+    ref = dynamics._rk45_matrix(five_products, builder(d), ts, 1e-9, 1e-12)
+    assert np.max(np.abs(traj.rhos - ref)) < 1e-14
+    assert np.max(np.abs(traj.rhos[-1] - traj.rhos[0])) > 1e-3  # the noise acts
+
+
 @pytest.mark.parametrize(
     "t_f, r6, eta", [(20e-6, 0.0, 0.0), (20e-6, -10.0, 10.0), (50e-6, 5.0, 10.0)]
 )

@@ -255,10 +255,20 @@ def test_ho_rho_dip_between_samples_raises():
 def test_heisenberg_coeffs_symplectic():
     # the classical flow (fq, fp; gq, gp) must preserve the Poisson bracket
     omega0 = TWO_PI * 15.92e6
-    proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=20e-6)
-    ts = np.linspace(0.0, proto.t_f, 101)
-    fq, fp, gq, gp = proto.heisenberg_coeffs(ts)
-    np.testing.assert_allclose(fq * gp - fp * gq, 1.0, rtol=1e-7)
+    for form in ("inverse_sqrt_poly", "sqrt_poly"):
+        proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=20e-6, form=form)
+        ts = np.linspace(0.0, proto.t_f, 101)
+        fq, fp, gq, gp = proto.heisenberg_coeffs(ts)
+        np.testing.assert_allclose(fq * gp - fp * gq, 1.0, rtol=1e-7)
+        # built on rho(t) and rho(t, 1) bit for bit, array and scalar
+        for t in (ts, ts[37]):
+            rho, rho_dot, th = proto.rho(t), proto.rho(t, 1), proto.theta(t)
+            c, s = np.cos(th), np.sin(th)
+            expected = (rho * c, rho * s / (proto.mass * omega0),
+                        proto.mass * (rho_dot * c - (omega0 / rho) * s),
+                        (rho_dot * s + (omega0 / rho) * c) / omega0)
+            for got, want in zip(proto.heisenberg_coeffs(t), expected):
+                assert np.array_equal(got, want)
 
 
 def test_constrain_g_phase_hits_target():
