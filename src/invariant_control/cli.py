@@ -45,14 +45,28 @@ _PARAM_SIGNS = {
 }
 
 
-def _finite_param(params, key) -> float:
+def _finite(value, what) -> float:
+    """value as a finite float, or a ConfigError naming the field what."""
     try:
-        value = float(params[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"params.{key}: expected a number, got {params[key]!r}") from None
-    if not np.isfinite(value):
-        raise ConfigError(f"params.{key}: must be finite, got {params[key]!r}")
-    return value
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what}: expected a number, got {value!r}") from None
+    if not np.isfinite(number):
+        raise ConfigError(f"{what}: must be finite, got {value!r}")
+    return number
+
+
+def _check_count(value, what):
+    """Reject a value that is not an integer >= 1, naming the field what."""
+    number = _finite(value, what)
+    if number < 1 or number != int(number):
+        raise ConfigError(f"{what}: must be an integer >= 1, got {value!r}")
+
+
+def _check_path_text(value, what):
+    """Reject a path or file name that is not a string or holds a NUL byte."""
+    if not isinstance(value, str) or "\0" in value:
+        raise ConfigError(f"{what}: expected a string without NUL bytes, got {value!r}")
 
 
 @dataclass
@@ -63,16 +77,20 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     channels: list = field(default_factory=list)
     scan: dict = field(default_factory=dict)
-    rtol: float = 1e-8
     out_dir: str = "."
     basename: str | None = None
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
+        if not isinstance(self.experiment, str) or self.experiment not in _EXPERIMENTS:
             raise ConfigError(
                 f"experiment: unknown id {self.experiment!r}, "
                 f"expected one of {tuple(_EXPERIMENTS)}"
             )
+        for name, kind, json_kind in (("params", dict, "object"), ("channels", list, "array"),
+                                      ("scan", dict, "object")):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name}: expected a JSON {json_kind}, "
+                                  f"got {getattr(self, name)!r}")
         base = _EXPERIMENTS[self.experiment].defaults
         self.params = {**copy.deepcopy(base["params"]), **self.params}
         if not self.channels:
@@ -89,23 +107,29 @@ class ExperimentConfig:
         for key, sign in _PARAM_SIGNS.items():
             if key not in p:
                 continue
-            value = _finite_param(p, key)
+            value = _finite(p[key], f"params.{key}")
             if (sign == "positive" and value <= 0) or (sign == "nonnegative" and value < 0):
                 raise ConfigError(f"params.{key}: must be {sign}, got {p[key]!r}")
         if "t_f_lo" in p and "t_f_hi" in p and float(p["t_f_lo"]) > float(p["t_f_hi"]):
             raise ConfigError("params.t_f_lo: must not exceed params.t_f_hi")
+        for key, value in _family(self).params.items():
+            # the angular values protocols are built from: 2 pi nu0_hz and
+            # omega0 / omega_ratio can overflow or underflow
+            if not 0.0 < value < np.inf:
+                raise ConfigError(f"params: {key} = {value!r} in angular units, "
+                                  f"must be positive and finite")
         if "n_t_f" in p:
-            n_t_f = _finite_param(p, "n_t_f")
-            if n_t_f < 1 or n_t_f != int(n_t_f):
-                raise ConfigError(f"params.n_t_f: must be an integer >= 1, got {p['n_t_f']!r}")
+            _check_count(p["n_t_f"], "params.n_t_f")
         if str(p.get("measure", "O")) not in ("O", "A"):
             raise ConfigError("params.measure: expected 'O' or 'A'")
         for i, ch in enumerate(self.channels):
             if not isinstance(ch, dict) or "operator_tag" not in ch or "eta" not in ch:
                 raise ConfigError(f"channels[{i}]: need operator_tag and eta fields")
-            eta = float(ch["eta"])
-            if not (np.isfinite(eta) and eta >= 0):
-                raise ConfigError(f"channels[{i}].eta: must be finite and nonnegative")
+            if not isinstance(ch["operator_tag"], str):
+                raise ConfigError(f"channels[{i}].operator_tag: expected a string, "
+                                  f"got {ch['operator_tag']!r}")
+            if _finite(ch["eta"], f"channels[{i}].eta") < 0:
+                raise ConfigError(f"channels[{i}].eta: must be nonnegative, got {ch['eta']!r}")
         need = list(_EXPERIMENTS[self.experiment].tags)
         have = sorted(ch["operator_tag"] for ch in self.channels)
         if have != need:
@@ -115,19 +139,20 @@ class ExperimentConfig:
         ranges = self.scan.get("ranges", [])
         sizes = self.scan.get("sizes", [])
         n_free = len(_EXPERIMENTS[self.experiment].defaults["scan"]["ranges"])
-        if not len(ranges) == len(sizes) == n_free:
+        if not (isinstance(ranges, list) and isinstance(sizes, list)
+                and len(ranges) == len(sizes) == n_free):
             raise ConfigError(f"scan: {self.experiment} needs {n_free} ranges and as many "
                               f"sizes, one per free coefficient")
         for r in ranges:
-            if len(r) != 2:
+            if not isinstance(r, list) or len(r) != 2:
                 raise ConfigError(f"scan.ranges: bad interval {r!r}")
         for ends in zip(*ranges):
             _EXPERIMENTS[self.experiment].check_free(ends, "scan.ranges")
         for n in sizes:
-            if int(n) < 1:
-                raise ConfigError("scan.sizes: entries must be >= 1")
-        if not self.rtol > 0:
-            raise ConfigError("rtol: must be positive")
+            _check_count(n, "scan.sizes")
+        _check_path_text(self.out_dir, "out_dir")
+        if self.basename is not None:
+            _check_path_text(self.basename, "basename")
 
     # -- serialization ----------------------------------------------------
 
@@ -136,6 +161,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config: expected a JSON object, got {data!r}")
         if "experiment" not in data:
             raise ConfigError("experiment: missing required field")
         extra = set(data) - set(cls.__dataclass_fields__)
@@ -155,11 +182,9 @@ class ExperimentConfig:
     def digest(self) -> str:
         # hash only the fields that affect the computed numbers, so the
         # same physical configuration hashes identically wherever the
-        # output lands; rtol only where a route reads it
-        skip = {"out_dir", "basename"}
-        if not _EXPERIMENTS[self.experiment].reads_rtol:
-            skip.add("rtol")
-        data = {k: v for k, v in self.to_dict().items() if k not in skip}
+        # output lands
+        data = {k: v for k, v in self.to_dict().items()
+                if k not in ("out_dir", "basename")}
         return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -264,9 +289,7 @@ def _coherent_fidelity(proto, config, channels):
 
 
 def _thermal_fidelity(proto, config, channels):
-    p = config.params
-    fid, power = dynamics.thermal_fidelity(proto, float(p["n_bar"]), float(p["mass"]),
-                                           channels[0], config.rtol)
+    fid, power = dynamics.thermal_fidelity(proto, float(config.params["n_bar"]), channels[0])
     return {"fidelity": fid, "abs_mean_power": abs(power)}
 
 
@@ -337,8 +360,8 @@ def _finish_fig4(config, channels, results):
         rows.append([family.t_f, label, *max(cells, key=lambda c: c[1])])
     header = [
         f"n_bar: {float(config.params['n_bar'])}",
-        f"integrator: constant_mu integrate_moments (DOP853, rtol {config.rtol}); "
-        "standard_sta, improved_sta magnus_q2_moments (invariant-frame Magnus-4)",
+        "integrator: constant_mu, standard_sta, improved_sta magnus_q2_moments "
+        "(closed-form Heisenberg flow, Magnus-4)",
         "improved_sta: scan-best r6 (grid includes the standard protocol)",
     ]
     return [("", header, ["t_f", "protocol", "r6", "fidelity", "abs_mean_power"], rows)]
@@ -359,7 +382,6 @@ class _Experiment:
     plan: Callable = _grid_plan  # config -> optimize.scan calls
     skips_infeasible: bool = False
     free_bounds: tuple = ()      # (lo, hi) per free coefficient; () = any
-    reads_rtol: bool = False     # a fidelity route takes config.rtol
 
     def check_free(self, values, what):
         """Reject free coefficients that are not finite numbers or that leave
@@ -414,7 +436,6 @@ _EXPERIMENTS = {
         # no closed-form measure: the mean power needs the simulated moments
         kind="ho_thermal", tags=("q_squared",), measure=lambda *_: {},
         fidelity=_thermal_fidelity, finish=_finish_fig4, plan=_thermal_plan,
-        reads_rtol=True,
     ),
 }
 
@@ -516,7 +537,6 @@ def _parser():
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output directory (default: cwd)")
     parser.add_argument("--grid", type=int, help="override every scan axis size")
-    parser.add_argument("--tol", type=float, help="relative tolerance override")
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in _VERBS:
         v = sub.add_parser(verb)
@@ -545,8 +565,6 @@ def _load_config(args) -> ExperimentConfig:
         config = ExperimentConfig(experiment=experiment)
     if args.out:
         config.out_dir = args.out
-    if args.tol is not None:
-        config.rtol = args.tol
     if args.grid is not None:
         config.scan["sizes"] = [args.grid] * len(config.scan["sizes"])
     config._validate()

@@ -18,8 +18,10 @@ propagator (_magnus_path: fourth-order Magnus steps on a uniform start grid,
 whose error-carrying steps it splits until the one-step and half-step runs
 agree) serves both: tls_fidelity, with integrate_master as its test oracle,
 and magnus_q2_moments. Under q noise exact_q_moments adds the noise to the
-same flow by one quadrature. integrate_moments stays the route of controls
-without such a flow and the test oracle of both oscillator routes.
+same flow by one quadrature. Every trap control (HoProtocol and the
+constant-mu reference ConstantMuControl) has a closed-form flow, so
+integrate_moments, the lab-frame moment ODE, is a test oracle only: the
+independent route that both oscillator routes are checked against.
 tls_fidelity, coherent_fidelity and thermal_fidelity are the one fidelity
 routine of each simulated system; the dissipator in the invariant eigenbasis
 backs the common-eigenbasis check.
@@ -430,9 +432,9 @@ _TLS_MIN_STEPS = 512
 #: start grid
 _Q2_INTERVALS = 400
 #: bound on the estimated error of the sampled invariant-frame moments,
-#: relative to their largest entry; the default rtol of the moment ODE it
-#: replaces. fig4 cells stop at 800 half steps (1600 at t_f = 20 us), within
-#: 2.4e-11 of F and 4.4e-9 of the mean power of DOP853 at rtol 1e-13
+#: relative to their largest entry. fig4 cells stop at 800 half steps (1600
+#: at t_f = 20 us), within 2.4e-11 of F and 4.4e-9 of the mean power of
+#: DOP853 at rtol 1e-13 (constant-mu rows: 7.5e-12 and 2.1e-9)
 _Q2_TOL = 1e-8
 #: a refinement splits every step whose own one-step/half-step difference
 #: exceeds _SPLIT times the largest; the propagator raises StepSizeUnderflow
@@ -564,15 +566,18 @@ def _magnus_path(generator, t_f: float, n_start: int, x0, error) -> np.ndarray:
             generator, left[split], h[split], known)
 
 
-def magnus_q2_moments(protocol: HoProtocol, y0, channel: NoiseChannel):
+def magnus_q2_moments(protocol, y0, channel: NoiseChannel):
     """Moments (<q>, <p>, <q^2>, <p^2>, <qp+pq>/2) under q^2 noise, sampled on
     401 uniform points of [0, t_f]; returns (times, 5-column array).
 
-    With M(t) the invariant's Heisenberg flow (HoProtocol.heisenberg_coeffs)
-    the raw second moments are S = M S_I M^T, and q^2 noise drives S_I by the
-    rank-one linear generator 8 eta <q^2> c c^T, c = (-fp, fq): with p in
-    units of m omega0, s = (S_I00, S_I01, S_I11) obeys ds/dt = kappa u w^T s,
-    u = (fp^2, -fp fq, fq^2), w = (fq^2, 2 fq fp, fp^2). The Magnus
+    protocol is a trap control with omega0, mass, t_f and a closed-form
+    noiseless Heisenberg flow heisenberg_coeffs (HoProtocol from the
+    invariant, ConstantMuControl from the Euler-Cauchy solutions). With M(t)
+    that flow the raw second moments are S = M S_I M^T, and q^2 noise drives
+    S_I by the rank-one linear generator 8 eta <q^2> c c^T, c = (-fp, fq):
+    with p in units of m omega0, s = (S_I00, S_I01, S_I11) obeys
+    ds/dt = kappa u w^T s, u = (fp^2, -fp fq, fq^2), w = (fq^2, 2 fq fp,
+    fp^2). The Magnus
     propagator (_magnus_path) starts on the 400 output intervals and refines
     until the largest change of a sampled moment is within _Q2_TOL of the
     largest moment. The means stay M m0.
@@ -663,33 +668,22 @@ def coherent_fidelity(protocol: HoProtocol, alpha: complex, channel: NoiseChanne
     )
 
 
-def thermal_fidelity(protocol, n_bar: float, mass: float, channel: NoiseChannel,
-                     rtol: float = 1e-10) -> tuple[float, float]:
+def thermal_fidelity(protocol, n_bar: float, channel: NoiseChannel) -> tuple[float, float]:
     """(fidelity, mean drive power) of a thermal-state trap expansion.
 
-    protocol is any trap control with omega0, omega_f, t_f, omega_sq and
-    omega_sq_dot. An HoProtocol (of the same mass) goes through the
-    invariant-frame propagator magnus_q2_moments, which keeps its own error
-    control, so rtol is not used; a ConstantMuControl has no Heisenberg flow
-    and goes through integrate_moments at rtol. Either way the moments are
-    sampled on 401 points so the power integral shares the fidelity's
-    trajectory.
+    protocol is a trap control with omega0, omega_f, mass, t_f, omega_sq_dot
+    and a closed-form Heisenberg flow: an HoProtocol or the constant-mu
+    reference ConstantMuControl. Both go through magnus_q2_moments, which
+    keeps its own error control; the moments are sampled on its 401 points,
+    so the power integral shares the fidelity's trajectory.
     """
-    t_f = protocol.t_f
+    mass = protocol.mass
     init = states.thermal_state(n_bar, protocol.omega0, mass, "gaussian")
-    if isinstance(protocol, HoProtocol):
-        if mass != protocol.mass:
-            raise ValueError("mass differs from the protocol's mass")
-        ts, ys = magnus_q2_moments(protocol, init.raw(), channel)
-    else:
-        ts, ys = integrate_moments(
-            protocol.omega_sq, init.raw(), channel, t_f, mass,
-            t_eval=np.linspace(0.0, t_f, _Q2_INTERVALS + 1), rtol=rtol, atol=1e-14,
-        )
+    ts, ys = magnus_q2_moments(protocol, init.raw(), channel)
     target = states.thermal_state(n_bar, protocol.omega_f, mass, "gaussian")
     fid = states.gaussian_fidelity(states.GaussianMoments.from_raw(*ys[-1]), target)
     power = measures.average_power(
-        protocol.omega_sq_dot, ys[:, 2], mass, t_f, grid=len(ts)
+        protocol.omega_sq_dot, ys[:, 2], mass, protocol.t_f, grid=len(ts)
     )
     return fid, power
 

@@ -535,6 +535,7 @@ class ConstantMuControl:
     omega0: float
     omega_f: float
     t_f: float
+    mass: float
 
     @property
     def mu(self) -> float:
@@ -551,11 +552,45 @@ class ConstantMuControl:
         # d(omega^2)/dt = 2 omega omega_dot = 2 mu omega^3
         return 2.0 * self.mu * self.omega(t) ** 3
 
+    def heisenberg_coeffs(self, t):
+        """Closed-form Heisenberg flow of the quadratures.
 
-def make_constant_mu_protocol(omega0: float, omega_f: float, t_f: float) -> ConstantMuControl:
-    if t_f <= 0 or omega0 <= 0 or omega_f <= 0:
-        raise ValueError("omega0, omega_f, t_f must be positive")
-    return ConstantMuControl(omega0=omega0, omega_f=omega_f, t_f=t_f)
+        Returns (fq, fp, gq, gp) with q_H = fq q + fp p and p_H = gq q + gp p.
+        With tau = 1 - mu omega0 t the trap equation is the Euler-Cauchy
+        equation tau^2 q'' + q / mu^2 = 0, solved by sqrt(tau) cosh(k L) and
+        sqrt(tau) sinh(k L) / k with L = log(tau), k^2 = 1/4 - 1/mu^2. In
+        the phase phi = int_0^t omega = -L / mu and nu^2 = 1 - mu^2/4 =
+        -mu^2 k^2 these are C = cos(nu phi) and S = sin(nu phi) / nu (cosh
+        and sinh for nu^2 < 0, 1 and phi at nu = 0), and
+        fq = sqrt(tau) (C + mu S/2), fp = sqrt(tau) S / (m omega0),
+        gq = -m omega0 S / sqrt(tau), gp = (C - mu S/2) / sqrt(tau).
+        mu = 0 is the static trap, phi = omega0 t: nothing divides by mu.
+        """
+        t = np.asarray(t, dtype=float)
+        mu, w0 = self.mu, self.omega0
+        x = -mu * w0 * t
+        phi = w0 * t if mu == 0.0 else -np.log1p(x) / mu
+        nu_sq = 1.0 - 0.25 * mu * mu
+        nu = np.sqrt(abs(nu_sq))
+        if nu_sq > 0.0:
+            c, s = np.cos(nu * phi), np.sin(nu * phi) / nu
+        elif nu_sq < 0.0:
+            c, s = np.cosh(nu * phi), np.sinh(nu * phi) / nu
+        else:
+            c, s = np.ones_like(phi), phi
+        root_tau = np.sqrt(1.0 + x)
+        fq = root_tau * (c + 0.5 * mu * s)
+        fp = root_tau * s / (self.mass * w0)
+        gq = -self.mass * w0 * s / root_tau
+        gp = (c - 0.5 * mu * s) / root_tau
+        return fq, fp, gq, gp
+
+
+def make_constant_mu_protocol(omega0: float, omega_f: float, t_f: float,
+                              mass: float = MASS_100_CA40) -> ConstantMuControl:
+    if min(omega0, omega_f, t_f, mass) <= 0:
+        raise ValueError("omega0, omega_f, t_f and mass must be positive")
+    return ConstantMuControl(omega0=omega0, omega_f=omega_f, t_f=t_f, mass=mass)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +654,8 @@ class ProtocolFamily:
                 p["omega0"], p["omega_f"], p.get("mass", MASS_100_CA40),
                 self.t_f, "sqrt_poly", self.free,
             )
-        return make_constant_mu_protocol(p["omega0"], p["omega_f"], self.t_f)
+        return make_constant_mu_protocol(p["omega0"], p["omega_f"], self.t_f,
+                                         p.get("mass", MASS_100_CA40))
 
     def with_free(self, free) -> "ProtocolFamily":
         return replace(self, free=tuple(float(v) for v in free))

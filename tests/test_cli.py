@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invariant_control import cli
 from invariant_control.cli import ExperimentConfig
@@ -22,7 +23,7 @@ def test_config_defaults_merged_and_round_trip():
 
 def test_config_param_overrides_survive_round_trip():
     config = ExperimentConfig(
-        experiment="ho_thermal", params={"n_bar": 5.0}, rtol=1e-6
+        experiment="ho_thermal", params={"n_bar": 5.0}
     )
     assert config.params["n_bar"] == 5.0
     assert config.params["nu0_hz"] == pytest.approx(2.53e6)
@@ -45,8 +46,6 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="tls_single",
                          scan={"ranges": [[0.0, 1.0]], "sizes": [3, 4]})
-    with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="tls_single", rtol=-1.0)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "tls_single", "bogus": 1})
     with pytest.raises(ConfigError):  # no route reads an absolute tolerance
@@ -107,9 +106,7 @@ def test_synthesize_deterministic(tmp_path):
 
 
 def test_measure_and_simulate_verbs(tmp_path, capsys):
-    config = ExperimentConfig(
-        experiment="tls_single", out_dir=str(tmp_path), rtol=1e-8
-    )
+    config = ExperimentConfig(experiment="tls_single", out_dir=str(tmp_path))
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config.to_dict()))
     assert cli.main(["--config", str(cfg_path), "measure", "--free", "0.0"]) == 0
@@ -124,7 +121,6 @@ def test_scan_verb_small_grid(tmp_path):
         experiment="tls_single",
         scan={"ranges": [[0.0, 1.0]], "sizes": [3]},
         out_dir=str(tmp_path),
-        rtol=1e-7,
     )
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config.to_dict()))
@@ -185,7 +181,7 @@ def test_default_two_level_figures_are_byte_identical(tmp_path, figure, digest):
 
 @pytest.mark.parametrize("figure, digests", [
     ("fig3", {"fig3": "870bf3161c7299c7", "fig3_trace": "377c0f6f7745adfb"}),
-    ("fig4", {"fig4": "f5977f587d48eba5"}),
+    ("fig4", {"fig4": "ba4422d2648f52ca"}),
 ])
 def test_default_trap_figures_are_byte_identical(tmp_path, figure, digests):
     assert cli.main(["--out", str(tmp_path), "reproduce", figure]) == 0
@@ -239,21 +235,84 @@ def test_physical_param_validation(experiment, params):
         ExperimentConfig(experiment=experiment, params=params)
 
 
-@pytest.mark.parametrize("flag", ["--grid", "--tol"])
-def test_zero_grid_or_tol_exits_2(tmp_path, capsys, flag):
-    argv = [flag, "0", "--out", str(tmp_path), "scan", "--experiment", "tls_single"]
+def test_zero_grid_exits_2(tmp_path, capsys):
+    argv = ["--grid", "0", "--out", str(tmp_path), "scan", "--experiment", "tls_single"]
     assert cli.main(argv) == 2
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_tol_changes_the_config_hash_only_where_rtol_is_read():
-    # only fig4's constant-mu rows read rtol (the moment ODE)
-    def digest(*argv):
-        return cli._load_config(cli._parser().parse_args([*argv])).digest
+def test_tol_flag_and_rtol_field_exit_2(tmp_path, capsys):
+    # every route keeps its own error control: no tolerance is configurable
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--tol", "1e-6", "--out", str(tmp_path), "reproduce", "fig4"])
+    assert exc.value.code == 2
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"experiment": "ho_thermal", "rtol": 1e-8}))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "scan"]) == 2
+    assert "config error: unknown config fields: ['rtol']" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
-    assert digest("--tol", "1e-6", "reproduce", "fig1") == digest("reproduce", "fig1")
-    assert digest("--tol", "1e-6", "reproduce", "fig4") != digest("reproduce", "fig4")
+
+@pytest.mark.parametrize("config, field", [
+    ({"experiment": "tls_single", "channels": [{"operator_tag": "sigma_z", "eta": [1]}]},
+     "channels[0].eta"),
+    ({"experiment": "tls_single", "scan": {"ranges": [[0.0, 1.0]], "sizes": [[3]]}},
+     "scan.sizes"),
+    ({"experiment": "tls_single", "scan": {"ranges": [5], "sizes": [3]}}, "scan.ranges"),
+    ({"experiment": "tls_single", "params": [1]}, "params"),
+    ({"experiment": "tls_single", "scan": {"ranges": [[0.0, 1.0]], "sizes": [float("inf")]}},
+     "scan.sizes"),
+    ({"experiment": "tls_dual", "channels": [{"operator_tag": [1], "eta": 1.0},
+                                             {"operator_tag": "sigma_x", "eta": 1.0}]},
+     "channels[0].operator_tag"),
+    ({"experiment": ["tls_single"]}, "experiment"),
+    ({"experiment": "ho_coherent", "params": {"nu0_hz": 5e-324}}, "params"),  # omega_f = 0
+    ({"experiment": "tls_single", "out_dir": [1]}, "out_dir"),
+    ({"experiment": "tls_single", "basename": "a\0b"}, "basename"),
+    ([{"experiment": "tls_single"}], "config"),
+])
+def test_malformed_config_field_exits_2(tmp_path, capsys, config, field):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "synthesize"]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def _json_values():
+    leaves = (st.none() | st.booleans() | st.integers() | st.floats()
+              | st.text(max_size=8))
+    return st.recursive(leaves, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+                        max_leaves=6)
+
+
+def _config_fields(config):
+    """Paths to the fields of a config dict. basename is left out: a string
+    there may name a file outside the output directory."""
+    return [("experiment",), ("params",), ("channels",), ("scan",), ("out_dir",),
+            *(("params", key) for key in config["params"]),
+            ("scan", "ranges"), ("scan", "sizes"),
+            ("channels", 0, "operator_tag"), ("channels", 0, "eta")]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_json_value_in_one_field_exits_0_2_or_3(tmp_path_factory, data):
+    # any JSON value in one field of a default config: the verb succeeds,
+    # or exits 2 (config error) or 3 (numerical failure), never with a traceback
+    experiment = data.draw(st.sampled_from(sorted(cli._EXPERIMENTS)))
+    config = ExperimentConfig(experiment=experiment).to_dict()
+    path = data.draw(st.sampled_from(_config_fields(config)))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(_json_values())
+    out = tmp_path_factory.mktemp("any_json")
+    cfg_path = out / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["--config", str(cfg_path), "--out", str(out), "synthesize"]) in (0, 2, 3)
 
 
 def test_custom_experiment_id_exits_2(tmp_path, capsys):
@@ -305,8 +364,18 @@ def test_thermal_scan_header_names_the_route_of_each_protocol(tmp_path):
                                                          "sizes": [1]})
     _, path = cli.run_scan(config)
     (line,) = [ln for ln in path.read_text().splitlines() if ln.startswith("# integrator:")]
-    assert "constant_mu integrate_moments (DOP853, rtol 1e-08)" in line
-    assert "standard_sta, improved_sta magnus_q2_moments" in line
+    assert "constant_mu, standard_sta, improved_sta magnus_q2_moments" in line
+
+
+def test_static_trap_constant_mu_row_matches_standard_row(tmp_path):
+    # at omega_ratio 1 both protocols hold the trap static: mu = 0 and rho = 1
+    config = ExperimentConfig(experiment="ho_thermal", out_dir=str(tmp_path),
+                              params={"omega_ratio": 1.0, "n_t_f": 1, "t_f_lo": 20e-6},
+                              scan={"ranges": [[0.0, 0.0]], "sizes": [1]})
+    rows, _ = cli.run_scan(config)
+    fid = {label: f for _, label, _, f, _ in rows}
+    assert fid["constant_mu"] < 1.0 - 1e-4  # the q^2 noise acts
+    assert abs(fid["constant_mu"] - fid["standard_sta"]) <= 1e-12
 
 
 def test_simulate_with_two_q_channels_exits_2(tmp_path, capsys):
@@ -339,8 +408,7 @@ def _data_rows(path):
 )
 def test_measure_and_simulate_reproduce_scan_row(tmp_path, experiment, scan, free):
     """measure and simulate at --free x print the scan row at x digit for digit."""
-    config = ExperimentConfig(experiment=experiment, scan=scan, rtol=1e-6,
-                              out_dir=str(tmp_path))
+    config = ExperimentConfig(experiment=experiment, scan=scan, out_dir=str(tmp_path))
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config.to_dict()))
     for verb in ("scan", "measure", "simulate"):

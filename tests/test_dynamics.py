@@ -9,6 +9,7 @@ from invariant_control.errors import DimensionMismatch, StepSizeUnderflow, Unsup
 from invariant_control.protocols import (
     ProtocolFamily,
     constrain_g_phase,
+    make_constant_mu_protocol,
     make_ho_protocol,
     make_tls_protocol,
 )
@@ -155,21 +156,32 @@ def _tls_dual_cell():
     return lambda: dynamics.tls_fidelity(proto, channels)
 
 
-def _fig4_q2_cell():
-    omega0 = TWO_PI * 2.53e6
-    proto = make_ho_protocol(omega0, omega0 / 100.0, MASS_100_CA40, 20e-6, "sqrt_poly", (0.0,))
-    init = states.thermal_state(12.58, omega0, proto.mass, "gaussian").raw()
+def _fig4_q2_run(proto):
+    init = states.thermal_state(12.58, proto.omega0, proto.mass, "gaussian").raw()
     return lambda: dynamics.magnus_q2_moments(
         proto, init, dynamics.NoiseChannel("q_squared", 0.0527))
+
+
+def _fig4_q2_cell():
+    omega0 = TWO_PI * 2.53e6
+    return _fig4_q2_run(make_ho_protocol(
+        omega0, omega0 / 100.0, MASS_100_CA40, 20e-6, "sqrt_poly", (0.0,)))
+
+
+def _fig4_constant_mu_cell():
+    omega0 = TWO_PI * 2.53e6
+    return _fig4_q2_run(make_constant_mu_protocol(omega0, omega0 / 100.0, 20e-6, MASS_100_CA40))
 
 
 @pytest.mark.parametrize("cell, first_grid", [
     (_tls_dual_cell, 2 * dynamics._TLS_MIN_STEPS),
     (_fig4_q2_cell, 2 * dynamics._Q2_INTERVALS),
-], ids=["tls_dual", "fig4_q2"])
+    (_fig4_constant_mu_cell, 2 * dynamics._Q2_INTERVALS),
+], ids=["tls_dual", "fig4_q2", "fig4_constant_mu"])
 def test_magnus_propagator_raises_when_the_step_cap_is_reached(monkeypatch, cell, first_grid):
     # the dual cell (-1, 1) does not settle on its first 1024 half steps, nor
-    # the fig4 cell at t_f = 20 us on its first 800: their steps must be split
+    # the fig4 cells at t_f = 20 us (r6 = 0 and constant mu) on their first
+    # 800: their steps must be split
     run = cell()
     monkeypatch.setattr(dynamics, "_MAX_HALF_STEPS", first_grid)
     with pytest.raises(StepSizeUnderflow):
@@ -420,16 +432,21 @@ def test_exact_q_moments_reject_other_channels():
             dynamics.exact_q_moments(proto, y0, dynamics.NoiseChannel(tag, 1.0))
 
 
-@pytest.mark.parametrize("r6", [0.0, 400.0, 800.0])
+@pytest.mark.parametrize("r6", [0.0, 400.0, 800.0, pytest.param(None, id="constant_mu")])
 @pytest.mark.parametrize("t_f", [0.2e-6, 2.6e-6, 20e-6])
 def test_thermal_fidelity_magnus_route_matches_moment_integrator(t_f, r6):
-    # fig4 cells: thermal_fidelity's invariant-frame Magnus route against
-    # DOP853 at rtol 1e-13 on the same 401 samples. Measured agreement on
-    # these nine cells: |dF| <= 4.7e-12, mean power to 1.6e-9 relative
+    # fig4 cells (r6 None: the constant-mu reference, with its closed-form
+    # Euler-Cauchy flow): thermal_fidelity's Magnus route against DOP853 at
+    # rtol 1e-13 on the same 401 samples. Measured agreement on these nine
+    # r6 cells: |dF| <= 4.7e-12, mean power to 1.6e-9 relative; on the ten
+    # default constant-mu rows of fig4: |dF| <= 7.5e-12, power to 2.1e-9
     omega0 = TWO_PI * 2.53e6
     n_bar = 12.58
-    proto = make_ho_protocol(omega0, omega0 / 100.0, MASS_100_CA40, t_f,
-                             "sqrt_poly", (r6,))
+    if r6 is None:
+        proto = make_constant_mu_protocol(omega0, omega0 / 100.0, t_f, MASS_100_CA40)
+    else:
+        proto = make_ho_protocol(omega0, omega0 / 100.0, MASS_100_CA40, t_f,
+                                 "sqrt_poly", (r6,))
     channel = dynamics.NoiseChannel("q_squared", 0.0527)
     init = states.thermal_state(n_bar, omega0, proto.mass, "gaussian")
     ts, ys = dynamics.integrate_moments(
@@ -441,9 +458,9 @@ def test_thermal_fidelity_magnus_route_matches_moment_integrator(t_f, r6):
     p_ode = measures.average_power(proto.omega_sq_dot, ys[:, 2], proto.mass, t_f,
                                    grid=len(ts))
 
-    fid, power = dynamics.thermal_fidelity(proto, n_bar, proto.mass, channel)
-    assert abs(fid - f_ode) <= 1e-9
-    assert abs(power - p_ode) <= 1e-7 * abs(p_ode)
+    fid, power = dynamics.thermal_fidelity(proto, n_bar, channel)
+    assert abs(fid - f_ode) <= 1e-11
+    assert abs(power - p_ode) <= 1e-8 * abs(p_ode)
 
 
 def test_magnus_q2_moments_reject_other_channels():

@@ -269,6 +269,30 @@ def test_heisenberg_coeffs_symplectic():
                         (rho_dot * s + (omega0 / rho) * c) / omega0)
             for got, want in zip(proto.heisenberg_coeffs(t), expected):
                 assert np.array_equal(got, want)
+    # the constant-mu flow, in units omega0 = t_f = 1, at k^2 > 0 (mu = -3),
+    # k^2 < 0 (mu = -1/2, 1/2), k = 0 (|mu| = 2) and mu = 0: unit
+    # determinant, M(0) = 1 and the equations of motion by central differences
+    mass, h = 2.0, 1e-6
+    for omega_f, mu in ((0.25, -3.0), (1.0 / 1.5, -0.5), (2.0, 0.5), (1.0 / 3.0, -2.0),
+                        (1.0, 0.0)):
+        ref = make_constant_mu_protocol(1.0, omega_f, 1.0, mass)
+        assert ref.mu == mu
+        ts = np.linspace(0.0, 1.0, 101)
+        fq, fp, gq, gp = ref.heisenberg_coeffs(ts)
+        np.testing.assert_allclose(fq * gp - fp * gq, 1.0, rtol=1e-13)
+        assert np.array_equal([fq[0], fp[0], gq[0], gp[0]], [1.0, 0.0, 0.0, 1.0])
+        inner = ts[1:-1]
+        slopes = ((a - b) / (2.0 * h) for a, b in zip(ref.heisenberg_coeffs(inner + h),
+                                                      ref.heisenberg_coeffs(inner - h)))
+        fqi, fpi, gqi, gpi = (c[1:-1] for c in (fq, fp, gq, gp))
+        w_sq = ref.omega_sq(inner)
+        rates = (gqi / mass, gpi / mass, -mass * w_sq * fqi, -mass * w_sq * fpi)
+        for slope, rate in zip(slopes, rates):
+            np.testing.assert_allclose(slope, rate, rtol=1e-7, atol=1e-7 * np.abs(rate).max())
+        if mu == 0.0:  # the static trap
+            expected = (np.cos(ts), np.sin(ts) / mass, -mass * np.sin(ts), np.cos(ts))
+            for got, want in zip((fq, fp, gq, gp), expected):
+                assert np.array_equal(got, want)
 
 
 def test_constrain_g_phase_hits_target():
