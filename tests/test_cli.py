@@ -235,18 +235,21 @@ def test_physical_param_validation(experiment, params):
         ExperimentConfig(experiment=experiment, params=params)
 
 
-def test_zero_grid_exits_2(tmp_path, capsys):
-    argv = ["--grid", "0", "--out", str(tmp_path), "scan", "--experiment", "tls_single"]
-    assert cli.main(argv) == 2
-    assert "config error" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", ["--grid", "--tol"])
+def test_zero_grid_or_tol_exits_2(tmp_path, capsys, flag):
+    # --grid 0 is a config error; --tol is no option at all, so argparse exits 2
+    argv = [flag, "0", "--out", str(tmp_path), "scan", "--experiment", "tls_single"]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert {"--grid": "config error", "--tol": "invctl: error"}[flag] in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_tol_flag_and_rtol_field_exit_2(tmp_path, capsys):
+def test_rtol_config_field_exits_2(tmp_path, capsys):
     # every route keeps its own error control: no tolerance is configurable
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--tol", "1e-6", "--out", str(tmp_path), "reproduce", "fig4"])
-    assert exc.value.code == 2
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"experiment": "ho_thermal", "rtol": 1e-8}))
     assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "scan"]) == 2
