@@ -112,12 +112,19 @@ class ExperimentConfig:
                 raise ConfigError(f"params.{key}: must be {sign}, got {p[key]!r}")
         if "t_f_lo" in p and "t_f_hi" in p and float(p["t_f_lo"]) > float(p["t_f_hi"]):
             raise ConfigError("params.t_f_lo: must not exceed params.t_f_hi")
-        for key, value in _family(self).params.items():
+        family = _family(self).params
+        for key, value in family.items():
             # the angular values protocols are built from: 2 pi nu0_hz and
             # omega0 / omega_ratio can overflow or underflow
             if not 0.0 < value < np.inf:
                 raise ConfigError(f"params: {key} = {value!r} in angular units, "
                                   f"must be positive and finite")
+        if "mass" in family:
+            # the trap moments are scaled by (m omega0)^2 and by its inverse
+            scale = family["mass"] * family["omega0"]
+            if not sys.float_info.min <= scale * scale <= 1.0 / sys.float_info.min:
+                raise ConfigError(f"params.mass: (mass * omega0)^2 = {scale * scale!r} or "
+                                  f"its inverse is not a finite normal float")
         if "n_t_f" in p:
             _check_count(p["n_t_f"], "params.n_t_f")
         if str(p.get("measure", "O")) not in ("O", "A"):
@@ -219,9 +226,9 @@ def _family(config, kind=None, t_f=None) -> protocols.ProtocolFamily:
 def _cell(config, exp, channels, family):
     """Measure and fidelity columns of one protocol.
 
-    Rows keep no protocol, so a scan frees each protocol (and its cached
-    phase spline) after its cell. An experiment that skips infeasible cells
-    gets {"skipped": reason} when the build fails.
+    Rows keep no protocol, so a scan frees each protocol after its cell. An
+    experiment that skips infeasible cells gets {"skipped": reason} when the
+    build fails.
     """
     try:
         proto = family.build()

@@ -258,7 +258,6 @@ def _integrate_ho_fixed_dim(protocol, rho0_builder, channel, t_eval, d, rtol, at
     q, p, _ = fock_operators(d, protocol.mass, protocol.omega0)
     rho0 = np.asarray(rho0_builder(d), dtype=complex)
     rho0 = 0.5 * (rho0 + rho0.conj().T)
-    protocol.heisenberg_coeffs(t_eval)  # warm caches
     return _rk45_matrix(_fock_rhs(protocol, channel, q, p), rho0, t_eval, rtol, atol)
 
 

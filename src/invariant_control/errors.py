@@ -17,6 +17,10 @@ class NonPositiveRho(InvariantControlError):
     """The Ermakov scaling function is not strictly positive."""
 
 
+class IllConditionedPhase(InvariantControlError):
+    """The closed-form invariant phase would cancel past its stated accuracy."""
+
+
 class SingularInterpolation(InvariantControlError):
     """The boundary-constraint linear system is singular."""
 

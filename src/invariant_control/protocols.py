@@ -14,12 +14,10 @@ from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import cumulative_simpson, simpson
-from scipy.interpolate import CubicSpline
 
 from . import algebra
 from .constants import MASS_100_CA40
-from .errors import NonPositiveRho, NoRoot
+from .errors import IllConditionedPhase, NonPositiveRho, NoRoot
 from .polynomial import BoundaryPolynomial, Constraint, solve_boundary_polynomial
 
 __all__ = [
@@ -43,6 +41,9 @@ _SHIFT_FRACTION = 1e-6  # step for one-sided limits, relative to t_f
 #: a polynomial root counts as real when its imaginary part is below this,
 #: relative to its modulus (a double root splits by ~sqrt(machine epsilon))
 _REAL_ROOT_TOL = 1e-7
+#: largest admitted cancellation of the sqrt_poly phase sum: it then loses at
+#: most three of sixteen digits (default and benchmark fig4 cells: <= 3.4)
+_PHASE_CANCELLATION_MAX = 1e3
 
 
 @dataclass(frozen=True)
@@ -377,14 +378,19 @@ class HoProtocol:
         s_end = self.t_f / self.inner.duration
         if c[0] <= 0 or npoly.polyval(s_end, c) <= 0:
             raise NonPositiveRho("inner polynomial is not positive at 0 or t_f")
-        # roots: eigenvalues of the companion matrix of P / c[top]
-        top = np.flatnonzero(c)[-1]
-        companion = np.eye(top, k=-1)
-        companion[:, top - 1:] = -c[:top, None] / c[top]
-        roots = np.linalg.eigvals(companion)
+        roots = self._roots
         real = roots.real[np.abs(roots.imag) <= _REAL_ROOT_TOL * np.abs(roots)]
         if np.any((real >= 0.0) & (real <= s_end)):
             raise NonPositiveRho("inner polynomial crosses zero on [0, t_f]")
+
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        """Roots of P in s = t / duration, from its companion matrix."""
+        c = self.inner.coefficients
+        top = np.flatnonzero(c)[-1]
+        companion = np.eye(top, k=-1)
+        companion[:, top - 1:] = -c[:top, None] / c[top]
+        return np.linalg.eigvals(companion).astype(complex)
 
     @property
     def _power(self) -> float:
@@ -421,20 +427,58 @@ class HoProtocol:
 
     @cached_property
     def g_phase(self) -> float:
-        """Phase integral g = int_0^tf dt / rho(t)^2 (composite Simpson on
-        2001 samples)."""
-        ts = np.linspace(0.0, self.t_f, 2001)
-        return float(simpson(1.0 / self.rho(ts) ** 2, x=ts))
-
-    @cached_property
-    def _theta_spline(self):
-        ts = np.linspace(0.0, self.t_f, 8193)
-        vals = cumulative_simpson(1.0 / self.rho(ts) ** 2, x=ts, initial=0.0)
-        return CubicSpline(ts, vals)
+        """Phase integral g = int_0^tf dt / rho(t)^2, in closed form."""
+        return float(self._phase_integral(self.t_f))
 
     def theta(self, t):
         """Invariant-mode phase omega0 * int_0^t dt'/rho^2."""
-        return self.omega0 * self._theta_spline(np.asarray(t, dtype=float))
+        return self.omega0 * self._phase_integral(t)
+
+    def _phase_integral(self, t):
+        """int_0^t dt'/rho^2 = int P (inverse_sqrt_poly) or int 1/P (sqrt_poly).
+
+        1/P = sum_k w_k / (s - r_k) over the roots r_k of P in s = t / T,
+        w_k = 1/P'(r_k), so int 1/P = T sum_k w_k log(1 - s/r_k), continuous
+        as no root lies on [0, t_f]. Summed over the roots r = a + ib with
+        b >= 0 (a pair counts twice) as log|1 - s/r| = log(((a - s)^2 + b^2)
+        / |r|^2) / 2 and arg(1 - s/r) = atan2(b s, |r|^2 - a s).
+        """
+        if self.form == "inverse_sqrt_poly":
+            return self.inner.antiderivative_at(t)
+        if not len(self._roots):  # constant P
+            return np.asarray(t, dtype=float) / self.inner.coefficients[0]
+        roots, weights = self._partial_fractions
+        s = np.asarray(t, dtype=float)[..., None] / self.inner.duration
+        a, b = roots.real, roots.imag
+        r_sq = a * a + b * b
+        return self.inner.duration * (0.5 * np.log(((a - s) ** 2 + b * b) / r_sq) @ weights.real
+                                      - np.arctan2(b * s, r_sq - a * s) @ weights.imag)
+
+    @cached_property
+    def _partial_fractions(self):
+        """(roots with Im >= 0, w or 2 w for a pair) of _phase_integral.
+
+        w_k = 1 / (c_top prod_{j != k} (r_k - r_j)) integrates exactly the
+        polynomial with the computed roots. Near-double roots make the terms
+        cancel: IllConditionedPhase when a bound on sum_k |w_k log(1 - s/r_k)|
+        on [0, t_f] (|Im log| peaks at t_f, |Re log| at t_f or Re r_k),
+        relative to the integral at t_f, exceeds _PHASE_CANCELLATION_MAX.
+        """
+        r, c = self._roots, self.inner.coefficients
+        diff = r[:, None] - r[None, :]
+        np.fill_diagonal(diff, 1.0)
+        w = 1.0 / (c[np.flatnonzero(c)[-1]] * diff.prod(axis=1))
+        s_end = self.t_f / self.inner.duration
+        log_end = np.log(1.0 - s_end / r)
+        log_mid = np.log(1.0 - np.clip(r.real, 0.0, s_end) / r)
+        bound = np.abs(w) @ np.hypot(np.maximum(abs(log_end.real), abs(log_mid.real)),
+                                     log_end.imag)
+        cancellation = bound / (w @ log_end).real
+        if not 0.0 < cancellation <= _PHASE_CANCELLATION_MAX:
+            raise IllConditionedPhase(f"nearly repeated roots of the inner polynomial: "
+                                      f"the phase sum cancels {cancellation:.3g} times")
+        keep = r.imag >= 0.0
+        return r[keep], np.where(r.imag > 0.0, 2.0 * w, w.real)[keep]
 
     def heisenberg_coeffs(self, t):
         """Closed-form Heisenberg flow of the quadratures.
@@ -522,10 +566,7 @@ def constrain_g_phase(
         raise NoRoot("phase integral does not depend on r7")
     # positivity of the inner polynomial is enforced by the constructor;
     # an infeasible g_target surfaces as NonPositiveRho here
-    proto = make_ho_protocol(omega0, omega_f, mass, t_f, form, (r6, (g_target - g0) / (g1 - g0)))
-    if abs(proto.g_phase - g_target) > 1e-6 * abs(g_target):
-        raise NoRoot("affine solve converged outside the g tolerance")
-    return proto
+    return make_ho_protocol(omega0, omega_f, mass, t_f, form, (r6, (g_target - g0) / (g1 - g0)))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +383,29 @@ def test_static_trap_constant_mu_row_matches_standard_row(tmp_path):
     fid = {label: f for _, label, _, f, _ in rows}
     assert fid["constant_mu"] < 1.0 - 1e-4  # the q^2 noise acts
     assert abs(fid["constant_mu"] - fid["standard_sta"]) <= 1e-12
+
+
+@pytest.mark.parametrize("mass", [5e-324, 1e-170, 1e300])
+@pytest.mark.parametrize("experiment", ["ho_coherent", "ho_thermal"])
+def test_mass_outside_the_normal_float_range_exits_2(tmp_path, capsys, experiment, mass):
+    # (m omega0)^2 underflows to 0 or overflows to inf: rejected before any
+    # computation, where magnus_q2_moments would divide by it
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"experiment": experiment, "params": {"mass": mass}}))
+    for verb in ("scan", "simulate"):
+        assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), verb]) == 2
+        assert "config error: params.mass:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_import_leaves_scipy_interpolate_out():
+    # the invariant phase is a closed form: nothing on the import path of the
+    # command line needs scipy.interpolate
+    code = "import sys, invariant_control.cli; print('scipy.interpolate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_simulate_with_two_q_channels_exits_2(tmp_path, capsys):

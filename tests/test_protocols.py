@@ -1,14 +1,19 @@
 """Protocol construction: boundary conditions, controls, families."""
 
+import importlib.util
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
+from scipy.integrate import cumulative_simpson, quad, simpson
+from scipy.interpolate import CubicSpline
 
 from conftest import tls_fidelity
-from invariant_control import algebra
+from invariant_control import algebra, cli, optimize, protocols
 from invariant_control.constants import MASS_100_CA40, TWO_PI
-from invariant_control.errors import NonPositiveRho, NoRoot
+from invariant_control.errors import IllConditionedPhase, NonPositiveRho, NoRoot
 from invariant_control.polynomial import BoundaryPolynomial
 from invariant_control.protocols import (
     BSpec,
@@ -295,12 +300,141 @@ def test_heisenberg_coeffs_symplectic():
                 assert np.array_equal(got, want)
 
 
+# the spline route of theta and the Simpson route of g that the closed forms
+# replaced: the oracles of the phase tests
+
+
+def _spline_theta(proto, t):
+    """omega0 int_0^t dt'/rho^2 from a cubic spline through an 8193-point
+    cumulative Simpson sum."""
+    ts = np.linspace(0.0, proto.t_f, 8193)
+    vals = cumulative_simpson(1.0 / proto.rho(ts) ** 2, x=ts, initial=0.0)
+    return proto.omega0 * CubicSpline(ts, vals)(t)
+
+
+def _simpson_g(proto):
+    """int_0^tf dt/rho^2 by composite Simpson on 2001 samples."""
+    ts = np.linspace(0.0, proto.t_f, 2001)
+    return float(simpson(1.0 / proto.rho(ts) ** 2, x=ts))
+
+
+def _trap_cells(config):
+    """Every HoProtocol that a scan of config builds; infeasible cells are
+    left out, as the scan skips them."""
+    cells = []
+
+    def build(family):
+        try:
+            proto = family.build()
+        except (NonPositiveRho, NoRoot):
+            return {}
+        if isinstance(proto, HoProtocol):
+            cells.append(proto)
+        return {}
+
+    for _, family, ranges, sizes in cli._EXPERIMENTS[config.experiment].plan(config):
+        optimize.scan(lambda free: build(family.with_free(free)), ranges, sizes)
+    return cells
+
+
+def _default_trap_cells():
+    return [proto for experiment in ("ho_coherent", "ho_thermal")
+            for proto in _trap_cells(cli.ExperimentConfig(experiment=experiment))]
+
+
+def _benchmark_thermal_cells(seed):
+    """The sqrt_poly cells of the benchmark's ho_thermal workload at seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [proto for cfg in inputs.make_inputs("ho_thermal", seed)["configs"].values()
+            for proto in _trap_cells(cli.ExperimentConfig.from_dict(cfg))]
+
+
+def _random_trap_cells(n):
+    """Feasible protocols of both forms with random free coefficients."""
+    rng = np.random.default_rng(11)
+    cells = []
+    while len(cells) < n:
+        form = ("inverse_sqrt_poly", "sqrt_poly")[len(cells) % 2]
+        nu0, t_f = ((15.92e6, rng.uniform(20e-6, 100e-6)) if form == "inverse_sqrt_poly"
+                    else (2.53e6, 10 ** rng.uniform(np.log10(0.2e-6), np.log10(20e-6))))
+        k = rng.integers(1, 3)
+        extra = rng.uniform(-1.0, 1.0, k) * 10 ** rng.uniform(0.0, 3.0, k)
+        try:
+            cells.append(make_ho_protocol(TWO_PI * nu0, TWO_PI * nu0 / 100.0, t_f=t_f,
+                                          form=form, r_extra=extra))
+        except NonPositiveRho:
+            pass
+    return cells
+
+
+def test_phase_matches_spline_and_simpson_oracles():
+    # on every default fig3/fig4 cell and on random free coefficients of both
+    # forms: theta within 2e-12 theta(t_f) of the spline on 1001 points and g
+    # within 1e-10 of Simpson. Those bounds are the oracles' own errors: on
+    # 400 random cells the spline is off by up to 1.4e-12 theta(t_f) near
+    # t = 0, and Simpson by up to 5.6e-11, while the closed form stays within
+    # 1e-14 of quad (1e-13 asserted on g)
+    cells = _default_trap_cells()
+    assert len(cells) == 9 + 100
+    for proto in cells + _random_trap_cells(60):
+        ts = np.linspace(0.0, proto.t_f, 1001)
+        theta = proto.theta(ts)
+        assert theta[0] == 0.0
+        assert np.abs(theta - _spline_theta(proto, ts)).max() <= 2e-12 * theta[-1]
+        assert proto.g_phase == pytest.approx(_simpson_g(proto), rel=1e-10, abs=0.0)
+        c, duration = proto.inner.coefficients, proto.inner.duration
+        integrand = ((lambda s: npoly.polyval(s, c)) if proto.form == "inverse_sqrt_poly"
+                     else (lambda s: 1.0 / npoly.polyval(s, c)))
+        exact = duration * quad(integrand, 0.0, proto.t_f / duration,
+                                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert proto.g_phase == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert proto.theta(proto.t_f) == proto.omega0 * proto.g_phase
+
+
+def test_static_trap_phase_is_omega0_t():
+    # omega_f = omega0 gives the constant inner polynomial P = 1: no roots
+    omega0 = TWO_PI * 2.53e6
+    proto = make_ho_protocol(omega0, omega0, t_f=5e-6, form="sqrt_poly")
+    ts = np.linspace(0.0, proto.t_f, 11)
+    assert np.array_equal(proto.theta(ts), omega0 * ts)
+
+
+def test_nearly_repeated_roots_trip_the_phase_guard(monkeypatch):
+    # P = (s + 1/2)(s + 1/2 + d)(s^2 + 1) / P(0): positive on [0, t_f], with
+    # two real roots d apart at s = -1/2; the phase sum cancels about 1.5/d
+    # times, against at most 3.4 on the default and benchmark cells
+    omega0, t_f = TWO_PI * 2.53e6, 5e-6
+    trap = dict(form="sqrt_poly", omega0=omega0, omega_f=omega0 / 100.0,
+                mass=MASS_100_CA40, t_f=t_f)
+
+    def clustered(d):
+        c = npoly.polymul(npoly.polyfromroots([-0.5, -0.5 - d]), [1.0, 0.0, 1.0])
+        return HoProtocol(inner=BoundaryPolynomial(c / c[0], t_f), **trap)
+
+    assert clustered(1e-2).theta(t_f) > 0.0
+    for d in (1e-3, 1e-6, 0.0):
+        proto = clustered(d)  # feasible: the roots lie off [0, t_f]
+        with pytest.raises(IllConditionedPhase):
+            proto.theta(t_f)
+        with pytest.raises(IllConditionedPhase):
+            proto.g_phase
+    # the cells that run stay two orders of magnitude below the guard
+    monkeypatch.setattr(protocols, "_PHASE_CANCELLATION_MAX", 10.0)
+    cells = _default_trap_cells() + _benchmark_thermal_cells(1) + _benchmark_thermal_cells(7)
+    assert sum(proto.form == "sqrt_poly" for proto in cells) == 100 + 2 * 96
+    for proto in cells:
+        assert proto.theta(proto.t_f) > 0.0
+
+
 def test_constrain_g_phase_hits_target():
     omega0 = TWO_PI * 15.92e6
     g_target = 50.5e-6
     for r6 in (-15.0, 0.0, 4.0):
         proto = constrain_g_phase(omega0, omega0 / 100.0, g_target, r6=r6)
-        assert proto.g_phase == pytest.approx(g_target, rel=1e-6)
+        assert proto.g_phase == pytest.approx(g_target, rel=1e-12)
 
 
 def test_constrain_g_phase_solution_affine_in_r6():
