@@ -112,16 +112,16 @@ class ExperimentConfig:
                 raise ConfigError(f"params.{key}: must be {sign}, got {p[key]!r}")
         if "t_f_lo" in p and "t_f_hi" in p and float(p["t_f_lo"]) > float(p["t_f_hi"]):
             raise ConfigError("params.t_f_lo: must not exceed params.t_f_hi")
-        family = _family(self).params
-        for key, value in family.items():
+        family = _family(self)
+        for key, value in family.params.items():
             # the angular values protocols are built from: 2 pi nu0_hz and
             # omega0 / omega_ratio can overflow or underflow
             if not 0.0 < value < np.inf:
                 raise ConfigError(f"params: {key} = {value!r} in angular units, "
                                   f"must be positive and finite")
-        if "mass" in family:
+        if "mass" in family.params:
             # the trap moments are scaled by (m omega0)^2 and by its inverse
-            scale = family["mass"] * family["omega0"]
+            scale = family.params["mass"] * family.params["omega0"]
             if not sys.float_info.min <= scale * scale <= 1.0 / sys.float_info.min:
                 raise ConfigError(f"params.mass: (mass * omega0)^2 = {scale * scale!r} or "
                                   f"its inverse is not a finite normal float")
@@ -143,6 +143,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"channels: {self.experiment} needs exactly the channels {need}, got {have}"
             )
+        for ch in self.channels:
+            if ch["operator_tag"] == "q_squared":
+                # the q^2 noise dose of the longest run, before anything overflows
+                scale = family.params["mass"] * family.params["omega0"]
+                dose = 8.0 * float(ch["eta"]) * family.t_f / scale**2
+                if not dose <= dynamics.Q2_DOSE_MAX:
+                    raise ConfigError(
+                        f"params.mass: the q^2 noise dose 8 eta t_f / (mass * omega0)^2 = "
+                        f"{dose:.3g} exceeds {dynamics.Q2_DOSE_MAX:.4g}, past which the "
+                        f"trap moments overflow")
         ranges = self.scan.get("ranges", [])
         sizes = self.scan.get("sizes", [])
         n_free = len(_EXPERIMENTS[self.experiment].defaults["scan"]["ranges"])

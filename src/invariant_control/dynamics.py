@@ -430,6 +430,11 @@ _TLS_MIN_STEPS = 512
 #: intervals of the q^2 propagator's uniform output grid, which is also its
 #: start grid
 _Q2_INTERVALS = 400
+#: largest q^2 noise dose kappa t_f, kappa = 8 eta / (m omega0)^2, that the
+#: thermal route accepts. A static trap heats as exp(kappa t / 2) and the
+#: fidelity multiplies two moments, so past kappa t_f = ln(DBL_MAX) ~ 709.8
+#: a double overflows (F is below 1e-30 already at kappa t_f = 300)
+Q2_DOSE_MAX = float(np.log(np.finfo(float).max))
 #: bound on the estimated error of the sampled invariant-frame moments,
 #: relative to their largest entry. fig4 cells stop at 800 half steps (1600
 #: at t_f = 20 us), within 2.4e-11 of F and 4.4e-9 of the mean power of
@@ -522,6 +527,7 @@ def _running_products(count: np.ndarray, *runs) -> np.ndarray:
     return prod
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in a non-finite gap
 def _magnus_path(generator, t_f: float, n_start: int, x0, error) -> np.ndarray:
     """x(t) of dx/dt = A(t) x, x(0) = x0, at the n_start + 1 ends of a uniform
     start grid on [0, t_f].
@@ -545,10 +551,12 @@ def _magnus_path(generator, t_f: float, n_start: int, x0, error) -> np.ndarray:
         gap = error(coarse, fine)
         if gap <= 15.0:
             return fine
+        if not np.isfinite(gap):
+            raise StepSizeUnderflow(f"Magnus propagator overflowed on {2 * len(h)} half steps")
         diff = np.abs(second @ first - one).max(axis=(1, 2))
         flagged = diff > _SPLIT * diff.max()
         k = np.ceil(np.log2(gap / 15.0) / 4.0)
-        if not np.isfinite(gap) or 2 * (len(h) + flagged.sum() * (2**k - 1)) > _MAX_HALF_STEPS:
+        if 2 * (len(h) + flagged.sum() * (2**k - 1)) > _MAX_HALF_STEPS:
             raise StepSizeUnderflow(
                 f"Magnus propagator not converged on {2 * len(h)} half steps "
                 f"(estimated error {gap / 15.0:.3g} times its tolerance)")

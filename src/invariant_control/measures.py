@@ -9,7 +9,7 @@ two-channel landscape and the average power complete the set.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial
 
 import numpy as np
@@ -100,33 +100,71 @@ def measure_A(invariant_path, x: np.ndarray, t_f: float, grid: int = 2001,
 
 
 # ---------------------------------------------------------------------------
+# Simpson rule of the closed forms, S_n and the average power
+
+
+@lru_cache(maxsize=16)
+def _simpson_rule(t_f: float, grid: int):
+    """(ts, rule) for composite Simpson on ts = linspace(0, t_f, grid), read-only.
+
+    rule holds the four coefficient arrays that scipy.integrate.simpson
+    builds from diff(ts) on every call (its _basic_simpson for an odd number
+    of samples), so _simpson(y, rule) takes the same operations in the same
+    order and equals simpson(y, x=ts) bit for bit. grid must be odd and at
+    least 3: an even grid would need scipy's end correction.
+    """
+    if grid < 3 or grid % 2 == 0:
+        raise ValueError(f"the Simpson grid must be an odd number >= 3, got {grid!r}")
+    ts = np.linspace(0.0, t_f, grid)
+    h = np.diff(ts)
+    h0, h1 = h[0::2], h[1::2]
+    hsum, hprod = h0 + h1, h0 * h1
+    h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+    rule = (
+        hsum / 6.0,
+        2.0 - np.true_divide(1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0),
+        hsum * np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0),
+        2.0 - h0divh1,
+    )
+    for a in (ts, *rule):
+        a.flags.writeable = False
+    return ts, rule
+
+
+def _simpson(y, rule) -> float:
+    """simpson(y, x=ts) for y sampled on the ts of _simpson_rule."""
+    scale, c0, c1, c2 = rule
+    return np.sum(scale * (y[0:-2:2] * c0 + y[1:-1:2] * c1 + y[2::2] * c2))
+
+
+# ---------------------------------------------------------------------------
 # two-level closed forms
 
 
 def closed_form_O_z(g_path, t_f: float, grid: int = 4001) -> float:
     """O for X = sigma_z: (1/t_f) int 2(|sin(G/2)| + |cos(G/2)| - 1) dt."""
-    ts = np.linspace(0.0, t_f, grid)
+    ts, rule = _simpson_rule(t_f, grid)
     g = g_path(ts)
     integrand = 2.0 * (np.abs(np.sin(g / 2)) + np.abs(np.cos(g / 2)) - 1.0)
-    return float(simpson(integrand, x=ts) / t_f)
+    return float(_simpson(integrand, rule) / t_f)
 
 
 def closed_form_A_z(g_path, t_f: float, grid: int = 4001) -> float:
     """A for X = sigma_z: (1/t_f) int |sin G| dt."""
-    ts = np.linspace(0.0, t_f, grid)
+    ts, rule = _simpson_rule(t_f, grid)
     g = g_path(ts)
-    return float(simpson(np.abs(np.sin(g)), x=ts) / t_f)
+    return float(_simpson(np.abs(np.sin(g)), rule) / t_f)
 
 
 def closed_form_O_x(g_path, b_path, t_f: float, grid: int = 4001) -> float:
     """O for X = sigma_x, depending on both angles through cos(B) sin(G)."""
-    ts = np.linspace(0.0, t_f, grid)
+    ts, rule = _simpson_rule(t_f, grid)
     g, b = g_path(ts), b_path(ts)
     cbsg = np.cos(b) * np.sin(g)
     integrand = 2.0 * (
         np.sqrt((1.0 - cbsg) / 2.0) + np.sqrt((1.0 + cbsg) / 2.0) - 1.0
     )
-    return float(simpson(integrand, x=ts) / t_f)
+    return float(_simpson(integrand, rule) / t_f)
 
 
 def weighted_average(measures, strengths) -> float:
@@ -178,7 +216,7 @@ def ho_overlap_Sn(rho_path, n: int, mass: float, omega0: float, t_f: float,
     C_n = (m omega0)^(-1/4) pi^(-1/4) J_n / sqrt(2^n n!) times sqrt(rho),
     which is why minimizing S_n at any n minimizes all of them.
     """
-    ts = np.linspace(0.0, t_f, grid)
+    ts, rule = _simpson_rule(t_f, grid)
     rho = rho_path(ts)
     if np.any(rho <= 0):
         raise NonPositiveRho("rho must be positive along the path")
@@ -188,7 +226,7 @@ def ho_overlap_Sn(rho_path, n: int, mass: float, omega0: float, t_f: float,
         * hermite_abs_integral(n)
         / np.sqrt(2.0**n * factorial(n))
     )
-    return float(c_n * simpson(np.sqrt(rho), x=ts) / t_f)
+    return float(c_n * _simpson(np.sqrt(rho), rule) / t_f)
 
 
 def average_power(omega_sq_dot, qq, mass: float, t_f: float,
@@ -201,8 +239,8 @@ def average_power(omega_sq_dot, qq, mass: float, t_f: float,
     root. The sign is preserved; take the absolute value at the reporting
     layer if needed.
     """
-    ts = np.linspace(0.0, t_f, grid)
-    return float(simpson(0.5 * mass * omega_sq_dot(ts) * qq, x=ts) / t_f)
+    ts, rule = _simpson_rule(t_f, grid)
+    return float(_simpson(0.5 * mass * omega_sq_dot(ts) * qq, rule) / t_f)
 
 
 # ---------------------------------------------------------------------------

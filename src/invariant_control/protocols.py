@@ -8,9 +8,11 @@ through the Ermakov scaling function rho. A constant-mu reference expansion
 
 from __future__ import annotations
 
-from math import comb
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from math import comb
+from threading import Lock
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -222,7 +224,7 @@ class SmoothstepChain:
     Evaluates S_{n1}(S_{n2}(...(u))) with u = clip((s - lo) / (hi - lo));
     outside the window the value is exactly 0 or 1 with zero derivatives
     (the innermost step is flat to very high order, so the seam is smooth
-    to machine precision).
+    to machine precision). Samples come from _chain_samples, read-only.
     """
 
     orders: tuple[int, ...]
@@ -230,7 +232,10 @@ class SmoothstepChain:
     window: tuple[float, float] = (0.0, 1.0)
 
     def __call__(self, t, order: int = 0):
-        s = np.asarray(t, dtype=float) / self.duration
+        return _chain_samples(self, np.asarray(t, dtype=float), order)
+
+    def _evaluate(self, t, order: int):
+        s = t / self.duration
         lo, hi = self.window
         u = np.clip((s - lo) / (hi - lo), 0.0, 1.0)
         scale = 1.0 / ((hi - lo) * self.duration)
@@ -246,6 +251,48 @@ class SmoothstepChain:
                 val = _smoothstep_scalar(n, val, 0)
             return der * scale
         raise ValueError("chain derivatives implemented up to order 1")
+
+
+class _SampleMemo:
+    """Least-recently-used memo of read-only chain samples, bounded in bytes.
+
+    A chain depends only on (orders, duration, window), while the free
+    coefficients of a family enter only the PathCombo weights, so a scan
+    samples the same chains on the same grid in every cell. An entry is keyed
+    by the chain, the order and the bytes of the samples t, so only equal
+    samples hit; it counts the bytes of its key and its value, and the memo
+    drops its oldest entries to hold at most max_bytes. A lock keeps the
+    entries and their byte count consistent when threads share the memo.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = Lock()
+
+    def __call__(self, chain: SmoothstepChain, t: np.ndarray, order: int) -> np.ndarray:
+        key = (chain, order, t.shape, t.tobytes())
+        with self._lock:
+            val = self._entries.get(key)
+            if val is not None:
+                self._entries.move_to_end(key)
+                return val
+            val = np.asarray(chain._evaluate(t, order))
+            val.flags.writeable = False
+            if t.nbytes + val.nbytes <= self.max_bytes:
+                self._entries[key] = val
+                self.nbytes += t.nbytes + val.nbytes
+                while self.nbytes > self.max_bytes:
+                    (*_, old_t), old = self._entries.popitem(last=False)
+                    self.nbytes -= len(old_t) + old.nbytes
+            return val
+
+
+#: the 4001-point closed-form grid and the first Magnus batch of a two-level
+#: cell (six chains at two orders) fit in 4 MiB; a batch of 2^16 half steps
+#: takes 2 MiB per chain and order
+_chain_samples = _SampleMemo(4 << 20)
 
 
 @dataclass(frozen=True)
@@ -421,8 +468,15 @@ class HoProtocol:
         return algebra.omega_sq_from_rho(rho, self.rho(t, 2), self.omega0)
 
     def omega_sq_dot(self, t):
-        rho = self.rho(t)
-        r1, r2, r3 = self.rho(t, 1), self.rho(t, 2), self.rho(t, 3)
+        # rho and its first three derivatives in the expressions of rho(t, k),
+        # from one evaluation of P, P', P'', P''' and of each power of P
+        a = self._power
+        p, p1, p2, p3 = (self.inner(t, k) for k in range(4))
+        pa1, pa2, pa3 = p ** (a - 1), p ** (a - 2), p ** (a - 3)
+        rho = p**a
+        r1 = a * pa1 * p1
+        r2 = a * (a - 1) * pa2 * p1**2 + a * pa1 * p2
+        r3 = a * (a - 1) * (a - 2) * pa3 * p1**3 + 3 * a * (a - 1) * pa2 * p1 * p2 + a * pa1 * p3
         return -4.0 * self.omega0**2 * r1 / rho**5 - (r3 * rho - r2 * r1) / rho**2
 
     @cached_property

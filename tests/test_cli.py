@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invariant_control import cli
+from invariant_control import cli, dynamics
 from invariant_control.cli import ExperimentConfig
 from invariant_control.errors import ConfigError
 
@@ -396,6 +396,42 @@ def test_mass_outside_the_normal_float_range_exits_2(tmp_path, capsys, experimen
         assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), verb]) == 2
         assert "config error: params.mass:" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("config, code, message", [
+    # mass 1e-150 passes the normal-float rule, but its q^2 dose
+    # 8 eta t_f / (m omega0)^2 ~ 1e285 would overflow the trap moments
+    ({"params": {"mass": 1e-150}}, 2, "config error: params.mass: the q^2 noise dose"),
+    # a dose of 100 passes, but rho^4 ~ 1e8 of a 1e4-fold expansion overflows
+    # a step exponential: a numerical failure, not a stream of warnings
+    ({"params": {"omega_ratio": 1e4}, "channels": [{"operator_tag": "q_squared", "eta": 62.5}]},
+     3, "numerical failure: Magnus propagator overflowed"),
+])
+def test_q2_overflow_exits_cleanly_without_warnings(tmp_path, config, code, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"experiment": "ho_thermal", **config}))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-m", "invariant_control.cli", "--config",
+                          str(cfg_path), "--out", str(tmp_path), "simulate"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == code
+    assert message in out.stderr
+    assert "RuntimeWarning" not in out.stderr
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("factor, rejected", [(0.999, False), (1.001, True)])
+def test_q2_noise_dose_bound(factor, rejected):
+    # the dose at the longest run, t_f_hi, is held to dynamics.Q2_DOSE_MAX
+    config = ExperimentConfig(experiment="ho_thermal")
+    scale = float(config.params["mass"]) * 2.0 * np.pi * float(config.params["nu0_hz"])
+    eta = factor * dynamics.Q2_DOSE_MAX * scale**2 / (8.0 * float(config.params["t_f_hi"]))
+    channels = [{"operator_tag": "q_squared", "eta": eta}]
+    if rejected:
+        with pytest.raises(ConfigError, match="params.mass: the q.2 noise dose"):
+            ExperimentConfig(experiment="ho_thermal", channels=channels)
+    else:
+        ExperimentConfig(experiment="ho_thermal", channels=channels)
 
 
 def test_cli_import_leaves_scipy_interpolate_out():

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from invariant_control import algebra, measures
 from invariant_control.constants import TWO_PI
 from invariant_control.errors import AllZeroStrengths, DegenerateSpectrum
-from invariant_control.protocols import make_tls_protocol
+from invariant_control.protocols import make_tls_dual_protocol, make_tls_protocol
 
 O_MAX = measures.O_MAX_TWO_LEVEL
 
@@ -72,6 +73,49 @@ def test_closed_form_O_x_depends_on_both_angles():
         lambda t: np.pi / 2 + 0.0 * t, lambda t: 0.0 * t, t_f
     )
     assert val == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 5, 401, 2001, 4001])
+def test_cached_simpson_rule_equals_scipy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for t_f in (1e-6, 3.7e-4, 1.0, 2.5e3, 1e5):
+        ts, rule = measures._simpson_rule(t_f, n)
+        x = np.linspace(0.0, t_f, n)
+        assert np.array_equal(ts, x)
+        assert measures._simpson_rule(t_f, n)[0] is ts  # built once per grid
+        assert not any(a.flags.writeable for a in (ts, *rule))
+        for _ in range(10):
+            y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+            assert measures._simpson(y, rule) == simpson(y, x=x)
+
+
+def test_closed_forms_equal_the_scipy_route():
+    # the route the cached rule replaced, kept as the oracle: same bits
+    t_f = 0.5e-3
+    proto = make_tls_dual_protocol(TWO_PI * 10e3, t_f, -0.5, 0.7)
+    ts = np.linspace(0.0, t_f, 4001)
+    g, b = proto.g_poly(ts), proto.b_poly(ts)
+    o_z = 2.0 * (np.abs(np.sin(g / 2)) + np.abs(np.cos(g / 2)) - 1.0)
+    cbsg = np.cos(b) * np.sin(g)
+    o_x = 2.0 * (np.sqrt((1.0 - cbsg) / 2.0) + np.sqrt((1.0 + cbsg) / 2.0) - 1.0)
+    assert measures.closed_form_O_z(proto.g_poly, t_f) == float(simpson(o_z, x=ts) / t_f)
+    assert measures.closed_form_A_z(proto.g_poly, t_f) == float(
+        simpson(np.abs(np.sin(g)), x=ts) / t_f)
+    assert measures.closed_form_O_x(proto.g_poly, proto.b_poly, t_f) == float(
+        simpson(o_x, x=ts) / t_f)
+
+
+@pytest.mark.parametrize("grid", [0, 1, 2, 4, 4000])
+def test_even_or_too_small_simpson_grid_raises(grid):
+    def flat(t):
+        return np.ones_like(t)
+
+    with pytest.raises(ValueError, match="odd number >= 3"):
+        measures.closed_form_O_z(flat, 1.0, grid=grid)
+    with pytest.raises(ValueError, match="odd number >= 3"):
+        measures.ho_overlap_Sn(flat, 0, 1.0, 1.0, 1.0, grid=grid)
+    with pytest.raises(ValueError, match="odd number >= 3"):
+        measures.average_power(flat, np.ones(max(grid, 1)), 1.0, 1.0, grid=grid)
 
 
 def test_weighted_average():

@@ -1,6 +1,8 @@
 """Protocol construction: boundary conditions, controls, families."""
 
 import importlib.util
+import sys
+import threading
 from math import comb
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from scipy.integrate import cumulative_simpson, quad, simpson
 from scipy.interpolate import CubicSpline
 
 from conftest import tls_fidelity
-from invariant_control import algebra, cli, optimize, protocols
+from invariant_control import algebra, cli, dynamics, optimize, protocols
 from invariant_control.constants import MASS_100_CA40, TWO_PI
 from invariant_control.errors import IllConditionedPhase, NonPositiveRho, NoRoot
 from invariant_control.polynomial import BoundaryPolynomial
@@ -138,6 +140,136 @@ def test_windowed_chain_flat_outside_window():
     np.testing.assert_array_equal(chain(ts, 1), 0.0)
 
 
+def _composed(chain, ts, order):
+    """chain(ts, order) composed step by step from _smoothstep_scalar."""
+    lo, hi = chain.window
+    val = np.clip((ts / chain.duration - lo) / (hi - lo), 0.0, 1.0)
+    der = np.ones_like(val)
+    for n in reversed(chain.orders):
+        der = der * _smoothstep_scalar(n, val, 1)
+        val = _smoothstep_scalar(n, val, 0)
+    return val if order == 0 else der * (1.0 / ((hi - lo) * chain.duration))
+
+
+def _counting_evaluate(monkeypatch):
+    """Record every chain the memo has to evaluate."""
+    seen = []
+    evaluate = SmoothstepChain._evaluate
+
+    def counting(self, t, order):
+        seen.append((self, order, len(t)))
+        return evaluate(self, t, order)
+
+    monkeypatch.setattr(SmoothstepChain, "_evaluate", counting)
+    return seen
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_memoized_chain_samples_equal_a_fresh_evaluation(order):
+    chain = SmoothstepChain(DEFAULT_STEEP_CHAIN, T_F, window=(0.05, 0.9))
+    ts = np.linspace(0.0, T_F, 1001)
+    first, again = chain(ts, order), chain(ts.copy(), order)
+    assert again is first  # equal samples hit
+    assert np.array_equal(first, chain._evaluate(ts, order))
+    assert np.array_equal(first, _composed(chain, ts, order))
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+
+
+def test_chain_memo_hits_only_equal_samples(monkeypatch):
+    seen = _counting_evaluate(monkeypatch)
+    ts = np.linspace(0.0, T_F, 801)
+    chain = SmoothstepChain((3, 3), T_F)
+    base = chain(ts)
+    # same size and ends, another interior
+    moved = ts.copy()
+    moved[400] += 0.25 * (ts[1] - ts[0])
+    assert np.array_equal(chain(moved), _composed(chain, moved, 0))
+    assert chain(moved)[400] != base[400]
+    # other windows, orders and durations on the same samples
+    others = [SmoothstepChain((3, 3), T_F, window=(0.0, 0.5)),
+              SmoothstepChain((3, 2), T_F), SmoothstepChain((3, 3), 2.0 * T_F)]
+    for other in others:
+        assert np.array_equal(other(ts), _composed(other, ts, 0))
+    assert np.array_equal(chain(ts, 1), _composed(chain, ts, 1))
+    assert chain(ts) is base
+    assert len(seen) == 6  # base, moved, three others, order 1: no collision
+
+
+def test_chain_memo_stays_within_its_bound():
+    memo = protocols._SampleMemo(max_bytes=64 * 1024)
+    chain = SmoothstepChain((3,), 1.0)
+    for n in range(1, 400, 7):
+        ts = np.linspace(0.0, 1.0, n)
+        assert np.array_equal(memo(chain, ts, 0), _composed(chain, ts, 0))
+        held = sum(len(key[-1]) + val.nbytes for key, val in memo._entries.items())
+        assert memo.nbytes == held <= memo.max_bytes
+    # the newest entry stays; one larger than the bound is returned, not held
+    assert memo(chain, ts, 0) is memo(chain, ts.copy(), 0)
+    big = np.linspace(0.0, 1.0, 5000)
+    out = memo(chain, big, 0)
+    assert np.array_equal(out, _composed(chain, big, 0)) and memo.nbytes <= memo.max_bytes
+    assert memo(chain, big, 0) is not out
+    assert protocols._chain_samples.nbytes <= protocols._chain_samples.max_bytes
+
+
+def test_chain_memo_shared_by_threads_keeps_its_count():
+    memo = protocols._SampleMemo(max_bytes=32 * 1024)
+    chains = [SmoothstepChain((3,), 1.0), SmoothstepChain((2, 3), 1.0)]
+    grids = [np.linspace(0.0, 1.0, n) for n in range(50, 450, 20)]
+    wrong = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            chain, ts = chains[rng.integers(2)], grids[rng.integers(len(grids))]
+            if not np.array_equal(memo(chain, ts, 0), _composed(chain, ts, 0)):
+                wrong.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and not wrong
+    held = sum(len(key[-1]) + val.nbytes for key, val in memo._entries.items())
+    assert memo.nbytes == held <= memo.max_bytes
+
+
+def test_dual_scan_samples_each_chain_once_per_grid(monkeypatch):
+    # a chain depends on (orders, duration, window) only: over a 9-cell
+    # tls_dual scan of the closed forms each one is sampled once on the grid
+    calls = []
+
+    def counting(n, u, order):
+        calls.append(n)
+        return step(n, u, order)
+
+    step = protocols._smoothstep_scalar
+    monkeypatch.setattr(protocols, "_smoothstep_scalar", counting)
+    monkeypatch.setattr(protocols, "_chain_samples", protocols._SampleMemo(4 << 20))
+    channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
+    family = ProtocolFamily("tls_dual", {"delta0": DELTA0}, T_F)
+    chains = set()
+
+    def cell(free):
+        proto = family.with_free(free).build()
+        for path in (proto.g_poly, proto.b_poly):
+            chains.update(p for w, p in zip(path.weights, path.paths) if w != 0.0)
+        return cli._tls_dual_measures(proto, None, channels)
+
+    rows = optimize.scan(cell, [[-1.0, 1.0], [0.0, 1.0]], [3, 3])
+    # base, steep, early = rise and late = fall: B's windows are G's
+    assert len(rows) == 9 and len(chains) == 4
+    assert len(calls) == sum(len(c.orders) for c in chains)
+
+
 def test_steep_blend_endpoints_and_midpoint():
     for g4 in (0.0, 0.5, 1.0):
         proto = make_tls_steep_protocol(DELTA0, T_F, g4)
@@ -229,6 +361,17 @@ def test_ho_omega_sq_dot_matches_finite_difference():
     h = 1e-7 * proto.t_f
     fd = (proto.omega_sq(ts + h) - proto.omega_sq(ts - h)) / (2.0 * h)
     np.testing.assert_allclose(proto.omega_sq_dot(ts), fd, rtol=1e-5, atol=1e-4 * np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("form", ["inverse_sqrt_poly", "sqrt_poly"])
+def test_ho_omega_sq_dot_equals_the_rho_derivative_route(form):
+    # one evaluation of P and its powers, the expressions of rho(t, k): same bits
+    omega0 = TWO_PI * 2.53e6
+    proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6, form=form, r_extra=(3.0,))
+    ts = np.linspace(0.0, proto.t_f, 401)
+    rho, r1, r2, r3 = (proto.rho(ts, k) for k in range(4))
+    old = -4.0 * omega0**2 * r1 / rho**5 - (r3 * rho - r2 * r1) / rho**2
+    assert np.array_equal(proto.omega_sq_dot(ts), old)
 
 
 def test_ho_rho_crossing_zero_raises():
