@@ -152,7 +152,8 @@ def _composed(chain, ts, order):
 
 
 def _counting_evaluate(monkeypatch):
-    """Record every chain the memo has to evaluate."""
+    """Record every chain an empty memo has to evaluate."""
+    monkeypatch.setattr(protocols, "_chain_samples", protocols._SampleMemo(4 << 20))
     seen = []
     evaluate = SmoothstepChain._evaluate
 
