@@ -235,21 +235,26 @@ def _fock_rhs(protocol: HoProtocol, channel: NoiseChannel, q, p):
     """Right-hand side -eta [X, [X, rho]] of a Fock run, X = q_H or q_H^2,
     q_H = fq q + fp p. With x = sqrt(eta) X (folded into fq, fp) and
     Hermitian rho, c = x rho - (x rho)^H is [x, rho], and y + y^H with
-    y = c x is -[x, [x, rho]], Hermitian to the last bit."""
+    y = c x is -[x, [x, rho]], Hermitian to the last bit. x is filled in
+    place on the band where q or p is nonzero, and the Hermitian parts are
+    taken in place."""
     squared = channel.operator_tag == "q_squared"
     scale = channel.eta ** (0.25 if squared else 0.5)
+    band = (q != 0) | (p != 0)
+    q_band, p_band = q[band], p[band]
+    x = np.zeros_like(q)
 
     def rhs(t, rho):
         if scale == 0.0:
             return np.zeros_like(rho)
         fq, fp, _, _ = protocol.heisenberg_coeffs(t)
-        x = (scale * fq) * q + (scale * fp) * p
-        if squared:
-            x = x @ x
-        c = x @ rho
-        c = c - c.conj().T
-        y = c @ x
-        return y + y.conj().T
+        x[band] = (scale * fq) * q_band + (scale * fp) * p_band
+        xx = x @ x if squared else x
+        c = xx @ rho
+        c -= c.conj().T
+        y = c @ xx
+        y += y.conj().T
+        return y
 
     return rhs
 

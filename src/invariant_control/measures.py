@@ -247,22 +247,33 @@ def average_power(omega_sq_dot, qq, mass: float, t_f: float,
 # two-channel landscape
 
 
-def two_channel_landscape(p: float, n_theta: int = 181, n_phi: int = 361):
-    """Weighted overlap sum over a parametrized measurement basis.
-
-    For a fixed invariant direction parametrized by polar angles
-    (theta, phi), the weighted sum p * (sum for sigma_z) + (1 - p) *
-    (sum for sigma_x) is evaluated on a grid; returns a dict with the
-    surface, the grid minimum/argmin and maximum.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("weight p must lie in [0, 1]")
+@lru_cache(maxsize=4)
+def _landscape_surfaces(n_theta: int, n_phi: int):
+    """(theta, phi, sum_z, sum_x) of two_channel_landscape, read-only: the
+    sigma_z and sigma_x overlap sums on the grid do not depend on the weight."""
     theta = np.linspace(0.0, np.pi, n_theta)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi)
     th, ph = np.meshgrid(theta, phi, indexing="ij")
     sum_z = 2.0 * (np.abs(np.sin(th / 2)) + np.abs(np.cos(th / 2)))
     cps = np.cos(ph) * np.sin(th)
     sum_x = 2.0 * (np.sqrt((1.0 - cps) / 2.0) + np.sqrt((1.0 + cps) / 2.0))
+    for a in (theta, phi, sum_z, sum_x):
+        a.flags.writeable = False
+    return theta, phi, sum_z, sum_x
+
+
+def two_channel_landscape(p: float, n_theta: int = 181, n_phi: int = 361):
+    """Weighted overlap sum over a parametrized measurement basis.
+
+    For a fixed invariant direction parametrized by polar angles
+    (theta, phi), the weighted sum p * (sum for sigma_z) + (1 - p) *
+    (sum for sigma_x) is evaluated on a grid; returns a dict with the
+    surface, the grid minimum/argmin and maximum. The grid and the two sums
+    are cached per grid size, so "theta" and "phi" are read-only.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("weight p must lie in [0, 1]")
+    theta, phi, sum_z, sum_x = _landscape_surfaces(n_theta, n_phi)
     w = p * sum_z + (1.0 - p) * sum_x
     imin = np.unravel_index(np.argmin(w), w.shape)
     imax = np.unravel_index(np.argmax(w), w.shape)

@@ -9,6 +9,7 @@ constraint solve stays well conditioned for microsecond-scale durations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -37,36 +38,66 @@ class BoundaryPolynomial:
     free_values: tuple[float, ...] = ()
     _derivs: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def _scaled_coeffs(self, order: int) -> np.ndarray:
-        """Coefficients in s of the order-th derivative; order -1 is the
-        antiderivative that vanishes at 0."""
+    def _scaled_coeffs(self, order: int) -> tuple[float, ...]:
+        """Coefficients in s of the order-th derivative, as Python floats;
+        order -1 is the antiderivative that vanishes at 0."""
         if order not in self._derivs:
-            self._derivs[order] = (npoly.polyint(self.coefficients) if order == -1
-                                   else npoly.polyder(self.coefficients, order))
+            self._derivs[order] = tuple(
+                (npoly.polyint(self.coefficients) if order == -1
+                 else npoly.polyder(self.coefficients, order)).tolist())
         return self._derivs[order]
+
+    @staticmethod
+    def _horner(c, s):
+        # npoly.polyval's own recurrence, so scalars stay Python floats and
+        # arrays get the same operations bit for bit
+        acc = c[-1] + s * 0
+        for ci in c[-2::-1]:
+            acc = ci + acc * s
+        return acc
+
+    def _scaled_time(self, t):
+        if isinstance(t, float):
+            return t / self.duration
+        return np.asarray(t, dtype=float) / self.duration
 
     def __call__(self, t, order: int = 0):
         """Evaluate the order-th physical-time derivative at t."""
-        s = np.asarray(t, dtype=float) / self.duration
-        c = self._scaled_coeffs(order)
-        return npoly.polyval(s, c) / self.duration**order
+        return self._horner(self._scaled_coeffs(order), self._scaled_time(t)) / self.duration**order
 
     def antiderivative_at(self, t) -> np.ndarray:
         """Exact integral of the polynomial from 0 to t."""
-        s = np.asarray(t, dtype=float) / self.duration
-        return npoly.polyval(s, self._scaled_coeffs(-1)) * self.duration
+        return self._horner(self._scaled_coeffs(-1), self._scaled_time(t)) * self.duration
 
 
-def _constraint_row(c: Constraint, degree: int, duration: float) -> np.ndarray:
+def _constraint_row(s: float, order: int, degree: int) -> np.ndarray:
     # row of the linear system in the scaled variable s = t / duration; the
     # right-hand side is scaled by duration**order instead, keeping the
     # matrix O(1) for any physical duration
-    s = c.time / duration
     row = np.zeros(degree + 1)
-    for j in range(c.order, degree + 1):
-        fac = factorial(j) / factorial(j - c.order)
-        row[j] = fac * s ** (j - c.order)
+    for j in range(order, degree + 1):
+        fac = factorial(j) / factorial(j - order)
+        row[j] = fac * s ** (j - order)
     return row
+
+
+@lru_cache(maxsize=128)
+def _constraint_system(scaled: tuple, degree: int, free_indices: tuple):
+    """(rows of the free coefficients, matrix of the solved ones, their
+    indices), read-only, for the constraints scaled = ((t / duration, order),
+    ...). Raises SingularInterpolation for a rank-deficient matrix; an
+    exception is not cached, so every solve of that system raises."""
+    solved = np.array([j for j in range(degree + 1) if j not in free_indices], dtype=int)
+    rows = np.array([_constraint_row(s, order, degree) for s, order in scaled])
+    a = rows[:, solved]
+    if np.linalg.matrix_rank(a) < len(solved):
+        raise SingularInterpolation(
+            "constraint system is singular (degenerate constraint times?)"
+        )
+    free_rows = rows[:, list(free_indices)]
+    for arr in (free_rows, a, solved):
+        arr.flags.writeable = False
+    return free_rows, a, solved
 
 
 def solve_boundary_polynomial(
@@ -79,7 +110,9 @@ def solve_boundary_polynomial(
     """Solve for the constrained coefficients of a degree-`degree` polynomial.
 
     The number of constraints plus free coefficients must equal degree + 1.
-    Free coefficients default to the highest-degree slots.
+    Free coefficients default to the highest-degree slots. The matrix depends
+    only on the scaled constraint times and orders, so it is built and
+    checked once per system (_constraint_system) and solved per call.
     """
     constraints = tuple(
         c if isinstance(c, Constraint) else Constraint(*c) for c in constraints
@@ -102,21 +135,16 @@ def solve_boundary_polynomial(
     if duration <= 0:
         raise ValueError("polynomial duration must be positive")
 
-    solved_indices = [j for j in range(degree + 1) if j not in free_indices]
-    rows = np.array([_constraint_row(c, degree, duration) for c in constraints])
+    free_rows, a, solved = _constraint_system(
+        tuple((c.time / duration, c.order) for c in constraints), degree, free_indices)
     rhs = np.array(
         [c.value * duration**c.order for c in constraints], dtype=float
     )
     if n_free:
-        rhs = rhs - rows[:, list(free_indices)] @ np.asarray(free_values)
-    a = rows[:, solved_indices]
-    if np.linalg.matrix_rank(a) < len(solved_indices):
-        raise SingularInterpolation(
-            "constraint system is singular (degenerate constraint times?)"
-        )
+        rhs = rhs - free_rows @ np.asarray(free_values)
     sol = np.linalg.solve(a, rhs)
     coeffs = np.zeros(degree + 1)
-    coeffs[solved_indices] = sol
+    coeffs[solved] = sol
     for idx, val in zip(free_indices, free_values):
         coeffs[idx] = val
     return BoundaryPolynomial(

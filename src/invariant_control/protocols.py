@@ -253,15 +253,34 @@ class SmoothstepChain:
         raise ValueError("chain derivatives implemented up to order 1")
 
 
+class _Samples:
+    """The bytes of a float64 sample array as a memo key: hashed by its first
+    and last samples only and equal only to bit-identical bytes, so a lookup
+    hashes 16 bytes and compares the rest once, and samples with equal ends
+    but other interiors are distinct keys."""
+
+    __slots__ = ("data", "_hash")
+
+    def __init__(self, t: np.ndarray):
+        self.data = t.tobytes()
+        self._hash = hash((self.data[:8], self.data[-8:]))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self.data == other.data
+
+
 class _SampleMemo:
     """Least-recently-used memo of read-only chain samples, bounded in bytes.
 
     A chain depends only on (orders, duration, window), while the free
     coefficients of a family enter only the PathCombo weights, so a scan
     samples the same chains on the same grid in every cell. An entry is keyed
-    by the chain, the order and the bytes of the samples t, so only equal
-    samples hit; it counts the bytes of its key and its value, and the memo
-    drops its oldest entries to hold at most max_bytes. A lock keeps the
+    by the chain, the order, the shape and the _Samples of t, so only equal
+    samples hit; it counts the bytes of the samples and of its value, and the
+    memo drops its oldest entries to hold at most max_bytes. A lock keeps the
     entries and their byte count consistent when threads share the memo.
     """
 
@@ -272,7 +291,7 @@ class _SampleMemo:
         self._lock = Lock()
 
     def __call__(self, chain: SmoothstepChain, t: np.ndarray, order: int) -> np.ndarray:
-        key = (chain, order, t.shape, t.tobytes())
+        key = (chain, order, t.shape, _Samples(t))
         with self._lock:
             val = self._entries.get(key)
             if val is not None:
@@ -285,7 +304,7 @@ class _SampleMemo:
                 self.nbytes += t.nbytes + val.nbytes
                 while self.nbytes > self.max_bytes:
                     (*_, old_t), old = self._entries.popitem(last=False)
-                    self.nbytes -= len(old_t) + old.nbytes
+                    self.nbytes -= len(old_t.data) + old.nbytes
             return val
 
 
@@ -539,9 +558,10 @@ class HoProtocol:
 
         Returns (fq, fp, gq, gp) with q_H = fq q + fp p and p_H = gq q + gp p;
         built from the classical solutions rho cos(theta), rho sin(theta) of
-        the trap equation of motion.
+        the trap equation of motion. A scalar t stays a Python float, so the
+        Fock right-hand side takes no 0-d array arithmetic.
         """
-        t = np.asarray(t, dtype=float)
+        t = float(t) if isinstance(t, float) else np.asarray(t, dtype=float)
         # rho(t) and rho(t, 1) from one evaluation of P, in their expressions
         a = self._power
         p = self.inner(t)

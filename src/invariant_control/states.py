@@ -78,10 +78,14 @@ class GaussianMoments:
 
 
 def _psd_eigh(rho: np.ndarray):
+    """Eigenpairs of a PSD matrix, eigenvalues below d eps lambda_max set to
+    0: those are roundoff, and their square roots would add up to ~1e-8 to
+    a fidelity of a near-pure state."""
     vals, vecs = np.linalg.eigh(np.asarray(rho, dtype=complex))
     if vals[0] < -1e-6:
         raise NonPSDInput(f"eigenvalue {vals[0]:.3e} below -1e-6")
-    return np.clip(vals, 0.0, None), vecs
+    floor = len(vals) * np.finfo(float).eps * max(vals[-1], 0.0)
+    return np.where(vals < floor, 0.0, vals), vecs
 
 
 def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

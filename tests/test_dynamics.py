@@ -390,6 +390,47 @@ def test_fock_run_matches_five_product_route():
     assert np.max(np.abs(traj.rhos[-1] - traj.rhos[0])) > 1e-3  # the noise acts
 
 
+def _full_matrix_fock_rhs(protocol, channel, q, p):
+    """The Fock right-hand side on full matrices: x = fq q + fp p from
+    Heisenberg coefficients of a 0-d array, new arrays for the Hermitian
+    parts. The oracle of the in-place band fill of _fock_rhs."""
+    squared = channel.operator_tag == "q_squared"
+    scale = channel.eta ** (0.25 if squared else 0.5)
+
+    def rhs(t, rho):
+        fq, fp, _, _ = protocol.heisenberg_coeffs(np.asarray(t))
+        x = (scale * fq) * q + (scale * fp) * p
+        if squared:
+            x = x @ x
+        c = x @ rho
+        c = c - c.conj().T
+        y = c @ x
+        return y + y.conj().T
+
+    return rhs
+
+
+@pytest.mark.parametrize("tag, eta", [("q", 10.0), ("q_squared", 0.1)])
+def test_fock_run_equals_the_full_matrix_rhs(tag, eta):
+    # the band fill, Python-float coefficients and in-place Hermitian parts
+    # change no bit of a d = 40 run
+    omega0 = TWO_PI * 15.92e6
+    proto = constrain_g_phase(omega0, omega0 / 100.0, 0.505 * 5e-6, t_f=5e-6, r6=-10.0)
+    d, channel = 40, dynamics.NoiseChannel(tag, eta)
+
+    def initial_state(dim):
+        return states.coherent_state(1.0 + 1.0j, omega0, proto.mass, "fock", dim)
+
+    ts = [0.0, proto.t_f]
+    rhos = dynamics._integrate_ho_fixed_dim(proto, initial_state, channel, ts, d, 1e-9, 1e-12)
+    q, p, _ = dynamics.fock_operators(d, proto.mass, omega0)
+    rho0 = initial_state(d)
+    ref = dynamics._rk45_matrix(_full_matrix_fock_rhs(proto, channel, q, p),
+                                0.5 * (rho0 + rho0.conj().T), ts, 1e-9, 1e-12)
+    assert np.array_equal(rhos[-1], ref[-1])
+    assert np.max(np.abs(rhos[-1] - rhos[0])) > 1e-6  # the noise acts
+
+
 @pytest.mark.parametrize(
     "t_f, r6, eta", [(20e-6, 0.0, 0.0), (20e-6, -10.0, 10.0), (50e-6, 5.0, 10.0)]
 )

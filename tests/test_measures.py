@@ -175,3 +175,23 @@ def test_two_channel_landscape_extremes():
         assert out["maximum"] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-12)
     with pytest.raises(ValueError):
         measures.two_channel_landscape(1.5)
+
+
+def test_two_channel_landscape_equals_a_fresh_computation():
+    # the cached p-independent surfaces give the uncached surface bit for bit
+    for n_theta, n_phi in ((181, 361), (19, 37), (2, 5)):
+        theta = np.linspace(0.0, np.pi, n_theta)
+        phi = np.linspace(0.0, 2.0 * np.pi, n_phi)
+        th, ph = np.meshgrid(theta, phi, indexing="ij")
+        cps = np.cos(ph) * np.sin(th)
+        for p in (0.0, 0.3, 0.5, 0.77, 1.0):
+            w = (p * 2.0 * (np.abs(np.sin(th / 2)) + np.abs(np.cos(th / 2)))
+                 + (1.0 - p) * 2.0 * (np.sqrt((1.0 - cps) / 2.0) + np.sqrt((1.0 + cps) / 2.0)))
+            out = measures.two_channel_landscape(p, n_theta, n_phi)
+            assert np.array_equal(out["surface"], w)
+            assert np.array_equal(out["theta"], theta) and np.array_equal(out["phi"], phi)
+            assert out["minimum"] == w.min() and out["maximum"] == w.max()
+            imin = np.unravel_index(np.argmin(w), w.shape)
+            assert out["argmin"] == (theta[imin[0]], phi[imin[1]])
+            assert not out["theta"].flags.writeable and not out["phi"].flags.writeable
+            assert out["surface"].flags.writeable  # a fresh array per call

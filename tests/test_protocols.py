@@ -204,7 +204,7 @@ def test_chain_memo_stays_within_its_bound():
     for n in range(1, 400, 7):
         ts = np.linspace(0.0, 1.0, n)
         assert np.array_equal(memo(chain, ts, 0), _composed(chain, ts, 0))
-        held = sum(len(key[-1]) + val.nbytes for key, val in memo._entries.items())
+        held = sum(len(key[-1].data) + val.nbytes for key, val in memo._entries.items())
         assert memo.nbytes == held <= memo.max_bytes
     # the newest entry stays; one larger than the bound is returned, not held
     assert memo(chain, ts, 0) is memo(chain, ts.copy(), 0)
@@ -239,7 +239,7 @@ def test_chain_memo_shared_by_threads_keeps_its_count():
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads) and not wrong
-    held = sum(len(key[-1]) + val.nbytes for key, val in memo._entries.items())
+    held = sum(len(key[-1].data) + val.nbytes for key, val in memo._entries.items())
     assert memo.nbytes == held <= memo.max_bytes
 
 

@@ -59,9 +59,29 @@ def test_uhlmann_fidelity_pure_state_overlap():
         v /= np.linalg.norm(v)
         w /= np.linalg.norm(w)
         f = states.uhlmann_fidelity(np.outer(v, v.conj()), np.outer(w, w.conj()))
-        # roundoff eigenvalues of the rank-one product limit the accuracy
-        # to about sqrt(machine epsilon)
-        assert f == pytest.approx(abs(v.conj() @ w), abs=1e-7)
+        assert f == pytest.approx(abs(v.conj() @ w), abs=1e-13)
+
+
+@pytest.mark.parametrize("near_pure", [False, True])
+def test_uhlmann_fidelity_of_a_pure_target_has_no_roundoff_floor(near_pure):
+    # F(rho, |psi><psi|) = sqrt(<psi|rho|psi>): the eigenvalues of the
+    # rank-one sqrt(rho) sigma sqrt(rho) other than the top one are roundoff,
+    # and their square roots must not add up
+    rng = np.random.default_rng(29)
+    d = 40
+    for _ in range(5):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = a @ a.conj().T
+        if near_pure:  # like a Fock-run final state: one large eigenvalue
+            v = a[:, 0] / np.linalg.norm(a[:, 0])
+            rho = np.outer(v, v.conj()) + 1e-6 * rho / np.trace(rho).real
+        rho = rho / np.trace(rho).real
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
+        if near_pure:
+            psi = (psi + 5.0 * v) / np.linalg.norm(psi + 5.0 * v)
+        f = states.uhlmann_fidelity(rho, np.outer(psi, psi.conj()))
+        assert abs(f - np.sqrt((psi.conj() @ rho @ psi).real)) <= 1e-13
 
 
 def test_uhlmann_fidelity_identity_and_symmetry():
