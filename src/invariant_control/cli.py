@@ -22,7 +22,7 @@ import hashlib
 import json
 import numbers
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -568,31 +568,30 @@ def _parser():
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The run's config, built once from the --config file (or the
+    experiment's defaults) after the figure, --out and --grid are applied."""
+    data = {"experiment": getattr(args, "experiment", None)}
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        config = ExperimentConfig.from_json(path.read_text())
-    else:
-        experiment = getattr(args, "experiment", None)
-        if args.verb == "reproduce":
-            experiment = _FIGURES[args.figure]
-        if experiment is None:
-            raise ConfigError("need --config or --experiment")
-        config = ExperimentConfig(experiment=experiment)
-    if args.out:
-        config.out_dir = args.out
-    if args.grid is not None:
-        config.scan["sizes"] = [args.grid] * len(config.scan["sizes"])
-    config._validate()
+        data = ExperimentConfig.from_json(path.read_text()).to_dict()
     if args.verb == "reproduce":
         # the figure's defaults win over a config of another experiment
         experiment = _FIGURES[args.figure]
-        reset = ({} if experiment == config.experiment
-                 else {"params": {}, "channels": [], "scan": {}})
-        basename = args.figure if config.basename is None else config.basename
-        config = replace(config, experiment=experiment, basename=basename, **reset)
-    return config
+        if data["experiment"] != experiment:
+            data = {"experiment": experiment, "out_dir": data.get("out_dir", "."),
+                    "basename": data.get("basename")}
+        if data["basename"] is None:
+            data["basename"] = args.figure
+    if data["experiment"] is None:
+        raise ConfigError("need --config or --experiment")
+    if args.out:
+        data["out_dir"] = args.out
+    if args.grid is not None:
+        scan = copy.deepcopy(data.get("scan") or _EXPERIMENTS[data["experiment"]].defaults["scan"])
+        data["scan"] = {**scan, "sizes": [args.grid] * len(scan["sizes"])}
+    return ExperimentConfig(**data)
 
 
 def main(argv=None) -> int:

@@ -259,6 +259,10 @@ def _fock_rhs(protocol: HoProtocol, channel: NoiseChannel, q, p):
     return rhs
 
 
+#: largest truncation the Fock oracle doubles to
+_FOCK_MAX_DIM = 512
+
+
 def _integrate_ho_fixed_dim(protocol, rho0_builder, channel, t_eval, d, rtol, atol):
     q, p, _ = fock_operators(d, protocol.mass, protocol.omega0)
     rho0 = np.asarray(rho0_builder(d), dtype=complex)
@@ -274,7 +278,6 @@ def integrate_ho_master(
     dim: int | None = None,
     rtol: float = 1e-9,
     atol: float = 1e-12,
-    max_dim: int = 512,
 ) -> HoFockTrajectory:
     """Integrate an oscillator run in the truncated Fock basis.
 
@@ -286,8 +289,8 @@ def integrate_ho_master(
     bit, so the RK45 stages stay Hermitian; its oracle is lindblad_rhs's
     five-product _double_commutator. Unless dim fixes it, the
     truncation starts at 40 levels and doubles until the top two levels stay
-    below 1e-8 population, warning with TruncationWarning if max_dim is
-    reached first.
+    below 1e-8 population, warning with TruncationWarning if
+    _FOCK_MAX_DIM is reached first.
     """
     if channel.operator_tag not in OSC_TAGS:
         raise UnsupportedChannel("oscillator integrator needs a q or q^2 channel")
@@ -306,7 +309,7 @@ def integrate_ho_master(
         top = max(top, float(np.max(np.real(rhos[:, -1, -1] + rhos[:, -2, -2]))))
         if top < 1e-8:
             return HoFockTrajectory(protocol, t_eval, rhos, d)
-        if dim is not None or 2 * d > max_dim:
+        if dim is not None or 2 * d > _FOCK_MAX_DIM:
             warnings.warn(
                 f"population {top:.2e} on the top two of {d} Fock levels",
                 TruncationWarning,

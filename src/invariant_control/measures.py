@@ -10,11 +10,10 @@ two-channel landscape and the average power complete the set.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from math import factorial
+from math import erf, factorial, sqrt
 
 import numpy as np
 from numpy.polynomial.hermite import hermroots
-from scipy.integrate import quad, simpson
 
 from .errors import (
     AllZeroStrengths,
@@ -41,6 +40,8 @@ __all__ = [
 
 #: tight upper bound of sum |S_ij| - n for n = 2
 O_MAX_TWO_LEVEL = 2.0 * np.sqrt(2.0) - 2.0
+#: measure_A raises ZeroNormalizer below this int ||X I|| dt
+_NORM_FLOOR = 1e-300
 
 
 def overlap_matrix(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
@@ -68,23 +69,22 @@ def measure_O(invariant_path, x: np.ndarray, t_f: float, grid: int = 2001) -> fl
     invariant_path is a callable t -> Hermitian matrix. The direct route
     that checks the closed forms (closed_form_O_z on a protocol's invariant).
     """
-    ts = np.linspace(0.0, t_f, grid)
+    ts, rule = _simpson_rule(t_f, grid)
     mats = [np.asarray(invariant_path(t), dtype=complex) for t in ts]
     x = np.asarray(x, dtype=complex)
     _, x_vecs = np.linalg.eigh(x)
     scale = max(np.max(np.abs(m)) for m in mats)
     vals = np.array([_excess_overlap(m, x_vecs, 1e-10 * scale) for m in mats])
-    return float(simpson(vals, x=ts) / t_f)
+    return float(_simpson(vals, rule) / t_f)
 
 
-def measure_A(invariant_path, x: np.ndarray, t_f: float, grid: int = 2001,
-              norm_floor: float = 1e-300) -> float:
+def measure_A(invariant_path, x: np.ndarray, t_f: float, grid: int = 2001) -> float:
     """Commutator measure A = int ||[X, I]|| dt / (2 int ||X I|| dt) (Frobenius).
 
     The direct route that checks closed_form_A_z and the closed-form limits
     A = 1 (anticommuting pair) and A = 0 (commuting pair).
     """
-    ts = np.linspace(0.0, t_f, grid)
+    ts, rule = _simpson_rule(t_f, grid)
     mats = [np.asarray(invariant_path(t), dtype=complex) for t in ts]
     x = np.asarray(x, dtype=complex)
     comm = np.empty(grid)
@@ -93,14 +93,14 @@ def measure_A(invariant_path, x: np.ndarray, t_f: float, grid: int = 2001,
         xm = x @ m
         comm[i] = np.linalg.norm(xm - m @ x)
         prod[i] = np.linalg.norm(xm)
-    denom = 2.0 * simpson(prod, x=ts)
-    if denom < norm_floor:
+    denom = 2.0 * _simpson(prod, rule)
+    if denom < _NORM_FLOOR:
         raise ZeroNormalizer("int ||X I|| dt vanishes")
-    return float(simpson(comm, x=ts) / denom)
+    return float(_simpson(comm, rule) / denom)
 
 
 # ---------------------------------------------------------------------------
-# Simpson rule of the closed forms, S_n and the average power
+# Simpson rule of the measures, S_n and the average power
 
 
 @lru_cache(maxsize=16)
@@ -187,24 +187,27 @@ def weighted_average(measures, strengths) -> float:
 
 @cache
 def hermite_abs_integral(n: int) -> float:
-    """J_n = int exp(-y^2/2) |H_n(y)| dy, splitting at the Hermite roots.
+    """J_n = int exp(-y^2/2) |H_n(y)| dy, exactly.
 
-    Cached: J_n depends on n alone, and every S_n evaluation reads it.
+    H_n keeps its sign between consecutive roots, so J_n sums |F_n(b) -
+    F_n(a)| over those intervals, with F_n the antiderivative of
+    exp(-y^2/2) H_n: F_n = -2 exp(-y^2/2) H_(n-1) + 2 (n-1) F_(n-2),
+    F_0 = sqrt(pi/2) erf(y/sqrt(2)). The outer ends sit at +-(sqrt(2n+1) +
+    12), where the tails are far below roundoff. Cached: J_n depends on n
+    alone, and every S_n evaluation reads it.
     """
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
-    roots = np.sort(hermroots(coeffs).real) if n > 0 else np.array([])
-
-    def f(y):
-        return np.exp(-0.5 * y * y) * abs(np.polynomial.hermite.hermval(y, coeffs))
-
-    edge = np.sqrt(2.0 * n + 1.0) + 12.0
-    pts = np.concatenate(([-edge], roots, [edge]))
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        val, _ = quad(f, lo, hi, limit=200)
-        total += val
-    return total
+    roots = np.sort(hermroots(coeffs).real) if n > 0 else []
+    edge = sqrt(2.0 * n + 1.0) + 12.0
+    y = np.array([-edge, *roots, edge])
+    gauss = np.exp(-0.5 * y * y)
+    f = [sqrt(0.5 * np.pi) * np.array([erf(v / sqrt(2.0)) for v in y])]  # F_0
+    h_prev, h = np.zeros_like(y), np.ones_like(y)  # H_(k-2), H_(k-1)
+    for k in range(1, n + 1):
+        f.append(-2.0 * gauss * h + (2.0 * (k - 1) * f[k - 2] if k > 1 else 0.0))
+        h_prev, h = h, 2.0 * y * h - 2.0 * (k - 1) * h_prev
+    return float(np.sum(np.abs(np.diff(f[n]))))
 
 
 def ho_overlap_Sn(rho_path, n: int, mass: float, omega0: float, t_f: float,

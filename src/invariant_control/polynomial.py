@@ -82,71 +82,56 @@ def _constraint_row(s: float, order: int, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _constraint_system(scaled: tuple, degree: int, free_indices: tuple):
-    """(rows of the free coefficients, matrix of the solved ones, their
-    indices), read-only, for the constraints scaled = ((t / duration, order),
-    ...). Raises SingularInterpolation for a rank-deficient matrix; an
-    exception is not cached, so every solve of that system raises."""
-    solved = np.array([j for j in range(degree + 1) if j not in free_indices], dtype=int)
-    rows = np.array([_constraint_row(s, order, degree) for s, order in scaled])
-    a = rows[:, solved]
-    if np.linalg.matrix_rank(a) < len(solved):
+def _constraint_system(scaled: tuple, degree: int, n_free: int):
+    """(rows of the free coefficients, matrix of the solved ones), read-only,
+    for the constraints scaled = ((t / duration, order), ...) with the top
+    n_free coefficients free. Raises SingularInterpolation for a
+    rank-deficient matrix; an exception is not cached, so every solve of
+    that system raises."""
+    # column-major: the product and the solve then see Fortran-ordered column
+    # blocks, the layout whose operation order every pinned figure comes from
+    rows = np.array([_constraint_row(s, order, degree) for s, order in scaled], order="F")
+    n_solved = degree + 1 - n_free
+    free_rows, a = rows[:, n_solved:], rows[:, :n_solved]
+    if np.linalg.matrix_rank(a) < n_solved:
         raise SingularInterpolation(
             "constraint system is singular (degenerate constraint times?)"
         )
-    free_rows = rows[:, list(free_indices)]
-    for arr in (free_rows, a, solved):
+    for arr in (free_rows, a):
         arr.flags.writeable = False
-    return free_rows, a, solved
+    return free_rows, a
 
 
 def solve_boundary_polynomial(
     constraints,
     degree: int,
     free_values=(),
-    free_indices=None,
     duration: float | None = None,
 ) -> BoundaryPolynomial:
     """Solve for the constrained coefficients of a degree-`degree` polynomial.
 
-    The number of constraints plus free coefficients must equal degree + 1.
-    Free coefficients default to the highest-degree slots. The matrix depends
+    The number of constraints plus free coefficients must equal degree + 1;
+    the free coefficients take the highest-degree slots. The matrix depends
     only on the scaled constraint times and orders, so it is built and
     checked once per system (_constraint_system) and solved per call.
     """
-    constraints = tuple(
-        c if isinstance(c, Constraint) else Constraint(*c) for c in constraints
-    )
-    free_values = tuple(float(v) for v in np.atleast_1d(free_values)) \
-        if len(np.atleast_1d(free_values)) else ()
-    n_con = len(constraints)
+    constraints = tuple(constraints)
+    free_values = tuple(float(v) for v in free_values)
     n_free = len(free_values)
-    if n_con + n_free != degree + 1:
+    if len(constraints) + n_free != degree + 1:
         raise ValueError(
             f"degree {degree} needs {degree + 1} conditions, got "
-            f"{n_con} constraints + {n_free} free values"
+            f"{len(constraints)} constraints + {n_free} free values"
         )
-    if free_indices is None:
-        free_indices = tuple(range(degree + 1 - n_free, degree + 1))
-    else:
-        free_indices = tuple(free_indices)
     if duration is None:
         duration = max(c.time for c in constraints)
     if duration <= 0:
         raise ValueError("polynomial duration must be positive")
 
-    free_rows, a, solved = _constraint_system(
-        tuple((c.time / duration, c.order) for c in constraints), degree, free_indices)
-    rhs = np.array(
-        [c.value * duration**c.order for c in constraints], dtype=float
-    )
+    free_rows, a = _constraint_system(
+        tuple((c.time / duration, c.order) for c in constraints), degree, n_free)
+    rhs = np.array([c.value * duration**c.order for c in constraints], dtype=float)
     if n_free:
         rhs = rhs - free_rows @ np.asarray(free_values)
-    sol = np.linalg.solve(a, rhs)
-    coeffs = np.zeros(degree + 1)
-    coeffs[solved] = sol
-    for idx, val in zip(free_indices, free_values):
-        coeffs[idx] = val
-    return BoundaryPolynomial(
-        coefficients=coeffs, duration=duration, free_values=free_values
-    )
+    coeffs = np.concatenate((np.linalg.solve(a, rhs), free_values))
+    return BoundaryPolynomial(coefficients=coeffs, duration=duration, free_values=free_values)

@@ -93,7 +93,6 @@ class TlsProtocol:
     g_poly: BoundaryPolynomial
     b_poly: BoundaryPolynomial
     omega_r: float
-    delta0: float
     t_f: float
 
     def controls(self, t):
@@ -164,9 +163,7 @@ def make_tls_protocol(delta0: float, t_f: float, g_extra=(), b_spec: BSpec | Non
         t_f, b_spec.b0, b_spec.bf, b_spec.b0_dot, b_spec.bf_dot,
         b_spec.extra, b_spec.pins,
     )
-    return TlsProtocol(
-        g_poly=g_poly, b_poly=b_poly, omega_r=delta0, delta0=delta0, t_f=t_f
-    )
+    return TlsProtocol(g_poly=g_poly, b_poly=b_poly, omega_r=delta0, t_f=t_f)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +318,6 @@ class PathCombo:
     constant: float
     weights: tuple[float, ...]
     paths: tuple
-    duration: float
-    free_values: tuple[float, ...] = ()
 
     def __call__(self, t, order: int = 0):
         t = np.asarray(t, dtype=float)
@@ -334,85 +329,59 @@ class PathCombo:
 
 
 DEFAULT_STEEP_CHAIN = (3, 3, 3, 3)
+#: width of each tls_dual edge window, relative to t_f, where the plateau
+#: family's G steps onto and off the equator and B dips and recovers
+_DUAL_WINDOW = 0.12
+#: deepest tls_dual B dip, as a fraction of pi/2: sin(B) stays >= sin(0.05 pi/2)
+_DUAL_MAX_DIP = 0.95
 
 
-def make_tls_steep_protocol(
-    delta0: float, t_f: float, g4: float, chain=DEFAULT_STEEP_CHAIN
-) -> TlsProtocol:
+def make_tls_steep_protocol(delta0: float, t_f: float, g4: float) -> TlsProtocol:
     """Inversion protocol blending the cubic ramp toward a steep-step G.
 
     g4 = 0 is the standard cubic protocol; g4 = 1 crosses the equator at the
-    full steepness of the composed smoothstep chain; values beyond 1
-    extrapolate along the same ray. B stays at pi/2.
+    full steepness of the composed smoothstep chain DEFAULT_STEEP_CHAIN;
+    values beyond 1 extrapolate along the same ray. B stays at pi/2.
     """
     base = SmoothstepChain((1,), t_f)
-    steep = SmoothstepChain(tuple(chain), t_f)
-    g_path = PathCombo(
-        constant=np.pi,
-        weights=(-np.pi * (1.0 - g4), -np.pi * g4),
-        paths=(base, steep),
-        duration=t_f,
-        free_values=(float(g4),),
-    )
-    b_path = PathCombo(np.pi / 2, (), (), t_f)
-    return TlsProtocol(
-        g_poly=g_path, b_poly=b_path, omega_r=delta0, delta0=delta0, t_f=t_f
-    )
+    steep = SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f)
+    g_path = PathCombo(np.pi, (-np.pi * (1.0 - g4), -np.pi * g4), (base, steep))
+    return TlsProtocol(g_poly=g_path, b_poly=PathCombo(np.pi / 2, (), ()),
+                       omega_r=delta0, t_f=t_f)
 
 
-def make_tls_dual_protocol(
-    delta0: float,
-    t_f: float,
-    shape: float,
-    b_dip: float,
-    window: float = 0.12,
-    chain=DEFAULT_STEEP_CHAIN,
-    max_dip: float = 0.95,
-) -> TlsProtocol:
+def make_tls_dual_protocol(delta0: float, t_f: float, shape: float,
+                           b_dip: float) -> TlsProtocol:
     """Two-channel trade-off family for simultaneous sigma_z / sigma_x noise.
 
     shape in [-1, 1] morphs G: positive values blend toward a steep single
     step (dwell at the poles, protects against dephasing), negative values
-    toward a double step with a plateau at pi/2 (dwell on the equator).
-    b_dip in [0, 1] lowers B from pi/2 toward (1 - max_dip) * pi/2 over the
-    plateau, aligning the invariant with sigma_x there. The dip is capped so
-    sin(B) stays bounded away from zero, and its amplitude is scaled by the
-    plateau weight max(0, -shape): rotating the azimuth while G sits at a
-    pole would require a divergent detuning, so without a plateau B stays
-    flat.
+    toward a double step with a plateau at pi/2 (dwell on the equator), its
+    steps in the edge windows of width _DUAL_WINDOW t_f.
+    b_dip in [0, 1] lowers B from pi/2 toward (1 - _DUAL_MAX_DIP) * pi/2 over
+    the plateau, aligning the invariant with sigma_x there. The dip is
+    capped so sin(B) stays bounded away from zero, and its amplitude is
+    scaled by the plateau weight max(0, -shape): rotating the azimuth while
+    G sits at a pole would require a divergent detuning, so without a
+    plateau B stays flat.
     """
     if not -1.0 <= shape <= 1.0:
         raise ValueError("shape must lie in [-1, 1]")
     if not 0.0 <= b_dip <= 1.0:
         raise ValueError("b_dip must lie in [0, 1]")
     base = SmoothstepChain((1,), t_f)
-    chain = tuple(chain)
+    rise = SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f, window=(0.0, _DUAL_WINDOW))
+    fall = SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f, window=(1.0 - _DUAL_WINDOW, 1.0))
     if shape >= 0:
-        steep = SmoothstepChain(chain, t_f)
-        g_path = PathCombo(
-            np.pi, (-np.pi * (1.0 - shape), -np.pi * shape), (base, steep),
-            duration=t_f, free_values=(float(shape), float(b_dip)),
-        )
+        steep = SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f)
+        g_path = PathCombo(np.pi, (-np.pi * (1.0 - shape), -np.pi * shape), (base, steep))
     else:
         a = -shape
-        early = SmoothstepChain(chain, t_f, window=(0.0, window))
-        late = SmoothstepChain(chain, t_f, window=(1.0 - window, 1.0))
-        g_path = PathCombo(
-            np.pi,
-            (-np.pi * (1.0 - a), -0.5 * np.pi * a, -0.5 * np.pi * a),
-            (base, early, late),
-            duration=t_f, free_values=(float(shape), float(b_dip)),
-        )
-    rise = SmoothstepChain(chain, t_f, window=(0.0, window))
-    fall = SmoothstepChain(chain, t_f, window=(1.0 - window, 1.0))
-    dip = 0.5 * np.pi * max_dip * b_dip * max(0.0, -shape)
-    b_path = PathCombo(
-        np.pi / 2, (-dip, dip), (rise, fall), duration=t_f,
-        free_values=(float(shape), float(b_dip)),
-    )
-    return TlsProtocol(
-        g_poly=g_path, b_poly=b_path, omega_r=delta0, delta0=delta0, t_f=t_f
-    )
+        g_path = PathCombo(np.pi, (-np.pi * (1.0 - a), -0.5 * np.pi * a, -0.5 * np.pi * a),
+                           (base, rise, fall))
+    dip = 0.5 * np.pi * _DUAL_MAX_DIP * b_dip * max(0.0, -shape)
+    b_path = PathCombo(np.pi / 2, (-dip, dip), (rise, fall))
+    return TlsProtocol(g_poly=g_path, b_poly=b_path, omega_r=delta0, t_f=t_f)
 
 
 # ---------------------------------------------------------------------------
@@ -712,22 +681,28 @@ def make_constant_mu_protocol(omega0: float, omega_f: float, t_f: float,
 # protocol families
 
 
-_KINDS = (
-    "tls_steep_blend",
-    "tls_dual",
-    "ho_coherent",
-    "ho_thermal",
-    "ho_constant_mu",
-)
+#: kind -> (number of free coefficients, None for any; builder(params, t_f,
+#: free)). Each builder looks its make_* (or constrain_g_phase) up in this
+#: module when it runs, so a build goes through whatever that name holds.
+_BUILDERS = {
+    "tls_steep_blend": (1, lambda p, t_f, free: make_tls_steep_protocol(p["delta0"], t_f, *free)),
+    "tls_dual": (2, lambda p, t_f, free: make_tls_dual_protocol(p["delta0"], t_f, *free)),
+    "ho_coherent": (1, lambda p, t_f, free: constrain_g_phase(
+        p["omega0"], p["omega_f"], p["g_target"], p.get("mass", MASS_100_CA40), t_f, r6=free[0])),
+    "ho_thermal": (None, lambda p, t_f, free: make_ho_protocol(
+        p["omega0"], p["omega_f"], p.get("mass", MASS_100_CA40), t_f, "sqrt_poly", free)),
+    "ho_constant_mu": (0, lambda p, t_f, free: make_constant_mu_protocol(
+        p["omega0"], p["omega_f"], t_f, p.get("mass", MASS_100_CA40))),
+}
 
 
 @dataclass(frozen=True)
 class ProtocolFamily:
     """Description of a protocol family plus free coefficients.
 
-    An "ho_coherent" family whose params carry g_target has r6 as its only
-    free coefficient; build() then solves r7 so the phase integral hits
-    g_target (constrain_g_phase).
+    An "ho_coherent" family has r6 as its only free coefficient: build()
+    solves r7 so the phase integral hits params["g_target"]
+    (constrain_g_phase).
     """
 
     kind: str
@@ -736,41 +711,15 @@ class ProtocolFamily:
     free: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _BUILDERS:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
 
     def build(self):
-        p = self.params
-        if self.kind == "tls_steep_blend":
-            (g4,) = self.free
-            return make_tls_steep_protocol(
-                p["delta0"], self.t_f, g4, p.get("chain", DEFAULT_STEEP_CHAIN)
-            )
-        if self.kind == "tls_dual":
-            shape, b_dip = self.free
-            return make_tls_dual_protocol(
-                p["delta0"], self.t_f, shape, b_dip,
-                p.get("window", 0.12), p.get("chain", DEFAULT_STEEP_CHAIN),
-            )
-        if self.kind == "ho_coherent" and "g_target" in p:
-            (r6,) = self.free
-            return constrain_g_phase(
-                p["omega0"], p["omega_f"], p["g_target"],
-                p.get("mass", MASS_100_CA40), self.t_f, "inverse_sqrt_poly",
-                r6=r6,
-            )
-        if self.kind == "ho_coherent":
-            return make_ho_protocol(
-                p["omega0"], p["omega_f"], p.get("mass", MASS_100_CA40),
-                self.t_f, "inverse_sqrt_poly", self.free,
-            )
-        if self.kind == "ho_thermal":
-            return make_ho_protocol(
-                p["omega0"], p["omega_f"], p.get("mass", MASS_100_CA40),
-                self.t_f, "sqrt_poly", self.free,
-            )
-        return make_constant_mu_protocol(p["omega0"], p["omega_f"], self.t_f,
-                                         p.get("mass", MASS_100_CA40))
+        n_free, builder = _BUILDERS[self.kind]
+        if n_free is not None and len(self.free) != n_free:
+            raise ValueError(f"{self.kind} takes {n_free} free coefficient(s), "
+                             f"got {len(self.free)}")
+        return builder(self.params, self.t_f, self.free)
 
     def with_free(self, free) -> "ProtocolFamily":
         return replace(self, free=tuple(float(v) for v in free))

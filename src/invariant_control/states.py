@@ -20,7 +20,6 @@ __all__ = [
     "gaussian_fidelity",
     "thermal_state",
     "coherent_state",
-    "coherent_vector",
     "target_coherent",
     "CoherentTarget",
 ]
@@ -143,18 +142,15 @@ def thermal_state(n_bar: float, omega: float, mass: float,
     return np.diag(pops).astype(complex)
 
 
-def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
-    n = np.arange(dim)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
-    amps = np.exp(
-        -0.5 * abs(alpha) ** 2 + n * np.log(complex(alpha)) - 0.5 * log_fact
-    ) if alpha != 0 else np.eye(dim, 1).ravel().astype(complex)
-    return amps.astype(complex)
-
-
 def coherent_state(alpha: complex, omega: float, mass: float,
                    representation: str = "gaussian", dim: int = 64):
-    """Coherent state |alpha> of a trap at frequency omega."""
+    """Coherent state |alpha> of a trap at frequency omega.
+
+    In the Fock basis rho = v v^H with v_n = exp(-|alpha|^2/2) alpha^n /
+    sqrt(n!), built from real products: with v = x + i y, Re rho = x x^T +
+    y y^T and Im rho = y x^T - x y^T are symmetric and antisymmetric to the
+    bit, so rho equals rho^H exactly.
+    """
     if representation == "gaussian":
         return GaussianMoments(
             mean_q=np.sqrt(2.0 / (mass * omega)) * np.real(alpha),
@@ -165,8 +161,16 @@ def coherent_state(alpha: complex, omega: float, mass: float,
         )
     if representation != "fock":
         raise ValueError(f"unknown representation {representation!r}")
-    v = coherent_vector(alpha, dim)
-    return np.outer(v, v.conj())
+    if alpha == 0:
+        v = np.eye(dim, 1).ravel().astype(complex)
+    else:
+        log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
+        v = np.exp(-0.5 * abs(alpha) ** 2 + np.arange(dim) * np.log(complex(alpha))
+                   - 0.5 * log_fact)
+    rho = np.empty((dim, dim), dtype=complex)
+    rho.real = np.outer(v.real, v.real) + np.outer(v.imag, v.imag)
+    rho.imag = np.outer(v.imag, v.real) - np.outer(v.real, v.imag)
+    return rho
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,16 @@ def test_default_trap_figures_are_byte_identical(tmp_path, figure, digests):
     assert {csv: _data_digest(tmp_path / f"{csv}.csv") for csv in digests} == digests
 
 
+def test_grid_applies_to_the_figure_of_a_config_of_another_experiment(tmp_path):
+    # the figure's defaults replace the file's scan; --grid then sizes them
+    cfg_path = tmp_path / "thermal.json"
+    cfg_path.write_text(json.dumps({"experiment": "ho_thermal"}))
+    args = ["--config", str(cfg_path), "--out", str(tmp_path), "--grid", "2", "reproduce", "fig2"]
+    assert cli.main(args) == 0
+    lines = (tmp_path / "fig2.csv").read_text().splitlines()
+    assert len([line for line in lines if not line.startswith("#")]) == 1 + 2 * 2
+
+
 def test_reproduce_figure_map_covers_all_experiments():
     assert sorted(cli._FIGURES) == ["fig1", "fig2", "fig3", "fig4"]
     assert set(cli._FIGURES.values()) == set(cli._EXPERIMENTS)

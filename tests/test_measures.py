@@ -1,8 +1,12 @@
 """Noise-sensitivity measures and their closed forms."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from numpy.polynomial import hermite
+from scipy.integrate import quad, simpson
 
 from invariant_control import algebra, measures
 from invariant_control.constants import TWO_PI
@@ -134,6 +138,31 @@ def test_hermite_abs_integrals_low_orders():
     )
     # n = 1: integral of exp(-y^2/2) 2|y| = 4
     assert measures.hermite_abs_integral(1) == pytest.approx(4.0, rel=1e-10)
+
+
+def test_measures_module_imports_no_scipy():
+    # scipy.integrate's quad and simpson are the oracles of this module's
+    # routes; they live in the tests only
+    tree = ast.parse(Path(measures.__file__).read_text())
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
+    assert modules and not [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+def _hermite_abs_integral_quad(n):
+    """J_n by adaptive quadrature between the Hermite roots: the oracle of
+    the exact antiderivative route."""
+    coeffs = np.eye(n + 1)[n]
+    edge = np.sqrt(2.0 * n + 1.0) + 12.0
+    pts = [-edge, *np.sort(hermite.hermroots(coeffs).real), edge] if n else [-edge, edge]
+    return sum(quad(lambda y: np.exp(-0.5 * y * y) * abs(hermite.hermval(y, coeffs)),
+                    lo, hi, limit=200)[0] for lo, hi in zip(pts[:-1], pts[1:]))
+
+
+@pytest.mark.parametrize("n", range(16))
+def test_exact_hermite_abs_integral_matches_quadrature(n):
+    assert measures.hermite_abs_integral(n) == pytest.approx(
+        _hermite_abs_integral_quad(n), rel=1e-15, abs=0.0)
 
 
 def test_ho_overlap_Sn_constant_path():

@@ -134,12 +134,11 @@ def test_nonpositive_duration_raises():
         )
 
 
-def _solve_uncached(constraints, degree, free_values=(), free_indices=None, duration=None):
+def _solve_uncached(constraints, degree, free_values=(), duration=None):
     """Coefficients by the uncached route: rows built and rank-checked per
     call, the oracle of the cached constraint systems."""
     n_free = len(free_values)
-    if free_indices is None:
-        free_indices = tuple(range(degree + 1 - n_free, degree + 1))
+    free_indices = tuple(range(degree + 1 - n_free, degree + 1))
     if duration is None:
         duration = max(c.time for c in constraints)
     solved = [j for j in range(degree + 1) if j not in free_indices]
@@ -184,12 +183,9 @@ def test_cached_constraint_systems_equal_the_uncached_solve():
         constraints = (_ermakov_set if rng.random() < 0.5 else _tls_set)(rng, duration)
         free = tuple(rng.uniform(-5.0, 5.0, rng.integers(0, 3)))
         degree = len(constraints) + len(free) - 1
-        free_indices = None
-        if free and rng.random() < 0.3:  # free slots other than the top ones
-            free_indices = tuple(range(degree - len(free), degree))
-        want = _solve_uncached(constraints, degree, free, free_indices, duration)
+        want = _solve_uncached(constraints, degree, free, duration)
         for _ in range(2):  # a miss, then a hit of the cache
-            poly = solve_boundary_polynomial(constraints, degree, free, free_indices, duration)
+            poly = solve_boundary_polynomial(constraints, degree, free, duration)
             assert np.array_equal(poly.coefficients, want)
 
 
@@ -204,7 +200,7 @@ def test_singular_system_raises_on_every_call():
 def test_cached_constraint_system_is_read_only():
     solve_boundary_polynomial([Constraint(0.0, 0, 0.0), Constraint(1.0, 0, 1.0),
                                Constraint(0.0, 1, 0.0)], degree=3, free_values=(0.5,))
-    for arr in polynomial._constraint_system(((0.0, 0), (1.0, 0), (0.0, 1)), 3, (3,)):
+    for arr in polynomial._constraint_system(((0.0, 0), (1.0, 0), (0.0, 1)), 3, 1):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1

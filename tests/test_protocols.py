@@ -622,31 +622,58 @@ def test_constant_mu_protocol():
 # protocol families
 
 
+EVERY_KIND = [
+    ProtocolFamily("tls_steep_blend", {"delta0": DELTA0}, T_F, (0.8,)),
+    ProtocolFamily("tls_dual", {"delta0": DELTA0}, T_F, (-0.5, 0.3)),
+    ProtocolFamily(
+        "ho_coherent",
+        {"omega0": TWO_PI * 15.92e6, "omega_f": TWO_PI * 15.92e4,
+         "mass": MASS_100_CA40, "g_target": 50.5e-6},
+        100e-6,
+        (-10.0,),
+    ),
+    ProtocolFamily(
+        "ho_thermal",
+        {"omega0": TWO_PI * 2.53e6, "omega_f": TWO_PI * 2.53e4},
+        10e-6,
+        (5.0,),
+    ),
+    ProtocolFamily(
+        "ho_constant_mu",
+        {"omega0": TWO_PI * 2.53e6, "omega_f": TWO_PI * 2.53e4},
+        10e-6,
+    ),
+]
+
+
 def test_protocol_family_builds_every_kind():
-    families = [
-        ProtocolFamily("tls_steep_blend", {"delta0": DELTA0}, T_F, (0.8,)),
-        ProtocolFamily("tls_dual", {"delta0": DELTA0}, T_F, (-0.5, 0.3)),
-        ProtocolFamily(
-            "ho_coherent",
-            {"omega0": TWO_PI * 15.92e6, "omega_f": TWO_PI * 15.92e4,
-             "mass": MASS_100_CA40},
-            100e-6,
-            (1.0, -0.5),
-        ),
-        ProtocolFamily(
-            "ho_thermal",
-            {"omega0": TWO_PI * 2.53e6, "omega_f": TWO_PI * 2.53e4},
-            10e-6,
-            (5.0,),
-        ),
-        ProtocolFamily(
-            "ho_constant_mu",
-            {"omega0": TWO_PI * 2.53e6, "omega_f": TWO_PI * 2.53e4},
-            10e-6,
-        ),
-    ]
-    for fam in families:
+    assert {fam.kind for fam in EVERY_KIND} == set(protocols._BUILDERS)
+    for fam in EVERY_KIND:
         assert fam.build() is not None
+
+
+def test_family_builds_go_through_the_module_level_builders(monkeypatch):
+    # the benchmark's tracer counts builds and cells by patching these names
+    # in protocols, so build() must look them up there on every call
+    calls = []
+    for name in ("make_tls_steep_protocol", "make_tls_dual_protocol", "make_ho_protocol",
+                 "constrain_g_phase", "make_constant_mu_protocol"):
+        def counting(*args, _name=name, _builder=getattr(protocols, name), **kwargs):
+            calls.append(_name)
+            return _builder(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, name, counting)
+    expected = {
+        "tls_steep_blend": ["make_tls_steep_protocol"],
+        "tls_dual": ["make_tls_dual_protocol"],
+        "ho_coherent": ["constrain_g_phase", "make_ho_protocol"],
+        "ho_thermal": ["make_ho_protocol"],
+        "ho_constant_mu": ["make_constant_mu_protocol"],
+    }
+    for fam in EVERY_KIND:
+        calls.clear()
+        fam.build()
+        assert calls == expected[fam.kind], fam.kind
 
 
 def test_protocol_family_unknown_kind():

@@ -38,6 +38,12 @@ def test_thermal_state_fock_populations():
         states.thermal_state(-1.0, 1.0, 1.0)
 
 
+def test_fock_coherent_state_is_exactly_hermitian():
+    rho = states.coherent_state(1.0 + 1.0j, 2.0, 1.0, "fock", 40)
+    assert np.array_equal(rho, rho.conj().T)
+    assert not np.any(np.diag(rho).imag)
+
+
 def test_coherent_state_fock_matches_gaussian_moments():
     alpha, omega, mass, dim = 1.2 - 0.4j, 1.7, 0.9, 60
     rho = states.coherent_state(alpha, omega, mass, "fock", dim)
