@@ -21,7 +21,9 @@ and magnus_q2_moments. Under q noise exact_q_moments adds the noise to the
 same flow by one quadrature. Every trap control (HoProtocol and the
 constant-mu reference ConstantMuControl) has a closed-form flow, so
 integrate_moments, the lab-frame moment ODE, is a test oracle only: the
-independent route that both oscillator routes are checked against.
+independent route that both oscillator routes are checked against. The
+oracles (integrate_master, integrate_ho_master, integrate_moments) import
+scipy when first called, so the package and invctl load numpy only.
 tls_fidelity, coherent_fidelity and thermal_fidelity are the one fidelity
 routine of each simulated system; the dissipator in the invariant eigenbasis
 backs the common-eigenbasis check.
@@ -33,7 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
 
 from . import algebra, measures, states
 from .errors import (
@@ -115,6 +116,8 @@ def _rk45_matrix(rhs, rho0, t_eval, rtol, atol, max_step=np.inf):
     """Adaptive RK45 over a matrix-valued ODE with per-step hermitization:
     the integrator of both oracles, dense (integrate_master) and truncated
     Fock (integrate_ho_master)."""
+    from scipy.integrate import RK45
+
     t_eval = np.asarray(t_eval, dtype=float)
     n = rho0.shape[0]
     y0 = np.asarray(rho0, dtype=complex).ravel()
@@ -168,7 +171,7 @@ def integrate_master(
     t -> matrix; channels is a sequence of NoiseChannel (Pauli tags) or
     (matrix, eta) pairs. Returns (times, rhos). max_step caps the adaptive
     step so narrow control pulses surrounded by long H = 0 stretches cannot
-    be stepped over.
+    be stepped over. Imports scipy on its first call.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     resolved = []
@@ -290,7 +293,7 @@ def integrate_ho_master(
     five-product _double_commutator. Unless dim fixes it, the
     truncation starts at 40 levels and doubles until the top two levels stay
     below 1e-8 population, warning with TruncationWarning if
-    _FOCK_MAX_DIM is reached first.
+    _FOCK_MAX_DIM is reached first. Imports scipy on its first call.
     """
     if channel.operator_tag not in OSC_TAGS:
         raise UnsupportedChannel("oscillator integrator needs a q or q^2 channel")
@@ -355,7 +358,10 @@ def integrate_moments(
     rtol: float = 1e-10,
     atol: float = 1e-14,
 ):
-    """Integrate the closed moment equations; returns (times, 5-column array)."""
+    """Integrate the closed moment equations by DOP853; returns (times,
+    5-column array). Imports scipy on its first call."""
+    from scipy.integrate import solve_ivp
+
     if t_eval is None:
         t_eval = np.linspace(0.0, t_f, 201)
     sol = solve_ivp(
@@ -459,33 +465,62 @@ _GL = np.sqrt(3.0) / 6.0
 #: step exponentials: Taylor degree, and the norm the scaling brings them to
 _TAYLOR_DEGREE = 12
 _TAYLOR_NORM = 0.5
+#: steps per block of the Omega_4 terms that take temporaries
+_ASSEMBLY_BLOCK = 256
 
 
 def _expm3(x: np.ndarray) -> np.ndarray:
-    """exp of a batch of 3x3 matrices: Taylor series with scaling and squaring."""
-    norm = float(np.abs(x).sum(axis=-1).max())
+    """exp of a batch of 3x3 matrices: Taylor series with scaling and squaring.
+
+    Consumes x: it is scaled in place. The Taylor and squaring loops write
+    each product into the other half of one work buffer, which first holds
+    |x| for the norm, so no step allocates a temporary.
+    """
+    out, tmp = np.empty((2, *x.shape))
+    norm = float(np.abs(x, out=out).sum(axis=-1).max())
     squarings = int(np.ceil(np.log2(norm / _TAYLOR_NORM))) if norm > _TAYLOR_NORM else 0
-    x = x / 2.0**squarings
+    x /= 2.0**squarings
     eye = np.eye(3)
-    out = eye + x / _TAYLOR_DEGREE
+    np.divide(x, _TAYLOR_DEGREE, out=out)
+    out += eye
     for k in range(_TAYLOR_DEGREE - 1, 0, -1):
-        out = eye + (x @ out) / k
+        np.matmul(x, out, out=tmp)
+        tmp /= k
+        tmp += eye
+        out, tmp = tmp, out
     for _ in range(squarings):
-        out = out @ out
+        np.matmul(out, out, out=tmp)
+        out, tmp = tmp, out
     return out
 
 
 def _magnus_steps(generator, left: np.ndarray, width: np.ndarray) -> np.ndarray:
     """Magnus-4 propagators of dx/dt = A(t) x over the steps [left, left + width).
 
-    A step of width w takes Omega_4 = w/2 (A1 + A2) + sqrt(3) w^2/12 [A2, A1]
-    on its two Gauss-Legendre nodes; generator(t) -> A(t), a batch of 3x3
-    matrices, runs once on the nodes of every step.
+    generator(t) -> A(t), a batch of 3x3 matrices, runs once on the two
+    Gauss-Legendre nodes of every step. Its output is released before the
+    step exponentials are taken, so their buffers can reuse its memory.
     """
-    a = generator(np.concatenate([left + (0.5 - _GL) * width, left + (0.5 + _GL) * width]))
-    a1, a2 = a[:len(left)], a[len(left):]
+    return _expm3(_magnus_exponents(generator(np.concatenate(
+        [left + (0.5 - _GL) * width, left + (0.5 + _GL) * width])), width))
+
+
+def _magnus_exponents(a: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Omega_4 = w/2 (A1 + A2) + sqrt(3) w^2/12 [A2, A1] of each step of width
+    w, from a = (A1 of every step, A2 of every step), which is left as it is.
+
+    Omega_4 is built in one batch-sized buffer; the terms that need their
+    own temporaries are added _ASSEMBLY_BLOCK steps at a time.
+    """
+    a1, a2 = a[:len(width)], a[len(width):]
     w = width[:, None, None]
-    return _expm3(0.5 * w * (a1 + a2) + (np.sqrt(3.0) / 12.0) * w * w * (a2 @ a1 - a1 @ a2))
+    omega = a2 @ a1
+    for s in range(0, len(width), _ASSEMBLY_BLOCK):
+        b1, b2, wb, o = (v[s:s + _ASSEMBLY_BLOCK] for v in (a1, a2, w, omega))
+        o -= b1 @ b2
+        o *= (np.sqrt(3.0) / 12.0) * wb * wb
+        o += 0.5 * wb * (b1 + b2)
+    return omega
 
 
 def _one_and_halves(generator, left, h, one=None):

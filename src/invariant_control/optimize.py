@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy.optimize import minimize as _nm_minimize
 
 from .errors import NonFiniteObjective
 from .protocols import ProtocolFamily
@@ -74,8 +73,10 @@ def minimize(objective, x0, xatol: float = 1e-6, max_iter: int = 500):
     """Nelder-Mead descent; never returns a value above the starting one.
 
     objective is an Objective or a plain callable on the coefficient vector.
-    Returns (best_coeffs, best_value).
+    Returns (best_coeffs, best_value). Imports scipy on its first call.
     """
+    from scipy.optimize import minimize as _nm_minimize
+
     fn = objective.evaluate if isinstance(objective, Objective) else objective
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     f0 = float(fn(x0))

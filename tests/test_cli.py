@@ -1,8 +1,10 @@
 """Command-line harness: config handling, CSV emission, exit codes."""
 
+import ast
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -452,6 +454,70 @@ def test_cli_import_leaves_scipy_interpolate_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_reproducing_every_figure_loads_no_scipy(tmp_path):
+    # scipy runs only in the test oracles and the Nelder-Mead convenience:
+    # no verb imports it
+    code = (
+        "import sys\n"
+        "from invariant_control import cli\n"
+        "for fig in ('fig1', 'fig2', 'fig3', 'fig4'):\n"
+        "    assert cli.main(['--out', sys.argv[1], '--grid', '3', 'reproduce', fig]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert len(list(tmp_path.glob("*.csv"))) >= 4
+
+
+def test_no_package_module_imports_scipy_at_module_level():
+    # imports inside function bodies run on the first call; every other
+    # import statement runs when the module is loaded
+    def module_level_imports(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                yield from (a.name for a in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                yield child.module or ""
+            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield from module_level_imports(child)
+
+    files = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert len(files) > 5
+    found = {f.name: m for f in files
+             for m in module_level_imports(ast.parse(f.read_text()))
+             if m.split(".")[0] == "scipy"}
+    assert not found
+
+
+def test_package_comes_from_the_first_pythonpath_entry_that_holds_it():
+    # conftest appends the checkout's src behind PYTHONPATH, so an explicit
+    # PYTHONPATH decides which sources are tested
+    entries = [Path(e).resolve() for e in os.environ.get("PYTHONPATH", "").split(os.pathsep) if e]
+    holders = [e for e in entries if (e / "invariant_control" / "__init__.py").is_file()]
+    holders.append(Path(__file__).resolve().parents[1] / "src")
+    assert Path(cli.__file__).resolve().parents[1] == holders[0]
+
+
+def test_explicit_pythonpath_wins_over_the_checkout(tmp_path):
+    other = tmp_path / "other" / "src"
+    shutil.copytree(Path(cli.__file__).parent, other / "invariant_control",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "empty").mkdir()
+    this = Path(__file__).resolve()
+    test = f"{this}::test_package_comes_from_the_first_pythonpath_entry_that_holds_it"
+    for pythonpath in (str(other), os.pathsep.join([str(tmp_path / "empty"), str(other)]), None):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        if pythonpath is not None:
+            env["PYTHONPATH"] = pythonpath
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test,
+             "-o", "addopts=", f"--rootdir={this.parents[1]}"],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert run.returncode == 0, run.stdout + run.stderr
 
 
 def test_simulate_with_two_q_channels_exits_2(tmp_path, capsys):

@@ -195,6 +195,66 @@ def test_tls_fidelity_rejects_oscillator_channels():
             dynamics.tls_fidelity(proto, [dynamics.NoiseChannel(tag, 1.0)])
 
 
+def _expm3_reference(x):
+    """The step exponential as written before it worked in place: the oracle
+    of the buffer-swapping kernel."""
+    norm = float(np.abs(x).sum(axis=-1).max())
+    squarings = int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0
+    x = x / 2.0**squarings
+    eye = np.eye(3)
+    out = eye + x / 12
+    for k in range(11, 0, -1):
+        out = eye + (x @ out) / k
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _magnus_steps_reference(generator, left, width):
+    a = generator(np.concatenate([left + (0.5 - dynamics._GL) * width,
+                                  left + (0.5 + dynamics._GL) * width]))
+    a1, a2 = a[:len(left)], a[len(left):]
+    w = width[:, None, None]
+    return _expm3_reference(
+        0.5 * w * (a1 + a2) + (np.sqrt(3.0) / 12.0) * w * w * (a2 @ a1 - a1 @ a2))
+
+
+# batch sizes from one step to 12000 (a (2n, 3, 3) generator batch of 1.7 MB,
+# far above 128 kB); scales from no squaring to several squarings
+_KERNEL_SIZES = (1, 2, 7, 64, 1000, 5000, 12000)
+_KERNEL_SCALES = (0.01, 0.1, 1.0, 5.0, 40.0)
+
+
+@pytest.mark.parametrize("n", _KERNEL_SIZES)
+def test_expm3_equals_the_allocating_kernel_bit_for_bit(n):
+    assert dynamics._TAYLOR_DEGREE == 12 and dynamics._TAYLOR_NORM == 0.5
+    rng = np.random.default_rng(n)
+    squarings = set()
+    for scale in _KERNEL_SCALES:
+        x = scale * rng.normal(size=(n, 3, 3))
+        norm = np.abs(x).sum(axis=-1).max()
+        squarings.add(int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
+        assert np.array_equal(dynamics._expm3(x.copy()), _expm3_reference(x))
+    assert 0 in squarings and max(squarings) >= 4
+
+
+@pytest.mark.parametrize("n", _KERNEL_SIZES)
+def test_magnus_steps_equal_the_allocating_route_and_leave_the_generator_output(n):
+    # generators up to 5 keep the step exponentials finite (the commutator
+    # term grows as the square of the scale)
+    rng = np.random.default_rng(100 + n)
+    for scale in _KERNEL_SCALES[:-1]:
+        a = scale * rng.normal(size=(2 * n, 3, 3))
+        kept = a.copy()
+        left = np.sort(rng.uniform(0.0, 1.0, n))
+        width = rng.uniform(0.2, 1.0, n)
+        got = dynamics._magnus_steps(lambda t: a, left, width)
+        assert np.array_equal(a, kept)
+        want = _magnus_steps_reference(lambda t: kept, left, width)
+        assert np.isfinite(want).all() and np.array_equal(got, want)
+    assert a.nbytes > 128 * 1024 or n < 12000
+
+
 # ---------------------------------------------------------------------------
 # dissipator representations
 
