@@ -603,12 +603,14 @@ def main(argv=None) -> int:
         return 2
     try:
         verb = _VERBS["scan" if args.verb == "reproduce" else args.verb]
-        print(verb(config, getattr(args, "free", None)))
+        # an overflow or invalid value ends the run before it writes a table
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            print(verb(config, getattr(args, "free", None)))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InvariantControlError, np.linalg.LinAlgError) as exc:
+    except (InvariantControlError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

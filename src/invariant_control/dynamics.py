@@ -16,9 +16,11 @@ dx/dt = A(t) x; in the frame of the invariant's closed-form Heisenberg flow
 so do an oscillator's second moments under q^2 noise. One error-controlled
 propagator (_magnus_path: fourth-order Magnus steps on a uniform start grid,
 whose error-carrying steps it splits until the one-step and half-step runs
-agree) serves both: tls_fidelity, with integrate_master as its test oracle,
-and magnus_q2_moments. Under q noise exact_q_moments adds the noise to the
-same flow by one quadrature. Every trap control (HoProtocol and the
+agree; the running products of both runs are one pairwise scan over all
+steps, and a mask marks the steps that end a start step) serves both:
+tls_fidelity, with integrate_master as its test oracle, and
+magnus_q2_moments. Under q noise exact_q_moments adds the noise to the same
+flow by one quadrature. Every trap control (HoProtocol and the
 constant-mu reference ConstantMuControl) has a closed-form flow, so
 integrate_moments, the lab-frame moment ODE, is a test oracle only: the
 independent route that both oscillator routes are checked against. The
@@ -306,10 +308,7 @@ def integrate_ho_master(
         rhos = _integrate_ho_fixed_dim(
             protocol, rho0_builder, channel, t_eval, d, rtol, atol
         )
-        top = max(
-            float(np.real(r[-1, -1] + r[-2, -2])) for r in (rhos[0], rhos[-1])
-        )
-        top = max(top, float(np.max(np.real(rhos[:, -1, -1] + rhos[:, -2, -2]))))
+        top = float(np.max(np.real(rhos[:, -1, -1] + rhos[:, -2, -2])))
         if top < 1e-8:
             return HoFockTrajectory(protocol, t_eval, rhos, d)
         if dim is not None or 2 * d > _FOCK_MAX_DIM:
@@ -378,10 +377,11 @@ def integrate_moments(
     return sol.t, sol.y.T
 
 
-#: Simpson samples per period of cos(2 theta) in the q-noise quadrature, and
-#: the fewest intervals it uses however short the run
+#: Simpson samples per period of cos(2 theta) in the q-noise quadrature, and the
+#: fewest and most intervals it takes (a default fig3 cell: 25728)
 _SAMPLES_PER_PERIOD = 16
 _MIN_INTERVALS = 64
+_MAX_INTERVALS = 2**22
 #: samples evaluated at once; bounds the quadrature's working set (~1 MB)
 _BLOCK = 4096
 
@@ -394,8 +394,10 @@ def _q_noise_gram(protocol: HoProtocol) -> np.ndarray:
     """
     t_f = protocol.t_f
     periods = float(protocol.theta(t_f)) / np.pi
-    half = int(np.ceil(0.5 * _SAMPLES_PER_PERIOD * periods))
-    n = 2 * max(_MIN_INTERVALS // 2, half)  # Simpson needs an even count
+    half = np.ceil(0.5 * _SAMPLES_PER_PERIOD * periods)
+    if not half <= _MAX_INTERVALS // 2:
+        raise StepSizeUnderflow(f"q-noise quadrature needs {2 * half:.3g} intervals")
+    n = 2 * max(_MIN_INTERVALS // 2, int(half))  # Simpson needs an even count
     h = t_f / n
     pp = pq = qq = 0.0
     for start in range(0, n + 1, _BLOCK):
@@ -534,40 +536,25 @@ def _one_and_halves(generator, left, h, one=None):
     return (u[:n] if one is None else one), u[-2 * n:-n], u[-n:]
 
 
-def _running_products(count: np.ndarray, *runs) -> np.ndarray:
-    """Products of time-ordered step propagators from t = 0 to the end of each
-    start step, one row per run. Start step g holds count[g] steps, and a run
-    gives each step as its factors in time order: (one step,) or (first
-    half, second half).
+def _running_products(u: np.ndarray) -> np.ndarray:
+    """Products of time-ordered step propagators from t = 0 to the end of
+    each step: row r of u holds the steps of run r in time order, and entry
+    (r, j) of the result is u[r, j] @ ... @ u[r, 0].
 
-    Within each start step the factors are multiplied left to right. A
-    pairwise scan over the start steps of all runs at once then multiplies
-    adjacent entries level by level up to a single product and, on the way
-    back down, gives every entry its running product by at most one more
-    product.
+    Consumes u: it is overwritten with the result. A pairwise scan over the
+    steps of all runs at once multiplies adjacent entries level by level up
+    to a single product and, on the way back down, gives every entry its
+    running product by at most one more product.
     """
-    first = np.cumsum(count) - count
-    prod = np.empty((len(runs), len(count), 3, 3))
-    for r, factors in enumerate(runs):
-        prod[r] = factors[0][first]
-        for f in factors[1:]:
-            prod[r] = f[first] @ prod[r]
-    for j in range(1, count.max()):
-        more = np.flatnonzero(count > j)
-        for r, factors in enumerate(runs):
-            p = prod[r, more]
-            for f in factors:
-                p = f[first[more] + j] @ p
-            prod[r, more] = p
     levels = []
-    while prod.shape[1] > 1:
-        levels.append(prod)
-        prod = prod[:, 1::2] @ prod[:, :-1:2]
+    while u.shape[1] > 1:
+        levels.append(u)
+        u = u[:, 1::2] @ u[:, :-1:2]
     for low in reversed(levels):
-        low[:, 2::2] = low[:, 2::2] @ prod[:, :(low.shape[1] - 1) // 2]
-        low[:, 1::2] = prod
-        prod = low
-    return prod
+        low[:, 2::2] = low[:, 2::2] @ u[:, :(low.shape[1] - 1) // 2]
+        low[:, 1::2] = u
+        u = low
+    return u
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends in a non-finite gap
@@ -586,11 +573,11 @@ def _magnus_path(generator, t_f: float, n_start: int, x0, error) -> np.ndarray:
     """
     h = np.full(n_start, t_f / n_start)
     left = np.arange(n_start) * h
-    count = np.ones(n_start, dtype=int)  # steps in each start step
+    ends = np.ones(n_start, dtype=bool)  # the steps that end a start step
     one, first, second = _one_and_halves(generator, left, h)
     while True:
-        ends = _running_products(count, (one,), (first, second)) @ x0
-        coarse, fine = np.concatenate([np.broadcast_to(x0, (2, 1, 3)), ends], axis=1)
+        path = _running_products(np.stack([one, second @ first]))[:, ends] @ x0
+        coarse, fine = np.concatenate([np.broadcast_to(x0, (2, 1, 3)), path], axis=1)
         gap = error(coarse, fine)
         if gap <= 15.0:
             return fine
@@ -604,10 +591,11 @@ def _magnus_path(generator, t_f: float, n_start: int, x0, error) -> np.ndarray:
                 f"Magnus propagator not converged on {2 * len(h)} half steps "
                 f"(estimated error {gap / 15.0:.3g} times its tolerance)")
         parts = np.where(flagged, 2 ** int(k), 1)
-        count = np.add.reduceat(parts, np.cumsum(count) - count)
         idx = np.repeat(np.arange(len(h)), parts)
+        part = np.arange(len(idx)) - (np.cumsum(parts) - parts)[idx]  # its place in its step
         h = h[idx] / parts[idx]
-        left = left[idx] + (np.arange(len(idx)) - (np.cumsum(parts) - parts)[idx]) * h
+        left = left[idx] + part * h
+        ends = ends[idx] & (part == parts[idx] - 1)  # a start step ends with its last part
         split = parts[idx] > 1
         known = (np.stack([first[flagged], second[flagged]], axis=1).reshape(-1, 3, 3)
                  if k == 1 else None)

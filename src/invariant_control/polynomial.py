@@ -15,7 +15,7 @@ from math import factorial
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import SingularInterpolation
+from .errors import InvariantControlError, SingularInterpolation
 
 __all__ = ["Constraint", "BoundaryPolynomial", "solve_boundary_polynomial"]
 
@@ -130,8 +130,14 @@ def solve_boundary_polynomial(
 
     free_rows, a = _constraint_system(
         tuple((c.time / duration, c.order) for c in constraints), degree, n_free)
-    rhs = np.array([c.value * duration**c.order for c in constraints], dtype=float)
-    if n_free:
-        rhs = rhs - free_rows @ np.asarray(free_values)
+    # a float64 power overflows to inf where a float power raises; checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.array([c.value * np.float64(duration)**c.order for c in constraints])
+        if n_free:
+            rhs = rhs - free_rows @ np.asarray(free_values)
+    if not np.isfinite(rhs).all():
+        raise InvariantControlError("the constraint right-hand side is not finite")
     coeffs = np.concatenate((np.linalg.solve(a, rhs), free_values))
+    if not np.isfinite(coeffs).all():
+        raise InvariantControlError("the polynomial coefficients are not finite")
     return BoundaryPolynomial(coefficients=coeffs, duration=duration, free_values=free_values)

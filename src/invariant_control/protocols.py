@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from math import comb
+from math import comb, isfinite
 from threading import Lock
 
 import numpy as np
@@ -19,7 +19,7 @@ from numpy.polynomial import polynomial as npoly
 
 from . import algebra
 from .constants import MASS_100_CA40
-from .errors import IllConditionedPhase, NonPositiveRho, NoRoot
+from .errors import IllConditionedPhase, InvariantControlError, NonPositiveRho, NoRoot
 from .polynomial import BoundaryPolynomial, Constraint, solve_boundary_polynomial
 
 __all__ = [
@@ -319,6 +319,10 @@ class PathCombo:
     weights: tuple[float, ...]
     paths: tuple
 
+    def __post_init__(self):
+        if not all(map(isfinite, (self.constant, *self.weights))):
+            raise InvariantControlError(f"path weights {self.weights} are not all finite")
+
     def __call__(self, t, order: int = 0):
         t = np.asarray(t, dtype=float)
         acc = np.full(t.shape, self.constant if order == 0 else 0.0)
@@ -424,7 +428,10 @@ class HoProtocol:
         c = self.inner.coefficients
         top = np.flatnonzero(c)[-1]
         companion = np.eye(top, k=-1)
-        companion[:, top - 1:] = -c[:top, None] / c[top]
+        with np.errstate(over="ignore"):
+            companion[:, top - 1:] = -c[:top, None] / c[top]
+        if not np.isfinite(companion).all():
+            raise InvariantControlError(f"leading coefficient {c[top]!r} too small for the roots")
         return np.linalg.eigvals(companion).astype(complex)
 
     @property
@@ -432,39 +439,38 @@ class HoProtocol:
         """The exponent a of rho = P^a."""
         return -0.5 if self.form == "inverse_sqrt_poly" else 0.5
 
-    def rho(self, t, order: int = 0):
-        """rho = P^a, a = -1/2 or +1/2 by form, or its derivative of the given
-        order (up to 3) by the chain rule."""
+    def _rho_derivs(self, t, order: int):
+        """(rho, rho', ..., rho^(order)) of rho = P^a by the chain rule, up to
+        order 3, from one evaluation of P, P', ... and of each power of P."""
+        if not 0 <= order <= 3:
+            raise ValueError("rho derivatives implemented up to order 3")
         a = self._power
         p = self.inner(t)
+        rho = p**a
         if order == 0:
-            return p**a
-        p1 = self.inner(t, 1)
+            return (rho,)
+        pa1, p1 = p ** (a - 1), self.inner(t, 1)
+        r1 = a * pa1 * p1
         if order == 1:
-            return a * p ** (a - 1) * p1
-        p2 = self.inner(t, 2)
+            return rho, r1
+        pa2, p2 = p ** (a - 2), self.inner(t, 2)
+        r2 = a * (a - 1) * pa2 * p1**2 + a * pa1 * p2
         if order == 2:
-            return a * (a - 1) * p ** (a - 2) * p1**2 + a * p ** (a - 1) * p2
-        p3 = self.inner(t, 3)
-        if order == 3:
-            return (a * (a - 1) * (a - 2) * p ** (a - 3) * p1**3
-                    + 3 * a * (a - 1) * p ** (a - 2) * p1 * p2 + a * p ** (a - 1) * p3)
-        raise ValueError("rho derivatives implemented up to order 3")
+            return rho, r1, r2
+        r3 = (a * (a - 1) * (a - 2) * p ** (a - 3) * p1**3
+              + 3 * a * (a - 1) * pa2 * p1 * p2 + a * pa1 * self.inner(t, 3))
+        return rho, r1, r2, r3
+
+    def rho(self, t, order: int = 0):
+        """rho = P^a, a = -1/2 or +1/2 by form, or its derivative of order <= 3."""
+        return self._rho_derivs(t, order)[order]
 
     def omega_sq(self, t):
-        rho = self.rho(t)
-        return algebra.omega_sq_from_rho(rho, self.rho(t, 2), self.omega0)
+        rho, _, r2 = self._rho_derivs(t, 2)
+        return algebra.omega_sq_from_rho(rho, r2, self.omega0)
 
     def omega_sq_dot(self, t):
-        # rho and its first three derivatives in the expressions of rho(t, k),
-        # from one evaluation of P, P', P'', P''' and of each power of P
-        a = self._power
-        p, p1, p2, p3 = (self.inner(t, k) for k in range(4))
-        pa1, pa2, pa3 = p ** (a - 1), p ** (a - 2), p ** (a - 3)
-        rho = p**a
-        r1 = a * pa1 * p1
-        r2 = a * (a - 1) * pa2 * p1**2 + a * pa1 * p2
-        r3 = a * (a - 1) * (a - 2) * pa3 * p1**3 + 3 * a * (a - 1) * pa2 * p1 * p2 + a * pa1 * p3
+        rho, r1, r2, r3 = self._rho_derivs(t, 3)
         return -4.0 * self.omega0**2 * r1 / rho**5 - (r3 * rho - r2 * r1) / rho**2
 
     @cached_property
@@ -531,11 +537,7 @@ class HoProtocol:
         Fock right-hand side takes no 0-d array arithmetic.
         """
         t = float(t) if isinstance(t, float) else np.asarray(t, dtype=float)
-        # rho(t) and rho(t, 1) from one evaluation of P, in their expressions
-        a = self._power
-        p = self.inner(t)
-        rho = p**a
-        rho_dot = a * p ** (a - 1) * self.inner(t, 1)
+        rho, rho_dot = self._rho_derivs(t, 1)
         th = self.theta(t)
         c, s = np.cos(th), np.sin(th)
         fq = rho * c
@@ -547,8 +549,8 @@ class HoProtocol:
     def ermakov_residual(self, t):
         """rhoddot + omega^2 rho - omega0^2 / rho^3, zero for a consistent
         trap control: the Ermakov check of the acceptance suite."""
-        rho = self.rho(t)
-        return self.rho(t, 2) + self.omega_sq(t) * rho - self.omega0**2 / rho**3
+        rho, _, r2 = self._rho_derivs(t, 2)
+        return r2 + self.omega_sq(t) * rho - self.omega0**2 / rho**3
 
 
 def _ermakov_inner(omega0, omega_f, t_f, form, extra) -> BoundaryPolynomial:

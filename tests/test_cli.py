@@ -1,6 +1,7 @@
 """Command-line harness: config handling, CSV emission, exit codes."""
 
 import ast
+import csv
 import hashlib
 import json
 import os
@@ -316,12 +317,38 @@ def _config_fields(config):
             ("channels", 0, "operator_tag"), ("channels", 0, "eta")]
 
 
+def _exit_code(argv):
+    """invctl's exit code for argv; argparse's SystemExit counts as its code."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _assert_numeric_cells_finite(out):
+    # every cell of a written table that reads as a number is finite
+    for path in out.glob("*.csv"):
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        for row in csv.reader(lines[1:]):
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert np.isfinite(value), f"{path.name}: {row}"
+
+
+_VERB_ARGS = {"synthesize": [], "measure": [], "simulate": [], "scan": ["--grid", "2"]}
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_any_json_value_in_one_field_exits_0_2_or_3(tmp_path_factory, data):
-    # any JSON value in one field of a default config: the verb succeeds,
-    # or exits 2 (config error) or 3 (numerical failure), never with a traceback
+    # any JSON value in one field of a default config, under every verb: it
+    # succeeds, or exits 2 (config error) or 3 (numerical failure), never
+    # with a traceback
     experiment = data.draw(st.sampled_from(sorted(cli._EXPERIMENTS)))
+    verb = data.draw(st.sampled_from(sorted(_VERB_ARGS)))
     config = ExperimentConfig(experiment=experiment).to_dict()
     path = data.draw(st.sampled_from(_config_fields(config)))
     node = config
@@ -331,7 +358,33 @@ def test_any_json_value_in_one_field_exits_0_2_or_3(tmp_path_factory, data):
     out = tmp_path_factory.mktemp("any_json")
     cfg_path = out / "config.json"
     cfg_path.write_text(json.dumps(config))
-    assert cli.main(["--config", str(cfg_path), "--out", str(out), "synthesize"]) in (0, 2, 3)
+    argv = ["--config", str(cfg_path), "--out", str(out), *_VERB_ARGS[verb], verb]
+    code = _exit_code(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        _assert_numeric_cells_finite(out)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_free_value_exits_0_2_or_3_and_writes_finite_numbers(tmp_path_factory, data):
+    # any float as a free coefficient, nan, infinities and the largest
+    # magnitudes included: the verb succeeds with a table of finite numbers,
+    # or exits 2 or 3 and writes nothing
+    experiment = data.draw(st.sampled_from(sorted(cli._EXPERIMENTS)))
+    verb = data.draw(st.sampled_from(["synthesize", "measure", "simulate"]))
+    n = len(cli._EXPERIMENTS[experiment].defaults["scan"]["ranges"])
+    special = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308])
+    free = data.draw(st.lists(special | st.floats(), min_size=n, max_size=n))
+    out = tmp_path_factory.mktemp("any_free")
+    # --free=v keeps a single negative value from reading as an option
+    args = [f"--free={free[0]!r}"] if n == 1 else ["--free", *map(repr, free)]
+    code = _exit_code(["--out", str(out), verb, "--experiment", experiment, *args])
+    assert code in (0, 2, 3)
+    if code == 0:
+        _assert_numeric_cells_finite(out)
+    else:
+        assert not list(out.glob("*.csv"))
 
 
 def test_custom_experiment_id_exits_2(tmp_path, capsys):
@@ -363,6 +416,26 @@ def test_free_outside_the_family_domain_exits_2(tmp_path, capsys, experiment, fr
         argv = ["--out", str(tmp_path), verb, "--experiment", experiment, "--free", *free]
         assert cli.main(argv) == 2
         assert "config error: --free" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+_ALL_CELL_VERBS = ("synthesize", "measure", "simulate")
+
+
+@pytest.mark.parametrize("experiment, free, verbs", [
+    ("tls_single", "1e308", _ALL_CELL_VERBS),  # the path weights overflow
+    # finite weights whose controls overflow (the measures read G only)
+    ("tls_single", "1.25e303", ("synthesize", "simulate")),
+    ("ho_coherent", "1e308", _ALL_CELL_VERBS),  # the constraint right-hand side overflows
+    ("ho_thermal", "1e308", ("synthesize", "simulate")),  # it has no closed-form measure
+])
+def test_free_past_the_largest_double_exits_3_without_a_table(tmp_path, capsys, experiment,
+                                                              free, verbs):
+    for verb in verbs:
+        argv = ["--out", str(tmp_path), verb, "--experiment", experiment, "--free", free]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("*.csv"))
 
 

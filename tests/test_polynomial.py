@@ -7,7 +7,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from invariant_control import polynomial
-from invariant_control.errors import SingularInterpolation
+from invariant_control.errors import InvariantControlError, SingularInterpolation
 from invariant_control.polynomial import Constraint, solve_boundary_polynomial
 
 
@@ -225,3 +225,26 @@ def test_horner_evaluation_equals_polyval():
     direct = npoly.polyval(ts / duration, npoly.polyint(poly.coefficients)) * duration
     assert np.array_equal(poly.antiderivative_at(ts), direct)
     assert [poly.antiderivative_at(float(t)) for t in ts] == direct.tolist()
+
+
+@pytest.mark.parametrize("duration, free", [
+    (1.0, (1e308,)),      # the free columns overflow the right-hand side
+    (1.0, (np.nan,)),
+    (1e200, ()),          # duration**2 overflows
+    (1.0, (-1.7e308, 1.7e308)),
+])
+def test_a_right_hand_side_or_solve_that_is_not_finite_raises(duration, free):
+    constraints = [Constraint(0.0, 0, 1.0), Constraint(duration, 0, 2.0),
+                   Constraint(0.0, 1, 0.0), Constraint(duration, 1, 0.0),
+                   Constraint(0.0, 2, 0.0), Constraint(duration, 2, 0.0)]
+    with pytest.raises(InvariantControlError, match="not finite"):
+        solve_boundary_polynomial(constraints, degree=5 + len(free), free_values=free,
+                                  duration=duration)
+
+
+def test_a_solve_past_the_largest_double_raises():
+    # a finite right-hand side whose cubic step needs 3 v > DBL_MAX
+    constraints = [Constraint(0.0, 0, 0.0), Constraint(1.0, 0, 1.7e308),
+                   Constraint(0.0, 1, 0.0), Constraint(1.0, 1, 0.0)]
+    with pytest.raises(InvariantControlError, match="coefficients are not finite"):
+        solve_boundary_polynomial(constraints, degree=3)

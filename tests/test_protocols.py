@@ -15,7 +15,7 @@ from scipy.interpolate import CubicSpline
 from conftest import tls_fidelity
 from invariant_control import algebra, cli, dynamics, optimize, protocols
 from invariant_control.constants import MASS_100_CA40, TWO_PI
-from invariant_control.errors import IllConditionedPhase, NonPositiveRho, NoRoot
+from invariant_control.errors import IllConditionedPhase, InvariantControlError, NonPositiveRho, NoRoot
 from invariant_control.polynomial import BoundaryPolynomial
 from invariant_control.protocols import (
     BSpec,
@@ -373,6 +373,57 @@ def test_ho_omega_sq_dot_equals_the_rho_derivative_route(form):
     rho, r1, r2, r3 = (proto.rho(ts, k) for k in range(4))
     old = -4.0 * omega0**2 * r1 / rho**5 - (r3 * rho - r2 * r1) / rho**2
     assert np.array_equal(proto.omega_sq_dot(ts), old)
+
+
+def _chain_rule_rho(proto, t, order):
+    """rho = P^a or its derivative of the given order, each order by its own
+    chain-rule expression: the oracle of HoProtocol._rho_derivs."""
+    a = proto._power
+    p, p1, p2, p3 = (proto.inner(t, k) for k in range(4))
+    return (p**a, a * p ** (a - 1) * p1,
+            a * (a - 1) * p ** (a - 2) * p1**2 + a * p ** (a - 1) * p2,
+            a * (a - 1) * (a - 2) * p ** (a - 3) * p1**3
+            + 3 * a * (a - 1) * p ** (a - 2) * p1 * p2 + a * p ** (a - 1) * p3)[order]
+
+
+@pytest.mark.parametrize("form", ["inverse_sqrt_poly", "sqrt_poly"])
+def test_ho_rho_derivatives_equal_the_chain_rule_of_each_order(form):
+    # one evaluation of P, its derivatives and its powers for every order:
+    # the same bits and types as each order's own expression, on arrays and
+    # on Python floats
+    omega0 = TWO_PI * 2.53e6
+    proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6, form=form, r_extra=(3.0,))
+    ts = np.linspace(0.0, proto.t_f, 401)
+    for t in (ts, float(ts[37])):
+        want = [_chain_rule_rho(proto, t, k) for k in range(4)]
+        for order in range(4):
+            got = proto._rho_derivs(t, order)
+            assert len(got) == order + 1
+            for g, w in zip(got, want):
+                assert type(g) is type(w) and np.array_equal(g, w)
+            assert np.array_equal(proto.rho(t, order), want[order])
+        assert np.array_equal(proto.omega_sq(t),
+                              algebra.omega_sq_from_rho(want[0], want[2], omega0))
+    for order in (-1, 4):
+        with pytest.raises(ValueError):
+            proto.rho(ts, order)
+
+
+def test_ho_leading_coefficient_too_small_for_the_roots_raises():
+    # a subnormal top coefficient: the companion matrix would overflow
+    omega0 = TWO_PI * 2.53e6
+    with pytest.raises(InvariantControlError, match="too small for the roots"):
+        make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6, form="sqrt_poly",
+                         r_extra=(2.2250738585e-313,))
+
+
+def test_path_weights_that_are_not_finite_raise():
+    # g4 = 1e308 puts pi (1 - g4) past the largest double
+    for g4 in (1e308, -1e308):
+        with pytest.raises(InvariantControlError, match="not all finite"):
+            make_tls_steep_protocol(TWO_PI * 10e3, 0.5e-3, g4)
+    with pytest.raises(InvariantControlError):
+        protocols.PathCombo(np.nan, (), ())
 
 
 def test_ho_rho_crossing_zero_raises():
