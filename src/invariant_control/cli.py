@@ -20,7 +20,9 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import numbers
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -44,6 +46,10 @@ _PARAM_SIGNS = {
     "n_bar": "nonnegative", "alpha_re": None, "alpha_im": None,
 }
 
+#: the most protocol cells a config may ask for: prod(scan.sizes), and for
+#: ho_thermal n_t_f times two more (the reference protocols); fig4 takes 110
+_MAX_CELLS = 10**6
+
 
 def _finite(value, what) -> float:
     """value as a finite float, or a ConfigError naming the field what."""
@@ -64,9 +70,15 @@ def _check_count(value, what):
 
 
 def _check_path_text(value, what):
-    """Reject a path or file name that is not a string or holds a NUL byte."""
-    if not isinstance(value, str) or "\0" in value:
-        raise ConfigError(f"{what}: expected a string without NUL bytes, got {value!r}")
+    """Reject a path or file name that is not a string, holds a NUL byte or
+    has a character the file system cannot encode (a lone surrogate)."""
+    try:
+        valid = isinstance(value, str) and b"\0" not in os.fsencode(value)
+    except UnicodeEncodeError:
+        valid = False
+    if not valid:
+        raise ConfigError(f"{what}: expected a string without NUL bytes that the file "
+                          f"system can encode, got {value!r}")
 
 
 @dataclass
@@ -167,6 +179,12 @@ class ExperimentConfig:
             _EXPERIMENTS[self.experiment].check_free(ends, "scan.ranges")
         for n in sizes:
             _check_count(n, "scan.sizes")
+        cells = math.prod(int(float(n)) for n in sizes)
+        if cells > _MAX_CELLS:
+            raise ConfigError(f"scan.sizes: {cells} cells exceed the cap of {_MAX_CELLS}")
+        if "n_t_f" in p and int(float(p["n_t_f"])) * (2 + cells) > _MAX_CELLS:
+            raise ConfigError(f"params.n_t_f: {p['n_t_f']!r} durations of {2 + cells} cells "
+                              f"each exceed the cap of {_MAX_CELLS} cells")
         _check_path_text(self.out_dir, "out_dir")
         if self.basename is not None:
             _check_path_text(self.basename, "basename")
@@ -246,7 +264,7 @@ def _cell(config, exp, channels, family):
         if not exp.skips_infeasible:
             raise
         return {"skipped": str(exc)}
-    return {**exp.measure(proto, config, channels),
+    return {**(exp.measure(proto, config, channels) if exp.measure else {}),
             **exp.fidelity(proto, config, channels)}
 
 
@@ -393,7 +411,7 @@ class _Experiment:
     defaults: dict               # params, channels, scan
     kind: str                    # ProtocolFamily kind
     tags: tuple                  # sorted noise-channel tags it requires
-    measure: Callable            # (proto, config, channels) -> columns
+    measure: Callable | None     # (proto, config, channels) -> columns
     fidelity: Callable           # (proto, config, channels) -> columns
     finish: Callable             # see the finishing steps above
     plan: Callable = _grid_plan  # config -> optimize.scan calls
@@ -451,7 +469,7 @@ _EXPERIMENTS = {
             "scan": {"ranges": [[0.0, 800.0]], "sizes": [9]},
         },
         # no closed-form measure: the mean power needs the simulated moments
-        kind="ho_thermal", tags=("q_squared",), measure=lambda *_: {},
+        kind="ho_thermal", tags=("q_squared",), measure=None,
         fidelity=_thermal_fidelity, finish=_finish_fig4, plan=_thermal_plan,
     ),
 }
@@ -529,10 +547,10 @@ def _verb_synthesize(config, free):
 def _verb_measure(config, free, simulate=False):
     """One-row table of the cell's measure (or, simulating, fidelity) columns."""
     exp = _EXPERIMENTS[config.experiment]
-    columns = (exp.fidelity if simulate else exp.measure)(
-        _cell_family(config, free).build(), config, _channels(config))
-    if not columns:
+    route = exp.fidelity if simulate else exp.measure
+    if route is None:
         raise ConfigError(f"measure: {config.experiment} has no closed-form measure")
+    columns = route(_cell_family(config, free).build(), config, _channels(config))
     suffix = "_fidelity" if simulate else "_measures"
     return _write_table(config, suffix, list(columns), [list(columns.values())])
 
@@ -603,12 +621,16 @@ def main(argv=None) -> int:
         return 2
     try:
         verb = _VERBS["scan" if args.verb == "reproduce" else args.verb]
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)  # before any cell runs
         # an overflow or invalid value ends the run before it writes a table
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             print(verb(config, getattr(args, "free", None)))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # out_dir cannot be made, or a table not written
+        print(f"config error: out_dir: {exc}", file=sys.stderr)
         return 2
     except (InvariantControlError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -4,31 +4,31 @@ The noise model is a sum of double-commutator (unital) dissipators,
 
     drho/dt = -i [H(t), rho] - sum_k eta_k [X_k, [X_k, rho]],
 
-integrated with an adaptive embedded Runge-Kutta 4(5) stepper on dense
-matrices (integrate_master) or, for oscillator runs, in a truncated Fock
-basis (integrate_ho_master, in the interaction picture of the exactly
-solvable noiseless flow) or through the closed Gaussian-moment equations.
-The Fock right-hand side takes the double commutator of Hermitian rho in
-two matrix products (three for q^2) and returns it exactly Hermitian;
-lindblad_rhs's five-product form is its oracle. The Pauli channels of a
-two-level run are unital, so its Bloch vector obeys a linear 3x3 ODE
-dx/dt = A(t) x; in the frame of the invariant's closed-form Heisenberg flow
-so do an oscillator's second moments under q^2 noise. One error-controlled
-propagator (_magnus_path: fourth-order Magnus steps on a uniform start grid,
-whose error-carrying steps it splits until the one-step and half-step runs
-agree; the running products of both runs are one pairwise scan over all
-steps, and a mask marks the steps that end a start step) serves both:
-tls_fidelity, with integrate_master as its test oracle, and
+integrated by RK45 on dense matrices (integrate_master) or, for oscillator
+runs, in a truncated Fock basis (integrate_ho_master, in the interaction
+picture of the exactly solvable noiseless flow) or through the closed
+Gaussian-moment equations. The Fock right-hand side takes the double
+commutator of Hermitian rho in two matrix products (three for q^2) and
+returns it exactly Hermitian, so the Fock samples stay so with no
+projection; lindblad_rhs's five-product form is its oracle. The Pauli
+channels of a two-level run are unital, so its Bloch vector obeys a linear
+3x3 ODE dx/dt = A(t) x; in the frame of the invariant's closed-form
+Heisenberg flow so do an oscillator's second moments under q^2 noise. One
+error-controlled propagator (_magnus_path: fourth-order Magnus steps on a
+uniform start grid, whose error-carrying steps it splits until the one-step
+and half-step runs agree; the running products of both runs are one pairwise
+scan over all steps, and a mask marks the steps that end a start step)
+serves both: tls_fidelity, with integrate_master as its test oracle, and
 magnus_q2_moments. Under q noise exact_q_moments adds the noise to the same
-flow by one quadrature. Every trap control (HoProtocol and the
-constant-mu reference ConstantMuControl) has a closed-form flow, so
-integrate_moments, the lab-frame moment ODE, is a test oracle only: the
-independent route that both oscillator routes are checked against. The
-oracles (integrate_master, integrate_ho_master, integrate_moments) import
-scipy when first called, so the package and invctl load numpy only.
-tls_fidelity, coherent_fidelity and thermal_fidelity are the one fidelity
-routine of each simulated system; the dissipator in the invariant eigenbasis
-backs the common-eigenbasis check.
+flow by one quadrature. Every trap control (HoProtocol and the constant-mu
+reference ConstantMuControl) has a closed-form flow, so integrate_moments,
+the lab-frame moment ODE, is a test oracle only: the independent route that
+both oscillator routes are checked against. The oracles (integrate_master,
+integrate_ho_master, integrate_moments) are each one scipy solve_ivp call,
+importing scipy when first called, so the package and invctl load numpy
+only. tls_fidelity, coherent_fidelity and thermal_fidelity are the one
+fidelity routine of each simulated system; the dissipator in the invariant
+eigenbasis backs the common-eigenbasis check.
 """
 
 from __future__ import annotations
@@ -115,46 +115,22 @@ def lindblad_rhs(rho: np.ndarray, h: np.ndarray, channels) -> np.ndarray:
 
 
 def _rk45_matrix(rhs, rho0, t_eval, rtol, atol, max_step=np.inf):
-    """Adaptive RK45 over a matrix-valued ODE with per-step hermitization:
-    the integrator of both oracles, dense (integrate_master) and truncated
-    Fock (integrate_ho_master)."""
-    from scipy.integrate import RK45
+    """rho at t_eval of drho/dt = rhs(t, rho), rho(0) = rho0, by one solve_ivp
+    RK45 call (Dormand-Prince 5(4)): the integrator of the dense and the Fock
+    oracle. Nothing is projected onto Hermitian matrices: the samples stay
+    exactly Hermitian if rho0 and rhs are (the Fock route)."""
+    from scipy.integrate import solve_ivp
 
-    t_eval = np.asarray(t_eval, dtype=float)
+    rho0 = np.asarray(rho0, dtype=complex)
     n = rho0.shape[0]
-    y0 = np.asarray(rho0, dtype=complex).ravel()
-
-    def f(t, y):
-        return rhs(t, y.reshape(n, n)).ravel()
-
-    out = np.empty((len(t_eval), n, n), dtype=complex)
-    idx = 0
-    if t_eval[0] == 0.0:
-        out[0] = rho0
-        idx = 1
     if t_eval[-1] == 0.0:
-        return out
-
-    solver = RK45(f, 0.0, y0, t_eval[-1], rtol=rtol, atol=atol, max_step=max_step)
-    while solver.status == "running":
-        msg = solver.step()
-        if solver.status == "failed":
-            raise StepSizeUnderflow(msg or "adaptive step failed")
-        if idx < len(t_eval) and t_eval[idx] <= solver.t:
-            # build the interpolant only for a step that holds a sample
-            dense = solver.dense_output()
-            while idx < len(t_eval) and t_eval[idx] <= solver.t:
-                r = dense(t_eval[idx]).reshape(n, n)
-                out[idx] = 0.5 * (r + r.conj().T)
-                idx += 1
-        y = solver.y.reshape(n, n)
-        solver.y = (0.5 * (y + y.conj().T)).ravel()
-    while idx < len(t_eval):
-        # end of span reached within roundoff of the last sample
-        r = solver.y.reshape(n, n)
-        out[idx] = 0.5 * (r + r.conj().T)
-        idx += 1
-    return out
+        return np.repeat(rho0[None], len(t_eval), axis=0)
+    sol = solve_ivp(lambda t, y: rhs(t, y.reshape(n, n)).ravel(), (0.0, t_eval[-1]),
+                    rho0.ravel(), method="RK45", t_eval=t_eval, rtol=rtol, atol=atol,
+                    max_step=max_step)
+    if not sol.success:
+        raise StepSizeUnderflow(sol.message)
+    return sol.y.T.reshape(-1, n, n)
 
 
 def integrate_master(
@@ -175,7 +151,6 @@ def integrate_master(
     step so narrow control pulses surrounded by long H = 0 stretches cannot
     be stepped over. Imports scipy on its first call.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
     resolved = []
     for ch in channels:
         x, eta = (ch if isinstance(ch, tuple) else (ch.matrix(), ch.eta))
@@ -184,8 +159,7 @@ def integrate_master(
     def rhs(t, rho):
         return lindblad_rhs(rho, hamiltonian(t), resolved)
 
-    rhos = _rk45_matrix(rhs, rho0, t_eval, rtol, atol, max_step)
-    return np.asarray(t_eval, dtype=float), rhos
+    return np.asarray(t_eval, dtype=float), _rk45_matrix(rhs, rho0, t_eval, rtol, atol, max_step)
 
 
 def fock_operators(d: int, mass: float, omega_ref: float):
@@ -270,9 +244,7 @@ _FOCK_MAX_DIM = 512
 
 def _integrate_ho_fixed_dim(protocol, rho0_builder, channel, t_eval, d, rtol, atol):
     q, p, _ = fock_operators(d, protocol.mass, protocol.omega0)
-    rho0 = np.asarray(rho0_builder(d), dtype=complex)
-    rho0 = 0.5 * (rho0 + rho0.conj().T)
-    return _rk45_matrix(_fock_rhs(protocol, channel, q, p), rho0, t_eval, rtol, atol)
+    return _rk45_matrix(_fock_rhs(protocol, channel, q, p), rho0_builder(d), t_eval, rtol, atol)
 
 
 def integrate_ho_master(
@@ -288,13 +260,13 @@ def integrate_ho_master(
 
     The Fock oracle of the Gaussian routes (acceptance check of Fock against
     moments). rho0_builder(d) must return the initial density matrix at
-    truncation d (in the omega0 representation); it is made exactly
-    Hermitian once. The right-hand side (_fock_rhs) takes two d x d
-    products for q noise and three for q^2 and is Hermitian to the last
-    bit, so the RK45 stages stay Hermitian; its oracle is lindblad_rhs's
-    five-product _double_commutator. Unless dim fixes it, the
-    truncation starts at 40 levels and doubles until the top two levels stay
-    below 1e-8 population, warning with TruncationWarning if
+    truncation d (in the omega0 representation), exactly Hermitian as the
+    states module builds it. The right-hand side (_fock_rhs) takes two d x d
+    products for q noise and three for q^2 and is Hermitian to the last bit,
+    so the RK45 samples stay exactly Hermitian with no projection; its
+    oracle is lindblad_rhs's five-product _double_commutator. Unless dim
+    fixes it, the truncation starts at 40 levels and doubles until the top
+    two levels stay below 1e-8 population, warning with TruncationWarning if
     _FOCK_MAX_DIM is reached first. Imports scipy on its first call.
     """
     if channel.operator_tag not in OSC_TAGS:

@@ -424,14 +424,14 @@ class HoProtocol:
 
     @cached_property
     def _roots(self) -> np.ndarray:
-        """Roots of P in s = t / duration, from its companion matrix."""
+        """Roots of P in s = t / duration, from its companion matrix. The
+        leading coefficient c[len(roots)] is the last above machine epsilon
+        times the largest, so the companion matrix's entries stay below
+        1/epsilon; the terms above it move P by less than roundoff."""
         c = self.inner.coefficients
-        top = np.flatnonzero(c)[-1]
+        top = np.flatnonzero(np.abs(c) > np.finfo(float).eps * np.abs(c).max())[-1]
         companion = np.eye(top, k=-1)
-        with np.errstate(over="ignore"):
-            companion[:, top - 1:] = -c[:top, None] / c[top]
-        if not np.isfinite(companion).all():
-            raise InvariantControlError(f"leading coefficient {c[top]!r} too small for the roots")
+        companion[:, top - 1:] = -c[:top, None] / c[top]
         return np.linalg.eigvals(companion).astype(complex)
 
     @property
@@ -515,7 +515,7 @@ class HoProtocol:
         r, c = self._roots, self.inner.coefficients
         diff = r[:, None] - r[None, :]
         np.fill_diagonal(diff, 1.0)
-        w = 1.0 / (c[np.flatnonzero(c)[-1]] * diff.prod(axis=1))
+        w = 1.0 / (c[len(r)] * diff.prod(axis=1))
         s_end = self.t_f / self.inner.duration
         log_end = np.log(1.0 - s_end / r)
         log_mid = np.log(1.0 - np.clip(r.real, 0.0, s_end) / r)

@@ -291,6 +291,9 @@ def test_rtol_config_field_exits_2(tmp_path, capsys):
     ({"experiment": "tls_single", "out_dir": [1]}, "out_dir"),
     ({"experiment": "tls_single", "basename": "a\0b"}, "basename"),
     ([{"experiment": "tls_single"}], "config"),
+    # a lone surrogate, which a JSON escape can give, has no file-system encoding
+    ({"experiment": "tls_single", "out_dir": "\ud800"}, "out_dir"),
+    ({"experiment": "tls_single", "basename": "a\udfffb"}, "basename"),
 ])
 def test_malformed_config_field_exits_2(tmp_path, capsys, config, field):
     cfg_path = tmp_path / "config.json"
@@ -437,6 +440,120 @@ def test_free_past_the_largest_double_exits_3_without_a_table(tmp_path, capsys, 
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("free", [[], ["--free", "0"], ["--free", "1e308"]])
+def test_measure_on_ho_thermal_exits_2_before_the_build(tmp_path, capsys, free):
+    # no coefficient gives ho_thermal a closed-form measure, so the verb is
+    # rejected before the protocol is built, whose overflow would exit 3
+    argv = ["--out", str(tmp_path), "measure", "--experiment", "ho_thermal", *free]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == ("config error: measure: ho_thermal has no "
+                                       "closed-form measure\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def _no_cell_runs(*args, **kwargs):
+    raise AssertionError("a protocol cell ran")
+
+
+@pytest.mark.parametrize("config, grid, field", [
+    ({"experiment": "ho_thermal", "params": {"n_t_f": 1e20}}, None, "params.n_t_f"),
+    ({"experiment": "ho_thermal"}, cli._MAX_CELLS // 10, "params.n_t_f"),  # 10 durations
+    ({"experiment": "tls_single"}, cli._MAX_CELLS + 1, "scan.sizes"),
+    ({"experiment": "tls_dual"}, 1001, "scan.sizes"),  # 1001^2 cells
+    ({"experiment": "tls_single", "scan": {"ranges": [[0.0, 1.0]], "sizes": [1e7]}}, None,
+     "scan.sizes"),
+])
+def test_a_config_past_the_cell_cap_exits_2_before_any_cell(tmp_path, capsys, monkeypatch,
+                                                            config, grid, field):
+    monkeypatch.setattr(cli, "_cell", _no_cell_runs)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    grid_args = [] if grid is None else [f"--grid={grid}"]
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), *grid_args, "scan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}:") and f"cap of {cli._MAX_CELLS}" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_the_cell_cap_admits_a_config_at_the_cap():
+    ExperimentConfig(experiment="tls_single", scan={"ranges": [[0.0, 1.0]],
+                                                    "sizes": [cli._MAX_CELLS]})
+    ExperimentConfig(experiment="ho_thermal", params={"n_t_f": cli._MAX_CELLS // 11})
+
+
+@pytest.mark.parametrize("verb", ["measure", "scan", "reproduce"])
+def test_an_out_dir_that_cannot_be_made_exits_2_before_any_cell(tmp_path, capsys,
+                                                                 monkeypatch, verb):
+    monkeypatch.setattr(cli, "_cell", _no_cell_runs)
+    monkeypatch.setattr(cli, "_cell_family", _no_cell_runs)
+    (tmp_path / "a_file").write_text("")
+    verb_args = ["reproduce", "fig1"] if verb == "reproduce" else [verb, "--experiment",
+                                                                   "tls_single"]
+    for out in (tmp_path / ("a" * 300), tmp_path / "a_file" / "sub"):
+        assert cli.main(["--out", str(out), *verb_args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out_dir: ") and err.count("\n") == 1
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_a_table_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # a basename past the file-name limit fails only when the table is written
+    argv = ["--out", str(tmp_path), "synthesize", "--experiment", "tls_single"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"experiment": "tls_single", "basename": "b" * 300}))
+    assert cli.main(["--config", str(cfg_path), *argv]) == 2
+    assert capsys.readouterr().err.startswith("config error: out_dir: ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_grid_exits_0_or_2_and_writes_finite_numbers(tmp_path_factory, data):
+    # a grid of at most two points per axis runs; anything past the cell cap
+    # (or below one point) is a config error
+    experiment = data.draw(st.sampled_from(sorted(cli._EXPERIMENTS)))
+    grid = data.draw(st.sampled_from([1, 2]) | st.integers(max_value=2)
+                     | st.integers(min_value=cli._MAX_CELLS + 1))
+    out = tmp_path_factory.mktemp("any_grid")
+    code = _exit_code([f"--grid={grid}", "--out", str(out), "scan", "--experiment", experiment])
+    assert code in (0, 2)
+    if code == 0:
+        _assert_numeric_cells_finite(out)
+    else:
+        assert not list(out.glob("*.csv"))
+
+
+#: components of a relative --out: text without "/" other than "..", so the
+#: path stays under the working directory, and a bad one with a NUL byte or
+#: past the 255-byte file-name limit
+_OUT_COMPONENT = st.text(st.characters(exclude_characters="/\0"), min_size=1,
+                         max_size=12).filter(lambda c: c != "..")
+_BAD_OUT_COMPONENT = (st.text(st.characters(exclude_characters="/"), max_size=8).map(
+    lambda c: c + "\0") | st.text(st.characters(exclude_characters="/"), min_size=256,
+                                 max_size=300))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_out_exits_0_or_2_and_writes_finite_numbers(tmp_path_factory, data):
+    parts = data.draw(st.lists(_OUT_COMPONENT, min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        parts.insert(data.draw(st.integers(0, len(parts))), data.draw(_BAD_OUT_COMPONENT))
+    out = "/".join(parts)
+    work = tmp_path_factory.mktemp("any_out")
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        code = _exit_code([f"--out={out}", "measure", "--experiment", "tls_single"])
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2)
+    if code == 0:
+        _assert_numeric_cells_finite(work / out)
+    else:
+        assert not list(work.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("ranges", [[[-1.5, 1.0], [0.0, 1.0]], [[-1.0, 1.0], [0.0, 2.0]],

@@ -565,6 +565,34 @@ def test_fock_run_equals_the_full_matrix_rhs(tag, eta):
     assert np.max(np.abs(rhos[-1] - rhos[0])) > 1e-6  # the noise acts
 
 
+@pytest.mark.parametrize("tag, eta", [("q", 10.0), ("q_squared", 0.01)])
+def test_fock_samples_stay_exactly_hermitian(tag, eta):
+    # an exactly Hermitian rho0 and right-hand side keep every RK45 stage,
+    # step and interpolated sample Hermitian to the last bit, with no
+    # projection
+    omega0 = TWO_PI * 15.92e6
+    proto = constrain_g_phase(omega0, omega0 / 100.0, 0.505 * 5e-6, t_f=5e-6, r6=-10.0)
+    traj = dynamics.integrate_ho_master(
+        proto, lambda d: states.coherent_state(1.0 + 1.0j, omega0, proto.mass, "fock", d),
+        dynamics.NoiseChannel(tag, eta), t_eval=np.linspace(0.0, proto.t_f, 7), dim=40)
+    rhos = traj.rhos
+    assert np.array_equal(rhos, rhos.conj().transpose(0, 2, 1))
+    assert np.max(np.abs(rhos[-1] - rhos[0])) > 1e-6  # the noise acts
+
+
+def test_rk45_span_ending_at_zero_returns_the_initial_state():
+    rho0 = _random_density(np.random.default_rng(3), 3)
+    out = dynamics._rk45_matrix(lambda t, rho: rho, rho0, [0.0, 0.0], 1e-9, 1e-12)
+    assert out.shape == (2, 3, 3)
+    assert np.array_equal(out, [rho0, rho0])
+
+
+def test_rk45_failing_solve_raises_step_size_underflow():
+    # d rho/dt = rho^2 from the identity blows up at t = 1
+    with pytest.raises(StepSizeUnderflow):
+        dynamics._rk45_matrix(lambda t, rho: rho @ rho, np.eye(2), [0.0, 2.0], 1e-9, 1e-12)
+
+
 @pytest.mark.parametrize(
     "t_f, r6, eta", [(20e-6, 0.0, 0.0), (20e-6, -10.0, 10.0), (50e-6, 5.0, 10.0)]
 )

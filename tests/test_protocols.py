@@ -409,12 +409,19 @@ def test_ho_rho_derivatives_equal_the_chain_rule_of_each_order(form):
             proto.rho(ts, order)
 
 
-def test_ho_leading_coefficient_too_small_for_the_roots_raises():
-    # a subnormal top coefficient: the companion matrix would overflow
+def test_ho_negligible_leading_coefficient_leaves_the_phase_as_is():
+    # a top coefficient below epsilon times the largest moves P by less than
+    # roundoff, so the roots drop it: a subnormal one (whose companion matrix
+    # would overflow) and a normal 1e-300 (whose companion matrix found
+    # spurious real roots) are both admitted, with the phase of the
+    # protocol without it
     omega0 = TWO_PI * 2.53e6
-    with pytest.raises(InvariantControlError, match="too small for the roots"):
-        make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6, form="sqrt_poly",
-                         r_extra=(2.2250738585e-313,))
+    ref = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6, form="sqrt_poly")
+    for r6 in (2.2250738585e-313, 1e-300):
+        proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6, form="sqrt_poly",
+                                 r_extra=(r6,))
+        assert proto.inner.coefficients[-1] == r6
+        assert proto.theta(proto.t_f) == pytest.approx(ref.theta(ref.t_f), rel=1e-15)
 
 
 def test_path_weights_that_are_not_finite_raise():
