@@ -69,6 +69,14 @@ def _check_count(value, what):
         raise ConfigError(f"{what}: must be an integer >= 1, got {value!r}")
 
 
+def _json_value(text):
+    """The value of JSON text, or a ConfigError if it is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+
+
 def _check_path_text(value, what):
     """Reject a path or file name that is not a string, holds a NUL byte or
     has a character the file system cannot encode (a lone surrogate)."""
@@ -196,6 +204,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        return cls(**cls._checked_fields(data))
+
+    @classmethod
+    def from_json(cls, text: str) -> "ExperimentConfig":
+        return cls.from_dict(_json_value(text))
+
+    @classmethod
+    def _checked_fields(cls, data) -> dict:
+        """data, checked to be an object of known fields naming an experiment."""
         if not isinstance(data, dict):
             raise ConfigError(f"config: expected a JSON object, got {data!r}")
         if "experiment" not in data:
@@ -203,15 +220,7 @@ class ExperimentConfig:
         extra = set(data) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return data
 
     @property
     def digest(self) -> str:
@@ -586,29 +595,30 @@ def _parser():
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The run's config, built once from the --config file (or the
-    experiment's defaults) after the figure, --out and --grid are applied."""
+    """The run's config, validated once: the fields of the --config file (or
+    the experiment's defaults) with the figure, --out and --grid applied."""
     data = {"experiment": getattr(args, "experiment", None)}
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        data = ExperimentConfig.from_json(path.read_text()).to_dict()
+        data = ExperimentConfig._checked_fields(_json_value(path.read_text()))
+    elif data["experiment"] is None and args.verb != "reproduce":
+        raise ConfigError("need --config or --experiment")
     if args.verb == "reproduce":
         # the figure's defaults win over a config of another experiment
         experiment = _FIGURES[args.figure]
         if data["experiment"] != experiment:
             data = {"experiment": experiment, "out_dir": data.get("out_dir", "."),
                     "basename": data.get("basename")}
-        if data["basename"] is None:
+        if data.get("basename") is None:
             data["basename"] = args.figure
-    if data["experiment"] is None:
-        raise ConfigError("need --config or --experiment")
     if args.out:
         data["out_dir"] = args.out
-    if args.grid is not None:
-        scan = copy.deepcopy(data.get("scan") or _EXPERIMENTS[data["experiment"]].defaults["scan"])
-        data["scan"] = {**scan, "sizes": [args.grid] * len(scan["sizes"])}
+    exp = _EXPERIMENTS.get(data["experiment"]) if isinstance(data["experiment"], str) else None
+    if args.grid is not None and exp is not None and isinstance(data.get("scan", {}), dict):
+        scan = copy.deepcopy(data.get("scan") or exp.defaults["scan"])
+        data["scan"] = {**scan, "sizes": [args.grid] * len(exp.defaults["scan"]["sizes"])}
     return ExperimentConfig(**data)
 
 
@@ -622,6 +632,10 @@ def main(argv=None) -> int:
     try:
         verb = _VERBS["scan" if args.verb == "reproduce" else args.verb]
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)  # before any cell runs
+        # the longest file name any verb writes, <basename>_controls.schema.json
+        name = Path(f"{config.basename or config.experiment}_controls.schema.json").name
+        if len(os.fsencode(name)) > os.pathconf(config.out_dir, "PC_NAME_MAX"):
+            raise ConfigError(f"basename: the file name {name!r} is too long for out_dir")
         # an overflow or invalid value ends the run before it writes a table
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             print(verb(config, getattr(args, "free", None)))

@@ -443,35 +443,40 @@ _TAYLOR_NORM = 0.5
 _ASSEMBLY_BLOCK = 256
 
 
+def _mul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a @ b of 3x3 matrices batched on the last axes, (3, 3, ...), by einsum."""
+    return np.einsum("ij...,jk...->ik...", a, b, out=out)
+
+
 def _expm3(x: np.ndarray) -> np.ndarray:
-    """exp of a batch of 3x3 matrices: Taylor series with scaling and squaring.
+    """exp of a (3, 3, n) batch: Taylor series with scaling and squaring.
 
     Consumes x: it is scaled in place. The Taylor and squaring loops write
     each product into the other half of one work buffer, which first holds
     |x| for the norm, so no step allocates a temporary.
     """
     out, tmp = np.empty((2, *x.shape))
-    norm = float(np.abs(x, out=out).sum(axis=-1).max())
+    norm = float(np.abs(x, out=out).sum(axis=1).max())
     squarings = int(np.ceil(np.log2(norm / _TAYLOR_NORM))) if norm > _TAYLOR_NORM else 0
     x /= 2.0**squarings
-    eye = np.eye(3)
+    eye = np.eye(3)[:, :, None]
     np.divide(x, _TAYLOR_DEGREE, out=out)
     out += eye
     for k in range(_TAYLOR_DEGREE - 1, 0, -1):
-        np.matmul(x, out, out=tmp)
+        _mul(x, out, out=tmp)
         tmp /= k
         tmp += eye
         out, tmp = tmp, out
     for _ in range(squarings):
-        np.matmul(out, out, out=tmp)
+        _mul(out, out, out=tmp)
         out, tmp = tmp, out
     return out
 
 
 def _magnus_steps(generator, left: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """Magnus-4 propagators of dx/dt = A(t) x over the steps [left, left + width).
+    """Magnus-4 propagators (3, 3, n) of dx/dt = A(t) x over [left, left + width).
 
-    generator(t) -> A(t), a batch of 3x3 matrices, runs once on the two
+    generator(t) -> A(t), a (3, 3, len(t)) batch, runs once on the two
     Gauss-Legendre nodes of every step. Its output is released before the
     step exponentials are taken, so their buffers can reuse its memory.
     """
@@ -481,17 +486,16 @@ def _magnus_steps(generator, left: np.ndarray, width: np.ndarray) -> np.ndarray:
 
 def _magnus_exponents(a: np.ndarray, width: np.ndarray) -> np.ndarray:
     """Omega_4 = w/2 (A1 + A2) + sqrt(3) w^2/12 [A2, A1] of each step of width
-    w, from a = (A1 of every step, A2 of every step), which is left as it is.
+    w, from a = [A1 of every step, A2 of every step] (last axis), left as is.
 
     Omega_4 is built in one batch-sized buffer; the terms that need their
     own temporaries are added _ASSEMBLY_BLOCK steps at a time.
     """
-    a1, a2 = a[:len(width)], a[len(width):]
-    w = width[:, None, None]
-    omega = a2 @ a1
+    a1, a2 = a[..., :len(width)], a[..., len(width):]
+    omega = _mul(a2, a1)
     for s in range(0, len(width), _ASSEMBLY_BLOCK):
-        b1, b2, wb, o = (v[s:s + _ASSEMBLY_BLOCK] for v in (a1, a2, w, omega))
-        o -= b1 @ b2
+        b1, b2, wb, o = (v[..., s:s + _ASSEMBLY_BLOCK] for v in (a1, a2, width, omega))
+        o -= _mul(b1, b2)
         o *= (np.sqrt(3.0) / 12.0) * wb * wb
         o += 0.5 * wb * (b1 + b2)
     return omega
@@ -505,13 +509,13 @@ def _one_and_halves(generator, left, h, one=None):
         starts, widths = [left, *starts], [h, *widths]
     u = _magnus_steps(generator, np.concatenate(starts), np.concatenate(widths))
     n = len(left)
-    return (u[:n] if one is None else one), u[-2 * n:-n], u[-n:]
+    return (u[..., :n] if one is None else one), u[..., -2 * n:-n], u[..., -n:]
 
 
 def _running_products(u: np.ndarray) -> np.ndarray:
     """Products of time-ordered step propagators from t = 0 to the end of
-    each step: row r of u holds the steps of run r in time order, and entry
-    (r, j) of the result is u[r, j] @ ... @ u[r, 0].
+    each step: u[..., r, j] is step j of run r, and the result holds
+    u[..., r, j] @ ... @ u[..., r, 0] there.
 
     Consumes u: it is overwritten with the result. A pairwise scan over the
     steps of all runs at once multiplies adjacent entries level by level up
@@ -519,12 +523,12 @@ def _running_products(u: np.ndarray) -> np.ndarray:
     running product by at most one more product.
     """
     levels = []
-    while u.shape[1] > 1:
+    while u.shape[-1] > 1:
         levels.append(u)
-        u = u[:, 1::2] @ u[:, :-1:2]
+        u = _mul(u[..., 1::2], u[..., :-1:2])
     for low in reversed(levels):
-        low[:, 2::2] = low[:, 2::2] @ u[:, :(low.shape[1] - 1) // 2]
-        low[:, 1::2] = u
+        low[..., 2::2] = _mul(low[..., 2::2], u[..., :(low.shape[-1] - 1) // 2])
+        low[..., 1::2] = u
         u = low
     return u
 
@@ -548,14 +552,15 @@ def _magnus_path(generator, t_f: float, n_start: int, x0, error) -> np.ndarray:
     ends = np.ones(n_start, dtype=bool)  # the steps that end a start step
     one, first, second = _one_and_halves(generator, left, h)
     while True:
-        path = _running_products(np.stack([one, second @ first]))[:, ends] @ x0
+        runs = _running_products(np.stack([one, _mul(second, first)], axis=2))
+        path = np.einsum("ijrn,j->rni", runs[..., ends], x0)
         coarse, fine = np.concatenate([np.broadcast_to(x0, (2, 1, 3)), path], axis=1)
         gap = error(coarse, fine)
         if gap <= 15.0:
             return fine
         if not np.isfinite(gap):
             raise StepSizeUnderflow(f"Magnus propagator overflowed on {2 * len(h)} half steps")
-        diff = np.abs(second @ first - one).max(axis=(1, 2))
+        diff = np.abs(_mul(second, first) - one).max(axis=(0, 1))
         flagged = diff > _SPLIT * diff.max()
         k = np.ceil(np.log2(gap / 15.0) / 4.0)
         if 2 * (len(h) + flagged.sum() * (2**k - 1)) > _MAX_HALF_STEPS:
@@ -569,10 +574,10 @@ def _magnus_path(generator, t_f: float, n_start: int, x0, error) -> np.ndarray:
         left = left[idx] + part * h
         ends = ends[idx] & (part == parts[idx] - 1)  # a start step ends with its last part
         split = parts[idx] > 1
-        known = (np.stack([first[flagged], second[flagged]], axis=1).reshape(-1, 3, 3)
+        known = (np.stack([first[..., flagged], second[..., flagged]], axis=-1).reshape(3, 3, -1)
                  if k == 1 else None)
-        one, first, second = one[idx], first[idx], second[idx]
-        one[split], first[split], second[split] = _one_and_halves(
+        one, first, second = one[..., idx], first[..., idx], second[..., idx]
+        one[..., split], first[..., split], second[..., split] = _one_and_halves(
             generator, left[split], h[split], known)
 
 
@@ -603,9 +608,9 @@ def magnus_q2_moments(protocol, y0, channel: NoiseChannel):
         def generator(t):
             fq, fp, _, _ = protocol.heisenberg_coeffs(t)
             fp = fp * scale
-            u = np.stack([fp * fp, -fp * fq, fq * fq], axis=-1)
-            w = np.stack([fq * fq, 2.0 * fq * fp, fp * fp], axis=-1)
-            return kappa * u[:, :, None] * w[:, None, :]
+            u = np.stack([fp * fp, -fp * fq, fq * fq])
+            w = np.stack([fq * fq, 2.0 * fq * fp, fp * fp])
+            return kappa * u[:, None] * w
 
         s = _magnus_path(
             generator, protocol.t_f, _Q2_INTERVALS, s,
@@ -650,10 +655,10 @@ def tls_fidelity(protocol, channels=()) -> float:
 
     def generator(t):
         delta, omega = protocol.controls(t)
-        a = np.zeros((len(t), 3, 3))
-        a[:, 0, 1], a[:, 1, 0] = -delta, delta
-        a[:, 1, 2], a[:, 2, 1] = -omega, omega
-        a[:, (0, 1, 2), (0, 1, 2)] = damping
+        a = np.zeros((3, 3, len(t)))
+        a[0, 1], a[1, 0] = -delta, delta
+        a[1, 2], a[2, 1] = -omega, omega
+        a[(0, 1, 2), (0, 1, 2)] = damping[:, None]
         return a
 
     def fidelity(path):

@@ -1,5 +1,7 @@
 """Master-equation integrators and dissipator diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,31 +197,37 @@ def test_tls_fidelity_rejects_oscillator_channels():
             dynamics.tls_fidelity(proto, [dynamics.NoiseChannel(tag, 1.0)])
 
 
+def _mul(a, b):
+    # batched 3x3 products with the batch axes last
+    return np.einsum("ij...,jk...->ik...", a, b)
+
+
 def _expm3_reference(x):
-    """The step exponential as written before it worked in place: the oracle
-    of the buffer-swapping kernel."""
-    norm = float(np.abs(x).sum(axis=-1).max())
+    """The step exponential as written before it worked in place: the
+    bit-for-bit oracle of the buffer-swapping kernel, on the (3, 3, n)
+    layout."""
+    norm = float(np.abs(x).sum(axis=1).max())
     squarings = int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0
     x = x / 2.0**squarings
-    eye = np.eye(3)
+    eye = np.eye(3)[:, :, None]
     out = eye + x / 12
     for k in range(11, 0, -1):
-        out = eye + (x @ out) / k
+        out = eye + _mul(x, out) / k
     for _ in range(squarings):
-        out = out @ out
+        out = _mul(out, out)
     return out
 
 
 def _magnus_steps_reference(generator, left, width):
     a = generator(np.concatenate([left + (0.5 - dynamics._GL) * width,
                                   left + (0.5 + dynamics._GL) * width]))
-    a1, a2 = a[:len(left)], a[len(left):]
-    w = width[:, None, None]
+    a1, a2 = a[..., :len(left)], a[..., len(left):]
     return _expm3_reference(
-        0.5 * w * (a1 + a2) + (np.sqrt(3.0) / 12.0) * w * w * (a2 @ a1 - a1 @ a2))
+        0.5 * width * (a1 + a2)
+        + (np.sqrt(3.0) / 12.0) * width * width * (_mul(a2, a1) - _mul(a1, a2)))
 
 
-# batch sizes from one step to 12000 (a (2n, 3, 3) generator batch of 1.7 MB,
+# batch sizes from one step to 12000 (a (3, 3, 2n) generator batch of 1.7 MB,
 # far above 128 kB); scales from no squaring to several squarings
 _KERNEL_SIZES = (1, 2, 7, 64, 1000, 5000, 12000)
 _KERNEL_SCALES = (0.01, 0.1, 1.0, 5.0, 40.0)
@@ -231,8 +239,8 @@ def test_expm3_equals_the_allocating_kernel_bit_for_bit(n):
     rng = np.random.default_rng(n)
     squarings = set()
     for scale in _KERNEL_SCALES:
-        x = scale * rng.normal(size=(n, 3, 3))
-        norm = np.abs(x).sum(axis=-1).max()
+        x = scale * rng.normal(size=(3, 3, n))
+        norm = np.abs(x).sum(axis=1).max()
         squarings.add(int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
         assert np.array_equal(dynamics._expm3(x.copy()), _expm3_reference(x))
     assert 0 in squarings and max(squarings) >= 4
@@ -244,7 +252,7 @@ def test_magnus_steps_equal_the_allocating_route_and_leave_the_generator_output(
     # term grows as the square of the scale)
     rng = np.random.default_rng(100 + n)
     for scale in _KERNEL_SCALES[:-1]:
-        a = scale * rng.normal(size=(2 * n, 3, 3))
+        a = scale * rng.normal(size=(3, 3, 2 * n))
         kept = a.copy()
         left = np.sort(rng.uniform(0.0, 1.0, n))
         width = rng.uniform(0.2, 1.0, n)
@@ -255,55 +263,90 @@ def test_magnus_steps_equal_the_allocating_route_and_leave_the_generator_output(
     assert a.nbytes > 128 * 1024 or n < 12000
 
 
+def _rotation_generator(t):
+    # a fresh (3, 3, len(t)) generator batch on every call, as the routes build
+    a = np.zeros((3, 3, len(t)))
+    a[0, 1], a[1, 2] = -np.sin(t), -np.cos(t)
+    a[1, 0], a[2, 1] = -a[0, 1], -a[1, 2]
+    return a
+
+
+@pytest.mark.parametrize("n", [1536, 12000])
+def test_magnus_steps_peak_heap_stays_within_four_batch_buffers(n):
+    # no per-term temporaries: the generator output (two batches), then
+    # Omega_4 (one) and the exponentials' work buffer (two) over the released
+    # generator output. A batch buffer is 72 n bytes. Measured peaks: 3.68
+    # and 3.34 buffers; the allocating expressions of _magnus_steps_reference
+    # reach 6.12 and 5.11
+    left = np.linspace(0.0, 1.0, n)
+    width = np.full(n, 50.0 / n)
+    dynamics._magnus_steps(_rotation_generator, left, width)  # warm up numpy
+    tracemalloc.start()
+    try:
+        dynamics._magnus_steps(_rotation_generator, left, width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 72 * n
+
+
 def _grouped_running_products(count, *runs):
     """The running products as taken before one scan ran over every step:
     start step g holds count[g] steps, a run gives each step as its factors
-    in time order, each start step's factors are multiplied left to right,
-    and a pairwise scan over the start steps follows. The oracle of
-    _running_products at the start-step ends."""
+    in time order ((3, 3, steps) each), each start step's factors are
+    multiplied left to right, and a pairwise scan over the start steps
+    follows. The oracle of _running_products at the start-step ends."""
     first = np.cumsum(count) - count
-    prod = np.empty((len(runs), len(count), 3, 3))
+    prod = np.empty((3, 3, len(runs), len(count)))
     for r, factors in enumerate(runs):
-        prod[r] = factors[0][first]
+        prod[:, :, r] = factors[0][..., first]
         for f in factors[1:]:
-            prod[r] = f[first] @ prod[r]
+            prod[:, :, r] = _mul(f[..., first], prod[:, :, r])
     for j in range(1, count.max()):
         more = np.flatnonzero(count > j)
         for r, factors in enumerate(runs):
-            p = prod[r, more]
+            p = prod[:, :, r, more]
             for f in factors:
-                p = f[first[more] + j] @ p
-            prod[r, more] = p
+                p = _mul(f[..., first[more] + j], p)
+            prod[:, :, r, more] = p
     levels = []
-    while prod.shape[1] > 1:
+    while prod.shape[-1] > 1:
         levels.append(prod)
-        prod = prod[:, 1::2] @ prod[:, :-1:2]
+        prod = _mul(prod[..., 1::2], prod[..., :-1:2])
     for low in reversed(levels):
-        low[:, 2::2] = low[:, 2::2] @ prod[:, :(low.shape[1] - 1) // 2]
-        low[:, 1::2] = prod
+        low[..., 2::2] = _mul(low[..., 2::2], prod[..., :(low.shape[-1] - 1) // 2])
+        low[..., 1::2] = prod
         prod = low
     return prod
 
 
-def _rotation_damping_steps(rng, n):
+def _rotation_damping_generators(rng, n):
     # two-level kind: a rotation about a random axis plus damping, about
     # 0.1 rad per step
-    a = np.zeros((n, 3, 3))
+    a = np.zeros((3, 3, n))
     delta, omega = 0.1 * rng.normal(size=(2, n))
-    a[:, 0, 1], a[:, 1, 0] = -delta, delta
-    a[:, 1, 2], a[:, 2, 1] = -omega, omega
-    a[:, (0, 1, 2), (0, 1, 2)] = -1e-3 * rng.uniform(size=(n, 3))
-    return dynamics._expm3(a)
+    a[0, 1], a[1, 0] = -delta, delta
+    a[1, 2], a[2, 1] = -omega, omega
+    a[(0, 1, 2), (0, 1, 2)] = -1e-3 * rng.uniform(size=(3, n))
+    return a
 
 
-def _rank_one_steps(rng, n):
+def _rank_one_generators(rng, n):
     # q^2 kind: dose times u w^T with u = (fp^2, -fp fq, fq^2) and
     # w = (fq^2, 2 fq fp, fp^2), the flow (fq, fp) on the unit circle
     th = rng.uniform(0.0, 2.0 * np.pi, n)
     fq, fp = np.cos(th), np.sin(th)
-    u = np.stack([fp * fp, -fp * fq, fq * fq], axis=-1)
-    w = np.stack([fq * fq, 2.0 * fq * fp, fp * fp], axis=-1)
-    return dynamics._expm3(0.01 * u[:, :, None] * w[:, None, :])
+    u = np.stack([fp * fp, -fp * fq, fq * fq])
+    w = np.stack([fq * fq, 2.0 * fq * fp, fp * fp])
+    return 0.01 * u[:, None] * w
+
+
+def _rotation_damping_steps(rng, n):
+    return dynamics._expm3(_rotation_damping_generators(rng, n))
+
+
+def _rank_one_steps(rng, n):
+    return dynamics._expm3(_rank_one_generators(rng, n))
 
 
 @pytest.mark.parametrize("steps", [_rotation_damping_steps, _rank_one_steps])
@@ -319,14 +362,197 @@ def test_running_products_match_the_grouped_route_at_the_start_step_ends(steps, 
     n = count.sum()
     one, first, second = (steps(rng, n) for _ in range(3))
     want = _grouped_running_products(count, (one,), (first, second))
-    runs = np.stack([one, second @ first])
+    runs = np.stack([one, _mul(second, first)], axis=2)
     kept = runs.copy()
     got = dynamics._running_products(runs)
     assert got is runs and not np.array_equal(runs, kept)  # the input is consumed
     ends = np.zeros(n, dtype=bool)
     ends[np.cumsum(count) - 1] = True
-    err = np.abs(got[:, ends] - want).max(axis=(2, 3)) / np.abs(want).max(axis=(2, 3))
+    err = np.abs(got[..., ends] - want).max(axis=(0, 1)) / np.abs(want).max(axis=(0, 1))
     assert err.max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the Magnus kernel as it was with the batch axis first, (n, 3, 3), and its
+# products by matmul: the oracle of the (3, 3, n) kernel
+
+
+def _rows_expm3(x):
+    out, tmp = np.empty((2, *x.shape))
+    norm = float(np.abs(x, out=out).sum(axis=-1).max())
+    squarings = (int(np.ceil(np.log2(norm / dynamics._TAYLOR_NORM)))
+                 if norm > dynamics._TAYLOR_NORM else 0)
+    x /= 2.0**squarings
+    eye = np.eye(3)
+    np.divide(x, dynamics._TAYLOR_DEGREE, out=out)
+    out += eye
+    for k in range(dynamics._TAYLOR_DEGREE - 1, 0, -1):
+        np.matmul(x, out, out=tmp)
+        tmp /= k
+        tmp += eye
+        out, tmp = tmp, out
+    for _ in range(squarings):
+        np.matmul(out, out, out=tmp)
+        out, tmp = tmp, out
+    return out
+
+
+def _rows_magnus_steps(generator, left, width):
+    return _rows_expm3(_rows_magnus_exponents(generator(np.concatenate(
+        [left + (0.5 - dynamics._GL) * width, left + (0.5 + dynamics._GL) * width])), width))
+
+
+def _rows_magnus_exponents(a, width):
+    a1, a2 = a[:len(width)], a[len(width):]
+    w = width[:, None, None]
+    omega = a2 @ a1
+    for s in range(0, len(width), dynamics._ASSEMBLY_BLOCK):
+        b1, b2, wb, o = (v[s:s + dynamics._ASSEMBLY_BLOCK] for v in (a1, a2, w, omega))
+        o -= b1 @ b2
+        o *= (np.sqrt(3.0) / 12.0) * wb * wb
+        o += 0.5 * wb * (b1 + b2)
+    return omega
+
+
+def _rows_one_and_halves(generator, left, h, one=None):
+    starts, widths = [left, left + 0.5 * h], [0.5 * h, 0.5 * h]
+    if one is None:
+        starts, widths = [left, *starts], [h, *widths]
+    u = _rows_magnus_steps(generator, np.concatenate(starts), np.concatenate(widths))
+    n = len(left)
+    return (u[:n] if one is None else one), u[-2 * n:-n], u[-n:]
+
+
+def _rows_running_products(u):
+    levels = []
+    while u.shape[1] > 1:
+        levels.append(u)
+        u = u[:, 1::2] @ u[:, :-1:2]
+    for low in reversed(levels):
+        low[:, 2::2] = low[:, 2::2] @ u[:, :(low.shape[1] - 1) // 2]
+        low[:, 1::2] = u
+        u = low
+    return u
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _rows_magnus_path(generator, t_f, n_start, x0, error):
+    h = np.full(n_start, t_f / n_start)
+    left = np.arange(n_start) * h
+    ends = np.ones(n_start, dtype=bool)
+    one, first, second = _rows_one_and_halves(generator, left, h)
+    while True:
+        path = _rows_running_products(np.stack([one, second @ first]))[:, ends] @ x0
+        coarse, fine = np.concatenate([np.broadcast_to(x0, (2, 1, 3)), path], axis=1)
+        gap = error(coarse, fine)
+        if gap <= 15.0:
+            return fine
+        if not np.isfinite(gap):
+            raise StepSizeUnderflow("overflow")
+        diff = np.abs(second @ first - one).max(axis=(1, 2))
+        flagged = diff > dynamics._SPLIT * diff.max()
+        k = np.ceil(np.log2(gap / 15.0) / 4.0)
+        if 2 * (len(h) + flagged.sum() * (2**k - 1)) > dynamics._MAX_HALF_STEPS:
+            raise StepSizeUnderflow("not converged")
+        parts = np.where(flagged, 2 ** int(k), 1)
+        idx = np.repeat(np.arange(len(h)), parts)
+        part = np.arange(len(idx)) - (np.cumsum(parts) - parts)[idx]
+        h = h[idx] / parts[idx]
+        left = left[idx] + part * h
+        ends = ends[idx] & (part == parts[idx] - 1)
+        split = parts[idx] > 1
+        known = (np.stack([first[flagged], second[flagged]], axis=1).reshape(-1, 3, 3)
+                 if k == 1 else None)
+        one, first, second = one[idx], first[idx], second[idx]
+        one[split], first[split], second[split] = _rows_one_and_halves(
+            generator, left[split], h[split], known)
+
+
+def _rows(batch):
+    return np.ascontiguousarray(np.moveaxis(batch, -1, 0))
+
+
+def _columns(batch):
+    return np.ascontiguousarray(np.moveaxis(batch, 0, -1))
+
+
+def _relative_gap(got, want):
+    # largest gap of each matrix over its largest entry
+    return (np.abs(got - want).max(axis=(0, 1)) / np.abs(want).max(axis=(0, 1))).max()
+
+
+# Tolerances of the layouts' agreement: einsum and matmul round 3x3 products
+# differently (by up to ~1.8e-15 on random products), and each Taylor term,
+# squaring and scan level can carry that on
+@pytest.mark.parametrize("n", _KERNEL_SIZES)
+def test_expm3_matches_the_matmul_kernel(n):
+    # measured, of each exponential's largest entry: at most 7.1e-14 up to
+    # scale 5 and 1.9e-12 at scale 40 (ten squarings, each doubling the gap)
+    rng = np.random.default_rng(200 + n)
+    for scale in _KERNEL_SCALES:
+        x = scale * rng.normal(size=(n, 3, 3))
+        want = _columns(_rows_expm3(x.copy()))
+        assert _relative_gap(dynamics._expm3(_columns(x)), want) <= 1e-11
+
+
+@pytest.mark.parametrize("generators", [_rotation_damping_generators, _rank_one_generators])
+@pytest.mark.parametrize("n", [1, 7, 1000, 5000])
+def test_magnus_steps_and_running_products_match_the_matmul_kernel(generators, n):
+    # steps of the two generator kinds the routes take, then the scan over
+    # two runs of them. Measured: the steps within 1.2e-16 of their largest
+    # entry, the running products within 1.1e-14
+    rng = np.random.default_rng(300 + n)
+    a = generators(rng, 2 * n)
+    left = np.sort(rng.uniform(0.0, 1.0, n))
+    width = rng.uniform(0.2, 1.0, n)
+    steps = dynamics._magnus_steps(lambda t: a.copy(), left, width)
+    want = _columns(_rows_magnus_steps(lambda t: _rows(a), left, width))
+    assert _relative_gap(steps, want) <= 1e-14
+    runs = np.stack([steps, _mul(steps, steps[..., ::-1])], axis=2)
+    want = _rows_running_products(np.stack([_rows(steps), _rows(steps) @ _rows(steps)[::-1]]))
+    assert _relative_gap(dynamics._running_products(runs), np.moveaxis(want, (2, 3), (0, 1))) <= 1e-13
+
+
+def _matmul_route(monkeypatch):
+    """Make the routes propagate through the (n, 3, 3) matmul kernel."""
+    def route(generator, *args):
+        return _rows_magnus_path(lambda t: _rows(generator(t)), *args)
+
+    monkeypatch.setattr(dynamics, "_magnus_path", route)
+
+
+@pytest.mark.parametrize("kind, free, etas", [
+    ("tls_steep_blend", (1.25,), {"sigma_z": 250.0}),
+    ("tls_steep_blend", (-0.5,), {"sigma_z": 250.0}),
+    ("tls_dual", (-1.0, 1.0), {"sigma_z": 125.0, "sigma_x": 62.5}),
+    ("tls_dual", (0.5, 0.25), {"sigma_z": 125.0, "sigma_x": 62.5}),
+])
+def test_tls_fidelity_matches_the_matmul_kernel(monkeypatch, kind, free, etas):
+    # measured: |dF| <= 5.6e-16 on these fig1 and fig2 cells
+    proto = ProtocolFamily(kind, {"delta0": TWO_PI * 10e3}, 0.5e-3).with_free(free).build()
+    channels = [dynamics.NoiseChannel(tag, eta) for tag, eta in etas.items()]
+    got = dynamics.tls_fidelity(proto, channels)
+    _matmul_route(monkeypatch)
+    assert abs(got - dynamics.tls_fidelity(proto, channels)) <= 1e-14
+
+
+@pytest.mark.parametrize("r6", [0.0, 400.0, 800.0, pytest.param(None, id="constant_mu")])
+@pytest.mark.parametrize("t_f", [0.2e-6, 2.6e-6, 20e-6])
+def test_thermal_fidelity_matches_the_matmul_kernel(monkeypatch, t_f, r6):
+    # fig4 cells; measured: |dF| <= 2.3e-12 and the mean power to 5.2e-14
+    # relative, far inside the route's 2.4e-11 and 4.4e-9 against DOP853
+    omega0 = TWO_PI * 2.53e6
+    if r6 is None:
+        proto = make_constant_mu_protocol(omega0, omega0 / 100.0, t_f, MASS_100_CA40)
+    else:
+        proto = make_ho_protocol(omega0, omega0 / 100.0, MASS_100_CA40, t_f,
+                                 "sqrt_poly", (r6,))
+    channel = dynamics.NoiseChannel("q_squared", 0.0527)
+    fid, power = dynamics.thermal_fidelity(proto, 12.58, channel)
+    _matmul_route(monkeypatch)
+    fid_rows, power_rows = dynamics.thermal_fidelity(proto, 12.58, channel)
+    assert abs(fid - fid_rows) <= 1e-11
+    assert abs(power - power_rows) <= 1e-12 * abs(power_rows)
 
 
 # ---------------------------------------------------------------------------
