@@ -196,6 +196,10 @@ class ExperimentConfig:
         _check_path_text(self.out_dir, "out_dir")
         if self.basename is not None:
             _check_path_text(self.basename, "basename")
+            if self.basename in (".", "..") or any(
+                    sep in self.basename for sep in ("/", os.sep, os.altsep) if sep):
+                raise ConfigError(f"basename: must name files in out_dir, so neither hold a "
+                                  f"path separator nor be '.' or '..', got {self.basename!r}")
 
     # -- serialization ----------------------------------------------------
 
@@ -633,7 +637,7 @@ def main(argv=None) -> int:
         verb = _VERBS["scan" if args.verb == "reproduce" else args.verb]
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)  # before any cell runs
         # the longest file name any verb writes, <basename>_controls.schema.json
-        name = Path(f"{config.basename or config.experiment}_controls.schema.json").name
+        name = f"{config.basename or config.experiment}_controls.schema.json"
         if len(os.fsencode(name)) > os.pathconf(config.out_dir, "PC_NAME_MAX"):
             raise ConfigError(f"basename: the file name {name!r} is too long for out_dir")
         # an overflow or invalid value ends the run before it writes a table

@@ -6,11 +6,13 @@ The noise model is a sum of double-commutator (unital) dissipators,
 
 integrated by RK45 on dense matrices (integrate_master) or, for oscillator
 runs, in a truncated Fock basis (integrate_ho_master, in the interaction
-picture of the exactly solvable noiseless flow) or through the closed
-Gaussian-moment equations. The Fock right-hand side takes the double
-commutator of Hermitian rho in two matrix products (three for q^2) and
-returns it exactly Hermitian, so the Fock samples stay so with no
-projection; lindblad_rhs's five-product form is its oracle. The Pauli
+picture of the exactly solvable noiseless flow, from the smallest truncation
+that holds the initial state to 1e-12, doubled until the top two levels
+hold below 1e-8) or through the closed Gaussian-moment equations. The Fock
+right-hand side takes the double commutator of Hermitian rho in two matrix
+products (three for q^2) and returns it exactly Hermitian, so the Fock
+samples stay so with no projection; lindblad_rhs's five-product form is its
+oracle. The Pauli
 channels of a two-level run are unital, so its Bloch vector obeys a linear
 3x3 ODE dx/dt = A(t) x; in the frame of the invariant's closed-form
 Heisenberg flow so do an oscillator's second moments under q^2 noise. One
@@ -242,6 +244,19 @@ def _fock_rhs(protocol: HoProtocol, channel: NoiseChannel, q, p):
 _FOCK_MAX_DIM = 512
 
 
+def _fock_start_dim(rho0_builder) -> int:
+    """Smallest d at which rho0_builder(d) holds below 1e-12 population on
+    its top two levels (1e-4 of the run's gate, headroom for noise heating),
+    or _FOCK_MAX_DIM. The states' Fock builders do not renormalise, so this
+    is the exact tail; d grows one level at a time because that tail need
+    not fall monotonically (a coherent state's rises up to its mean)."""
+    for d in range(2, _FOCK_MAX_DIM):
+        rho0 = rho0_builder(d)
+        if rho0[-1, -1].real + rho0[-2, -2].real < 1e-12:
+            return d
+    return _FOCK_MAX_DIM
+
+
 def _integrate_ho_fixed_dim(protocol, rho0_builder, channel, t_eval, d, rtol, atol):
     q, p, _ = fock_operators(d, protocol.mass, protocol.omega0)
     return _rk45_matrix(_fock_rhs(protocol, channel, q, p), rho0_builder(d), t_eval, rtol, atol)
@@ -265,9 +280,11 @@ def integrate_ho_master(
     products for q noise and three for q^2 and is Hermitian to the last bit,
     so the RK45 samples stay exactly Hermitian with no projection; its
     oracle is lindblad_rhs's five-product _double_commutator. Unless dim
-    fixes it, the truncation starts at 40 levels and doubles until the top
-    two levels stay below 1e-8 population, warning with TruncationWarning if
-    _FOCK_MAX_DIM is reached first. Imports scipy on its first call.
+    fixes it, the truncation starts at the smallest d whose rho0 holds below
+    1e-12 population on its top two levels (_fock_start_dim) and doubles
+    until the top two levels stay below 1e-8 population at every sample,
+    warning with TruncationWarning if _FOCK_MAX_DIM is reached first.
+    Imports scipy on its first call.
     """
     if channel.operator_tag not in OSC_TAGS:
         raise UnsupportedChannel("oscillator integrator needs a q or q^2 channel")
@@ -275,7 +292,7 @@ def integrate_ho_master(
         t_eval = np.linspace(0.0, protocol.t_f, 201)
     t_eval = np.asarray(t_eval, dtype=float)
 
-    d = dim if dim is not None else 40
+    d = dim if dim is not None else _fock_start_dim(rho0_builder)
     while True:
         rhos = _integrate_ho_fixed_dim(
             protocol, rho0_builder, channel, t_eval, d, rtol, atol

@@ -318,9 +318,8 @@ def _json_values():
 
 
 def _config_fields(config):
-    """Paths to the fields of a config dict. basename is left out: a string
-    there may name a file outside the output directory."""
-    return [("experiment",), ("params",), ("channels",), ("scan",), ("out_dir",),
+    """Paths to the fields of a config dict."""
+    return [("experiment",), ("params",), ("channels",), ("scan",), ("out_dir",), ("basename",),
             *(("params", key) for key in config["params"]),
             ("scan", "ranges"), ("scan", "sizes"),
             ("channels", 0, "operator_tag"), ("channels", 0, "eta")]
@@ -535,6 +534,18 @@ def test_a_basename_too_long_for_out_dir_exits_2_before_any_cell(tmp_path, capsy
         err = capsys.readouterr().err
         assert err.startswith("config error: basename: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("basename", ["../escaped", "sub/name", ".", ".."])
+def test_a_basename_that_leaves_out_dir_exits_2_before_writing(tmp_path, capsys, basename):
+    # nothing may be written, in out_dir or beside it
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"experiment": "tls_single", "basename": basename}))
+    argv = ["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+            "synthesize", "--experiment", "tls_single"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: basename: ")
+    assert [p.name for p in tmp_path.rglob("*")] == ["c.json"]
 
 
 def test_a_basename_at_the_file_name_limit_runs(tmp_path):

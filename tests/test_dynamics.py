@@ -7,7 +7,12 @@ import pytest
 
 from invariant_control import algebra, dynamics, measures, states
 from invariant_control.constants import MASS_100_CA40, TWO_PI
-from invariant_control.errors import DimensionMismatch, StepSizeUnderflow, UnsupportedChannel
+from invariant_control.errors import (
+    DimensionMismatch,
+    StepSizeUnderflow,
+    TruncationWarning,
+    UnsupportedChannel,
+)
 from invariant_control.protocols import (
     ProtocolFamily,
     constrain_g_phase,
@@ -693,13 +698,64 @@ def test_ho_master_noiseless_state_frozen_in_frame():
 
 
 def test_ho_master_rejects_pauli_channel():
+    # before any state is built
     omega0 = TWO_PI * 2.53e6
     proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6, form="sqrt_poly")
+
+    def builder(d):
+        raise AssertionError(f"rho0 built at d = {d}")
+
     with pytest.raises(UnsupportedChannel):
-        dynamics.integrate_ho_master(
-            proto, lambda d: np.eye(d) / d,
-            dynamics.NoiseChannel("sigma_z", 1.0),
-        )
+        dynamics.integrate_ho_master(proto, builder, dynamics.NoiseChannel("sigma_z", 1.0))
+
+
+def _top_two(rho):
+    return rho[-1, -1].real + rho[-2, -2].real
+
+
+def test_adaptive_fock_run_starts_where_rho0_holds_its_tail():
+    # |alpha|^2 = 2: rho0 holds 6.0e-12 on the top two of 20 levels and
+    # 6.4e-13 of 21, so the run starts at 21 and passes the 1e-8 gate there
+    # (1.3e-12 at t_f); measured |F - F(dim = 40)| = 8.6e-12
+    omega0 = TWO_PI * 15.92e6
+    proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6)
+    channel = dynamics.NoiseChannel("q", 10.0)
+
+    def builder(d):
+        return states.coherent_state(1.0 + 1.0j, omega0, proto.mass, "fock", d)
+
+    traj = dynamics.integrate_ho_master(proto, builder, channel, t_eval=[0.0, proto.t_f])
+    assert traj.dim == 21
+    assert _top_two(builder(21)) < 1e-12 <= min(_top_two(builder(d)) for d in range(2, 21))
+    ref = dynamics.integrate_ho_master(
+        proto, builder, channel, t_eval=[0.0, proto.t_f], dim=40)
+    target = states.target_coherent(1.0 + 1.0j, proto.g_phase, omega0, omega0 / 100.0,
+                                    proto.mass)
+    f = states.uhlmann_fidelity(traj.final_rho, target.frame_fock(traj.dim))
+    f_ref = states.uhlmann_fidelity(ref.final_rho, target.frame_fock(40))
+    assert abs(f - f_ref) < 1e-10
+
+
+def test_fock_run_failing_the_gate_doubles_and_warns_at_the_cap(monkeypatch):
+    # the vacuum starts at 3 levels; under strong q noise it fails the gate
+    # at 3, 6 and 12 (top two hold 0.48, 0.075 and 0.0032 at t_f)
+    omega0 = TWO_PI * 15.92e6
+    proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6)
+    monkeypatch.setattr(dynamics, "_FOCK_MAX_DIM", 12)
+    dims = []
+    fixed_dim = dynamics._integrate_ho_fixed_dim
+
+    def spy(protocol, rho0_builder, channel, t_eval, d, rtol, atol):
+        dims.append(d)
+        return fixed_dim(protocol, rho0_builder, channel, t_eval, d, rtol, atol)
+
+    monkeypatch.setattr(dynamics, "_integrate_ho_fixed_dim", spy)
+    with pytest.warns(TruncationWarning, match="top two of 12 Fock levels"):
+        traj = dynamics.integrate_ho_master(
+            proto, lambda d: states.coherent_state(0.0, omega0, proto.mass, "fock", d),
+            dynamics.NoiseChannel("q", 1e3), t_eval=[0.0, proto.t_f])
+    assert dims == [3, 6, 12]
+    assert traj.dim == 12
 
 
 @pytest.mark.parametrize("tag, eta", [("q", 10.0), ("q_squared", 3.0)])
