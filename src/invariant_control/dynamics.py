@@ -6,8 +6,9 @@ The noise model is a sum of double-commutator (unital) dissipators,
 
 integrated by RK45 on dense matrices (integrate_master) or, for oscillator
 runs, in a truncated Fock basis (integrate_ho_master, in the interaction
-picture of the exactly solvable noiseless flow, from the smallest truncation
-that holds the initial state to 1e-12, doubled until the top two levels
+picture of the exactly solvable noiseless flow, from the smallest truncation,
+at most 40, that holds the initial state to 1e-12, abandoned for 40 levels
+if noise lifts its top two levels to 1e-8, doubled from there until they
 hold below 1e-8) or through the closed Gaussian-moment equations. The Fock
 right-hand side takes the double commutator of Hermitian rho in two matrix
 products (three for q^2) and returns it exactly Hermitian, so the Fock
@@ -116,22 +117,31 @@ def lindblad_rhs(rho: np.ndarray, h: np.ndarray, channels) -> np.ndarray:
     return out
 
 
-def _rk45_matrix(rhs, rho0, t_eval, rtol, atol, max_step=np.inf):
+def _rk45_matrix(rhs, rho0, t_eval, rtol, atol, max_step=np.inf, stop=None):
     """rho at t_eval of drho/dt = rhs(t, rho), rho(0) = rho0, by one solve_ivp
     RK45 call (Dormand-Prince 5(4)): the integrator of the dense and the Fock
     oracle. Nothing is projected onto Hermitian matrices: the samples stay
-    exactly Hermitian if rho0 and rhs are (the Fock route)."""
+    exactly Hermitian if rho0 and rhs are (the Fock route). If stop(rho)
+    rises through 0 (a terminal solve_ivp event), the solve ends there and
+    returns None."""
     from scipy.integrate import solve_ivp
 
     rho0 = np.asarray(rho0, dtype=complex)
     n = rho0.shape[0]
     if t_eval[-1] == 0.0:
         return np.repeat(rho0[None], len(t_eval), axis=0)
+    events = None
+    if stop is not None:
+        def events(t, y):
+            return stop(y.reshape(n, n))
+        events.terminal, events.direction = True, 1.0
     sol = solve_ivp(lambda t, y: rhs(t, y.reshape(n, n)).ravel(), (0.0, t_eval[-1]),
                     rho0.ravel(), method="RK45", t_eval=t_eval, rtol=rtol, atol=atol,
-                    max_step=max_step)
+                    max_step=max_step, events=events)
     if not sol.success:
         raise StepSizeUnderflow(sol.message)
+    if sol.status == 1:
+        return None
     return sol.y.T.reshape(-1, n, n)
 
 
@@ -242,24 +252,36 @@ def _fock_rhs(protocol: HoProtocol, channel: NoiseChannel, q, p):
 
 #: largest truncation the Fock oracle doubles to
 _FOCK_MAX_DIM = 512
+#: largest truncation the Fock oracle starts at
+_FOCK_START_MAX_DIM = 40
+
+
+def _top_two(rho):
+    """Population on the top two Fock levels of rho (of each, for a stack)."""
+    return rho[..., -1, -1].real + rho[..., -2, -2].real
 
 
 def _fock_start_dim(rho0_builder) -> int:
-    """Smallest d at which rho0_builder(d) holds below 1e-12 population on
-    its top two levels (1e-4 of the run's gate, headroom for noise heating),
-    or _FOCK_MAX_DIM. The states' Fock builders do not renormalise, so this
-    is the exact tail; d grows one level at a time because that tail need
-    not fall monotonically (a coherent state's rises up to its mean)."""
-    for d in range(2, _FOCK_MAX_DIM):
+    """Smallest d at which rho0_builder(d) holds below 1e-12 population both
+    on its top two levels and past its last one (1e-4 of the run's gate,
+    headroom for noise heating), or _FOCK_START_MAX_DIM. The states' Fock
+    builders do not renormalise, so 1 - tr rho0 is the exact missing tail,
+    which falls monotonically in d; the top-two population alone does not
+    (a coherent state's rises up to its mean, and at d = 2 it is below 1e-12
+    for |alpha|^2 >= 32). d grows one level at a time, so no rho0 larger
+    than the start is built."""
+    for d in range(2, _FOCK_START_MAX_DIM):
         rho0 = rho0_builder(d)
-        if rho0[-1, -1].real + rho0[-2, -2].real < 1e-12:
+        if _top_two(rho0) < 1e-12 and 1.0 - np.trace(rho0).real < 1e-12:
             return d
-    return _FOCK_MAX_DIM
+    return _FOCK_START_MAX_DIM
 
 
-def _integrate_ho_fixed_dim(protocol, rho0_builder, channel, t_eval, d, rtol, atol):
+def _integrate_ho_fixed_dim(protocol, rho0_builder, channel, t_eval, d, rtol, atol,
+                            stop=None):
     q, p, _ = fock_operators(d, protocol.mass, protocol.omega0)
-    return _rk45_matrix(_fock_rhs(protocol, channel, q, p), rho0_builder(d), t_eval, rtol, atol)
+    return _rk45_matrix(_fock_rhs(protocol, channel, q, p), rho0_builder(d), t_eval,
+                        rtol, atol, stop=stop)
 
 
 def integrate_ho_master(
@@ -280,11 +302,13 @@ def integrate_ho_master(
     products for q noise and three for q^2 and is Hermitian to the last bit,
     so the RK45 samples stay exactly Hermitian with no projection; its
     oracle is lindblad_rhs's five-product _double_commutator. Unless dim
-    fixes it, the truncation starts at the smallest d whose rho0 holds below
-    1e-12 population on its top two levels (_fock_start_dim) and doubles
-    until the top two levels stay below 1e-8 population at every sample,
-    warning with TruncationWarning if _FOCK_MAX_DIM is reached first.
-    Imports scipy on its first call.
+    fixes it, the truncation starts at the smallest d, at most 40, whose
+    rho0 holds below 1e-12 population on its top two levels and past its
+    last one (_fock_start_dim). A start below 40 is abandoned as soon as
+    noise lifts its top two levels to 1e-8, and the run goes on at 40. From
+    40 the truncation doubles until the top two levels stay below 1e-8
+    population at every sample, warning with TruncationWarning if
+    _FOCK_MAX_DIM is reached first. Imports scipy on its first call.
     """
     if channel.operator_tag not in OSC_TAGS:
         raise UnsupportedChannel("oscillator integrator needs a q or q^2 channel")
@@ -294,19 +318,22 @@ def integrate_ho_master(
 
     d = dim if dim is not None else _fock_start_dim(rho0_builder)
     while True:
+        early = dim is None and d < _FOCK_START_MAX_DIM
         rhos = _integrate_ho_fixed_dim(
-            protocol, rho0_builder, channel, t_eval, d, rtol, atol
+            protocol, rho0_builder, channel, t_eval, d, rtol, atol,
+            stop=(lambda rho: _top_two(rho) - 1e-8) if early else None,
         )
-        top = float(np.max(np.real(rhos[:, -1, -1] + rhos[:, -2, -2])))
-        if top < 1e-8:
-            return HoFockTrajectory(protocol, t_eval, rhos, d)
-        if dim is not None or 2 * d > _FOCK_MAX_DIM:
-            warnings.warn(
-                f"population {top:.2e} on the top two of {d} Fock levels",
-                TruncationWarning,
-            )
-            return HoFockTrajectory(protocol, t_eval, rhos, d)
-        d *= 2
+        if rhos is not None:
+            top = float(np.max(_top_two(rhos)))
+            if top < 1e-8:
+                return HoFockTrajectory(protocol, t_eval, rhos, d)
+            if dim is not None or 2 * d > _FOCK_MAX_DIM:
+                warnings.warn(
+                    f"population {top:.2e} on the top two of {d} Fock levels",
+                    TruncationWarning,
+                )
+                return HoFockTrajectory(protocol, t_eval, rhos, d)
+        d = _FOCK_START_MAX_DIM if early else 2 * d
 
 
 # ---------------------------------------------------------------------------

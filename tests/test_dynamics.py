@@ -713,7 +713,22 @@ def _top_two(rho):
     return rho[-1, -1].real + rho[-2, -2].real
 
 
-def test_adaptive_fock_run_starts_where_rho0_holds_its_tail():
+def _spy_fock_runs(monkeypatch):
+    """Record the truncation of each fixed-dim Fock run, and whether it was
+    abandoned."""
+    runs = []
+    fixed_dim = dynamics._integrate_ho_fixed_dim
+
+    def spy(protocol, rho0_builder, channel, t_eval, d, rtol, atol, stop=None):
+        rhos = fixed_dim(protocol, rho0_builder, channel, t_eval, d, rtol, atol, stop)
+        runs.append((d, rhos is None))
+        return rhos
+
+    monkeypatch.setattr(dynamics, "_integrate_ho_fixed_dim", spy)
+    return runs
+
+
+def test_adaptive_fock_run_starts_where_rho0_holds_its_tail(monkeypatch):
     # |alpha|^2 = 2: rho0 holds 6.0e-12 on the top two of 20 levels and
     # 6.4e-13 of 21, so the run starts at 21 and passes the 1e-8 gate there
     # (1.3e-12 at t_f); measured |F - F(dim = 40)| = 8.6e-12
@@ -724,9 +739,11 @@ def test_adaptive_fock_run_starts_where_rho0_holds_its_tail():
     def builder(d):
         return states.coherent_state(1.0 + 1.0j, omega0, proto.mass, "fock", d)
 
+    runs = _spy_fock_runs(monkeypatch)
     traj = dynamics.integrate_ho_master(proto, builder, channel, t_eval=[0.0, proto.t_f])
-    assert traj.dim == 21
+    assert runs == [(21, False)] and traj.dim == 21
     assert _top_two(builder(21)) < 1e-12 <= min(_top_two(builder(d)) for d in range(2, 21))
+    assert 1.0 - np.trace(builder(21)).real < 1e-12
     ref = dynamics.integrate_ho_master(
         proto, builder, channel, t_eval=[0.0, proto.t_f], dim=40)
     target = states.target_coherent(1.0 + 1.0j, proto.g_phase, omega0, omega0 / 100.0,
@@ -736,25 +753,75 @@ def test_adaptive_fock_run_starts_where_rho0_holds_its_tail():
     assert abs(f - f_ref) < 1e-10
 
 
-def test_fock_run_failing_the_gate_doubles_and_warns_at_the_cap(monkeypatch):
-    # the vacuum starts at 3 levels; under strong q noise it fails the gate
-    # at 3, 6 and 12 (top two hold 0.48, 0.075 and 0.0032 at t_f)
+def test_fock_start_reads_the_missing_population_too():
+    # the number state |10> holds nothing on the top two of d <= 10 levels,
+    # and the whole state is missing until d = 11; at 11 and 12 levels it
+    # sits on the top two
+    def number_state(d):
+        rho = np.zeros((d, d), dtype=complex)
+        if d > 10:
+            rho[10, 10] = 1.0
+        return rho
+
+    assert dynamics._fock_start_dim(number_state) == 13
+
+
+def test_fock_run_of_a_large_coherent_state_starts_past_its_mean(monkeypatch):
+    # |alpha|^2 = 32: rho0 holds 4.2e-13 on the top two of 2 levels, and
+    # nearly all of it is missing there, so the start is the 40-level cap,
+    # which fails the gate; the run doubles to 80 and is the dim = 80 run
     omega0 = TWO_PI * 15.92e6
     proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6)
+    channel = dynamics.NoiseChannel("q", 10.0)
+    alpha = 4.0 + 4.0j
+
+    def builder(d):
+        return states.coherent_state(alpha, omega0, proto.mass, "fock", d)
+
+    assert _top_two(builder(2)) < 1e-12
+    runs = _spy_fock_runs(monkeypatch)
+    traj = dynamics.integrate_ho_master(proto, builder, channel, t_eval=[0.0, proto.t_f])
+    assert runs == [(40, False), (80, False)] and traj.dim == 80
+    ref = dynamics.integrate_ho_master(
+        proto, builder, channel, t_eval=[0.0, proto.t_f], dim=80)
+    assert np.array_equal(traj.rhos, ref.rhos)
+    target = states.target_coherent(alpha, proto.g_phase, omega0, omega0 / 100.0, proto.mass)
+    assert states.uhlmann_fidelity(traj.final_rho, target.frame_fock(80)) > 0.99
+
+
+def test_fock_start_heated_past_the_gate_goes_on_at_40_levels(monkeypatch):
+    # the vacuum starts at 3 levels; q noise lifts their top two to 1e-8
+    # long before t_f (1.1e-2 there), so that run is abandoned and the run
+    # at 40 levels is the dim = 40 run
+    omega0 = TWO_PI * 15.92e6
+    proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6)
+    channel = dynamics.NoiseChannel("q", 10.0)
+
+    def builder(d):
+        return states.coherent_state(0.0, omega0, proto.mass, "fock", d)
+
+    runs = _spy_fock_runs(monkeypatch)
+    traj = dynamics.integrate_ho_master(proto, builder, channel, t_eval=[0.0, proto.t_f])
+    assert runs == [(3, True), (40, False)] and traj.dim == 40
+    ref = dynamics.integrate_ho_master(
+        proto, builder, channel, t_eval=[0.0, proto.t_f], dim=40)
+    assert np.array_equal(traj.rhos, ref.rhos)
+
+
+def test_fock_run_failing_the_gate_doubles_and_warns_at_the_cap(monkeypatch):
+    # with the start capped at 6 and the doubling at 12 levels, the vacuum
+    # under strong q noise starts at 3 (abandoned), then fails the gate at 6
+    # and 12 (top two hold 0.075 and 0.0032 at t_f)
+    omega0 = TWO_PI * 15.92e6
+    proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6)
+    monkeypatch.setattr(dynamics, "_FOCK_START_MAX_DIM", 6)
     monkeypatch.setattr(dynamics, "_FOCK_MAX_DIM", 12)
-    dims = []
-    fixed_dim = dynamics._integrate_ho_fixed_dim
-
-    def spy(protocol, rho0_builder, channel, t_eval, d, rtol, atol):
-        dims.append(d)
-        return fixed_dim(protocol, rho0_builder, channel, t_eval, d, rtol, atol)
-
-    monkeypatch.setattr(dynamics, "_integrate_ho_fixed_dim", spy)
+    runs = _spy_fock_runs(monkeypatch)
     with pytest.warns(TruncationWarning, match="top two of 12 Fock levels"):
         traj = dynamics.integrate_ho_master(
             proto, lambda d: states.coherent_state(0.0, omega0, proto.mass, "fock", d),
             dynamics.NoiseChannel("q", 1e3), t_eval=[0.0, proto.t_f])
-    assert dims == [3, 6, 12]
+    assert runs == [(3, True), (6, False), (12, False)]
     assert traj.dim == 12
 
 
