@@ -1,13 +1,15 @@
 """Configuration-driven command-line harness.
 
 Each of the four figure-level experiments is one row of the _EXPERIMENTS
-table: its defaults, the ProtocolFamily it builds, the noise channels it
-requires, its closed-form measure columns, its fidelity routine and the step
-that turns scan rows into its tables. synthesize, measure and simulate
-evaluate one cell of that family; scan and reproduce run optimize.scan over
-the configured grid. Every table carries a comment header with the config
-hash, unit conventions and solver metadata so provenance travels with the
-data.
+table: its config fields, each with a default and a rule, the ProtocolFamily
+it builds, its closed-form measure columns, its fidelity routine and the step
+that turns scan rows into its tables. A config is checked once, against its
+row and the few rules that join fields, and keeps only canonical values, so
+its hash covers exactly the numbers a run uses. synthesize, measure and
+simulate evaluate one cell of the family; scan and reproduce run
+optimize.scan over the configured grid. Every table carries a comment header
+with the config hash, unit conventions and solver metadata so provenance
+travels with the data.
 
 Verbs: synthesize, measure, simulate, scan, reproduce {fig1,fig2,fig3,fig4}.
 Exit codes: 0 success, 2 config error, 3 numerical failure.
@@ -16,12 +18,10 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import hashlib
 import json
 import math
-import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -39,42 +39,17 @@ __all__ = ["ExperimentConfig", "run_scan", "main"]
 _UNIT_NOTE = ("units: time s, angular frequency rad/s, position angstrom, "
               "eta 1/s (Pauli), Hz/angstrom^2 (q), Hz/angstrom^4 (q^2)")
 
-#: physical parameters that must be finite, and the sign each must have
-_PARAM_SIGNS = {
-    **dict.fromkeys(("nu0_hz", "omega_ratio", "mass", "t_f", "t_f_lo", "t_f_hi",
-                     "delta0_hz", "g_target"), "positive"),
-    "n_bar": "nonnegative", "alpha_re": None, "alpha_im": None,
-}
-
 #: the most protocol cells a config may ask for: prod(scan.sizes), and for
 #: ho_thermal n_t_f times two more (the reference protocols); fig4 takes 110
 _MAX_CELLS = 10**6
 
 
-def _finite(value, what) -> float:
-    """value as a finite float, or a ConfigError naming the field what."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what}: expected a number, got {value!r}") from None
-    if not np.isfinite(number):
-        raise ConfigError(f"{what}: must be finite, got {value!r}")
-    return number
-
-
-def _check_count(value, what):
-    """Reject a value that is not an integer >= 1, naming the field what."""
-    number = _finite(value, what)
-    if number < 1 or number != int(number):
-        raise ConfigError(f"{what}: must be an integer >= 1, got {value!r}")
-
-
 def _json_value(text):
-    """The value of JSON text, or a ConfigError if it is not JSON."""
+    """The value of JSON text, or a ConfigError if it cannot be parsed."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
 
 
 def _check_path_text(value, what):
@@ -89,9 +64,21 @@ def _check_path_text(value, what):
                           f"system can encode, got {value!r}")
 
 
+def _check_keys(data, keys, what):
+    """Reject data unless it is a JSON object whose keys are among keys,
+    naming the first key that is not."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what}: expected a JSON object, got {data!r}")
+    for key in data:
+        if key not in keys:
+            raise ConfigError(f"{what}.{key}: unknown field, expected one of {', '.join(keys)}")
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description with JSON round-trip."""
+    """Experiment description with JSON round-trip, checked against its row of
+    _EXPERIMENTS: unset fields take the row's defaults, and every field holds
+    canonical values (floats, int counts, channels in the row's order)."""
 
     experiment: str
     params: dict = field(default_factory=dict)
@@ -102,97 +89,43 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not isinstance(self.experiment, str) or self.experiment not in _EXPERIMENTS:
-            raise ConfigError(
-                f"experiment: unknown id {self.experiment!r}, "
-                f"expected one of {tuple(_EXPERIMENTS)}"
-            )
-        for name, kind, json_kind in (("params", dict, "object"), ("channels", list, "array"),
-                                      ("scan", dict, "object")):
-            if not isinstance(getattr(self, name), kind):
-                raise ConfigError(f"{name}: expected a JSON {json_kind}, "
-                                  f"got {getattr(self, name)!r}")
-        base = _EXPERIMENTS[self.experiment].defaults
-        self.params = {**copy.deepcopy(base["params"]), **self.params}
-        if not self.channels:
-            self.channels = copy.deepcopy(base["channels"])
-        if not self.scan:
-            self.scan = copy.deepcopy(base["scan"])
-        self._validate()
-
-    def _validate(self):
-        p = self.params
-        unknown = sorted(set(p) - set(_EXPERIMENTS[self.experiment].defaults["params"]))
-        if unknown:
-            raise ConfigError(f"params: not parameters of {self.experiment}: {', '.join(unknown)}")
-        for key, sign in _PARAM_SIGNS.items():
-            if key not in p:
-                continue
-            value = _finite(p[key], f"params.{key}")
-            if (sign == "positive" and value <= 0) or (sign == "nonnegative" and value < 0):
-                raise ConfigError(f"params.{key}: must be {sign}, got {p[key]!r}")
-        if "t_f_lo" in p and "t_f_hi" in p and float(p["t_f_lo"]) > float(p["t_f_hi"]):
-            raise ConfigError("params.t_f_lo: must not exceed params.t_f_hi")
-        family = _family(self)
-        for key, value in family.params.items():
-            # the angular values protocols are built from: 2 pi nu0_hz and
-            # omega0 / omega_ratio can overflow or underflow
-            if not 0.0 < value < np.inf:
-                raise ConfigError(f"params: {key} = {value!r} in angular units, "
-                                  f"must be positive and finite")
-        if "mass" in family.params:
-            # the trap moments are scaled by (m omega0)^2 and by its inverse
-            scale = family.params["mass"] * family.params["omega0"]
-            if not sys.float_info.min <= scale * scale <= 1.0 / sys.float_info.min:
-                raise ConfigError(f"params.mass: (mass * omega0)^2 = {scale * scale!r} or "
-                                  f"its inverse is not a finite normal float")
-        if "n_t_f" in p:
-            _check_count(p["n_t_f"], "params.n_t_f")
-        if str(p.get("measure", "O")) not in ("O", "A"):
-            raise ConfigError("params.measure: expected 'O' or 'A'")
-        for i, ch in enumerate(self.channels):
-            if not isinstance(ch, dict) or "operator_tag" not in ch or "eta" not in ch:
-                raise ConfigError(f"channels[{i}]: need operator_tag and eta fields")
-            if not isinstance(ch["operator_tag"], str):
-                raise ConfigError(f"channels[{i}].operator_tag: expected a string, "
-                                  f"got {ch['operator_tag']!r}")
-            if _finite(ch["eta"], f"channels[{i}].eta") < 0:
-                raise ConfigError(f"channels[{i}].eta: must be nonnegative, got {ch['eta']!r}")
-        need = list(_EXPERIMENTS[self.experiment].tags)
-        have = sorted(ch["operator_tag"] for ch in self.channels)
-        if have != need:
-            raise ConfigError(
-                f"channels: {self.experiment} needs exactly the channels {need}, got {have}"
-            )
-        for ch in self.channels:
-            if ch["operator_tag"] == "q_squared":
-                # the q^2 noise dose of the longest run, before anything overflows
-                scale = family.params["mass"] * family.params["omega0"]
-                dose = 8.0 * float(ch["eta"]) * family.t_f / scale**2
-                if not dose <= dynamics.Q2_DOSE_MAX:
-                    raise ConfigError(
-                        f"params.mass: the q^2 noise dose 8 eta t_f / (mass * omega0)^2 = "
-                        f"{dose:.3g} exceeds {dynamics.Q2_DOSE_MAX:.4g}, past which the "
-                        f"trap moments overflow")
-        ranges = self.scan.get("ranges", [])
-        sizes = self.scan.get("sizes", [])
-        n_free = len(_EXPERIMENTS[self.experiment].defaults["scan"]["ranges"])
+            raise ConfigError(f"experiment: unknown id {self.experiment!r}, "
+                              f"expected one of {tuple(_EXPERIMENTS)}")
+        exp = _EXPERIMENTS[self.experiment]
+        _check_keys(self.params, tuple(exp.params), "params")
+        self.params = {key: _checked(self.params.get(key, default), rule, f"params.{key}")
+                       for key, (default, rule) in exp.params.items()}
+        if not isinstance(self.channels, list):
+            raise ConfigError(f"channels: expected a JSON array, got {self.channels!r}")
+        etas = {}
+        channels = self.channels or [{"operator_tag": tag, "eta": eta}
+                                     for tag, eta in exp.channels.items()]
+        for i, ch in enumerate(channels):
+            _check_keys(ch, ("operator_tag", "eta"), f"channels[{i}]")
+            tag = _checked(ch.get("operator_tag"), tuple(exp.channels),
+                           f"channels[{i}].operator_tag")
+            etas[tag] = _checked(ch.get("eta"), _NONNEGATIVE, f"channels[{i}].eta")
+        if not len(channels) == len(etas) == len(exp.channels):  # each tag once
+            raise ConfigError(f"channels: {self.experiment} needs each of the channels "
+                              f"{list(exp.channels)} exactly once")
+        self.channels = [{"operator_tag": tag, "eta": etas[tag]} for tag in exp.channels]
+        _check_keys(self.scan, ("ranges", "sizes"), "scan")
+        scan = self.scan or exp.default_scan()
+        ranges, sizes = scan.get("ranges"), scan.get("sizes")
         if not (isinstance(ranges, list) and isinstance(sizes, list)
-                and len(ranges) == len(sizes) == n_free):
-            raise ConfigError(f"scan: {self.experiment} needs {n_free} ranges and as many "
-                              f"sizes, one per free coefficient")
+                and len(ranges) == len(sizes) == len(exp.free)):
+            raise ConfigError(f"scan: {self.experiment} needs {len(exp.free)} ranges and as "
+                              f"many sizes, one per free coefficient")
         for r in ranges:
             if not isinstance(r, list) or len(r) != 2:
                 raise ConfigError(f"scan.ranges: bad interval {r!r}")
-        for ends in zip(*ranges):
-            _EXPERIMENTS[self.experiment].check_free(ends, "scan.ranges")
-        for n in sizes:
-            _check_count(n, "scan.sizes")
-        cells = math.prod(int(float(n)) for n in sizes)
-        if cells > _MAX_CELLS:
-            raise ConfigError(f"scan.sizes: {cells} cells exceed the cap of {_MAX_CELLS}")
-        if "n_t_f" in p and int(float(p["n_t_f"])) * (2 + cells) > _MAX_CELLS:
-            raise ConfigError(f"params.n_t_f: {p['n_t_f']!r} durations of {2 + cells} cells "
-                              f"each exceed the cap of {_MAX_CELLS} cells")
+        rules = [rule for _, _, rule in exp.free.values()]
+        self.scan = {"ranges": [[_checked(end, rule, f"scan.ranges[{i}]") for end in r]
+                                for i, (r, rule) in enumerate(zip(ranges, rules))],
+                     "sizes": [_checked(n, _COUNT, "scan.sizes") for n in sizes]}
+        family = _family(self)
+        for joint_rule in _JOINT_RULES:
+            joint_rule(self, family)
         _check_path_text(self.out_dir, "out_dir")
         if self.basename is not None:
             _check_path_text(self.basename, "basename")
@@ -228,9 +161,9 @@ class ExperimentConfig:
 
     @property
     def digest(self) -> str:
-        # hash only the fields that affect the computed numbers, so the
-        # same physical configuration hashes identically wherever the
-        # output lands
+        # hash the canonical values of the fields that affect the computed
+        # numbers, so the same run hashes identically however it is written
+        # and wherever the output lands
         data = {k: v for k, v in self.to_dict().items()
                 if k not in ("out_dir", "basename")}
         return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
@@ -241,8 +174,7 @@ class ExperimentConfig:
 
 
 def _channels(config):
-    return [dynamics.NoiseChannel(ch["operator_tag"], float(ch["eta"]))
-            for ch in config.channels]
+    return [dynamics.NoiseChannel(ch["operator_tag"], ch["eta"]) for ch in config.channels]
 
 
 def _family(config, kind=None, t_f=None) -> protocols.ProtocolFamily:
@@ -252,15 +184,14 @@ def _family(config, kind=None, t_f=None) -> protocols.ProtocolFamily:
     """
     p = config.params
     if config.experiment.startswith("tls"):
-        params = {"delta0": TWO_PI * float(p["delta0_hz"])}
+        params = {"delta0": TWO_PI * p["delta0_hz"]}
     else:
-        omega0 = TWO_PI * float(p["nu0_hz"])
-        params = {"omega0": omega0, "omega_f": omega0 / float(p["omega_ratio"]),
-                  "mass": float(p["mass"])}
+        omega0 = TWO_PI * p["nu0_hz"]
+        params = {"omega0": omega0, "omega_f": omega0 / p["omega_ratio"], "mass": p["mass"]}
         if config.experiment == "ho_coherent":
-            params["g_target"] = float(p["g_target"])
+            params["g_target"] = p["g_target"]
     if t_f is None:
-        t_f = float(p["t_f"] if "t_f" in p else p["t_f_hi"])
+        t_f = p["t_f"] if "t_f" in p else p["t_f_hi"]
     return protocols.ProtocolFamily(kind or _EXPERIMENTS[config.experiment].kind, params, t_f)
 
 
@@ -283,16 +214,14 @@ def _cell(config, exp, channels, family):
 
 def _grid_plan(config):
     """(label, family, ranges, sizes) of each optimize.scan call, in order."""
-    sizes = [int(n) for n in config.scan["sizes"]]
-    return [(None, _family(config), config.scan["ranges"], sizes)]
+    return [(None, _family(config), config.scan["ranges"], config.scan["sizes"])]
 
 
 def _thermal_plan(config):
     # per t_f: the constant-mu reference, the standard protocol, the r6 scan
-    p = config.params
-    (_, _, ranges, sizes), = _grid_plan(config)
+    p, ranges, sizes = config.params, config.scan["ranges"], config.scan["sizes"]
     plan = []
-    for t_f in np.geomspace(float(p["t_f_lo"]), float(p["t_f_hi"]), int(p["n_t_f"])):
+    for t_f in np.geomspace(p["t_f_lo"], p["t_f_hi"], p["n_t_f"]):
         t_f = float(t_f)
         plan += [
             ("constant_mu", _family(config, "ho_constant_mu", t_f), [], []),
@@ -316,10 +245,10 @@ def _tls_single_measures(proto, config, channels):
 
 
 def _tls_dual_measures(proto, config, channels):
-    etas = {c.operator_tag: c.eta for c in channels}
     o_z = measures.closed_form_O_z(proto.g_poly, proto.t_f)
     o_x = measures.closed_form_O_x(proto.g_poly, proto.b_poly, proto.t_f)
-    o_bar = measures.weighted_average([o_z, o_x], [etas["sigma_z"], etas["sigma_x"]])
+    # channels come in table order: sigma_z, then sigma_x
+    o_bar = measures.weighted_average([o_z, o_x], [c.eta for c in channels])
     return {"O_z": o_z, "O_x": o_x, "O_bar": o_bar}
 
 
@@ -332,12 +261,12 @@ def _tls_fidelity(proto, config, channels):
 
 
 def _coherent_fidelity(proto, config, channels):
-    alpha = complex(float(config.params["alpha_re"]), float(config.params["alpha_im"]))
+    alpha = complex(config.params["alpha_re"], config.params["alpha_im"])
     return {"fidelity": dynamics.coherent_fidelity(proto, alpha, channels[0])}
 
 
 def _thermal_fidelity(proto, config, channels):
-    fid, power = dynamics.thermal_fidelity(proto, float(config.params["n_bar"]), channels[0])
+    fid, power = dynamics.thermal_fidelity(proto, config.params["n_bar"], channels[0])
     return {"fidelity": fid, "abs_mean_power": abs(power)}
 
 
@@ -348,7 +277,7 @@ def _thermal_fidelity(proto, config, channels):
 def _finish_fig1(config, channels, results):
     """Fidelity against O_z (or A_z) over the steep-blend coefficient scan."""
     rows = _rows(results[0][2], ("O_z", "A_z", "fidelity"))
-    by = "O_z" if str(config.params.get("measure", "O")) == "O" else "A_z"
+    by = "O_z" if config.params["measure"] == "O" else "A_z"
     rows.sort(key=lambda r: r[1 if by == "O_z" else 2])
     return [("", [f"sorted_by: {by}"], ["g4", "O_z", "A_z", "fidelity"], rows)]
 
@@ -356,11 +285,11 @@ def _finish_fig1(config, channels, results):
 def _finish_fig2(config, channels, results):
     """Two-channel 2-D scan: O_z, O_x, their weighted average and fidelity."""
     rows = _rows(results[0][2], ("O_z", "O_x", "O_bar", "fidelity"))
-    etas = {c.operator_tag: c.eta for c in channels}
+    eta_z, eta_x = (c.eta for c in channels)
     best = max(rows, key=lambda r: r[5])
     lowest = min(rows, key=lambda r: r[4])
     header = [
-        f"eta_z: {etas['sigma_z']}", f"eta_x: {etas['sigma_x']}",
+        f"eta_z: {eta_z}", f"eta_x: {eta_x}",
         f"argmax_fidelity: shape={best[0]} b_dip={best[1]} F={best[5]:.6f}",
         f"argmin_O_bar: shape={lowest[0]} b_dip={lowest[1]} O_bar={lowest[4]:.6f}",
     ]
@@ -407,7 +336,7 @@ def _finish_fig4(config, channels, results):
         # max keeps the first of equal fidelities, so ties keep the standard row
         rows.append([family.t_f, label, *max(cells, key=lambda c: c[1])])
     header = [
-        f"n_bar: {float(config.params['n_bar'])}",
+        f"n_bar: {config.params['n_bar']}",
         "integrator: constant_mu, standard_sta, improved_sta magnus_q2_moments "
         "(closed-form Heisenberg flow, Magnus-4)",
         "improved_sta: scan-best r6 (grid includes the standard protocol)",
@@ -415,75 +344,142 @@ def _finish_fig4(config, channels, results):
     return [("", header, ["t_f", "protocol", "r6", "fidelity", "abs_mean_power"], rows)]
 
 
+#: a config value's rule (see _checked) is one of these three, a closed
+#: interval (lo, hi) or a tuple of the allowed strings
+_POSITIVE, _NONNEGATIVE, _COUNT = "a positive number", "a nonnegative number", "an integer >= 1"
+_FINITE = (-math.inf, math.inf)
+
+
+def _rule_text(rule) -> str:
+    """rule in words, as config errors and README's field tables say it."""
+    if isinstance(rule, str):
+        return rule
+    if isinstance(rule[0], str):
+        return " or ".join(map(repr, rule))
+    return "a finite number" if rule == _FINITE else f"a number in [{rule[0]:g}, {rule[1]:g}]"
+
+
+def _checked(value, rule, what):
+    """value as the canonical float, int or string that rule admits, or a
+    ConfigError naming the field what. A string or boolean is never a number;
+    a count may be written as a float with an integer value."""
+    if isinstance(rule, tuple) and isinstance(rule[0], str):
+        if isinstance(value, str) and value in rule:
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if rule == _COUNT:
+            if value >= 1 and (isinstance(value, int) or value.is_integer()):
+                return int(value)
+        else:
+            try:
+                number = float(value)
+            except OverflowError:  # an integer past the largest double
+                number = math.inf
+            lo, hi = (0.0, math.inf) if isinstance(rule, str) else rule
+            if math.isfinite(number) and lo <= number <= hi and (number > 0 or rule != _POSITIVE):
+                return number
+    raise ConfigError(f"{what}: expected {_rule_text(rule)}, got {value!r}")
+
+
+def _t_f_order(config, family):
+    if "t_f_lo" in config.params and config.params["t_f_lo"] > config.params["t_f_hi"]:
+        raise ConfigError("params.t_f_lo: must not exceed params.t_f_hi")
+
+
+def _angular_values(config, family):
+    # the values protocols are built from: 2 pi nu0_hz and omega0 / omega_ratio
+    # can overflow or underflow
+    for key, value in family.params.items():
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"params: {key} = {value!r} in angular units, "
+                              f"must be positive and finite")
+
+
+def _trap_moments(config, family):
+    # the trap moments are scaled by (m omega0)^2 and by its inverse, and
+    # heated by the q^2 noise dose of the longest run
+    if "mass" not in family.params:
+        return
+    scale = family.params["mass"] * family.params["omega0"]
+    if not sys.float_info.min <= scale * scale <= 1.0 / sys.float_info.min:
+        raise ConfigError(f"params.mass: (mass * omega0)^2 = {scale * scale!r} or "
+                          f"its inverse is not a finite normal float")
+    eta = {ch["operator_tag"]: ch["eta"] for ch in config.channels}.get("q_squared", 0.0)
+    dose = 8.0 * eta * family.t_f / scale**2
+    if not dose <= dynamics.Q2_DOSE_MAX:
+        raise ConfigError(f"params.mass: the q^2 noise dose 8 eta t_f / (mass * omega0)^2 = "
+                          f"{dose:.3g} exceeds {dynamics.Q2_DOSE_MAX:.4g}, past which the "
+                          f"trap moments overflow")
+
+
+def _cell_cap(config, family):
+    cells = math.prod(config.scan["sizes"])
+    if cells > _MAX_CELLS:
+        raise ConfigError(f"scan.sizes: the grid exceeds the cap of {_MAX_CELLS} cells")
+    if config.params.get("n_t_f", 0) * (2 + cells) > _MAX_CELLS:
+        raise ConfigError(f"params.n_t_f: {config.params['n_t_f']} durations of {2 + cells} "
+                          f"cells each exceed the cap of {_MAX_CELLS} cells")
+
+
+#: the rules that join fields, (config, family) -> None, checked in this order
+_JOINT_RULES = (_t_f_order, _angular_values, _trap_moments, _cell_cap)
+
+
 @dataclass(frozen=True)
 class _Experiment:
-    """One figure-level experiment: its defaults (Hz, s) and how it builds,
-    checks, measures, simulates and reports its protocol cells."""
+    """One figure-level experiment: its config fields with their defaults and
+    rules, and how it builds, measures, simulates and reports its cells."""
 
     figure: str
-    defaults: dict               # params, channels, scan
+    params: dict                 # name -> (default in Hz, s, s/angstrom^2, rule)
+    channels: dict               # operator_tag -> default eta, in the order kept
+    free: dict                   # coefficient -> (default scan range and size, rule)
     kind: str                    # ProtocolFamily kind
-    tags: tuple                  # sorted noise-channel tags it requires
     measure: Callable | None     # (proto, config, channels) -> columns
     fidelity: Callable           # (proto, config, channels) -> columns
     finish: Callable             # see the finishing steps above
     plan: Callable = _grid_plan  # config -> optimize.scan calls
     skips_infeasible: bool = False
-    free_bounds: tuple = ()      # (lo, hi) per free coefficient; () = any
 
-    def check_free(self, values, what):
-        """Reject free coefficients that are not finite numbers or that leave
-        the family's domain, before anything is built."""
-        for i, v in enumerate(values):
-            lo, hi = self.free_bounds[i] if self.free_bounds else (-np.inf, np.inf)
-            if not (isinstance(v, numbers.Real) and np.isfinite(v) and lo <= v <= hi):
-                raise ConfigError(f"{what}: free coefficient {i} must be finite and in "
-                                  f"[{lo}, {hi}], got {v!r}")
+    def default_scan(self) -> dict:
+        return {"ranges": [list(r) for r, _, _ in self.free.values()],
+                "sizes": [n for _, n, _ in self.free.values()]}
 
 
 _EXPERIMENTS = {
     "tls_single": _Experiment(
-        figure="fig1", defaults={
-            "params": {"delta0_hz": 10e3, "t_f": 0.5e-3, "measure": "O"},
-            "channels": [{"operator_tag": "sigma_z", "eta": 250.0}],
-            "scan": {"ranges": [[-0.5, 1.25]], "sizes": [41]},
-        },
-        kind="tls_steep_blend", tags=("sigma_z",), measure=_tls_single_measures,
-        fidelity=_tls_fidelity, finish=_finish_fig1,
+        figure="fig1", kind="tls_steep_blend",
+        params={"delta0_hz": (10e3, _POSITIVE), "t_f": (0.5e-3, _POSITIVE),
+                "measure": ("O", ("O", "A"))},
+        channels={"sigma_z": 250.0}, free={"g4": ((-0.5, 1.25), 41, _FINITE)},
+        measure=_tls_single_measures, fidelity=_tls_fidelity, finish=_finish_fig1,
     ),
     "tls_dual": _Experiment(
-        figure="fig2", defaults={
-            "params": {"delta0_hz": 10e3, "t_f": 0.5e-3},
-            "channels": [{"operator_tag": "sigma_z", "eta": 125.0},
-                         {"operator_tag": "sigma_x", "eta": 62.5}],
-            "scan": {"ranges": [[-1.0, 1.0], [0.0, 1.0]], "sizes": [9, 5]},
-        },
-        kind="tls_dual", tags=("sigma_x", "sigma_z"), measure=_tls_dual_measures,
-        fidelity=_tls_fidelity, finish=_finish_fig2,
-        free_bounds=((-1.0, 1.0), (0.0, 1.0)),  # shape, b_dip
+        figure="fig2", kind="tls_dual",
+        params={"delta0_hz": (10e3, _POSITIVE), "t_f": (0.5e-3, _POSITIVE)},
+        channels={"sigma_z": 125.0, "sigma_x": 62.5},
+        free={"shape": ((-1.0, 1.0), 9, (-1.0, 1.0)), "b_dip": ((0.0, 1.0), 5, (0.0, 1.0))},
+        measure=_tls_dual_measures, fidelity=_tls_fidelity, finish=_finish_fig2,
     ),
     "ho_coherent": _Experiment(
-        figure="fig3", defaults={
-            "params": {"nu0_hz": 15.92e6, "omega_ratio": 100.0, "t_f": 100e-6,
-                       "alpha_re": 1.0, "alpha_im": 1.0, "g_target": 50.5e-6,
-                       "mass": MASS_100_CA40},
-            "channels": [{"operator_tag": "q", "eta": 10.0}],
-            "scan": {"ranges": [[-20.0, 5.0]], "sizes": [9]},
-        },
-        kind="ho_coherent", tags=("q",), measure=_coherent_measures,
-        fidelity=_coherent_fidelity, finish=_finish_fig3, skips_infeasible=True,
+        figure="fig3", kind="ho_coherent",
+        params={"nu0_hz": (15.92e6, _POSITIVE), "omega_ratio": (100.0, _POSITIVE),
+                "t_f": (100e-6, _POSITIVE), "alpha_re": (1.0, _FINITE),
+                "alpha_im": (1.0, _FINITE), "g_target": (50.5e-6, _POSITIVE),
+                "mass": (MASS_100_CA40, _POSITIVE)},
+        channels={"q": 10.0}, free={"r6": ((-20.0, 5.0), 9, _FINITE)},
+        measure=_coherent_measures, fidelity=_coherent_fidelity, finish=_finish_fig3,
+        skips_infeasible=True,
     ),
     "ho_thermal": _Experiment(
-        figure="fig4", defaults={
-            "params": {"nu0_hz": 2.53e6, "omega_ratio": 100.0, "n_bar": 12.58,
-                       "t_f_lo": 0.2e-6, "t_f_hi": 20e-6, "n_t_f": 10,
-                       "mass": MASS_100_CA40},
-            "channels": [{"operator_tag": "q_squared", "eta": 0.0527}],
-            "scan": {"ranges": [[0.0, 800.0]], "sizes": [9]},
-        },
+        figure="fig4", kind="ho_thermal",
+        params={"nu0_hz": (2.53e6, _POSITIVE), "omega_ratio": (100.0, _POSITIVE),
+                "n_bar": (12.58, _NONNEGATIVE), "t_f_lo": (0.2e-6, _POSITIVE),
+                "t_f_hi": (20e-6, _POSITIVE), "n_t_f": (10, _COUNT),
+                "mass": (MASS_100_CA40, _POSITIVE)},
+        channels={"q_squared": 0.0527}, free={"r6": ((0.0, 800.0), 9, _FINITE)},
         # no closed-form measure: the mean power needs the simulated moments
-        kind="ho_thermal", tags=("q_squared",), measure=None,
-        fidelity=_thermal_fidelity, finish=_finish_fig4, plan=_thermal_plan,
+        measure=None, fidelity=_thermal_fidelity, finish=_finish_fig4, plan=_thermal_plan,
     ),
 }
 
@@ -536,12 +532,13 @@ def run_scan(config: ExperimentConfig):
 
 def _cell_family(config, free) -> protocols.ProtocolFamily:
     """The experiment's protocol family at one point of its scan grid."""
-    n = len(config.scan["ranges"])
-    free = [0.0] * n if free is None else free
-    if len(free) != n:
-        raise ConfigError(f"--free: {config.experiment} takes {n} value(s), got {len(free)}")
-    _EXPERIMENTS[config.experiment].check_free(free, "--free")
-    return _family(config).with_free(free)
+    coeffs = _EXPERIMENTS[config.experiment].free
+    free = [0.0] * len(coeffs) if free is None else free
+    if len(free) != len(coeffs):
+        raise ConfigError(f"--free: {config.experiment} takes {len(coeffs)} value(s), "
+                          f"got {len(free)}")
+    return _family(config).with_free([_checked(v, rule, f"--free {name}")
+                                      for v, (name, (_, _, rule)) in zip(free, coeffs.items())])
 
 
 def _verb_synthesize(config, free):
@@ -603,10 +600,11 @@ def _load_config(args) -> ExperimentConfig:
     the experiment's defaults) with the figure, --out and --grid applied."""
     data = {"experiment": getattr(args, "experiment", None)}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        data = ExperimentConfig._checked_fields(_json_value(path.read_text()))
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")  # as JSON requires
+        except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8 ...
+            raise ConfigError(f"--config: {exc}") from None
+        data = ExperimentConfig._checked_fields(_json_value(text))
     elif data["experiment"] is None and args.verb != "reproduce":
         raise ConfigError("need --config or --experiment")
     if args.verb == "reproduce":
@@ -621,8 +619,8 @@ def _load_config(args) -> ExperimentConfig:
         data["out_dir"] = args.out
     exp = _EXPERIMENTS.get(data["experiment"]) if isinstance(data["experiment"], str) else None
     if args.grid is not None and exp is not None and isinstance(data.get("scan", {}), dict):
-        scan = copy.deepcopy(data.get("scan") or exp.defaults["scan"])
-        data["scan"] = {**scan, "sizes": [args.grid] * len(exp.defaults["scan"]["sizes"])}
+        scan = data.get("scan") or exp.default_scan()
+        data["scan"] = {**scan, "sizes": [args.grid] * len(exp.free)}
     return ExperimentConfig(**data)
 
 

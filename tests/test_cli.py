@@ -4,7 +4,9 @@ import ast
 import csv
 import hashlib
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -65,6 +67,21 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = cli.main(["--config", str(tmp_path / "absent.json"), "scan"])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_an_unreadable_config_file_exits_2(tmp_path, capsys):
+    # a directory, a name past the file-name limit, bytes that are not UTF-8,
+    # and JSON nested deeper than the parser can follow
+    latin1, deep = tmp_path / "latin1.json", tmp_path / "deep.json"
+    latin1.write_bytes(b'{"experiment": "tls_single", "basename": "\xe9"}')
+    deep.write_text("[" * 200000)
+    long_name = tmp_path / ("c" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1))
+    for path, field in ((tmp_path, "--config"), (long_name, "--config"), (latin1, "--config"),
+                        (deep, "config is not valid JSON")):
+        assert cli.main(["--config", str(path), "--out", str(tmp_path), "scan"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_scan_without_experiment_exits_2(capsys):
@@ -197,6 +214,38 @@ def test_default_trap_figures_are_byte_identical(tmp_path, figure, digests):
     assert {csv: _data_digest(tmp_path / f"{csv}.csv") for csv in digests} == digests
 
 
+def _ints_for_integral_floats(value):
+    # the same config with every integral float written as a JSON integer
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, list):
+        return [_ints_for_integral_floats(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _ints_for_integral_floats(v) for k, v in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("experiment, digest", [
+    ("tls_single", "8bdc98d97a732002"), ("tls_dual", "981b6fdb74f56875"),
+    ("ho_coherent", "6bde4831611c044b"), ("ho_thermal", "1e05258847fefac6"),
+])
+def test_config_hash_covers_exactly_the_numbers_run(experiment, digest):
+    default = ExperimentConfig(experiment=experiment).to_dict()
+    assert ExperimentConfig.from_dict(default).digest == digest
+    # how a number is written, the order of the channels and where the
+    # tables go leave the hash alone
+    same = _ints_for_integral_floats(default)
+    same.update(channels=same["channels"][::-1], out_dir="elsewhere", basename="other")
+    assert same != default
+    assert ExperimentConfig.from_dict(same).digest == digest
+    # every number changes it
+    for name, path in _numeric_fields(default).items():
+        value = _at(default, path)
+        changed = value + 1 if isinstance(value, int) else value / 2 if value else 0.25
+        config = ExperimentConfig.from_dict(_with_value(default, path, changed))
+        assert config.digest != digest, name
+
+
 def test_grid_applies_to_the_figure_of_a_config_of_another_experiment(tmp_path):
     # the figure's defaults replace the file's scan; --grid then sizes them
     cfg_path = tmp_path / "thermal.json"
@@ -276,6 +325,70 @@ def test_rtol_config_field_exits_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def _no_cell_runs(*args, **kwargs):
+    raise AssertionError("a protocol cell ran")
+
+
+#: a number outside the rule of each numeric config field, by experiment
+_OUT_OF_RULE = {
+    "tls_single": {"params.delta0_hz": 0.0, "params.t_f": -5e-4, "channels[0].eta": -1.0,
+                   "scan.ranges[0]": math.inf, "scan.sizes": 0},
+    "tls_dual": {"params.delta0_hz": -1e4, "params.t_f": math.inf, "channels[0].eta": math.nan,
+                 "channels[1].eta": -62.5, "scan.ranges[0]": -1.5, "scan.ranges[1]": 1.5,
+                 "scan.sizes": 2.5},
+    "ho_coherent": {"params.nu0_hz": -1.0, "params.omega_ratio": 0.0, "params.t_f": -1e-4,
+                    "params.alpha_re": math.nan, "params.alpha_im": -math.inf,
+                    "params.g_target": 0.0, "params.mass": -1.0, "channels[0].eta": -10.0,
+                    "scan.ranges[0]": math.nan, "scan.sizes": -9},
+    "ho_thermal": {"params.nu0_hz": math.inf, "params.omega_ratio": -100.0,
+                   "params.n_bar": -1e-9, "params.t_f_lo": 0.0, "params.t_f_hi": -2e-5,
+                   "params.n_t_f": 9.5, "params.mass": 0.0, "channels[0].eta": -0.0527,
+                   "scan.ranges[0]": -math.inf, "scan.sizes": 0.0},
+}
+
+
+def _numeric_fields(config):
+    """{field name as errors give it: path into the config dict} for every
+    number of a default config (a scan range by its low end)."""
+    fields = {f"params.{key}": ("params", key) for key, value in config["params"].items()
+              if not isinstance(value, str)}
+    fields.update({f"channels[{i}].eta": ("channels", i, "eta")
+                   for i in range(len(config["channels"]))})
+    fields.update({f"scan.ranges[{i}]": ("scan", "ranges", i, 0)
+                   for i in range(len(config["scan"]["ranges"]))})
+    fields["scan.sizes"] = ("scan", "sizes", -1)
+    return fields
+
+
+def _at(config, path):
+    for key in path:
+        config = config[key]
+    return config
+
+
+def _with_value(config, path, value):
+    config = json.loads(json.dumps(config))
+    _at(config, path[:-1])[path[-1]] = value
+    return config
+
+
+def _bad_numeric_fields():
+    cases = []
+    for experiment, bad in _OUT_OF_RULE.items():
+        config = ExperimentConfig(experiment=experiment).to_dict()
+        for name, path in _numeric_fields(config).items():
+            cases += [pytest.param(_with_value(config, path, value), name,
+                                   id=f"{experiment}-{name}-{value!r}")
+                      for value in ("1", True, bad[name])]
+    return cases
+
+
+def test_out_of_rule_numbers_cover_every_numeric_field():
+    assert {e: set(bad) for e, bad in _OUT_OF_RULE.items()} == {
+        e: set(_numeric_fields(ExperimentConfig(experiment=e).to_dict()))
+        for e in cli._EXPERIMENTS}
+
+
 @pytest.mark.parametrize("config, field", [
     ({"experiment": "tls_single", "channels": [{"operator_tag": "sigma_z", "eta": [1]}]},
      "channels[0].eta"),
@@ -296,10 +409,21 @@ def test_rtol_config_field_exits_2(tmp_path, capsys):
     # a lone surrogate, which a JSON escape can give, has no file-system encoding
     ({"experiment": "tls_single", "out_dir": "\ud800"}, "out_dir"),
     ({"experiment": "tls_single", "basename": "a\udfffb"}, "basename"),
+    # a key no channel or scan has would only change the hash
+    ({"experiment": "tls_single", "channels": [{"operator_tag": "sigma_z", "eta": 1.0,
+                                                "gain": 2.0}]}, "channels[0].gain"),
+    ({"experiment": "tls_single", "scan": {"ranges": [[0.0, 1.0]], "sizes": [3], "step": 0.5}},
+     "scan.step"),
+    ({"experiment": "tls_single", "params": {"measure": "B"}}, "params.measure"),
+    # every numeric field of every experiment, given a JSON string, a boolean
+    # or a number outside its rule
+    *_bad_numeric_fields(),
 ])
 def test_malformed_config_field_exits_2(tmp_path, capsys, monkeypatch, config, field):
     # --out replaces the file's out_dir before validation, so a malformed
     # out_dir is run without it
+    monkeypatch.setattr(cli, "_cell", _no_cell_runs)
+    monkeypatch.setattr(cli, "_cell_family", _no_cell_runs)
     monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
@@ -381,7 +505,7 @@ def test_any_free_value_exits_0_2_or_3_and_writes_finite_numbers(tmp_path_factor
     # or exits 2 or 3 and writes nothing
     experiment = data.draw(st.sampled_from(sorted(cli._EXPERIMENTS)))
     verb = data.draw(st.sampled_from(["synthesize", "measure", "simulate"]))
-    n = len(cli._EXPERIMENTS[experiment].defaults["scan"]["ranges"])
+    n = len(cli._EXPERIMENTS[experiment].free)
     special = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308])
     free = data.draw(st.lists(special | st.floats(), min_size=n, max_size=n))
     out = tmp_path_factory.mktemp("any_free")
@@ -456,10 +580,6 @@ def test_measure_on_ho_thermal_exits_2_before_the_build(tmp_path, capsys, free):
     assert capsys.readouterr().err == ("config error: measure: ho_thermal has no "
                                        "closed-form measure\n")
     assert not list(tmp_path.glob("*.csv"))
-
-
-def _no_cell_runs(*args, **kwargs):
-    raise AssertionError("a protocol cell ran")
 
 
 @pytest.mark.parametrize("config, grid, field", [
@@ -817,3 +937,49 @@ def test_measure_and_simulate_reproduce_scan_row(tmp_path, experiment, scan, fre
     assert "fidelity" in cell and len(cell) >= 2
     for column, value in cell.items():
         assert row[column] == value, column
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_field_tables():
+    """{experiment: {field: (rule, default)}} from README's config field tables."""
+    tables, rows = {}, None
+    for line in _README.read_text(encoding="utf-8").splitlines():
+        heading = re.fullmatch(r"#### `(\w+)` \(fig\d\)", line)
+        if heading:
+            rows = tables.setdefault(heading[1], {})
+        row = re.fullmatch(r"\| `([^`]+)` \| [^|]+ \| ([^|]+) \| ([^|]+) \|", line)
+        if row and rows is not None:
+            rows[row[1]] = (row[2], row[3])
+    return tables
+
+
+def _readme_default(text):
+    free = re.fullmatch(r"\[(\S+), (\S+)\] × (\d+)", text)
+    if free:
+        return (float(free[1]), float(free[2])), int(free[3])
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def test_readme_field_tables_match_the_experiment_table():
+    # names, rules and defaults of every config field, as README gives them
+    expected = {}
+    for name, exp in cli._EXPERIMENTS.items():
+        fields = expected[name] = {}
+        for key, (default, rule) in exp.params.items():
+            fields[f"params.{key}"] = (cli._rule_text(rule), default)
+        for tag, eta in exp.channels.items():
+            fields[f"eta[{tag}]"] = (cli._rule_text(cli._NONNEGATIVE), eta)
+        for key, (ranges, size, rule) in exp.free.items():
+            fields[f"free[{key}]"] = (cli._rule_text(rule), (ranges, size))
+    readme = {name: {field: (rule, _readme_default(default))
+                     for field, (rule, default) in fields.items()}
+              for name, fields in _readme_field_tables().items()}
+    assert readme == expected
+    # and the rules that join fields, each by the name of its function
+    names = set(re.findall(r"\(`(_\w+)`", _README.read_text(encoding="utf-8")))
+    assert {rule.__name__ for rule in cli._JOINT_RULES} <= names
