@@ -490,12 +490,17 @@ _FIGURES = {exp.figure: name for name, exp in _EXPERIMENTS.items()}
 # verbs
 
 
+def _table_path(config, suffix) -> Path:
+    """out_dir/<basename or experiment id><suffix>.csv."""
+    return Path(config.out_dir) / f"{config.basename or config.experiment}{suffix}.csv"
+
+
 def _write_table(config, suffix, columns, rows, extra=()):
     """Write <basename><suffix>.csv under a provenance header, plus its
     .schema.json sidecar; returns the CSV path."""
     header = [f"config_hash: {config.digest}",
               f"experiment: {config.experiment}", _UNIT_NOTE, *extra]
-    path = Path(config.out_dir) / f"{config.basename or config.experiment}{suffix}.csv"
+    path = _table_path(config, suffix)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         for line in header:
@@ -635,7 +640,7 @@ def main(argv=None) -> int:
         verb = _VERBS["scan" if args.verb == "reproduce" else args.verb]
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)  # before any cell runs
         # the longest file name any verb writes, <basename>_controls.schema.json
-        name = f"{config.basename or config.experiment}_controls.schema.json"
+        name = _table_path(config, "_controls").with_suffix(".schema.json").name
         if len(os.fsencode(name)) > os.pathconf(config.out_dir, "PC_NAME_MAX"):
             raise ConfigError(f"basename: the file name {name!r} is too long for out_dir")
         # an overflow or invalid value ends the run before it writes a table

@@ -23,10 +23,11 @@ and half-step runs agree; the running products of both runs are one pairwise
 scan over all steps, and a mask marks the steps that end a start step)
 serves both: tls_fidelity, with integrate_master as its test oracle, and
 magnus_q2_moments. Under q noise exact_q_moments adds the noise to the same
-flow by one quadrature. Every trap control (HoProtocol and the constant-mu
-reference ConstantMuControl) has a closed-form flow, so integrate_moments,
-the lab-frame moment ODE, is a test oracle only: the independent route that
-both oscillator routes are checked against. The oracles (integrate_master,
+flow by one Simpson quadrature; both map to the lab frame by _lab_moments.
+Every trap control (HoProtocol and the constant-mu reference
+ConstantMuControl) has a closed-form flow, so integrate_moments, the
+lab-frame moment ODE, is a test oracle only: the independent route that both
+oscillator routes are checked against. The oracles (integrate_master,
 integrate_ho_master, integrate_moments) are each one scipy solve_ivp call,
 importing scipy when first called, so the package and invctl load numpy
 only. tls_fidelity, coherent_fidelity and thermal_fidelity are the one
@@ -403,7 +404,7 @@ _BLOCK = 4096
 
 
 def _q_noise_gram(protocol: HoProtocol) -> np.ndarray:
-    """int_0^tf c c^T ds with c = (-fp, fq) = M^-1 e_p, by composite Simpson.
+    """int_0^tf c c^T ds with c = (-fp, fq) = M^-1 e_p, by measures' Simpson weights.
 
     The grid is uniform in t with _SAMPLES_PER_PERIOD samples per period of
     cos(2 theta) on average, and is swept in blocks of _BLOCK samples.
@@ -418,8 +419,7 @@ def _q_noise_gram(protocol: HoProtocol) -> np.ndarray:
     pp = pq = qq = 0.0
     for start in range(0, n + 1, _BLOCK):
         i = np.arange(start, min(start + _BLOCK, n + 1))
-        w = np.where(i % 2 == 1, 4.0, 2.0)
-        w[(i == 0) | (i == n)] = 1.0
+        w = measures.simpson_weights(i, n)
         fq, fp, _, _ = protocol.heisenberg_coeffs(i * h)
         wfp = w * fp
         pp += wfp @ fp
@@ -444,10 +444,23 @@ def exact_q_moments(protocol: HoProtocol, y0, channel: NoiseChannel) -> np.ndarr
     s = np.array([[qq, qp], [qp, pp]])
     if channel.eta:
         s += 2.0 * channel.eta * _q_noise_gram(protocol)
-    flow = np.reshape(protocol.heisenberg_coeffs(protocol.t_f), (2, 2))
-    mean = flow @ (mq, mp)
-    s = flow @ s @ flow.T
-    return np.array([mean[0], mean[1], s[0, 0], s[1, 1], s[0, 1]])
+    return _lab_moments(protocol, protocol.t_f, (mq, mp), (s[0, 0], s[0, 1], s[1, 1]))
+
+
+def _lab_moments(protocol, ts, means, second) -> np.ndarray:
+    """Lab-frame (<q>, <p>, <q^2>, <p^2>, <qp+pq>/2) at ts (a row per sample)
+    of invariant-frame means m and raw second moments (S00, S01, S11): M m
+    and M S M^T, M = [[fq, fp], [gq, gp]] the flow (heisenberg_coeffs)."""
+    mq, mp = means
+    a, b, c = second
+    fq, fp, gq, gp = protocol.heisenberg_coeffs(ts)
+    return np.stack([
+        fq * mq + fp * mp,
+        gq * mq + gp * mp,
+        fq * fq * a + 2.0 * fq * fp * b + fp * fp * c,
+        gq * gq * a + 2.0 * gq * gp * b + gp * gp * c,
+        fq * gq * a + (fq * gp + fp * gq) * b + fp * gp * c,
+    ], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +609,8 @@ def _magnus_path(generator, t_f: float, n_start: int, x0, error) -> np.ndarray:
     ends = np.ones(n_start, dtype=bool)  # the steps that end a start step
     one, first, second = _one_and_halves(generator, left, h)
     while True:
-        runs = _running_products(np.stack([one, _mul(second, first)], axis=2))
+        halves = _mul(second, first)
+        runs = _running_products(np.stack([one, halves], axis=2))
         path = np.einsum("ijrn,j->rni", runs[..., ends], x0)
         coarse, fine = np.concatenate([np.broadcast_to(x0, (2, 1, 3)), path], axis=1)
         gap = error(coarse, fine)
@@ -604,7 +618,7 @@ def _magnus_path(generator, t_f: float, n_start: int, x0, error) -> np.ndarray:
             return fine
         if not np.isfinite(gap):
             raise StepSizeUnderflow(f"Magnus propagator overflowed on {2 * len(h)} half steps")
-        diff = np.abs(_mul(second, first) - one).max(axis=(0, 1))
+        diff = np.abs(halves - one).max(axis=(0, 1))
         flagged = diff > _SPLIT * diff.max()
         k = np.ceil(np.log2(gap / 15.0) / 4.0)
         if 2 * (len(h) + flagged.sum() * (2**k - 1)) > _MAX_HALF_STEPS:
@@ -659,17 +673,9 @@ def magnus_q2_moments(protocol, y0, channel: NoiseChannel):
         s = _magnus_path(
             generator, protocol.t_f, _Q2_INTERVALS, s,
             lambda coarse, fine: np.abs(fine - coarse).max() / (_Q2_TOL * np.abs(fine).max()))
-    a, b, c = np.atleast_2d(s).T * np.array([[1.0], [scale], [scale**2]])
     ts = np.linspace(0.0, protocol.t_f, _Q2_INTERVALS + 1)
-    fq, fp, gq, gp = protocol.heisenberg_coeffs(ts)
-    ys = np.column_stack([
-        fq * mq + fp * mp,
-        gq * mq + gp * mp,
-        fq * fq * a + 2.0 * fq * fp * b + fp * fp * c,
-        gq * gq * a + 2.0 * gq * gp * b + gp * gp * c,
-        fq * gq * a + (fq * gp + fp * gq) * b + fp * gp * c,
-    ])
-    return ts, ys
+    second = np.atleast_2d(s).T * np.array([[1.0], [scale], [scale**2]])
+    return ts, _lab_moments(protocol, ts, (mq, mp), second)
 
 
 # ---------------------------------------------------------------------------

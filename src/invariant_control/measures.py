@@ -4,7 +4,9 @@ Two families of measures are computed along a protocol: the time-averaged
 excess overlap O between the invariant eigenbasis and the noise-operator
 eigenbasis, and the normalized commutator norm A. Closed forms for the
 two-level case, the oscillator wavefunction overlap S_n, the weighted
-two-channel landscape and the average power complete the set.
+two-channel landscape and the average power complete the set. Every time
+integral is composite Simpson on a uniform grid, w @ y with cached weights
+w = h/3 (1, 4, 2, ..., 4, 1); scipy.integrate.simpson is its test oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "hermite_abs_integral",
     "average_power",
     "two_channel_landscape",
+    "simpson_weights",
     "O_MAX_TWO_LEVEL",
 ]
 
@@ -69,13 +72,13 @@ def measure_O(invariant_path, x: np.ndarray, t_f: float, grid: int = 2001) -> fl
     invariant_path is a callable t -> Hermitian matrix. The direct route
     that checks the closed forms (closed_form_O_z on a protocol's invariant).
     """
-    ts, rule = _simpson_rule(t_f, grid)
+    ts, w = _simpson_rule(t_f, grid)
     mats = [np.asarray(invariant_path(t), dtype=complex) for t in ts]
     x = np.asarray(x, dtype=complex)
     _, x_vecs = np.linalg.eigh(x)
     scale = max(np.max(np.abs(m)) for m in mats)
     vals = np.array([_excess_overlap(m, x_vecs, 1e-10 * scale) for m in mats])
-    return float(_simpson(vals, rule) / t_f)
+    return float(w @ vals / t_f)
 
 
 def measure_A(invariant_path, x: np.ndarray, t_f: float, grid: int = 2001) -> float:
@@ -84,7 +87,7 @@ def measure_A(invariant_path, x: np.ndarray, t_f: float, grid: int = 2001) -> fl
     The direct route that checks closed_form_A_z and the closed-form limits
     A = 1 (anticommuting pair) and A = 0 (commuting pair).
     """
-    ts, rule = _simpson_rule(t_f, grid)
+    ts, w = _simpson_rule(t_f, grid)
     mats = [np.asarray(invariant_path(t), dtype=complex) for t in ts]
     x = np.asarray(x, dtype=complex)
     comm = np.empty(grid)
@@ -93,78 +96,72 @@ def measure_A(invariant_path, x: np.ndarray, t_f: float, grid: int = 2001) -> fl
         xm = x @ m
         comm[i] = np.linalg.norm(xm - m @ x)
         prod[i] = np.linalg.norm(xm)
-    denom = 2.0 * _simpson(prod, rule)
+    denom = 2.0 * (w @ prod)
     if denom < _NORM_FLOOR:
         raise ZeroNormalizer("int ||X I|| dt vanishes")
-    return float(_simpson(comm, rule) / denom)
+    return float(w @ comm / denom)
 
 
 # ---------------------------------------------------------------------------
 # Simpson rule of the measures, S_n and the average power
 
 
+def simpson_weights(i: np.ndarray, n: int) -> np.ndarray:
+    """Composite Simpson weights (1, 4, 2, ..., 2, 4, 1) at the indices i of a
+    uniform grid of n intervals, n even: times h/3, the integral's weights."""
+    w = np.where(i % 2 == 1, 4.0, 2.0)
+    w[(i == 0) | (i == n)] = 1.0
+    return w
+
+
 @lru_cache(maxsize=16)
 def _simpson_rule(t_f: float, grid: int):
-    """(ts, rule) for composite Simpson on ts = linspace(0, t_f, grid), read-only.
-
-    rule holds the four coefficient arrays that scipy.integrate.simpson
-    builds from diff(ts) on every call (its _basic_simpson for an odd number
-    of samples), so _simpson(y, rule) takes the same operations in the same
-    order and equals simpson(y, x=ts) bit for bit. grid must be odd and at
-    least 3: an even grid would need scipy's end correction.
-    """
+    """(ts, w) for composite Simpson on ts = linspace(0, t_f, grid), read-only:
+    the integral of samples y on ts is w @ y, w = h/3 (1, 4, 2, ..., 4, 1).
+    It agrees with scipy.integrate.simpson(y, x=ts) to grid * eps * (|w| @
+    |y|). grid must be odd and at least 3."""
     if grid < 3 or grid % 2 == 0:
         raise ValueError(f"the Simpson grid must be an odd number >= 3, got {grid!r}")
     ts = np.linspace(0.0, t_f, grid)
-    h = np.diff(ts)
-    h0, h1 = h[0::2], h[1::2]
-    hsum, hprod = h0 + h1, h0 * h1
-    h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
-    rule = (
-        hsum / 6.0,
-        2.0 - np.true_divide(1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0),
-        hsum * np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0),
-        2.0 - h0divh1,
-    )
-    for a in (ts, *rule):
+    w = (t_f / (grid - 1) / 3.0) * simpson_weights(np.arange(grid), grid - 1)
+    for a in (ts, w):
         a.flags.writeable = False
-    return ts, rule
-
-
-def _simpson(y, rule) -> float:
-    """simpson(y, x=ts) for y sampled on the ts of _simpson_rule."""
-    scale, c0, c1, c2 = rule
-    return np.sum(scale * (y[0:-2:2] * c0 + y[1:-1:2] * c1 + y[2::2] * c2))
+    return ts, w
 
 
 # ---------------------------------------------------------------------------
 # two-level closed forms
 
 
+def _overlap_sum_z(g):
+    """sum_ij |S_ij| of the sigma_z eigenbasis and an invariant at polar angle G."""
+    return 2.0 * (np.abs(np.sin(g / 2)) + np.abs(np.cos(g / 2)))
+
+
+def _overlap_sum_x(g, b):
+    """sum_ij |S_ij| of the sigma_x eigenbasis and an invariant at angles
+    (G, B), which depends on them through cos(B) sin(G)."""
+    cbsg = np.cos(b) * np.sin(g)
+    return 2.0 * (np.sqrt((1.0 - cbsg) / 2.0) + np.sqrt((1.0 + cbsg) / 2.0))
+
+
 def closed_form_O_z(g_path, t_f: float, grid: int = 4001) -> float:
     """O for X = sigma_z: (1/t_f) int 2(|sin(G/2)| + |cos(G/2)| - 1) dt."""
-    ts, rule = _simpson_rule(t_f, grid)
-    g = g_path(ts)
-    integrand = 2.0 * (np.abs(np.sin(g / 2)) + np.abs(np.cos(g / 2)) - 1.0)
-    return float(_simpson(integrand, rule) / t_f)
+    ts, w = _simpson_rule(t_f, grid)
+    return float(w @ (_overlap_sum_z(g_path(ts)) - 2.0) / t_f)
 
 
 def closed_form_A_z(g_path, t_f: float, grid: int = 4001) -> float:
     """A for X = sigma_z: (1/t_f) int |sin G| dt."""
-    ts, rule = _simpson_rule(t_f, grid)
+    ts, w = _simpson_rule(t_f, grid)
     g = g_path(ts)
-    return float(_simpson(np.abs(np.sin(g)), rule) / t_f)
+    return float(w @ np.abs(np.sin(g)) / t_f)
 
 
 def closed_form_O_x(g_path, b_path, t_f: float, grid: int = 4001) -> float:
     """O for X = sigma_x, depending on both angles through cos(B) sin(G)."""
-    ts, rule = _simpson_rule(t_f, grid)
-    g, b = g_path(ts), b_path(ts)
-    cbsg = np.cos(b) * np.sin(g)
-    integrand = 2.0 * (
-        np.sqrt((1.0 - cbsg) / 2.0) + np.sqrt((1.0 + cbsg) / 2.0) - 1.0
-    )
-    return float(_simpson(integrand, rule) / t_f)
+    ts, w = _simpson_rule(t_f, grid)
+    return float(w @ (_overlap_sum_x(g_path(ts), b_path(ts)) - 2.0) / t_f)
 
 
 def weighted_average(measures, strengths) -> float:
@@ -219,7 +216,7 @@ def ho_overlap_Sn(rho_path, n: int, mass: float, omega0: float, t_f: float,
     C_n = (m omega0)^(-1/4) pi^(-1/4) J_n / sqrt(2^n n!) times sqrt(rho),
     which is why minimizing S_n at any n minimizes all of them.
     """
-    ts, rule = _simpson_rule(t_f, grid)
+    ts, w = _simpson_rule(t_f, grid)
     rho = rho_path(ts)
     if np.any(rho <= 0):
         raise NonPositiveRho("rho must be positive along the path")
@@ -229,7 +226,7 @@ def ho_overlap_Sn(rho_path, n: int, mass: float, omega0: float, t_f: float,
         * hermite_abs_integral(n)
         / np.sqrt(2.0**n * factorial(n))
     )
-    return float(c_n * _simpson(np.sqrt(rho), rule) / t_f)
+    return float(c_n * (w @ np.sqrt(rho)) / t_f)
 
 
 def average_power(omega_sq_dot, qq, mass: float, t_f: float,
@@ -242,8 +239,8 @@ def average_power(omega_sq_dot, qq, mass: float, t_f: float,
     root. The sign is preserved; take the absolute value at the reporting
     layer if needed.
     """
-    ts, rule = _simpson_rule(t_f, grid)
-    return float(_simpson(0.5 * mass * omega_sq_dot(ts) * qq, rule) / t_f)
+    ts, w = _simpson_rule(t_f, grid)
+    return float(w @ (0.5 * mass * omega_sq_dot(ts) * qq) / t_f)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +254,7 @@ def _landscape_surfaces(n_theta: int, n_phi: int):
     theta = np.linspace(0.0, np.pi, n_theta)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi)
     th, ph = np.meshgrid(theta, phi, indexing="ij")
-    sum_z = 2.0 * (np.abs(np.sin(th / 2)) + np.abs(np.cos(th / 2)))
-    cps = np.cos(ph) * np.sin(th)
-    sum_x = 2.0 * (np.sqrt((1.0 - cps) / 2.0) + np.sqrt((1.0 + cps) / 2.0))
+    sum_z, sum_x = _overlap_sum_z(th), _overlap_sum_x(th, ph)
     for a in (theta, phi, sum_z, sum_x):
         a.flags.writeable = False
     return theta, phi, sum_z, sum_x

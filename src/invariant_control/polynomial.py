@@ -17,7 +17,17 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import InvariantControlError, SingularInterpolation
 
-__all__ = ["Constraint", "BoundaryPolynomial", "solve_boundary_polynomial"]
+__all__ = ["Constraint", "BoundaryPolynomial", "solve_boundary_polynomial", "horner"]
+
+
+def horner(c, s):
+    """c[0] + c[1] s + ... + c[-1] s^(n-1) by Horner's rule: npoly.polyval's
+    own recurrence, so a Python-float s gives a Python float and an array s
+    gets polyval's operations bit for bit."""
+    acc = c[-1] + s * 0
+    for ci in c[-2::-1]:
+        acc = ci + acc * s
+    return acc
 
 
 @dataclass(frozen=True)
@@ -47,15 +57,6 @@ class BoundaryPolynomial:
                  else npoly.polyder(self.coefficients, order)).tolist())
         return self._derivs[order]
 
-    @staticmethod
-    def _horner(c, s):
-        # npoly.polyval's own recurrence, so scalars stay Python floats and
-        # arrays get the same operations bit for bit
-        acc = c[-1] + s * 0
-        for ci in c[-2::-1]:
-            acc = ci + acc * s
-        return acc
-
     def _scaled_time(self, t):
         if isinstance(t, float):
             return t / self.duration
@@ -63,11 +64,11 @@ class BoundaryPolynomial:
 
     def __call__(self, t, order: int = 0):
         """Evaluate the order-th physical-time derivative at t."""
-        return self._horner(self._scaled_coeffs(order), self._scaled_time(t)) / self.duration**order
+        return horner(self._scaled_coeffs(order), self._scaled_time(t)) / self.duration**order
 
     def antiderivative_at(self, t) -> np.ndarray:
         """Exact integral of the polynomial from 0 to t."""
-        return self._horner(self._scaled_coeffs(-1), self._scaled_time(t)) * self.duration
+        return horner(self._scaled_coeffs(-1), self._scaled_time(t)) * self.duration
 
 
 def _constraint_row(s: float, order: int, degree: int) -> np.ndarray:

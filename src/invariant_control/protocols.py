@@ -15,12 +15,11 @@ from math import comb, isfinite
 from threading import Lock
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import algebra
 from .constants import MASS_100_CA40
 from .errors import IllConditionedPhase, InvariantControlError, NonPositiveRho, NoRoot
-from .polynomial import BoundaryPolynomial, Constraint, solve_boundary_polynomial
+from .polynomial import BoundaryPolynomial, Constraint, horner, solve_boundary_polynomial
 
 __all__ = [
     "BSpec",
@@ -178,12 +177,12 @@ def make_tls_protocol(delta0: float, t_f: float, g_extra=(), b_spec: BSpec | Non
 
 @cache
 def _smoothstep_coeffs(n: int) -> tuple[float, ...]:
-    """c_n, ..., c_0 of S_n(u) = u^(n+1) sum_k c_k u^k, highest power first.
+    """c_0, ..., c_n of S_n(u) = u^(n+1) sum_k c_k u^k.
 
     c_k = C(n+k, k) C(2n+1, n-k) (-1)^k.
     """
     return tuple(float(comb(n + k, k) * comb(2 * n + 1, n - k) * (-1) ** k)
-                 for k in range(n, -1, -1))
+                 for k in range(n + 1))
 
 
 def _smoothstep_scalar(n: int, u, order: int):
@@ -198,10 +197,7 @@ def _smoothstep_scalar(n: int, u, order: int):
     """
     u = np.asarray(u, dtype=float)
     if order == 0:
-        coeffs = _smoothstep_coeffs(n)
-        out = coeffs[0]
-        for c in coeffs[1:]:
-            out = out * u + c
+        out = horner(_smoothstep_coeffs(n), u)
         for _ in range(n + 1):
             out = out * u
         return out
@@ -415,7 +411,7 @@ class HoProtocol:
         # in between, from the coefficients in s = t / duration
         c = self.inner.coefficients
         s_end = self.t_f / self.inner.duration
-        if c[0] <= 0 or npoly.polyval(s_end, c) <= 0:
+        if c[0] <= 0 or horner(c, s_end) <= 0:
             raise NonPositiveRho("inner polynomial is not positive at 0 or t_f")
         roots = self._roots
         real = roots.real[np.abs(roots.imag) <= _REAL_ROOT_TOL * np.abs(roots)]

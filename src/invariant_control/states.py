@@ -132,13 +132,8 @@ def thermal_state(n_bar: float, omega: float, mass: float,
         return GaussianMoments(0.0, 0.0, s / (mass * omega), s * mass * omega, 0.0)
     if representation != "fock":
         raise ValueError(f"unknown representation {representation!r}")
-    k = np.arange(dim)
-    if n_bar == 0:
-        pops = np.zeros(dim)
-        pops[0] = 1.0
-    else:
-        ratio = n_bar / (n_bar + 1.0)
-        pops = ratio**k / (n_bar + 1.0)
+    ratio = n_bar / (n_bar + 1.0)
+    pops = ratio ** np.arange(dim) / (n_bar + 1.0)  # 0.0**0 == 1.0: exact vacuum at n_bar 0
     return np.diag(pops).astype(complex)
 
 

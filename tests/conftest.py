@@ -11,5 +11,3 @@ from pathlib import Path
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 if _SRC not in sys.path:
     sys.path.append(_SRC)
-
-from invariant_control.dynamics import tls_fidelity  # noqa: E402,F401

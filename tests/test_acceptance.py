@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from conftest import tls_fidelity
 from invariant_control import algebra, dynamics, measures, protocols, states
 from invariant_control.cli import ExperimentConfig, run_scan
 from invariant_control.constants import MASS_100_CA40, TWO_PI
-from invariant_control.dynamics import NoiseChannel
+from invariant_control.dynamics import NoiseChannel, tls_fidelity
 from invariant_control.errors import NonPositiveRho
 
 O_MAX = measures.O_MAX_TWO_LEVEL

@@ -214,6 +214,28 @@ def test_default_trap_figures_are_byte_identical(tmp_path, figure, digests):
     assert {csv: _data_digest(tmp_path / f"{csv}.csv") for csv in digests} == digests
 
 
+def test_coherent_scan_skips_the_cells_whose_inner_polynomial_crosses_zero(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"experiment": "ho_coherent",
+                                    "scan": {"ranges": [[-2000, 2000]], "sizes": [5]}}))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "scan"]) == 0
+    lines = (tmp_path / "ho_coherent.csv").read_text().splitlines()
+    assert [line for line in lines if line.startswith("# skipped")] == [
+        f"# skipped r6={r6}: inner polynomial crosses zero on [0, t_f]"
+        for r6 in (-2000.0, -1000.0, 2000.0)]
+    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    assert [row[0] for row in rows[1:]] == ["0", "1000"]
+
+
+def test_coherent_scan_without_a_feasible_cell_exits_3(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"experiment": "ho_coherent", "params": {"g_target": 1e-9}}))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "scan"]) == 3
+    assert capsys.readouterr().err == ("numerical failure: no r6 cell admitted a "
+                                       "g-constrained protocol\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def _ints_for_integral_floats(value):
     # the same config with every integral float written as a JSON integer
     if isinstance(value, float) and value.is_integer():
@@ -415,6 +437,9 @@ def test_out_of_rule_numbers_cover_every_numeric_field():
     ({"experiment": "tls_single", "scan": {"ranges": [[0.0, 1.0]], "sizes": [3], "step": 0.5}},
      "scan.step"),
     ({"experiment": "tls_single", "params": {"measure": "B"}}, "params.measure"),
+    ({"params": {}}, "experiment"),
+    # an integer past the largest double has no float value
+    ({"experiment": "tls_single", "params": {"delta0_hz": 10**400}}, "params.delta0_hz"),
     # every numeric field of every experiment, given a JSON string, a boolean
     # or a number outside its rule
     *_bad_numeric_fields(),

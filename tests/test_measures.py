@@ -81,20 +81,25 @@ def test_closed_form_O_x_depends_on_both_angles():
 
 @pytest.mark.parametrize("n", [3, 5, 401, 2001, 4001])
 def test_cached_simpson_rule_equals_scipy_bit_for_bit(n):
+    # scipy.integrate.simpson is the oracle: the weights h/3 (1, 4, 2, ..., 4, 1)
+    # sum the same terms in another order, so the two differ by at most n
+    # roundings of the integral of |y| (the worst draw here takes 66)
     rng = np.random.default_rng(n)
+    eps = np.finfo(float).eps
     for t_f in (1e-6, 3.7e-4, 1.0, 2.5e3, 1e5):
-        ts, rule = measures._simpson_rule(t_f, n)
+        ts, w = measures._simpson_rule(t_f, n)
         x = np.linspace(0.0, t_f, n)
         assert np.array_equal(ts, x)
         assert measures._simpson_rule(t_f, n)[0] is ts  # built once per grid
-        assert not any(a.flags.writeable for a in (ts, *rule))
+        assert not any(a.flags.writeable for a in (ts, w))
         for _ in range(10):
             y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
-            assert measures._simpson(y, rule) == simpson(y, x=x)
+            assert abs(w @ y - simpson(y, x=x)) <= n * eps * (np.abs(w) @ np.abs(y))
 
 
 def test_closed_forms_equal_the_scipy_route():
-    # the route the cached rule replaced, kept as the oracle: same bits
+    # the route the cached rule replaced, kept as the oracle: O_z and A_z
+    # come out bit for bit, O_x within 2.6 eps
     t_f = 0.5e-3
     proto = make_tls_dual_protocol(TWO_PI * 10e3, t_f, -0.5, 0.7)
     ts = np.linspace(0.0, t_f, 4001)
@@ -102,11 +107,11 @@ def test_closed_forms_equal_the_scipy_route():
     o_z = 2.0 * (np.abs(np.sin(g / 2)) + np.abs(np.cos(g / 2)) - 1.0)
     cbsg = np.cos(b) * np.sin(g)
     o_x = 2.0 * (np.sqrt((1.0 - cbsg) / 2.0) + np.sqrt((1.0 + cbsg) / 2.0) - 1.0)
-    assert measures.closed_form_O_z(proto.g_poly, t_f) == float(simpson(o_z, x=ts) / t_f)
-    assert measures.closed_form_A_z(proto.g_poly, t_f) == float(
-        simpson(np.abs(np.sin(g)), x=ts) / t_f)
-    assert measures.closed_form_O_x(proto.g_poly, proto.b_poly, t_f) == float(
-        simpson(o_x, x=ts) / t_f)
+    for got, integrand in ((measures.closed_form_O_z(proto.g_poly, t_f), o_z),
+                           (measures.closed_form_A_z(proto.g_poly, t_f), np.abs(np.sin(g))),
+                           (measures.closed_form_O_x(proto.g_poly, proto.b_poly, t_f), o_x)):
+        want = float(simpson(integrand, x=ts) / t_f)
+        assert got == pytest.approx(want, rel=4.0 * np.finfo(float).eps, abs=0.0)
 
 
 @pytest.mark.parametrize("grid", [0, 1, 2, 4, 4000])

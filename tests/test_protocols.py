@@ -12,9 +12,9 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import cumulative_simpson, quad, simpson
 from scipy.interpolate import CubicSpline
 
-from conftest import tls_fidelity
 from invariant_control import algebra, cli, dynamics, optimize, protocols
 from invariant_control.constants import MASS_100_CA40, TWO_PI
+from invariant_control.dynamics import tls_fidelity
 from invariant_control.errors import IllConditionedPhase, InvariantControlError, NonPositiveRho, NoRoot
 from invariant_control.polynomial import BoundaryPolynomial
 from invariant_control.protocols import (

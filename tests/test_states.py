@@ -34,6 +34,9 @@ def test_thermal_state_fock_populations():
     pops = np.diag(rho).real
     assert pops.sum() == pytest.approx(1.0, abs=1e-10)
     assert (np.arange(dim) * pops).sum() == pytest.approx(n_bar, rel=1e-8)
+    # n_bar = 0 is the exact vacuum
+    vacuum = states.thermal_state(0.0, 1.0, 1.0, "fock", 5)
+    assert np.array_equal(vacuum, np.diag([1.0, 0.0, 0.0, 0.0, 0.0]).astype(complex))
     with pytest.raises(ValueError):
         states.thermal_state(-1.0, 1.0, 1.0)
 
