@@ -74,8 +74,18 @@ def su2_controls_from_angles(g, g_dot, b, b_dot):
 def omega_sq_from_rho(rho, rho_ddot, omega0: float):
     """Trap control omega^2(t) = omega0^2 / rho^4 - rhoddot / rho.
 
-    Negative values (transiently inverted trap) are returned as-is.
+    Negative values (transiently inverted trap) are returned as-is. Floats
+    give a float without 0-d array arithmetic (the moment-ODE oracle calls
+    this once per right-hand side), unless a power overflows or underflows
+    to a zero divisor: those take the array route, to inf and its warning.
     """
+    if isinstance(rho, float) and isinstance(rho_ddot, float):
+        if rho <= 0:
+            raise NonPositiveRho("rho must be strictly positive")
+        try:
+            return omega0**2 / rho**4 - rho_ddot / rho
+        except (OverflowError, ZeroDivisionError):
+            pass
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0):
         raise NonPositiveRho("rho must be strictly positive")

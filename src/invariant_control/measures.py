@@ -134,8 +134,9 @@ def _simpson_rule(t_f: float, grid: int):
 
 
 def _overlap_sum_z(g):
-    """sum_ij |S_ij| of the sigma_z eigenbasis and an invariant at polar angle G."""
-    return 2.0 * (np.abs(np.sin(g / 2)) + np.abs(np.cos(g / 2)))
+    """sum_ij |S_ij| of the sigma_z eigenbasis and an invariant at polar angle
+    G: 2(|sin(G/2)| + |cos(G/2)|) = 2 sqrt(1 + |sin G|), one sine per sample."""
+    return 2.0 * np.sqrt(1.0 + np.abs(np.sin(g)))
 
 
 def _overlap_sum_x(g, b):

@@ -13,7 +13,6 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import InvariantControlError, SingularInterpolation
 
@@ -50,11 +49,21 @@ class BoundaryPolynomial:
 
     def _scaled_coeffs(self, order: int) -> tuple[float, ...]:
         """Coefficients in s of the order-th derivative, as Python floats;
-        order -1 is the antiderivative that vanishes at 0."""
+        order -1 is the antiderivative that vanishes at 0. The products
+        k c[k] and quotients c[k] / (k + 1) are npoly.polyder's and
+        npoly.polyint's, so the coefficients are theirs bit for bit."""
         if order not in self._derivs:
-            self._derivs[order] = tuple(
-                (npoly.polyint(self.coefficients) if order == -1
-                 else npoly.polyder(self.coefficients, order)).tolist())
+            c = self.coefficients.tolist()
+            if order == -1:
+                c = [0.0, *(ck / (k + 1) for k, ck in enumerate(c))]
+            elif order < 0:
+                raise ValueError(f"derivative order {order} is below -1")
+            elif order >= len(c):
+                c = [c[0] * 0]
+            else:
+                for _ in range(order):
+                    c = [k * c[k] for k in range(1, len(c))]
+            self._derivs[order] = tuple(c)
         return self._derivs[order]
 
     def _scaled_time(self, t):

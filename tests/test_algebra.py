@@ -70,3 +70,23 @@ def test_omega_sq_from_rho():
     assert algebra.omega_sq_from_rho(rho, 0.0, omega0) == pytest.approx(omega**2)
     with pytest.raises(NonPositiveRho):
         algebra.omega_sq_from_rho(-1.0, 0.0, 1.0)
+
+
+def test_omega_sq_from_rho_on_floats():
+    # floats take Python arithmetic: a float out, the array route's value to
+    # within its powers' roundings (Python's ** and numpy's power may differ
+    # in the last bit of rho^4); a power that underflows to a zero divisor
+    # takes the array route, to inf with numpy's warning
+    rng = np.random.default_rng(5)
+    omega0 = 2.0e8
+    for rho, rho_ddot in zip(rng.uniform(0.05, 20.0, 2000), rng.normal(0.0, 1e16, 2000)):
+        got = algebra.omega_sq_from_rho(float(rho), float(rho_ddot), omega0)
+        want = algebra.omega_sq_from_rho(np.asarray(rho), np.asarray(rho_ddot), omega0)
+        assert type(got) is float
+        scale = omega0**2 / rho**4 + abs(rho_ddot / rho)
+        assert abs(got - want) <= 4.0 * np.finfo(float).eps * scale
+    for bad in (0.0, -2.5):
+        with pytest.raises(NonPositiveRho):
+            algebra.omega_sq_from_rho(bad, 0.0, 1.0)
+    with pytest.warns(RuntimeWarning):
+        assert algebra.omega_sq_from_rho(1e-100, 0.0, 1.0) == np.inf

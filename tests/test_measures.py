@@ -80,7 +80,7 @@ def test_closed_form_O_x_depends_on_both_angles():
 
 
 @pytest.mark.parametrize("n", [3, 5, 401, 2001, 4001])
-def test_cached_simpson_rule_equals_scipy_bit_for_bit(n):
+def test_cached_simpson_rule_agrees_with_scipy(n):
     # scipy.integrate.simpson is the oracle: the weights h/3 (1, 4, 2, ..., 4, 1)
     # sum the same terms in another order, so the two differ by at most n
     # roundings of the integral of |y| (the worst draw here takes 66)
@@ -97,14 +97,14 @@ def test_cached_simpson_rule_equals_scipy_bit_for_bit(n):
             assert abs(w @ y - simpson(y, x=x)) <= n * eps * (np.abs(w) @ np.abs(y))
 
 
-def test_closed_forms_equal_the_scipy_route():
+def test_closed_forms_agree_with_scipy():
     # the route the cached rule replaced, kept as the oracle: O_z and A_z
     # come out bit for bit, O_x within 2.6 eps
     t_f = 0.5e-3
     proto = make_tls_dual_protocol(TWO_PI * 10e3, t_f, -0.5, 0.7)
     ts = np.linspace(0.0, t_f, 4001)
     g, b = proto.g_poly(ts), proto.b_poly(ts)
-    o_z = 2.0 * (np.abs(np.sin(g / 2)) + np.abs(np.cos(g / 2)) - 1.0)
+    o_z = 2.0 * (np.sqrt(1.0 + np.abs(np.sin(g))) - 1.0)
     cbsg = np.cos(b) * np.sin(g)
     o_x = 2.0 * (np.sqrt((1.0 - cbsg) / 2.0) + np.sqrt((1.0 + cbsg) / 2.0) - 1.0)
     for got, integrand in ((measures.closed_form_O_z(proto.g_poly, t_f), o_z),
@@ -112,6 +112,18 @@ def test_closed_forms_equal_the_scipy_route():
                            (measures.closed_form_O_x(proto.g_poly, proto.b_poly, t_f), o_x)):
         want = float(simpson(integrand, x=ts) / t_f)
         assert got == pytest.approx(want, rel=4.0 * np.finfo(float).eps, abs=0.0)
+
+
+def test_one_sine_overlap_sum_z_agrees_with_the_half_angle_form():
+    # 2(|sin(G/2)| + |cos(G/2)|) is the oracle of 2 sqrt(1 + |sin G|): both lie
+    # in [2, 2 sqrt 2], and they differ by at most one rounding of the sum
+    # (measured: one ulp), on a grid over [-0.1, 4 pi] and near G = 0 and pi
+    g = np.concatenate([np.linspace(-0.1, 4.0 * np.pi, 24001),
+                        np.linspace(-1e-6, 1e-6, 2001), np.pi + np.linspace(-1e-6, 1e-6, 2001)])
+    half_angle = 2.0 * (np.abs(np.sin(g / 2)) + np.abs(np.cos(g / 2)))
+    got = measures._overlap_sum_z(g)
+    assert np.all(np.abs(got - half_angle) <= 2.0 * np.spacing(half_angle))
+    assert np.all((2.0 <= got) & (got <= 2.0 + O_MAX))
 
 
 @pytest.mark.parametrize("grid", [0, 1, 2, 4, 4000])
@@ -219,7 +231,7 @@ def test_two_channel_landscape_equals_a_fresh_computation():
         th, ph = np.meshgrid(theta, phi, indexing="ij")
         cps = np.cos(ph) * np.sin(th)
         for p in (0.0, 0.3, 0.5, 0.77, 1.0):
-            w = (p * 2.0 * (np.abs(np.sin(th / 2)) + np.abs(np.cos(th / 2)))
+            w = (p * 2.0 * np.sqrt(1.0 + np.abs(np.sin(th)))
                  + (1.0 - p) * 2.0 * (np.sqrt((1.0 - cps) / 2.0) + np.sqrt((1.0 + cps) / 2.0)))
             out = measures.two_channel_landscape(p, n_theta, n_phi)
             assert np.array_equal(out["surface"], w)

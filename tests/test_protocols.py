@@ -3,6 +3,7 @@
 import importlib.util
 import sys
 import threading
+from dataclasses import replace
 from math import comb
 from pathlib import Path
 
@@ -271,6 +272,64 @@ def test_dual_scan_samples_each_chain_once_per_grid(monkeypatch):
     assert len(calls) == sum(len(c.orders) for c in chains)
 
 
+def _read_only(a):
+    out = np.array(a)
+    out.flags.writeable = False
+    return out
+
+
+def test_path_combo_slot_hits_only_equal_read_only_samples_of_one_order():
+    g = make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.7).g_poly
+    ts = _read_only(np.linspace(0.0, T_F, 801))
+    first = g(ts)
+    assert g(_read_only(ts)) is first  # equal samples hit
+    assert np.array_equal(first, replace(g)(ts))  # a fresh combo, empty slot
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+    # another interior, another length, another shape on the same bytes:
+    # each misses, equals a fresh evaluation and replaces the slot
+    moved = np.array(ts)
+    moved[400] += 0.25 * (ts[1] - ts[0])
+    for t in (_read_only(moved), ts[:-1], ts.reshape(1, -1)):
+        got = g(t)
+        assert got is not first and np.array_equal(got, replace(g)(t))
+        assert g(t) is got and not got.flags.writeable
+    again = g(ts)
+    assert again is not first and np.array_equal(again, first)
+    # each order keeps its own slot
+    slope = g(ts, 1)
+    assert np.array_equal(slope, replace(g)(ts, 1))
+    assert g(ts) is again and g(ts, 1) is slope
+    # writable samples are evaluated afresh, read-only out, and empty the
+    # slot of their order only
+    fresh = g(np.array(ts))
+    assert fresh is not again and np.array_equal(fresh, again) and not fresh.flags.writeable
+    assert g(ts, 1) is slope
+    assert g(ts) is not again
+    assert replace(g) == g  # the slot takes no part in equality
+
+
+def test_a_dual_cell_samples_each_angle_path_once(monkeypatch):
+    # cli._tls_dual_measures hands G to closed_form_O_z and closed_form_O_x:
+    # the second read hits G's slot, so each chain is called once per path
+    calls = []
+    chain_call = SmoothstepChain.__call__
+
+    def counting(self, t, order=0):
+        calls.append((self, order))
+        return chain_call(self, t, order)
+
+    channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
+    want = cli._tls_dual_measures(make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.7), None, channels)
+    monkeypatch.setattr(SmoothstepChain, "__call__", counting)
+    proto = make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.7)
+    assert cli._tls_dual_measures(proto, None, channels) == want
+    g_chains, b_chains = ([(p, 0) for w, p in zip(path.weights, path.paths) if w != 0.0]
+                          for path in (proto.g_poly, proto.b_poly))
+    assert calls == g_chains + b_chains and len(g_chains) == 3
+
+
 def test_steep_blend_endpoints_and_midpoint():
     for g4 in (0.0, 0.5, 1.0):
         proto = make_tls_steep_protocol(DELTA0, T_F, g4)
@@ -476,6 +535,7 @@ def test_heisenberg_coeffs_symplectic():
                         (rho_dot * s + (omega0 / rho) * c) / omega0)
             for got, want in zip(proto.heisenberg_coeffs(t), expected):
                 assert np.array_equal(got, want)
+                assert type(got) is (np.ndarray if t is ts else float)
     # the constant-mu flow, in units omega0 = t_f = 1, at k^2 > 0 (mu = -3),
     # k^2 < 0 (mu = -1/2, 1/2), k = 0 (|mu| = 2) and mu = 0: unit
     # determinant, M(0) = 1 and the equations of motion by central differences
