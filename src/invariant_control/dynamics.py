@@ -7,13 +7,13 @@ The noise model is a sum of double-commutator (unital) dissipators,
 integrated by RK45 on dense matrices (integrate_master) or, for oscillator
 runs, in a truncated Fock basis (integrate_ho_master, in the interaction
 picture of the exactly solvable noiseless flow, from the smallest truncation,
-at most 40, that holds the initial state to 1e-12, abandoned for 40 levels
-if noise lifts its top two levels to 1e-8, doubled from there until they
-hold below 1e-8) or through the closed Gaussian-moment equations. The Fock
-right-hand side takes the double commutator of Hermitian rho in two matrix
-products (three for q^2) and returns it exactly Hermitian, so the Fock
-samples stay so with no projection; lindblad_rhs's five-product form is its
-oracle. The Pauli
+at most 40, that holds the initial state to 1e-12, each run abandoned as
+soon as its top two levels hold 1e-8, for 40 levels from a smaller start,
+else for twice as many, until they hold below 1e-8) or through the closed
+Gaussian-moment equations. The Fock right-hand side takes the double
+commutator of Hermitian rho in two matrix products (three for q^2) and
+returns it exactly Hermitian, so the Fock samples stay so with no
+projection; lindblad_rhs's five-product form is its oracle. The Pauli
 channels of a two-level run are unital, so its Bloch vector obeys a linear
 3x3 ODE dx/dt = A(t) x; in the frame of the invariant's closed-form
 Heisenberg flow so do an oscillator's second moments under q^2 noise. One
@@ -122,12 +122,14 @@ def _rk45_matrix(rhs, rho0, t_eval, rtol, atol, max_step=np.inf, stop=None):
     """rho at t_eval of drho/dt = rhs(t, rho), rho(0) = rho0, by one solve_ivp
     RK45 call (Dormand-Prince 5(4)): the integrator of the dense and the Fock
     oracle. Nothing is projected onto Hermitian matrices: the samples stay
-    exactly Hermitian if rho0 and rhs are (the Fock route). If stop(rho)
-    rises through 0 (a terminal solve_ivp event), the solve ends there and
-    returns None."""
+    exactly Hermitian if rho0 and rhs are (the Fock route). If stop(rho0)
+    >= 0, or stop(rho) rises through 0 (a terminal solve_ivp event), the
+    solve ends there and returns None."""
     from scipy.integrate import solve_ivp
 
     rho0 = np.asarray(rho0, dtype=complex)
+    if stop is not None and stop(rho0) >= 0.0:
+        return None
     n = rho0.shape[0]
     if t_eval[-1] == 0.0:
         return np.repeat(rho0[None], len(t_eval), axis=0)
@@ -301,11 +303,14 @@ def integrate_ho_master(
     oracle is lindblad_rhs's five-product _double_commutator. Unless dim
     fixes it, the truncation starts at the smallest d, at most 40, whose
     rho0 holds below 1e-12 population on its top two levels and past its
-    last one (_fock_start_dim). A start below 40 is abandoned as soon as
-    noise lifts its top two levels to 1e-8, and the run goes on at 40. From
-    40 the truncation doubles until the top two levels stay below 1e-8
-    population at every sample, warning with TruncationWarning if
-    _FOCK_MAX_DIM is reached first. Imports scipy on its first call.
+    last one (_fock_start_dim). A run is abandoned as soon as its top two
+    levels hold 1e-8 (at t = 0, or by a terminal event, which moves no step
+    of a run it does not end), and the run goes on at 40 levels from a start
+    below 40, else at twice the levels, until the top two levels stay below
+    1e-8 population at every sample. Only a run at a fixed dim, or one whose
+    doubling would pass _FOCK_MAX_DIM, has no event: it runs to t_f and
+    warns with TruncationWarning if it fails the gate. Imports scipy on its
+    first call.
     """
     if channel.operator_tag not in OSC_TAGS:
         raise UnsupportedChannel("oscillator integrator needs a q or q^2 channel")
@@ -315,49 +320,51 @@ def integrate_ho_master(
 
     d = dim if dim is not None else _fock_start_dim(rho0_builder)
     while True:
-        early = dim is None and d < _FOCK_START_MAX_DIM
+        last = dim is not None or 2 * d > _FOCK_MAX_DIM
         rhos = _integrate_ho_fixed_dim(
             protocol, rho0_builder, channel, t_eval, d, rtol, atol,
-            stop=(lambda rho: _top_two(rho) - 1e-8) if early else None,
+            stop=None if last else (lambda rho: _top_two(rho) - 1e-8),
         )
         if rhos is not None:
             top = float(np.max(_top_two(rhos)))
             if top < 1e-8:
                 return HoFockTrajectory(protocol, t_eval, rhos, d)
-            if dim is not None or 2 * d > _FOCK_MAX_DIM:
+            if last:
                 warnings.warn(
                     f"population {top:.2e} on the top two of {d} Fock levels",
                     TruncationWarning,
                 )
                 return HoFockTrajectory(protocol, t_eval, rhos, d)
-        d = _FOCK_START_MAX_DIM if early else 2 * d
+        d = _FOCK_START_MAX_DIM if d < _FOCK_START_MAX_DIM else 2 * d
 
 
 # ---------------------------------------------------------------------------
 # Gaussian moments
 
 
+_MOMENT_TAGS_ONLY = "moment equations exist only for q, q^2 channels"
+
+
 def gaussian_moment_rhs(y, omega_sq: float, mass: float, channel: NoiseChannel):
     """Time derivative of (<q>, <p>, <q^2>, <p^2>, <qp+pq>/2).
 
     The double-commutator algebra closes on these moments for both X = q
-    and X = q^2; only <p^2> acquires a noise term.
+    and X = q^2; only <p^2> acquires a noise term. The arithmetic runs on
+    Python floats, which round as numpy's float64 does.
     """
-    if channel.operator_tag not in OSC_TAGS:
-        raise UnsupportedChannel("moment equations exist only for q, q^2 channels")
-    mq, mp, qq, pp, qp = y
-    dy = np.empty(5)
-    dy[0] = mp / mass
-    dy[1] = -mass * omega_sq * mq
-    dy[2] = 2.0 * qp / mass
-    dy[3] = -2.0 * mass * omega_sq * qp
-    dy[4] = pp / mass - mass * omega_sq * qq
-    if channel.eta:
-        if channel.operator_tag == "q":
-            dy[3] += 2.0 * channel.eta
-        else:
-            dy[3] += 8.0 * channel.eta * qq
-    return dy
+    mq, mp, qq, pp, qp = np.asarray(y).tolist()
+    dpp = -2.0 * mass * omega_sq * qp
+    tag, eta = channel.operator_tag, channel.eta
+    if tag == "q":
+        if eta:
+            dpp += 2.0 * eta
+    elif tag == "q_squared":
+        if eta:
+            dpp += 8.0 * eta * qq
+    else:
+        raise UnsupportedChannel(_MOMENT_TAGS_ONLY)
+    return np.array([mp / mass, -mass * omega_sq * mq, 2.0 * qp / mass, dpp,
+                     pp / mass - mass * omega_sq * qq])
 
 
 def integrate_moments(
@@ -372,6 +379,8 @@ def integrate_moments(
 ):
     """Integrate the closed moment equations by DOP853; returns (times,
     5-column array). Imports scipy on its first call."""
+    if channel.operator_tag not in OSC_TAGS:
+        raise UnsupportedChannel(_MOMENT_TAGS_ONLY)
     from scipy.integrate import solve_ivp
 
     if t_eval is None:

@@ -225,6 +225,8 @@ class SmoothstepChain:
     window: tuple[float, float] = (0.0, 1.0)
 
     def __call__(self, t, order: int = 0):
+        if isinstance(t, _KeyedSamples):
+            return _chain_samples(self, t.t, order, t.samples)
         return _chain_samples(self, np.asarray(t, dtype=float), order)
 
     def _evaluate(self, t, order: int):
@@ -265,6 +267,16 @@ class _Samples:
         return self.data == other.data
 
 
+class _KeyedSamples:
+    """Samples t with their _Samples, as a PathCombo call hands them to each
+    of its chains, so the bytes of t are copied once per call."""
+
+    __slots__ = ("t", "samples")
+
+    def __init__(self, t: np.ndarray, samples: _Samples):
+        self.t, self.samples = t, samples
+
+
 class _SampleMemo:
     """Least-recently-used memo of read-only chain samples, bounded in bytes.
 
@@ -283,8 +295,10 @@ class _SampleMemo:
         self._entries: OrderedDict = OrderedDict()
         self._lock = Lock()
 
-    def __call__(self, chain: SmoothstepChain, t: np.ndarray, order: int) -> np.ndarray:
-        key = (chain, order, t.shape, _Samples(t))
+    def __call__(self, chain: SmoothstepChain, t: np.ndarray, order: int,
+                 samples: _Samples | None = None) -> np.ndarray:
+        """Samples of chain at t; samples, if given, is the _Samples of t."""
+        key = (chain, order, t.shape, samples if samples is not None else _Samples(t))
         with self._lock:
             val = self._entries.get(key)
             if val is not None:
@@ -309,7 +323,9 @@ _chain_samples = _SampleMemo(4 << 20)
 
 @dataclass(frozen=True)
 class PathCombo:
-    """Affine combination of step paths: constant + sum_i w_i * path_i(t).
+    """Affine combination of smoothstep chains: constant + sum_i w_i *
+    path_i(t). A call builds the _Samples of t once and hands it to each
+    chain with t (_KeyedSamples), so their memo lookups copy no more bytes.
 
     Samples are read-only. Each derivative order keeps its last samples of a
     read-only t in one slot, keyed by the shape and the _Samples of t, so a
@@ -332,17 +348,19 @@ class PathCombo:
     def __call__(self, t, order: int = 0):
         t = np.asarray(t, dtype=float)
         keep = not t.flags.writeable
+        samples = _Samples(t) if keep or any(self.weights) else None
         if keep:
-            key = (t.shape, _Samples(t))
+            key = (t.shape, samples)
             slot = self._samples.get(order)
             if slot is not None and slot[0] == key:
                 return slot[1]
         else:
             self._samples.pop(order, None)
+        keyed = _KeyedSamples(t, samples)
         acc = np.full(t.shape, self.constant if order == 0 else 0.0)
         for w, p in zip(self.weights, self.paths):
             if w != 0.0:
-                acc = acc + w * p(t, order)
+                acc = acc + w * p(keyed, order)
         acc = np.asarray(acc)
         acc.flags.writeable = False
         if keep:

@@ -633,6 +633,47 @@ def test_moment_rhs_noise_terms():
         dynamics.gaussian_moment_rhs(y, 1.0, 1.0, dynamics.NoiseChannel("sigma_z", 1.0))
 
 
+def _moment_rhs_by_element(y, omega_sq, mass, channel):
+    """The moment right-hand side written element by element into
+    np.empty(5): the oracle of gaussian_moment_rhs's one np.array."""
+    mq, mp, qq, pp, qp = y
+    dy = np.empty(5)
+    dy[0] = mp / mass
+    dy[1] = -mass * omega_sq * mq
+    dy[2] = 2.0 * qp / mass
+    dy[3] = -2.0 * mass * omega_sq * qp
+    dy[4] = pp / mass - mass * omega_sq * qq
+    if channel.eta:
+        if channel.operator_tag == "q":
+            dy[3] += 2.0 * channel.eta
+        else:
+            dy[3] += 8.0 * channel.eta * qq
+    return dy
+
+
+def test_moment_rhs_equals_the_element_by_element_form():
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        y = rng.normal(size=5) * 10.0 ** rng.integers(-20, 5, size=5)
+        omega_sq = float(rng.normal() * 10.0 ** rng.integers(0, 16))
+        mass = float(10.0 ** rng.uniform(-26, 1))
+        for tag in ("q", "q_squared"):
+            for eta in (0.0, float(10.0 ** rng.uniform(-3, 3))):
+                channel = dynamics.NoiseChannel(tag, eta)
+                got = dynamics.gaussian_moment_rhs(y, omega_sq, mass, channel)
+                assert np.array_equal(got, _moment_rhs_by_element(y, omega_sq, mass, channel))
+
+
+def test_integrate_moments_rejects_other_channels_before_solving():
+    def omega_sq(t):
+        raise AssertionError("integrate_moments evaluated the trap")
+
+    for eta in (0.0, 1.0):
+        with pytest.raises(UnsupportedChannel):
+            dynamics.integrate_moments(omega_sq, np.ones(5),
+                                       dynamics.NoiseChannel("sigma_z", eta), 1.0, 1.0)
+
+
 def test_moments_static_trap_rotation():
     # noiseless static trap: first moments rotate at omega
     omega, mass = 1.3, 1.0
@@ -769,7 +810,8 @@ def test_fock_start_reads_the_missing_population_too():
 def test_fock_run_of_a_large_coherent_state_starts_past_its_mean(monkeypatch):
     # |alpha|^2 = 32: rho0 holds 4.2e-13 on the top two of 2 levels, and
     # nearly all of it is missing there, so the start is the 40-level cap,
-    # which fails the gate; the run doubles to 80 and is the dim = 80 run
+    # whose rho0 already fails the gate: that run is abandoned at t = 0, and
+    # the run at 80 is the dim = 80 run
     omega0 = TWO_PI * 15.92e6
     proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6)
     channel = dynamics.NoiseChannel("q", 10.0)
@@ -781,12 +823,26 @@ def test_fock_run_of_a_large_coherent_state_starts_past_its_mean(monkeypatch):
     assert _top_two(builder(2)) < 1e-12
     runs = _spy_fock_runs(monkeypatch)
     traj = dynamics.integrate_ho_master(proto, builder, channel, t_eval=[0.0, proto.t_f])
-    assert runs == [(40, False), (80, False)] and traj.dim == 80
+    assert _top_two(builder(40)) >= 1e-8
+    assert runs == [(40, True), (80, False)] and traj.dim == 80
     ref = dynamics.integrate_ho_master(
         proto, builder, channel, t_eval=[0.0, proto.t_f], dim=80)
     assert np.array_equal(traj.rhos, ref.rhos)
     target = states.target_coherent(alpha, proto.g_phase, omega0, omega0 / 100.0, proto.mass)
     assert states.uhlmann_fidelity(traj.final_rho, target.frame_fock(80)) > 0.99
+
+
+def test_fock_run_at_a_fixed_dim_runs_to_t_f_and_warns(monkeypatch):
+    # the 40-level start of |alpha|^2 = 32 fails the gate at t = 0; a run
+    # at dim = 40 keeps no abandoning event, finishes and warns
+    omega0 = TWO_PI * 15.92e6
+    proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6)
+    runs = _spy_fock_runs(monkeypatch)
+    with pytest.warns(TruncationWarning, match="top two of 40 Fock levels"):
+        traj = dynamics.integrate_ho_master(
+            proto, lambda d: states.coherent_state(4.0 + 4.0j, omega0, proto.mass, "fock", d),
+            dynamics.NoiseChannel("q", 10.0), t_eval=[0.0, proto.t_f], dim=40)
+    assert runs == [(40, False)] and traj.dim == 40
 
 
 def test_fock_start_heated_past_the_gate_goes_on_at_40_levels(monkeypatch):
@@ -810,8 +866,9 @@ def test_fock_start_heated_past_the_gate_goes_on_at_40_levels(monkeypatch):
 
 def test_fock_run_failing_the_gate_doubles_and_warns_at_the_cap(monkeypatch):
     # with the start capped at 6 and the doubling at 12 levels, the vacuum
-    # under strong q noise starts at 3 (abandoned), then fails the gate at 6
-    # and 12 (top two hold 0.075 and 0.0032 at t_f)
+    # under strong q noise starts at 3 and 6 (both abandoned when their top
+    # two reach 1e-8; 0.075 at t_f at 6), then runs to t_f at 12, the last
+    # truncation, and fails the gate there (top two hold 0.0032 at t_f)
     omega0 = TWO_PI * 15.92e6
     proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6)
     monkeypatch.setattr(dynamics, "_FOCK_START_MAX_DIM", 6)
@@ -821,7 +878,7 @@ def test_fock_run_failing_the_gate_doubles_and_warns_at_the_cap(monkeypatch):
         traj = dynamics.integrate_ho_master(
             proto, lambda d: states.coherent_state(0.0, omega0, proto.mass, "fock", d),
             dynamics.NoiseChannel("q", 1e3), t_eval=[0.0, proto.t_f])
-    assert runs == [(3, True), (6, False), (12, False)]
+    assert runs == [(3, True), (6, True), (12, False)]
     assert traj.dim == 12
 
 

@@ -5,13 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import hermite
 from scipy.integrate import quad, simpson
 
 from invariant_control import algebra, measures
 from invariant_control.constants import TWO_PI
 from invariant_control.errors import AllZeroStrengths, DegenerateSpectrum
-from invariant_control.protocols import make_tls_dual_protocol, make_tls_protocol
+from invariant_control.protocols import (
+    make_tls_dual_protocol,
+    make_tls_protocol,
+    make_tls_steep_protocol,
+)
 
 O_MAX = measures.O_MAX_TWO_LEVEL
 
@@ -121,7 +126,7 @@ def test_one_sine_overlap_sum_z_agrees_with_the_half_angle_form():
     g = np.concatenate([np.linspace(-0.1, 4.0 * np.pi, 24001),
                         np.linspace(-1e-6, 1e-6, 2001), np.pi + np.linspace(-1e-6, 1e-6, 2001)])
     half_angle = 2.0 * (np.abs(np.sin(g / 2)) + np.abs(np.cos(g / 2)))
-    got = measures._overlap_sum_z(g)
+    got = measures._overlap_sum_z(np.sin(g))  # the sum takes sin G
     assert np.all(np.abs(got - half_angle) <= 2.0 * np.spacing(half_angle))
     assert np.all((2.0 <= got) & (got <= 2.0 + O_MAX))
 
@@ -241,3 +246,109 @@ def test_two_channel_landscape_equals_a_fresh_computation():
             assert out["argmin"] == (theta[imin[0]], phi[imin[1]])
             assert not out["theta"].flags.writeable and not out["phi"].flags.writeable
             assert out["surface"].flags.writeable  # a fresh array per call
+
+
+# ---------------------------------------------------------------------------
+# reuse of the closed forms' last results
+
+
+_DELTA0, _T_F = TWO_PI * 10e3, 0.5e-3
+#: steep cells (g4) and dual cells (shape, b_dip): dual cells of one shape
+#: share G, and shape >= 0 keeps B at pi/2 whatever b_dip is
+_STEEP = (0.0, 0.35, 1.0)
+_DUAL = ((-1.0, 0.0), (-1.0, 0.5), (-0.3, 0.5), (0.0, 0.2), (0.0, 0.9), (0.6, 0.9))
+
+
+def _cell_measures(cell):
+    if len(cell) == 1:
+        g = make_tls_steep_protocol(_DELTA0, _T_F, cell[0]).g_poly
+        return (measures.closed_form_O_z(g, _T_F), measures.closed_form_A_z(g, _T_F))
+    proto = make_tls_dual_protocol(_DELTA0, _T_F, *cell)
+    return (measures.closed_form_O_z(proto.g_poly, _T_F),
+            measures.closed_form_O_x(proto.g_poly, proto.b_poly, _T_F))
+
+
+def _cold(cell):
+    measures._slots.clear()
+    return _cell_measures(cell)
+
+
+_CELLS = [(g4,) for g4 in _STEEP] + list(_DUAL)
+_COLD = {cell: _cold(cell) for cell in _CELLS}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(order=st.lists(st.sampled_from(_CELLS), min_size=1, max_size=12))
+def test_closed_forms_in_any_cell_order_equal_a_cold_call(order):
+    # repeats, G shared across b_dip, B shared across shape >= 0 and steep
+    # cells between them: every value equals the cell's own cold call
+    for cell in order:
+        assert _cell_measures(cell) == _COLD[cell]
+
+
+def _count_sines(monkeypatch):
+    """Record the length of every np.sin argument, with empty slots."""
+    sines = []
+    sin = np.sin
+
+    def counting(x, *args, **kwargs):
+        sines.append(np.size(x))
+        return sin(x, *args, **kwargs)
+
+    measures._slots.clear()
+    monkeypatch.setattr(np, "sin", counting)
+    return sines
+
+
+def test_a_steep_cell_takes_one_sine_for_O_z_and_A_z(monkeypatch):
+    sines = _count_sines(monkeypatch)
+    got = _cell_measures((0.35,))
+    assert sines == [4001] and got == _COLD[(0.35,)]
+
+
+def test_changed_samples_or_t_f_miss_the_slots(monkeypatch):
+    rng = np.random.default_rng(25)
+    g = rng.uniform(0.0, np.pi, 4001)
+    b = rng.uniform(0.0, np.pi, 4001)
+    sines = _count_sines(monkeypatch)
+
+    def forms(g, b, t_f=1.0):
+        grid = len(g)
+        return (measures.closed_form_O_z(lambda ts: g, t_f, grid),
+                measures.closed_form_A_z(lambda ts: g, t_f, grid),
+                measures.closed_form_O_x(lambda ts: g, lambda ts: b, t_f, grid))
+
+    def cold(*args):
+        measures._slots.clear()
+        return forms(*args)
+
+    first = forms(g, b)
+    assert forms(np.array(g), np.array(b)) == first and sines == [4001]  # equal bytes hit
+    moved = np.array(g)
+    moved[2000] = np.nextafter(moved[2000], 4.0)  # one interior value, one ulp
+    longer = np.append(g, [0.5, 0.5])  # the same leading bytes, on grid 4003
+    for args in ((moved, b), (longer, np.append(b, [0.5, 0.5])), (g, b, 2.0)):
+        n = len(sines)
+        got = forms(*args)
+        assert len(sines) == n + 1  # the sine missed; O_z, A_z and O_x share it
+        assert got == cold(*args)
+        forms(g, b)  # back in the slots
+    b_moved = np.array(b)
+    b_moved[2000] += 0.5
+    n = len(sines)
+    got = measures.closed_form_O_x(lambda ts: g, lambda ts: b_moved, 1.0)
+    assert got != first[2] and len(sines) == n  # O_x keys on B too; G's sine hit
+    assert got == cold(g, b_moved)[2]
+
+
+def test_closed_form_slots_hold_at_most_five_grid_arrays():
+    # stated bound: 40 * grid bytes, five float64 arrays of the grid
+    measures._slots.clear()
+    for cell in _CELLS:
+        _cell_measures(cell)
+        held = 0
+        for key, value in measures._slots.values():
+            parts = key if isinstance(key[0], tuple) else (key,)
+            held += sum(len(part[-1]) for part in parts) + getattr(value, "nbytes", 0)
+        assert held <= 40 * 4001
+    assert set(measures._slots) == {"sin", "O_z", "O_x"}

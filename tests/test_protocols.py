@@ -13,7 +13,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import cumulative_simpson, quad, simpson
 from scipy.interpolate import CubicSpline
 
-from invariant_control import algebra, cli, dynamics, optimize, protocols
+from invariant_control import algebra, cli, dynamics, measures, optimize, protocols
 from invariant_control.constants import MASS_100_CA40, TWO_PI
 from invariant_control.dynamics import tls_fidelity
 from invariant_control.errors import IllConditionedPhase, InvariantControlError, NonPositiveRho, NoRoot
@@ -328,6 +328,59 @@ def test_a_dual_cell_samples_each_angle_path_once(monkeypatch):
     g_chains, b_chains = ([(p, 0) for w, p in zip(path.weights, path.paths) if w != 0.0]
                           for path in (proto.g_poly, proto.b_poly))
     assert calls == g_chains + b_chains and len(g_chains) == 3
+
+
+def test_dual_scan_takes_one_sine_per_distinct_g(monkeypatch):
+    # row-major over (shape, b_dip): the three cells of one shape share G, so
+    # O_z and O_x of the scan take one 4001-point sine per shape
+    sines = []
+    sin = np.sin
+
+    def counting(x, *args, **kwargs):
+        sines.append(np.size(x))
+        return sin(x, *args, **kwargs)
+
+    channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
+    family = ProtocolFamily("tls_dual", {"delta0": DELTA0}, T_F)
+
+    def cell(free):
+        return cli._tls_dual_measures(family.with_free(free).build(), None, channels)
+
+    def run():
+        return [r.measures for r in optimize.scan(cell, [[-1.0, 1.0], [0.0, 1.0]], [3, 3])]
+
+    cold = []
+    for shape in (-1.0, 0.0, 1.0):
+        for b_dip in (0.0, 0.5, 1.0):
+            measures._slots.clear()
+            cold.append(cell((shape, b_dip)))
+    measures._slots.clear()
+    monkeypatch.setattr(np, "sin", counting)
+    assert run() == cold
+    assert sines == [4001] * 3
+
+
+def test_path_combo_copies_the_samples_once_per_call(monkeypatch):
+    # a three-chain G builds one _Samples of t and hands it to every chain
+    built = []
+
+    class Counting(protocols._Samples):
+        __slots__ = ()
+
+        def __init__(self, t):
+            built.append(t.size)
+            super().__init__(t)
+
+    g = make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.7).g_poly
+    ts = np.linspace(0.0, T_F, 801)
+    want = replace(g)(ts)
+    monkeypatch.setattr(protocols, "_Samples", Counting)
+    assert len([w for w in g.weights if w != 0.0]) == 3
+    for t in (ts, _read_only(ts)):  # writable, then read-only (slot miss)
+        built.clear()
+        assert np.array_equal(g(t), want) and built == [801]
+    built.clear()
+    assert np.array_equal(g(_read_only(ts)), want) and built == [801]  # a slot hit
 
 
 def test_steep_blend_endpoints_and_midpoint():
