@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -578,7 +579,10 @@ _VERBS = {
 }
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built once per process: building it probes the
+    terminal size for every argument, and parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="invctl",
         description="Invariant-based control protocols: synthesis, measures, "

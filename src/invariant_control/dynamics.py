@@ -17,13 +17,18 @@ projection; lindblad_rhs's five-product form is its oracle. The Pauli
 channels of a two-level run are unital, so its Bloch vector obeys a linear
 3x3 ODE dx/dt = A(t) x; in the frame of the invariant's closed-form
 Heisenberg flow so do an oscillator's second moments under q^2 noise. One
-error-controlled propagator (_magnus_path: fourth-order Magnus steps on a
+error-controlled propagator (_magnus_path: Magnus steps of order p on a
 uniform start grid, whose error-carrying steps it splits until the one-step
 and half-step runs agree; the running products of both runs are one pairwise
 scan over all steps, and a mask marks the steps that end a start step)
-serves both: tls_fidelity, with integrate_master as its test oracle, and
-magnus_q2_moments. Under q noise exact_q_moments adds the noise to the same
-flow by one Simpson quadrature; both map to the lab frame by _lab_moments.
+serves both: tls_fidelity, with integrate_master as its test oracle, by
+sixth-order steps (_magnus6_steps) on 128 start steps, as its output is the
+end of the run alone, and magnus_q2_moments by fourth-order steps
+(_magnus_steps), as its output is sampled at the ends of its 400 start
+steps, which it therefore cannot coarsen; there the higher order gains no
+measurable time and would move every fig4 row. Under q noise
+exact_q_moments adds the noise to the same flow by one Simpson quadrature;
+both map to the lab frame by _lab_moments.
 Every trap control (HoProtocol and the constant-mu reference
 ConstantMuControl) has a closed-form flow, so integrate_moments, the
 lab-frame moment ODE, is a test oracle only: the independent route that both
@@ -476,7 +481,7 @@ def _lab_moments(protocol, ts, means, second) -> np.ndarray:
 #: bound on the estimated error of a two-level fidelity, and the uniform
 #: start grid of its propagator
 _TLS_TOL = 1e-9
-_TLS_MIN_STEPS = 512
+_TLS_MIN_STEPS = 128
 #: intervals of the q^2 propagator's uniform output grid, which is also its
 #: start grid
 _Q2_INTERVALS = 400
@@ -493,16 +498,21 @@ _Q2_TOL = 1e-8
 #: a refinement splits every step whose own one-step/half-step difference
 #: exceeds _SPLIT times the largest; the propagator raises StepSizeUnderflow
 #: rather than grow past _MAX_HALF_STEPS half steps (one batch of step
-#: generators then takes up to ~14 MB)
+#: generators then takes up to ~14 MB at two nodes per step, ~21 MB at three)
 _SPLIT = 1e-3
 _MAX_HALF_STEPS = 2**16
-#: Gauss-Legendre nodes of one step sit at h (1/2 -+ _GL)
+#: Gauss-Legendre nodes of one step: a Magnus-4 step samples its generator at
+#: h (1/2 -+ _GL), a Magnus-6 step at h (1/2 -+ _GL6) and h/2
 _GL = np.sqrt(3.0) / 6.0
+_GL6 = np.sqrt(15.0) / 10.0
 #: step exponentials: Taylor degree, and the norm the scaling brings them to
 _TAYLOR_DEGREE = 12
 _TAYLOR_NORM = 0.5
-#: steps per block of the Omega_4 terms that take temporaries
+#: steps per block of the Omega_4 and of the Omega_6 terms that take
+#: temporaries (a two-level cell's first Magnus-6 batch, 3 _TLS_MIN_STEPS
+#: steps, is one block)
 _ASSEMBLY_BLOCK = 256
+_ASSEMBLY_BLOCK6 = 512
 
 
 def _mul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
@@ -563,13 +573,74 @@ def _magnus_exponents(a: np.ndarray, width: np.ndarray) -> np.ndarray:
     return omega
 
 
-def _one_and_halves(generator, left, h, one=None):
+def _magnus6_steps(generator, left: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Magnus-6 propagators (3, 3, n) of dx/dt = A(t) x over [left, left + width).
+
+    generator(t) -> A(t), a fresh (3, 3, len(t)) batch, runs once on the
+    three Gauss-Legendre nodes of every step; the step overwrites its output
+    and releases it before the step exponentials are taken, so their buffers
+    can reuse its memory.
+    """
+    return _expm3(_magnus6_exponents(generator(np.concatenate(
+        [left + (0.5 - _GL6) * width, left + 0.5 * width, left + (0.5 + _GL6) * width])), width))
+
+
+def _magnus6_exponents(a: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Omega_6 of each step of width w (Blanes, Casas & Ros, BIT 40, 434
+    (2000)), from a = [A1 of every step, A2 of every step, A3 of every step]
+    (last axis):
+
+        alpha1 = w A2, alpha2 = sqrt(15) w/3 (A3 - A1),
+        alpha3 = 10 w/3 (A3 - 2 A2 + A1),
+        C1 = [alpha1, alpha2], C2 = -[alpha1, 2 alpha3 + C1]/60,
+        Omega_6 = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240.
+
+    Consumes a: the alphas overwrite the nodes, alpha3 on A1, alpha1 on A2
+    and alpha2 on A3. Omega_6 is built in one batch-sized buffer; the terms
+    that need temporaries are added _ASSEMBLY_BLOCK6 steps at a time.
+    """
+    n = len(width)
+    alpha3, alpha1, alpha2 = a[..., :n], a[..., n:2 * n], a[..., 2 * n:]
+    alpha2 -= alpha3                            # A3 - A1
+    alpha3 += alpha3
+    alpha3 += alpha2
+    alpha3 -= alpha1
+    alpha3 -= alpha1                            # A1 - 2 A2 + A3
+    alpha3 *= (10.0 / 3.0) * width
+    alpha2 *= (np.sqrt(15.0) / 3.0) * width
+    alpha1 *= width
+    omega = np.empty((3, 3, n))
+    for s in range(0, n, _ASSEMBLY_BLOCK6):
+        b1, b2, b3, o = (v[..., s:s + _ASSEMBLY_BLOCK6] for v in (alpha1, alpha2, alpha3, omega))
+        _mul(b2, b1, out=o)
+        c = _mul(b1, b2)
+        c -= o                                  # C1
+        x = b3 + b3
+        x += c                                  # 2 alpha3 + C1
+        _mul(b1, x, out=o)
+        x = _mul(x, b1)
+        x -= o
+        x /= 60.0
+        b2 += x                                 # alpha2 + C2
+        c -= 20.0 * b1
+        c -= b3                                 # -20 alpha1 - alpha3 + C1
+        _mul(c, b2, out=o)
+        o -= _mul(b2, c)
+        o /= 240.0
+        o += b1
+        b3 /= 12.0
+        o += b3
+    return omega
+
+
+def _one_and_halves(generator, steps, left, h, one=None):
     """(one step, first half, second half) propagators of the steps
-    [left, left + h); one, when given, holds the known one-step propagators."""
+    [left, left + h) by the step kernel steps (_magnus_steps or
+    _magnus6_steps); one, when given, holds the known one-step propagators."""
     starts, widths = [left, left + 0.5 * h], [0.5 * h, 0.5 * h]
     if one is None:
         starts, widths = [left, *starts], [h, *widths]
-    u = _magnus_steps(generator, np.concatenate(starts), np.concatenate(widths))
+    u = steps(generator, np.concatenate(starts), np.concatenate(widths))
     n = len(left)
     return (u[..., :n] if one is None else one), u[..., -2 * n:-n], u[..., -n:]
 
@@ -596,40 +667,42 @@ def _running_products(u: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends in a non-finite gap
-def _magnus_path(generator, t_f: float, n_start: int, x0, error) -> np.ndarray:
+def _magnus_path(generator, t_f: float, n_start: int, x0, error, steps, order: int) -> np.ndarray:
     """x(t) of dx/dt = A(t) x, x(0) = x0, at the n_start + 1 ends of a uniform
-    start grid on [0, t_f].
+    start grid on [0, t_f], by the step kernel steps of order p = order
+    (_magnus_steps, p = 4, or _magnus6_steps, p = 6).
 
-    Every step is taken as one Magnus-4 step and as two half steps. Until the
-    two runs agree, error(one-step run, half-step run) <= 15 in units of the
-    route's tolerance (Magnus-4: the half-step run's error is about a
-    fifteenth of their gap), each step that carries the error is split into
-    2^k, k the doublings of every step that an error falling as h^4 would
-    need. The steep stretches of a run get fine steps and the rest keeps its
-    coarse ones. A step split in two takes its halves as the one-step runs of
-    its parts. Returns the half-step run.
+    Every step is taken as one step and as two half steps. Until the two runs
+    agree, error(one-step run, half-step run) <= 2^p - 1 in units of the
+    route's tolerance (an error falling as h^p leaves the half-step run about
+    gap/(2^p - 1) off: 15 for Magnus-4, 63 for Magnus-6), each step that
+    carries the error is split into 2^k, k the doublings of every step that an
+    error falling as h^p would need. The steep stretches of a run get fine
+    steps and the rest keeps its coarse ones. A step split in two takes its
+    halves as the one-step runs of its parts. Returns the half-step run.
     """
+    gate = 2.0**order - 1.0
     h = np.full(n_start, t_f / n_start)
     left = np.arange(n_start) * h
     ends = np.ones(n_start, dtype=bool)  # the steps that end a start step
-    one, first, second = _one_and_halves(generator, left, h)
+    one, first, second = _one_and_halves(generator, steps, left, h)
     while True:
         halves = _mul(second, first)
         runs = _running_products(np.stack([one, halves], axis=2))
         path = np.einsum("ijrn,j->rni", runs[..., ends], x0)
         coarse, fine = np.concatenate([np.broadcast_to(x0, (2, 1, 3)), path], axis=1)
         gap = error(coarse, fine)
-        if gap <= 15.0:
+        if gap <= gate:
             return fine
         if not np.isfinite(gap):
             raise StepSizeUnderflow(f"Magnus propagator overflowed on {2 * len(h)} half steps")
         diff = np.abs(halves - one).max(axis=(0, 1))
         flagged = diff > _SPLIT * diff.max()
-        k = np.ceil(np.log2(gap / 15.0) / 4.0)
+        k = np.ceil(np.log2(gap / gate) / order)
         if 2 * (len(h) + flagged.sum() * (2**k - 1)) > _MAX_HALF_STEPS:
             raise StepSizeUnderflow(
                 f"Magnus propagator not converged on {2 * len(h)} half steps "
-                f"(estimated error {gap / 15.0:.3g} times its tolerance)")
+                f"(estimated error {gap / gate:.3g} times its tolerance)")
         parts = np.where(flagged, 2 ** int(k), 1)
         idx = np.repeat(np.arange(len(h)), parts)
         part = np.arange(len(idx)) - (np.cumsum(parts) - parts)[idx]  # its place in its step
@@ -641,7 +714,7 @@ def _magnus_path(generator, t_f: float, n_start: int, x0, error) -> np.ndarray:
                  if k == 1 else None)
         one, first, second = one[..., idx], first[..., idx], second[..., idx]
         one[..., split], first[..., split], second[..., split] = _one_and_halves(
-            generator, left[split], h[split], known)
+            generator, steps, left[split], h[split], known)
 
 
 def magnus_q2_moments(protocol, y0, channel: NoiseChannel):
@@ -656,9 +729,9 @@ def magnus_q2_moments(protocol, y0, channel: NoiseChannel):
     with p in units of m omega0, s = (S_I00, S_I01, S_I11) obeys
     ds/dt = kappa u w^T s, u = (fp^2, -fp fq, fq^2), w = (fq^2, 2 fq fp,
     fp^2). The Magnus
-    propagator (_magnus_path) starts on the 400 output intervals and refines
-    until the largest change of a sampled moment is within _Q2_TOL of the
-    largest moment. The means stay M m0.
+    propagator (_magnus_path) takes Magnus-4 steps from the 400 output
+    intervals and refines until the largest change of a sampled moment is
+    within _Q2_TOL of the largest moment. The means stay M m0.
     """
     if channel.operator_tag != "q_squared":
         raise UnsupportedChannel("the invariant-frame propagator covers q^2 noise only")
@@ -677,7 +750,8 @@ def magnus_q2_moments(protocol, y0, channel: NoiseChannel):
 
         s = _magnus_path(
             generator, protocol.t_f, _Q2_INTERVALS, s,
-            lambda coarse, fine: np.abs(fine - coarse).max() / (_Q2_TOL * np.abs(fine).max()))
+            lambda coarse, fine: np.abs(fine - coarse).max() / (_Q2_TOL * np.abs(fine).max()),
+            _magnus_steps, 4)
     ts = np.linspace(0.0, protocol.t_f, _Q2_INTERVALS + 1)
     second = np.atleast_2d(s).T * np.array([[1.0], [scale], [scale**2]])
     return ts, _lab_moments(protocol, ts, (mq, mp), second)
@@ -687,19 +761,11 @@ def magnus_q2_moments(protocol, y0, channel: NoiseChannel):
 # fidelity of the paper's two systems: one routine each
 
 
-def tls_fidelity(protocol, channels=()) -> float:
-    """Final |1><1| population of a two-level inversion run.
-
-    Starts from the first basis state, r = (0, 0, 1), under
-    H = Delta/2 sigma_z + Omega/2 sigma_x from protocol.controls; a perfect
-    inversion ends at F = (1 - r_z)/2 = 1. sigma_z and sigma_x channels damp
-    the Bloch vector by diag(-4 eta_z, -4 (eta_z + eta_x), -4 eta_x), and any
-    other channel raises UnsupportedChannel. r is propagated by the Magnus
-    propagator (_magnus_path) on the rotation about (Omega, 0, Delta) plus
-    that damping, from _TLS_MIN_STEPS uniform steps until the error it
-    estimates in F is within _TLS_TOL, so a steep cell costs about as much
-    as a smooth one.
-    """
+def _bloch_generator(protocol, channels):
+    """A(t) of the Bloch vector r of a two-level run, dr/dt = A(t) r: the
+    rotation about (Omega, 0, Delta) from protocol.controls, plus the damping
+    diag(-4 eta_z, -4 (eta_z + eta_x), -4 eta_x) of its sigma_z and sigma_x
+    channels. Any other channel raises UnsupportedChannel."""
     eta = dict.fromkeys(PAULI_TAGS, 0.0)
     for ch in channels:
         if ch.operator_tag not in PAULI_TAGS:
@@ -716,12 +782,29 @@ def tls_fidelity(protocol, channels=()) -> float:
         a[(0, 1, 2), (0, 1, 2)] = damping[:, None]
         return a
 
-    def fidelity(path):
-        return 0.5 * (1.0 - path[-1, 2])
+    return generator
 
-    path = _magnus_path(generator, protocol.t_f, _TLS_MIN_STEPS, np.array([0.0, 0.0, 1.0]),
-                        lambda coarse, fine: abs(fidelity(fine) - fidelity(coarse)) / _TLS_TOL)
-    return float(fidelity(path))
+
+def tls_fidelity(protocol, channels=()) -> float:
+    """Final |1><1| population of a two-level inversion run.
+
+    Starts from the first basis state, r = (0, 0, 1), under
+    H = Delta/2 sigma_z + Omega/2 sigma_x from protocol.controls; a perfect
+    inversion ends at F = (1 - r_z)/2 = 1. r is propagated by the Magnus
+    propagator (_magnus_path) with Magnus-6 steps on _bloch_generator, from
+    _TLS_MIN_STEPS uniform steps until the error it estimates is within
+    _TLS_TOL, so a steep cell costs about as much as a smooth one. The
+    estimate is the largest distance between the one-step and half-step
+    Bloch vectors at the start-step ends, halved: F moves by at most half of
+    a change in r, and the largest gap over the run cannot hide errors of
+    separate stretches that cancel at its end, as the gap in F alone can.
+    """
+    path = _magnus_path(
+        _bloch_generator(protocol, channels), protocol.t_f, _TLS_MIN_STEPS,
+        np.array([0.0, 0.0, 1.0]),
+        lambda coarse, fine: 0.5 * np.linalg.norm(fine - coarse, axis=1).max() / _TLS_TOL,
+        _magnus6_steps, 6)
+    return float(0.5 * (1.0 - path[-1, 2]))
 
 
 def coherent_fidelity(protocol: HoProtocol, alpha: complex, channel: NoiseChannel) -> float:

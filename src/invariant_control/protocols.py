@@ -315,9 +315,9 @@ class _SampleMemo:
             return val
 
 
-#: the 4001-point closed-form grid and the first Magnus batch of a two-level
-#: cell (six chains at two orders) fit in 4 MiB; a batch of 2^16 half steps
-#: takes 2 MiB per chain and order
+#: the 4001-point closed-form grid and the first Magnus-6 batch of a
+#: two-level cell (1152 nodes; six chains at two orders) fit in 4 MiB; a
+#: batch of 2^16 half steps, three nodes each, takes 3 MiB per chain and order
 _chain_samples = _SampleMemo(4 << 20)
 
 

@@ -1,11 +1,12 @@
 """Master-equation integrators and dissipator diagnostics."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from invariant_control import algebra, dynamics, measures, states
+from invariant_control import algebra, cli, dynamics, measures, states
 from invariant_control.constants import MASS_100_CA40, TWO_PI
 from invariant_control.errors import (
     DimensionMismatch,
@@ -144,7 +145,7 @@ def test_max_step_resolves_narrow_late_pulse():
 def test_tls_fidelity_magnus_route_matches_master_equation(kind, free, etas):
     # the steepest fig1 cell and the dual cells with the steepest windows:
     # tls_fidelity's Bloch-frame Magnus route against RK45 on the dense
-    # master equation at rtol 1e-11. Measured agreement: |dF| <= 3.4e-10
+    # master equation at rtol 1e-11. Measured agreement: |dF| <= 3.5e-10
     t_f = 0.5e-3
     proto = ProtocolFamily(kind, {"delta0": TWO_PI * 10e3}, t_f).with_free(free).build()
     channels = [dynamics.NoiseChannel(tag, eta) for tag, eta in etas.items()]
@@ -154,6 +155,46 @@ def test_tls_fidelity_magnus_route_matches_master_equation(kind, free, etas):
         rtol=1e-11, atol=1e-14, max_step=t_f / 100,
     )
     assert abs(dynamics.tls_fidelity(proto, channels) - rhos[-1][1, 1].real) <= 1e-9
+
+
+def _default_two_level_cells(experiment):
+    """(protocol, channels) of every cell of invctl reproduce fig1 or fig2."""
+    exp = cli._EXPERIMENTS[experiment]
+    params = {name: default for name, (default, _) in exp.params.items()}
+    family = ProtocolFamily(exp.kind, {"delta0": TWO_PI * params["delta0_hz"]}, params["t_f"])
+    channels = [dynamics.NoiseChannel(tag, eta) for tag, eta in exp.channels.items()]
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n, _ in exp.free.values()]
+    return [(family.with_free(tuple(map(float, free))).build(), channels)
+            for free in itertools.product(*axes)]
+
+
+def _magnus4_route(proto, channels):
+    """F by the two-level route as it was before Magnus-6: Magnus-4 steps on
+    512 uniform start steps, gated on the gap in F alone."""
+    def fidelity(path):
+        return 0.5 * (1.0 - path[-1, 2])
+
+    path = dynamics._magnus_path(
+        dynamics._bloch_generator(proto, channels), proto.t_f, 512, np.array([0.0, 0.0, 1.0]),
+        lambda coarse, fine: abs(fidelity(fine) - fidelity(coarse)) / dynamics._TLS_TOL,
+        dynamics._magnus_steps, 4)
+    return float(fidelity(path))
+
+
+@pytest.mark.parametrize("experiment", ["tls_single", "tls_dual"])
+def test_tls_fidelity_meets_its_tolerance_on_every_default_cell(monkeypatch, experiment):
+    # all 41 fig1 and 45 fig2 cells against the route on 1024 start steps
+    # (within 1.4e-11 of 8192 on every cell) and against the Magnus-4 route.
+    # Measured: within 3.5e-10 (fig1, g4 = 1.25) and 6.3e-11 (fig2) of the
+    # converged value, and within 3.9e-10 and 7.4e-10 of the Magnus-4 route,
+    # which is itself up to 1.4e-10 and 7.3e-10 off
+    cells = _default_two_level_cells(experiment)
+    got = [dynamics.tls_fidelity(proto, channels) for proto, channels in cells]
+    for f, (proto, channels) in zip(got, cells):
+        assert abs(f - _magnus4_route(proto, channels)) <= dynamics._TLS_TOL
+    monkeypatch.setattr(dynamics, "_TLS_MIN_STEPS", 1024)
+    for f, (proto, channels) in zip(got, cells):
+        assert abs(f - dynamics.tls_fidelity(proto, channels)) <= dynamics._TLS_TOL
 
 
 def _tls_dual_cell():
@@ -186,7 +227,7 @@ def _fig4_constant_mu_cell():
     (_fig4_constant_mu_cell, 2 * dynamics._Q2_INTERVALS),
 ], ids=["tls_dual", "fig4_q2", "fig4_constant_mu"])
 def test_magnus_propagator_raises_when_the_step_cap_is_reached(monkeypatch, cell, first_grid):
-    # the dual cell (-1, 1) does not settle on its first 1024 half steps, nor
+    # the dual cell (-1, 1) does not settle on its first 256 half steps, nor
     # the fig4 cells at t_f = 20 us (r6 = 0 and constant mu) on their first
     # 800: their steps must be split
     run = cell()
@@ -293,6 +334,56 @@ def test_magnus_steps_peak_heap_stays_within_four_batch_buffers(n):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 72 * n
+
+
+@pytest.mark.parametrize("n", [1536, 12000])
+def test_magnus6_steps_peak_heap_stays_within_four_batch_buffers_and_six_blocks(n):
+    # the generator output (three batches, overwritten by the alphas), then
+    # Omega_6 (one) and the exponentials' work buffer (two) over the released
+    # generator output; the commutator terms take temporaries one block of
+    # _ASSEMBLY_BLOCK6 steps at a time. Measured peaks: 4 batch buffers plus
+    # 5.09 blocks at both sizes (5.70 and 4.22 batch buffers)
+    left = np.linspace(0.0, 1.0, n)
+    width = np.full(n, 50.0 / n)
+    dynamics._magnus6_steps(_rotation_generator, left, width)  # warm up numpy
+    tracemalloc.start()
+    try:
+        dynamics._magnus6_steps(_rotation_generator, left, width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 72 * (4 * n + 6 * dynamics._ASSEMBLY_BLOCK6)
+
+
+def _tilting_generator(t):
+    # a rotation whose axis turns with t, plus damping that grows with t: its
+    # values at different times do not commute
+    a = _rotation_generator(3.0 * t)
+    a[1, 2] -= t
+    a[2, 1] += t
+    a[0, 0] = -0.1 * t
+    return a
+
+
+def _propagator(steps, n, t_f=2.0):
+    h = np.full(n, t_f / n)
+    u = steps(_tilting_generator, np.arange(n) * h, h)
+    p = np.eye(3)
+    for j in range(n):
+        p = u[..., j] @ p
+    return p
+
+
+@pytest.mark.parametrize("steps, order", [(dynamics._magnus_steps, 4),
+                                          (dynamics._magnus6_steps, 6)])
+def test_magnus_steps_converge_at_their_order(steps, order):
+    # global error of n uniform steps against 1024 Magnus-6 steps: each
+    # halving of h divides it by about 2^order. Measured ratios: 15.3-16.0
+    # (Magnus-4) and 63.5-66.0 (Magnus-6) from 4 to 64 steps
+    want = _propagator(dynamics._magnus6_steps, 1024)
+    errors = [np.abs(_propagator(steps, n) - want).max() for n in (4, 8, 16, 32, 64)]
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((0.8 * 2**order < ratios) & (ratios < 1.2 * 2**order)), ratios
 
 
 def _grouped_running_products(count, *runs):
@@ -419,11 +510,34 @@ def _rows_magnus_exponents(a, width):
     return omega
 
 
-def _rows_one_and_halves(generator, left, h, one=None):
+def _rows_magnus6_steps(generator, left, width):
+    return _rows_expm3(_rows_magnus6_exponents(generator(np.concatenate(
+        [left + (0.5 - dynamics._GL6) * width, left + 0.5 * width,
+         left + (0.5 + dynamics._GL6) * width])), width))
+
+
+def _rows_magnus6_exponents(a, width):
+    # Omega_6 as Blanes, Casas & Ros write it, each term a fresh array
+    n = len(width)
+    w = width[:, None, None]
+    a1, a2, a3 = a[:n], a[n:2 * n], a[2 * n:]
+    alpha1 = w * a2
+    alpha2 = (np.sqrt(15.0) / 3.0) * w * (a3 - a1)
+    alpha3 = (10.0 / 3.0) * w * (a3 - 2.0 * a2 + a1)
+
+    def commutator(x, y):
+        return x @ y - y @ x
+
+    c1 = commutator(alpha1, alpha2)
+    c2 = -commutator(alpha1, 2.0 * alpha3 + c1) / 60.0
+    return alpha1 + alpha3 / 12.0 + commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
+
+
+def _rows_one_and_halves(generator, steps, left, h, one=None):
     starts, widths = [left, left + 0.5 * h], [0.5 * h, 0.5 * h]
     if one is None:
         starts, widths = [left, *starts], [h, *widths]
-    u = _rows_magnus_steps(generator, np.concatenate(starts), np.concatenate(widths))
+    u = steps(generator, np.concatenate(starts), np.concatenate(widths))
     n = len(left)
     return (u[:n] if one is None else one), u[-2 * n:-n], u[-n:]
 
@@ -441,22 +555,23 @@ def _rows_running_products(u):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _rows_magnus_path(generator, t_f, n_start, x0, error):
+def _rows_magnus_path(generator, t_f, n_start, x0, error, steps, order):
+    gate = 2.0**order - 1.0
     h = np.full(n_start, t_f / n_start)
     left = np.arange(n_start) * h
     ends = np.ones(n_start, dtype=bool)
-    one, first, second = _rows_one_and_halves(generator, left, h)
+    one, first, second = _rows_one_and_halves(generator, steps, left, h)
     while True:
         path = _rows_running_products(np.stack([one, second @ first]))[:, ends] @ x0
         coarse, fine = np.concatenate([np.broadcast_to(x0, (2, 1, 3)), path], axis=1)
         gap = error(coarse, fine)
-        if gap <= 15.0:
+        if gap <= gate:
             return fine
         if not np.isfinite(gap):
             raise StepSizeUnderflow("overflow")
         diff = np.abs(second @ first - one).max(axis=(1, 2))
         flagged = diff > dynamics._SPLIT * diff.max()
-        k = np.ceil(np.log2(gap / 15.0) / 4.0)
+        k = np.ceil(np.log2(gap / gate) / order)
         if 2 * (len(h) + flagged.sum() * (2**k - 1)) > dynamics._MAX_HALF_STEPS:
             raise StepSizeUnderflow("not converged")
         parts = np.where(flagged, 2 ** int(k), 1)
@@ -470,7 +585,7 @@ def _rows_magnus_path(generator, t_f, n_start, x0, error):
                  if k == 1 else None)
         one, first, second = one[idx], first[idx], second[idx]
         one[split], first[split], second[split] = _rows_one_and_halves(
-            generator, left[split], h[split], known)
+            generator, steps, left[split], h[split], known)
 
 
 def _rows(batch):
@@ -518,10 +633,30 @@ def test_magnus_steps_and_running_products_match_the_matmul_kernel(generators, n
     assert _relative_gap(dynamics._running_products(runs), np.moveaxis(want, (2, 3), (0, 1))) <= 1e-13
 
 
+@pytest.mark.parametrize("generators", [_rotation_damping_generators, _rank_one_generators])
+@pytest.mark.parametrize("n", [1, 7, 1000, 5000])
+def test_magnus6_steps_match_the_matmul_kernel(generators, n):
+    # measured: within 2.2e-16 of each step's largest entry
+    rng = np.random.default_rng(400 + n)
+    a = generators(rng, 3 * n)
+    left = np.sort(rng.uniform(0.0, 1.0, n))
+    width = rng.uniform(0.2, 1.0, n)
+    steps = dynamics._magnus6_steps(lambda t: a.copy(), left, width)
+    want = _columns(_rows_magnus6_steps(lambda t: _rows(a), left, width))
+    assert _relative_gap(steps, want) <= 1e-14
+
+
+#: the (n, 3, 3) oracle of each step kernel
+_ROWS_STEPS = {dynamics._magnus_steps: _rows_magnus_steps,
+               dynamics._magnus6_steps: _rows_magnus6_steps}
+
+
 def _matmul_route(monkeypatch):
-    """Make the routes propagate through the (n, 3, 3) matmul kernel."""
-    def route(generator, *args):
-        return _rows_magnus_path(lambda t: _rows(generator(t)), *args)
+    """Make the routes propagate through the (n, 3, 3) matmul kernel of the
+    step kernel each route takes."""
+    def route(generator, t_f, n_start, x0, error, steps, order):
+        return _rows_magnus_path(lambda t: _rows(generator(t)), t_f, n_start, x0, error,
+                                 _ROWS_STEPS[steps], order)
 
     monkeypatch.setattr(dynamics, "_magnus_path", route)
 
