@@ -4,15 +4,15 @@ The noise model is a sum of double-commutator (unital) dissipators,
 
     drho/dt = -i [H(t), rho] - sum_k eta_k [X_k, [X_k, rho]],
 
-integrated by RK45 on dense matrices (integrate_master) or, for oscillator
-runs, in a truncated Fock basis (integrate_ho_master, in the interaction
-picture of the exactly solvable noiseless flow, from the smallest truncation,
-at most 40, that holds the initial state to 1e-12, each run abandoned as
-soon as its top two levels hold 1e-8, for 40 levels from a smaller start,
-else for twice as many, until they hold below 1e-8) or through the closed
-Gaussian-moment equations. The Fock right-hand side takes the double
-commutator of Hermitian rho in two matrix products (three for q^2) and
-returns it exactly Hermitian, so the Fock samples stay so with no
+integrated by RK45 (_rk45_matrix) on dense matrices (integrate_master) or,
+for oscillator runs, in a truncated Fock basis (integrate_ho_master, in the
+interaction picture of the exactly solvable noiseless flow, from the
+smallest truncation, at most 40, that holds the initial state to 1e-12, each
+run abandoned as soon as its top two levels hold 1e-8, for 40 levels from a
+smaller start, else for twice as many, until they hold below 1e-8) or
+through the closed Gaussian-moment equations. The Fock right-hand side takes
+the double commutator of Hermitian rho in two matrix products (three for
+q^2) and returns it exactly Hermitian, so the Fock samples stay so with no
 projection; lindblad_rhs's five-product form is its oracle. The Pauli
 channels of a two-level run are unital, so its Bloch vector obeys a linear
 3x3 ODE dx/dt = A(t) x; in the frame of the invariant's closed-form
@@ -32,12 +32,12 @@ both map to the lab frame by _lab_moments.
 Every trap control (HoProtocol and the constant-mu reference
 ConstantMuControl) has a closed-form flow, so integrate_moments, the
 lab-frame moment ODE, is a test oracle only: the independent route that both
-oscillator routes are checked against. The oracles (integrate_master,
-integrate_ho_master, integrate_moments) are each one scipy solve_ivp call,
-importing scipy when first called, so the package and invctl load numpy
-only. tls_fidelity, coherent_fidelity and thermal_fidelity are the one
-fidelity routine of each simulated system; the dissipator in the invariant
-eigenbasis backs the common-eigenbasis check.
+oscillator routes are checked against. Of the oracles only integrate_moments,
+one scipy DOP853 call, imports scipy (on its first call, from the test
+extra), so the package, invctl and the RK45 oracles load numpy only.
+tls_fidelity, coherent_fidelity and thermal_fidelity are the one fidelity
+routine of each simulated system; the dissipator in the invariant eigenbasis
+backs the common-eigenbasis check.
 """
 
 from __future__ import annotations
@@ -123,34 +123,84 @@ def lindblad_rhs(rho: np.ndarray, h: np.ndarray, channels) -> np.ndarray:
     return out
 
 
-def _rk45_matrix(rhs, rho0, t_eval, rtol, atol, max_step=np.inf, stop=None):
-    """rho at t_eval of drho/dt = rhs(t, rho), rho(0) = rho0, by one solve_ivp
-    RK45 call (Dormand-Prince 5(4)): the integrator of the dense and the Fock
-    oracle. Nothing is projected onto Hermitian matrices: the samples stay
-    exactly Hermitian if rho0 and rhs are (the Fock route). If stop(rho0)
-    >= 0, or stop(rho) rises through 0 (a terminal solve_ivp event), the
-    solve ends there and returns None."""
-    from scipy.integrate import solve_ivp
+#: Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 19 (1980)) as scipy's RK45 holds it (nodes,
+#: stages, weights, error weights, interpolant), stepped under the starting step and step-size
+#: control of Hairer, Norsett & Wanner (Solving ODEs I, II.4); samples come from interpolants
+_DP_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+_DP_A = np.array([[0, 0, 0, 0, 0], [1 / 5, 0, 0, 0, 0], [3 / 40, 9 / 40, 0, 0, 0],
+                  [44 / 45, -56 / 15, 32 / 9, 0, 0],
+                  [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+                  [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]])
+_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 
+
+def _rk45_matrix(rhs, rho0, t_eval, rtol, atol, max_step=np.inf, stop=None):
+    """rho at t_eval of drho/dt = rhs(t, rho), rho(0) = rho0, by scipy's RK45 (its test
+    oracle, matched bit for bit) in numpy: the integrator of the dense and the Fock oracle.
+    Nothing is projected onto Hermitian matrices: the samples stay exactly Hermitian if
+    rho0 and rhs are (the Fock route). If stop(rho0) >= 0, or stop(rho) >= 0 at the end of
+    a step, the run ends there and returns None. t_eval must be finite, nondecreasing, >= 0."""
+    t_eval = np.asarray(t_eval, dtype=float)
+    if (t_eval.ndim != 1 or not t_eval.size or not np.isfinite(t_eval).all()
+            or t_eval[0] < 0.0 or (np.diff(t_eval) < 0.0).any()):
+        raise ValueError("t_eval must be a finite, nondecreasing grid of times >= 0")
     rho0 = np.asarray(rho0, dtype=complex)
     if stop is not None and stop(rho0) >= 0.0:
         return None
-    n = rho0.shape[0]
-    if t_eval[-1] == 0.0:
+    n, t_f, root_size = rho0.shape[0], float(t_eval[-1]), rho0.size**0.5
+    if t_f == 0.0:
         return np.repeat(rho0[None], len(t_eval), axis=0)
-    events = None
-    if stop is not None:
-        def events(t, y):
-            return stop(y.reshape(n, n))
-        events.terminal, events.direction = True, 1.0
-    sol = solve_ivp(lambda t, y: rhs(t, y.reshape(n, n)).ravel(), (0.0, t_eval[-1]),
-                    rho0.ravel(), method="RK45", t_eval=t_eval, rtol=rtol, atol=atol,
-                    max_step=max_step, events=events)
-    if not sol.success:
-        raise StepSizeUnderflow(sol.message)
-    if sol.status == 1:
-        return None
-    return sol.y.T.reshape(-1, n, n)
+
+    def fun(t, y):
+        return rhs(t, y.reshape(n, n)).ravel()
+
+    y = rho0.ravel()
+    f = fun(0.0, y)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = np.linalg.norm(y / scale) / root_size, np.linalg.norm(f / scale) / root_size
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_f)
+    d2 = np.linalg.norm((fun(h0, y + h0 * f) - f) / scale) / root_size / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, t_f, max_step)
+    K, out = np.empty((7, y.size), dtype=complex), np.empty((len(t_eval), y.size), dtype=complex)
+    t, i = 0.0, 0
+    while t < t_f:
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        h_abs, rejected = max_step if h_abs > max_step else max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeUnderflow("Required step size is less than spacing between numbers.")
+            t_new = min(t + h_abs, t_f)
+            h = h_abs = t_new - t
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(t + _DP_C[s] * h, y + np.dot(K[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            K[-1] = f_new = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = np.linalg.norm(np.dot(K.T, _DP_E) * h / scale) / root_size
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error**-0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs, rejected = h_abs * max(0.2, 0.9 * error**-0.2), True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        if stop is not None and stop(y.reshape(n, n)) >= 0.0:
+            return None
+        j = np.searchsorted(t_eval, t, side="right")
+        if j > i:
+            powers = np.cumprod(np.tile((t_eval[i:j] - t_old) / h, (4, 1)), axis=0)
+            out[i:j], i = (h * np.dot(K.T.dot(_DP_P), powers) + y_old[:, None]).T, j
+    return out.reshape(-1, n, n)
 
 
 def integrate_master(
@@ -169,7 +219,7 @@ def integrate_master(
     t -> matrix; channels is a sequence of NoiseChannel (Pauli tags) or
     (matrix, eta) pairs. Returns (times, rhos). max_step caps the adaptive
     step so narrow control pulses surrounded by long H = 0 stretches cannot
-    be stepped over. Imports scipy on its first call.
+    be stepped over. Loads numpy only.
     """
     resolved = []
     for ch in channels:
@@ -309,13 +359,12 @@ def integrate_ho_master(
     fixes it, the truncation starts at the smallest d, at most 40, whose
     rho0 holds below 1e-12 population on its top two levels and past its
     last one (_fock_start_dim). A run is abandoned as soon as its top two
-    levels hold 1e-8 (at t = 0, or by a terminal event, which moves no step
+    levels hold 1e-8 (at t = 0, or at the end of a step, which moves no step
     of a run it does not end), and the run goes on at 40 levels from a start
     below 40, else at twice the levels, until the top two levels stay below
     1e-8 population at every sample. Only a run at a fixed dim, or one whose
-    doubling would pass _FOCK_MAX_DIM, has no event: it runs to t_f and
-    warns with TruncationWarning if it fails the gate. Imports scipy on its
-    first call.
+    doubling would pass _FOCK_MAX_DIM, has no stop: it runs to t_f and
+    warns with TruncationWarning if it fails the gate. Loads numpy only.
     """
     if channel.operator_tag not in OSC_TAGS:
         raise UnsupportedChannel("oscillator integrator needs a q or q^2 channel")
@@ -383,7 +432,7 @@ def integrate_moments(
     atol: float = 1e-14,
 ):
     """Integrate the closed moment equations by DOP853; returns (times,
-    5-column array). Imports scipy on its first call."""
+    5-column array). Imports scipy (the test extra) on its first call."""
     if channel.operator_tag not in OSC_TAGS:
         raise UnsupportedChannel(_MOMENT_TAGS_ONLY)
     from scipy.integrate import solve_ivp

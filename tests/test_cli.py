@@ -883,8 +883,8 @@ def test_cli_import_leaves_scipy_interpolate_out():
 
 
 def test_reproducing_every_figure_loads_no_scipy(tmp_path):
-    # scipy runs only in the test oracles and the Nelder-Mead convenience:
-    # no verb imports it
+    # scipy runs only in the moment oracle (integrate_moments, DOP853) and the
+    # Nelder-Mead convenience: no verb imports it
     code = (
         "import sys\n"
         "from invariant_control import cli\n"
@@ -897,6 +897,31 @@ def test_reproducing_every_figure_loads_no_scipy(tmp_path):
                          text=True, env=env, check=True)
     assert out.stdout.splitlines()[-1] == "[]"
     assert len(list(tmp_path.glob("*.csv"))) >= 4
+
+
+def test_matrix_oracles_load_no_scipy():
+    # both RK45 oracles step in numpy: a dense two-level run and a Fock run
+    # of the vacuum, whose 3-level start is abandoned (it ends at 40 levels)
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from invariant_control import dynamics, states\n"
+        "from invariant_control.protocols import make_ho_protocol\n"
+        "w = 2e8\n"
+        "proto = make_ho_protocol(w, w / 100.0, t_f=5e-6)\n"
+        "traj = dynamics.integrate_ho_master(\n"
+        "    proto, lambda d: states.coherent_state(0.0, w, proto.mass, 'fock', d),\n"
+        "    dynamics.NoiseChannel('q', 10.0), t_eval=[0.0, proto.t_f])\n"
+        "_, rhos = dynamics.integrate_master(\n"
+        "    np.diag([1.0, 0.0]), lambda t: np.diag([1e4, -1e4]),\n"
+        "    [dynamics.NoiseChannel('sigma_x', 1e3)], [0.0, 1e-3])\n"
+        "print(traj.dim, rhos.shape)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.splitlines() == ["40 (2, 2, 2)", "[]"]
 
 
 def test_no_package_module_imports_scipy_at_module_level():

@@ -1,6 +1,7 @@
 """Master-equation integrators and dissipator diagnostics."""
 
 import itertools
+import signal
 import tracemalloc
 
 import numpy as np
@@ -1132,6 +1133,123 @@ def test_rk45_failing_solve_raises_step_size_underflow():
     # d rho/dt = rho^2 from the identity blows up at t = 1
     with pytest.raises(StepSizeUnderflow):
         dynamics._rk45_matrix(lambda t, rho: rho @ rho, np.eye(2), [0.0, 2.0], 1e-9, 1e-12)
+
+
+def _solve_ivp_rk45_matrix(rhs, rho0, t_eval, rtol, atol, max_step=np.inf, stop=None):
+    """_rk45_matrix by one scipy solve_ivp RK45 call, stop a terminal event
+    rising through 0: the oracle that the numpy Dormand-Prince loop must
+    equal bit for bit."""
+    from scipy.integrate import solve_ivp
+
+    rho0 = np.asarray(rho0, dtype=complex)
+    if stop is not None and stop(rho0) >= 0.0:
+        return None
+    n = rho0.shape[0]
+    if t_eval[-1] == 0.0:
+        return np.repeat(rho0[None], len(t_eval), axis=0)
+    events = None
+    if stop is not None:
+        def events(t, y):
+            return stop(y.reshape(n, n))
+        events.terminal, events.direction = True, 1.0
+    sol = solve_ivp(lambda t, y: rhs(t, y.reshape(n, n)).ravel(), (0.0, t_eval[-1]),
+                    rho0.ravel(), method="RK45", t_eval=t_eval, rtol=rtol, atol=atol,
+                    max_step=max_step, events=events)
+    if not sol.success:
+        raise StepSizeUnderflow(sol.message)
+    if sol.status == 1:
+        return None
+    return sol.y.T.reshape(-1, n, n)
+
+
+def _fock_runs_by_both_steppers(monkeypatch, *args, **kwargs):
+    """(fixed-dim runs, samples) of integrate_ho_master(*args, **kwargs) by
+    _rk45_matrix and by its solve_ivp oracle."""
+    runs, out = _spy_fock_runs(monkeypatch), []
+    for stepper in (dynamics._rk45_matrix, _solve_ivp_rk45_matrix):
+        monkeypatch.setattr(dynamics, "_rk45_matrix", stepper)
+        rhos = dynamics.integrate_ho_master(*args, **kwargs).rhos
+        out.append((runs[:], rhos))
+        runs.clear()
+    return out
+
+
+@pytest.mark.parametrize("n_samples", [2, 201])
+def test_rk45_matrix_equals_solve_ivp_on_a_fock_run(monkeypatch, n_samples):
+    # |alpha|^2 = 2 starts at 21 levels and is not abandoned
+    omega0 = TWO_PI * 15.92e6
+    proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6)
+    (runs, rhos), (ref_runs, ref) = _fock_runs_by_both_steppers(
+        monkeypatch, proto,
+        lambda d: states.coherent_state(1.0 + 1.0j, omega0, proto.mass, "fock", d),
+        dynamics.NoiseChannel("q", 10.0), t_eval=np.linspace(0.0, proto.t_f, n_samples))
+    assert runs == ref_runs == [(21, False)]
+    assert rhos.shape == (n_samples, 21, 21) and np.array_equal(rhos, ref)
+
+
+def test_rk45_matrix_equals_solve_ivp_on_abandoned_fock_starts(monkeypatch):
+    # the capped vacuum run of the doubling test: abandoned at 3 and 6
+    # levels in mid-run, finished at 12, sampled at 11 times
+    omega0 = TWO_PI * 15.92e6
+    proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6)
+    monkeypatch.setattr(dynamics, "_FOCK_START_MAX_DIM", 6)
+    monkeypatch.setattr(dynamics, "_FOCK_MAX_DIM", 12)
+    with pytest.warns(TruncationWarning):
+        (runs, rhos), (ref_runs, ref) = _fock_runs_by_both_steppers(
+            monkeypatch, proto,
+            lambda d: states.coherent_state(0.0, omega0, proto.mass, "fock", d),
+            dynamics.NoiseChannel("q", 1e3), t_eval=np.linspace(0.0, proto.t_f, 11))
+    assert runs == ref_runs == [(3, True), (6, True), (12, False)]
+    assert np.array_equal(rhos, ref)
+
+
+def test_rk45_matrix_equals_solve_ivp_on_the_dense_two_level_oracle(monkeypatch):
+    # a fig2 dual cell on the dense master equation, its step capped as in
+    # the two-level route's check, at 51 samples
+    t_f = 0.5e-3
+    proto = ProtocolFamily("tls_dual", {"delta0": TWO_PI * 10e3}, t_f).with_free((1.0, 0.0)).build()
+    channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
+
+    def rhos():
+        return dynamics.integrate_master(np.diag([1.0, 0.0]), proto.hamiltonian, channels,
+                                         np.linspace(0.0, t_f, 51), max_step=t_f / 100)[1]
+
+    out = rhos()
+    monkeypatch.setattr(dynamics, "_rk45_matrix", _solve_ivp_rk45_matrix)
+    assert np.array_equal(out, rhos())
+
+
+@pytest.mark.parametrize("t_eval", [[0.0, -1e-3], [0.0, np.nan], [0.0, np.inf],
+                                    [0.0, 2e-6, 1e-6], [-1e-6, 1e-6]],
+                         ids=["backward", "nan_end", "inf_end", "unsorted", "negative"])
+def test_matrix_oracles_reject_an_invalid_t_eval_before_any_step(t_eval):
+    # solve_ivp took a backward grid backward, never returned on a NaN or
+    # inf end and called an unsorted grid "not within t_span"; a case still
+    # running after a second fails on the alarm
+    omega0 = TWO_PI * 15.92e6
+    proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6)
+    times = []
+
+    def hamiltonian(t):
+        times.append(t)
+        return np.zeros((2, 2))
+
+    def alarm(signum, frame):
+        raise TimeoutError("still running after a second")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ValueError, match="nondecreasing"):
+            dynamics.integrate_master(np.eye(2) / 2, hamiltonian, [], t_eval)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            dynamics.integrate_ho_master(
+                proto, lambda d: states.coherent_state(0.0, omega0, proto.mass, "fock", d),
+                dynamics.NoiseChannel("q", 10.0), t_eval=t_eval)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert times == []
 
 
 @pytest.mark.parametrize(
