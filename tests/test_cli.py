@@ -883,8 +883,8 @@ def test_cli_import_leaves_scipy_interpolate_out():
 
 
 def test_reproducing_every_figure_loads_no_scipy(tmp_path):
-    # scipy runs only in the moment oracle (integrate_moments, DOP853) and the
-    # Nelder-Mead convenience: no verb imports it
+    # scipy runs only in the moment oracle (integrate_moments, DOP853): no
+    # verb imports it
     code = (
         "import sys\n"
         "from invariant_control import cli\n"
@@ -899,14 +899,17 @@ def test_reproducing_every_figure_loads_no_scipy(tmp_path):
     assert len(list(tmp_path.glob("*.csv"))) >= 4
 
 
-def test_matrix_oracles_load_no_scipy():
-    # both RK45 oracles step in numpy: a dense two-level run and a Fock run
-    # of the vacuum, whose 3-level start is abandoned (it ends at 40 levels)
+def test_matrix_oracles_and_nelder_mead_load_no_scipy():
+    # both RK45 oracles and the simplex descent step in numpy: a dense
+    # two-level run, a Fock run of the vacuum, whose 3-level start is
+    # abandoned (it ends at 40 levels), and a descent of the weighted O_bar
+    # over the tls_dual coefficients from the shape/dip cell (0.5, 0.5)
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from invariant_control import dynamics, states\n"
-        "from invariant_control.protocols import make_ho_protocol\n"
+        "from invariant_control import dynamics, measures, optimize, states\n"
+        "from invariant_control.constants import TWO_PI\n"
+        "from invariant_control.protocols import ProtocolFamily, make_ho_protocol\n"
         "w = 2e8\n"
         "proto = make_ho_protocol(w, w / 100.0, t_f=5e-6)\n"
         "traj = dynamics.integrate_ho_master(\n"
@@ -915,13 +918,20 @@ def test_matrix_oracles_load_no_scipy():
         "_, rhos = dynamics.integrate_master(\n"
         "    np.diag([1.0, 0.0]), lambda t: np.diag([1e4, -1e4]),\n"
         "    [dynamics.NoiseChannel('sigma_x', 1e3)], [0.0, 1e-3])\n"
-        "print(traj.dim, rhos.shape)\n"
+        "t_f = 0.5e-3\n"
+        "dual = ProtocolFamily('tls_dual', {'delta0': TWO_PI * 10e3}, t_f)\n"
+        "def o_bar(x):\n"
+        "    p = dual.with_free(np.clip(x, [-1.0, 0.0], [1.0, 1.0])).build()\n"
+        "    return measures.weighted_average([measures.closed_form_O_z(p.g_poly, t_f),\n"
+        "        measures.closed_form_O_x(p.g_poly, p.b_poly, t_f)], [0.5, 0.5])\n"
+        "_, v = optimize.minimize(o_bar, [0.5, 0.5], max_iter=20)\n"
+        "print(traj.dim, rhos.shape, v < o_bar([0.5, 0.5]))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.splitlines() == ["40 (2, 2, 2)", "[]"]
+    assert out.stdout.splitlines() == ["40 (2, 2, 2) True", "[]"]
 
 
 def test_no_package_module_imports_scipy_at_module_level():
