@@ -9,20 +9,20 @@ integral is composite Simpson on a uniform grid, w @ y with cached weights
 w = h/3 (1, 4, 2, ..., 4, 1); scipy.integrate.simpson is its test oracle.
 
 The two-level closed forms reuse their last result on bit-identical angle
-samples. Three quantities keep one slot each, keyed by (t_f, grid) and the
-dtype, shape and full bytes of the samples: sin G (shared by O_z, A_z and
-O_x), the O_z value, and the O_x value (keyed by the G and the B samples).
-A scan that holds G fixed along its inner axis (tls_dual at one shape) or
-both angles (shape >= 0, where B stays at pi/2) takes each sine and overlap
-sum once; a hit returns the value a cold call computes, bit for bit, since
-only equal bytes hit. The slots hold at most five float64 arrays of the
-grids last used, 40 * grid bytes (160 kB at grid 4001).
+samples, by the slot rule protocols._last. Three quantities keep one slot
+each, keyed by (t_f, grid) and the _Samples of the float64 samples: sin G
+(shared by O_z, A_z and O_x), the O_z value, and the O_x value (keyed by
+G and B). A scan that holds G fixed along its inner axis (tls_dual at one
+shape) or both angles (shape >= 0, where B stays at pi/2) takes each sine
+and overlap sum once; a hit returns a cold call's value bit for bit. The
+slots hold at most five float64 grid arrays, 40 * grid bytes (160 kB at
+grid 4001).
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from math import erf, factorial, sqrt
+from math import erf, factorial, isfinite, sqrt
 
 import numpy as np
 from numpy.polynomial.hermite import hermroots
@@ -34,6 +34,7 @@ from .errors import (
     NonPositiveRho,
     ZeroNormalizer,
 )
+from .protocols import _last, _Samples
 
 __all__ = [
     "overlap_matrix",
@@ -129,7 +130,9 @@ def _simpson_rule(t_f: float, grid: int):
     """(ts, w) for composite Simpson on ts = linspace(0, t_f, grid), read-only:
     the integral of samples y on ts is w @ y, w = h/3 (1, 4, 2, ..., 4, 1).
     It agrees with scipy.integrate.simpson(y, x=ts) to grid * eps * (|w| @
-    |y|). grid must be odd and at least 3."""
+    |y|). t_f must be positive and finite, grid odd and at least 3."""
+    if not (t_f > 0.0 and isfinite(t_f)):
+        raise ValueError(f"t_f must be positive and finite, got {t_f!r}")
     if grid < 3 or grid % 2 == 0:
         raise ValueError(f"the Simpson grid must be an odd number >= 3, got {grid!r}")
     ts = np.linspace(0.0, t_f, grid)
@@ -156,57 +159,40 @@ def _overlap_sum_x(sin_g, b):
     return 2.0 * (np.sqrt((1.0 - cbsg) / 2.0) + np.sqrt((1.0 + cbsg) / 2.0))
 
 
-#: name -> (key, value): the last sin G, O_z and O_x (module docstring). A
-#: slot is replaced as one tuple and read once, so threads sharing it can
-#: recompute a value but never hit a key that is not their own.
+#: name -> (key, value): the last sin G, O_z and O_x (module docstring)
 _slots: dict = {}
 
 
-def _last(name: str, key: tuple, compute):
-    """The slot's value if its key equals key, else compute() kept there."""
-    slot = _slots.get(name)
-    if slot is not None and slot[0] == key:
-        return slot[1]
-    value = compute()
-    _slots[name] = (key, value)
-    return value
-
-
-def _samples_key(t_f: float, grid: int, samples) -> tuple:
-    """Slot key of angle samples on the Simpson grid of (t_f, grid): equal
-    only for bit-identical samples of one dtype and shape."""
-    a = np.asarray(samples)
-    return (t_f, grid, a.dtype.str, a.shape, a.tobytes())
+def _sampled(path, t_f: float, grid: int):
+    """(w, float64 samples of path on the Simpson grid (t_f, grid), slot key)."""
+    ts, w = _simpson_rule(t_f, grid)
+    samples = np.asarray(path(ts), dtype=float)
+    return w, samples, (t_f, grid, _Samples(samples))
 
 
 def _sin_g(g, key: tuple):
     """sin G of the samples g whose slot key is key, from the sine slot."""
-    return _last("sin", key, lambda: np.sin(g))
+    return _last(_slots, "sin", key, lambda: np.sin(g))
 
 
 def closed_form_O_z(g_path, t_f: float, grid: int = 4001) -> float:
     """O for X = sigma_z: (1/t_f) int 2(|sin(G/2)| + |cos(G/2)| - 1) dt."""
-    ts, w = _simpson_rule(t_f, grid)
-    g = g_path(ts)
-    key = _samples_key(t_f, grid, g)
-    return _last("O_z", key, lambda: float(
+    w, g, key = _sampled(g_path, t_f, grid)
+    return _last(_slots, "O_z", key, lambda: float(
         w @ (_overlap_sum_z(_sin_g(g, key)) - 2.0) / t_f))
 
 
 def closed_form_A_z(g_path, t_f: float, grid: int = 4001) -> float:
     """A for X = sigma_z: (1/t_f) int |sin G| dt."""
-    ts, w = _simpson_rule(t_f, grid)
-    g = g_path(ts)
-    return float(w @ np.abs(_sin_g(g, _samples_key(t_f, grid, g))) / t_f)
+    w, g, key = _sampled(g_path, t_f, grid)
+    return float(w @ np.abs(_sin_g(g, key)) / t_f)
 
 
 def closed_form_O_x(g_path, b_path, t_f: float, grid: int = 4001) -> float:
     """O for X = sigma_x, depending on both angles through cos(B) sin(G)."""
-    ts, w = _simpson_rule(t_f, grid)
-    g, b = g_path(ts), b_path(ts)
-    g_key = _samples_key(t_f, grid, g)
-    key = (g_key, _samples_key(t_f, grid, b))
-    return _last("O_x", key, lambda: float(
+    w, g, g_key = _sampled(g_path, t_f, grid)
+    _, b, b_key = _sampled(b_path, t_f, grid)
+    return _last(_slots, "O_x", (g_key, b_key), lambda: float(
         w @ (_overlap_sum_x(_sin_g(g, g_key), b) - 2.0) / t_f))
 
 

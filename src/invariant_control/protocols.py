@@ -18,7 +18,8 @@ import numpy as np
 
 from . import algebra
 from .constants import MASS_100_CA40
-from .errors import IllConditionedPhase, InvariantControlError, NonPositiveRho, NoRoot
+from .errors import (DimensionMismatch, IllConditionedPhase, InvariantControlError,
+                     NonPositiveRho, NoRoot)
 from .polynomial import BoundaryPolynomial, Constraint, horner, solve_boundary_polynomial
 
 __all__ = [
@@ -217,7 +218,8 @@ class SmoothstepChain:
     Evaluates S_{n1}(S_{n2}(...(u))) with u = clip((s - lo) / (hi - lo));
     outside the window the value is exactly 0 or 1 with zero derivatives
     (the innermost step is flat to very high order, so the seam is smooth
-    to machine precision). Samples come from _chain_samples, read-only.
+    to machine precision). A call takes the value (order 0) or the slope
+    (order 1) from _chain_samples, read-only.
     """
 
     orders: tuple[int, ...]
@@ -225,46 +227,54 @@ class SmoothstepChain:
     window: tuple[float, float] = (0.0, 1.0)
 
     def __call__(self, t, order: int = 0):
+        if order not in (0, 1):
+            raise ValueError("chain derivatives implemented up to order 1")
         if isinstance(t, _KeyedSamples):
-            return _chain_samples(self, t.t, order, t.samples)
-        return _chain_samples(self, np.asarray(t, dtype=float), order)
+            return _chain_samples(self, t.t, t.samples)[order]
+        return _chain_samples(self, np.asarray(t, dtype=float))[order]
 
-    def _evaluate(self, t, order: int):
-        s = t / self.duration
+    def _evaluate(self, t):
+        """(value, slope) at t, from one pass over the steps."""
         lo, hi = self.window
-        u = np.clip((s - lo) / (hi - lo), 0.0, 1.0)
-        scale = 1.0 / ((hi - lo) * self.duration)
-        if order == 0:
-            val = u
-            for n in reversed(self.orders):
-                val = _smoothstep_scalar(n, val, 0)
-            return val
-        if order == 1:
-            val, der = u, np.ones_like(u)
-            for n in reversed(self.orders):
-                der = der * _smoothstep_scalar(n, val, 1)
-                val = _smoothstep_scalar(n, val, 0)
-            return der * scale
-        raise ValueError("chain derivatives implemented up to order 1")
+        if not 0.0 <= lo < hi <= 1.0:
+            raise ValueError(f"chain window {self.window} is not 0 <= lo < hi <= 1")
+        val = np.clip((t / self.duration - lo) / (hi - lo), 0.0, 1.0)
+        der = np.ones_like(val)
+        for n in reversed(self.orders):
+            der = der * _smoothstep_scalar(n, val, 1)
+            val = _smoothstep_scalar(n, val, 0)
+        return val, der * (1.0 / ((hi - lo) * self.duration))
 
 
 class _Samples:
-    """The bytes of a float64 sample array as a memo key: hashed by its first
-    and last samples only and equal only to bit-identical bytes, so a lookup
-    hashes 16 bytes and compares the rest once, and samples with equal ends
-    but other interiors are distinct keys."""
+    """A float64 sample array as a slot or memo key: hashed by its first and
+    last samples only and equal only to bit-identical bytes of the same
+    shape, so a lookup hashes 16 bytes and compares the rest once, and equal
+    ends with other interiors are distinct keys."""
 
-    __slots__ = ("data", "_hash")
+    __slots__ = ("shape", "data", "_hash")
 
     def __init__(self, t: np.ndarray):
-        self.data = t.tobytes()
+        self.shape, self.data = t.shape, t.tobytes()
         self._hash = hash((self.data[:8], self.data[-8:]))
 
     def __hash__(self):
         return self._hash
 
     def __eq__(self, other):
-        return self.data == other.data
+        return self.shape == other.shape and self.data == other.data
+
+
+def _last(slots: dict, name, key, compute):
+    """slots[name]'s value if its key equals key, else compute() kept there,
+    as one (key, value) tuple read once: threads sharing a slot can recompute
+    a value but never hit a key that is not their own."""
+    slot = slots.get(name)
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    value = compute()
+    slots[name] = (key, value)
+    return value
 
 
 class _KeyedSamples:
@@ -282,10 +292,10 @@ class _SampleMemo:
 
     A chain depends only on (orders, duration, window), while the free
     coefficients of a family enter only the PathCombo weights, so a scan
-    samples the same chains on the same grid in every cell. An entry is keyed
-    by the chain, the order, the shape and the _Samples of t, so only equal
-    samples hit; it counts the bytes of the samples and of its value, and the
-    memo drops its oldest entries to hold at most max_bytes. A lock keeps the
+    samples the same chains on the same grid in every cell. An entry, keyed
+    by the chain and the _Samples of t so only equal samples hit, holds the
+    value and slope of one _evaluate and counts the bytes of t, value and
+    slope; the oldest entries go to hold at most max_bytes. A lock keeps the
     entries and their byte count consistent when threads share the memo.
     """
 
@@ -295,29 +305,30 @@ class _SampleMemo:
         self._entries: OrderedDict = OrderedDict()
         self._lock = Lock()
 
-    def __call__(self, chain: SmoothstepChain, t: np.ndarray, order: int,
-                 samples: _Samples | None = None) -> np.ndarray:
-        """Samples of chain at t; samples, if given, is the _Samples of t."""
-        key = (chain, order, t.shape, samples if samples is not None else _Samples(t))
+    def __call__(self, chain: SmoothstepChain, t: np.ndarray,
+                 samples: _Samples | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(value, slope) of chain at t; samples, if given, is the _Samples of t."""
+        key = (chain, samples if samples is not None else _Samples(t))
         with self._lock:
-            val = self._entries.get(key)
-            if val is not None:
+            pair = self._entries.get(key)
+            if pair is not None:
                 self._entries.move_to_end(key)
-                return val
-            val = np.asarray(chain._evaluate(t, order))
-            val.flags.writeable = False
-            if t.nbytes + val.nbytes <= self.max_bytes:
-                self._entries[key] = val
-                self.nbytes += t.nbytes + val.nbytes
+                return pair
+            val, der = map(np.asarray, chain._evaluate(t))
+            val.flags.writeable = der.flags.writeable = False
+            pair, size = (val, der), t.nbytes + val.nbytes + der.nbytes
+            if size <= self.max_bytes:
+                self._entries[key] = pair
+                self.nbytes += size
                 while self.nbytes > self.max_bytes:
-                    (*_, old_t), old = self._entries.popitem(last=False)
-                    self.nbytes -= len(old_t.data) + old.nbytes
-            return val
+                    (_, old_t), (val, der) = self._entries.popitem(last=False)
+                    self.nbytes -= len(old_t.data) + val.nbytes + der.nbytes
+            return pair
 
 
 #: the 4001-point closed-form grid and the first Magnus-6 batch of a
-#: two-level cell (1152 nodes; six chains at two orders) fit in 4 MiB; a
-#: batch of 2^16 half steps, three nodes each, takes 3 MiB per chain and order
+#: two-level cell (1152 nodes; six chains) fit in 4 MiB; a batch of 2^16
+#: half steps, three nodes each, takes 4.5 MiB per chain and is not held
 _chain_samples = _SampleMemo(4 << 20)
 
 
@@ -328,12 +339,12 @@ class PathCombo:
     chain with t (_KeyedSamples), so their memo lookups copy no more bytes.
 
     Samples are read-only. Each derivative order keeps its last samples of a
-    read-only t in one slot, keyed by the shape and the _Samples of t, so a
-    repeat call on equal samples (the closed forms of one cell on the cached
-    Simpson grid) returns the same array. Any other call replaces the slot;
-    a writable t (a fresh Magnus batch, not asked for again) empties it, as
-    holding those samples through an integration moved a two-level cell's
-    heap into about 550 minor page faults per benchmark tls_scan pass.
+    read-only t in one slot (_last), keyed by the _Samples of t, so a repeat
+    call on equal samples (the closed forms of one cell on the cached
+    Simpson grid) returns the same array. A writable t (a fresh Magnus
+    batch, not asked for again) empties its order's slot, as holding those
+    samples through an integration moved a two-level cell's heap into about
+    550 minor page faults per benchmark tls_scan pass.
     """
 
     constant: float
@@ -342,29 +353,26 @@ class PathCombo:
     _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.weights) != len(self.paths):
+            raise DimensionMismatch(f"{len(self.weights)} path weights for {len(self.paths)} paths")
         if not all(map(isfinite, (self.constant, *self.weights))):
             raise InvariantControlError(f"path weights {self.weights} are not all finite")
 
     def __call__(self, t, order: int = 0):
         t = np.asarray(t, dtype=float)
-        keep = not t.flags.writeable
-        samples = _Samples(t) if keep or any(self.weights) else None
-        if keep:
-            key = (t.shape, samples)
-            slot = self._samples.get(order)
-            if slot is not None and slot[0] == key:
-                return slot[1]
-        else:
+        if t.flags.writeable:
             self._samples.pop(order, None)
+            return self._combine(t, order, _Samples(t) if any(self.weights) else None)
+        samples = _Samples(t)
+        return _last(self._samples, order, samples, lambda: self._combine(t, order, samples))
+
+    def _combine(self, t, order, samples):
         keyed = _KeyedSamples(t, samples)
         acc = np.full(t.shape, self.constant if order == 0 else 0.0)
         for w, p in zip(self.weights, self.paths):
             if w != 0.0:
-                acc = acc + w * p(keyed, order)
-        acc = np.asarray(acc)
+                acc += w * p(keyed, order)
         acc.flags.writeable = False
-        if keep:
-            self._samples[order] = (key, acc)
         return acc
 
 
@@ -383,6 +391,8 @@ def make_tls_steep_protocol(delta0: float, t_f: float, g4: float) -> TlsProtocol
     full steepness of the composed smoothstep chain DEFAULT_STEEP_CHAIN;
     values beyond 1 extrapolate along the same ray. B stays at pi/2.
     """
+    if not (t_f > 0.0 and isfinite(t_f)):
+        raise ValueError("t_f must be positive and finite")
     base = SmoothstepChain((1,), t_f)
     steep = SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f)
     g_path = PathCombo(np.pi, (-np.pi * (1.0 - g4), -np.pi * g4), (base, steep))
@@ -405,6 +415,8 @@ def make_tls_dual_protocol(delta0: float, t_f: float, shape: float,
     G sits at a pole would require a divergent detuning, so without a
     plateau B stays flat.
     """
+    if not (t_f > 0.0 and isfinite(t_f)):
+        raise ValueError("t_f must be positive and finite")
     if not -1.0 <= shape <= 1.0:
         raise ValueError("shape must lie in [-1, 1]")
     if not 0.0 <= b_dip <= 1.0:

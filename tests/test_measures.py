@@ -144,6 +144,19 @@ def test_even_or_too_small_simpson_grid_raises(grid):
         measures.average_power(flat, np.ones(max(grid, 1)), 1.0, 1.0, grid=grid)
 
 
+@pytest.mark.parametrize("t_f", [0.0, -1.0, np.inf, np.nan])
+def test_a_t_f_not_positive_and_finite_raises(t_f):
+    def flat(t):
+        return np.ones_like(t)
+
+    with pytest.raises(ValueError, match="positive and finite"):
+        measures.closed_form_O_z(flat, t_f)
+    with pytest.raises(ValueError, match="positive and finite"):
+        measures.ho_overlap_Sn(flat, 0, 1.0, 1.0, t_f)
+    with pytest.raises(ValueError, match="positive and finite"):
+        measures.average_power(flat, np.ones(2001), 1.0, t_f)
+
+
 def test_weighted_average():
     assert measures.weighted_average([1.0, 3.0], [1.0, 1.0]) == pytest.approx(2.0)
     assert measures.weighted_average([1.0, 3.0], [2.0, 0.0]) == pytest.approx(1.0)
@@ -349,6 +362,6 @@ def test_closed_form_slots_hold_at_most_five_grid_arrays():
         held = 0
         for key, value in measures._slots.values():
             parts = key if isinstance(key[0], tuple) else (key,)
-            held += sum(len(part[-1]) for part in parts) + getattr(value, "nbytes", 0)
+            held += sum(len(part[-1].data) for part in parts) + getattr(value, "nbytes", 0)
         assert held <= 40 * 4001
     assert set(measures._slots) == {"sin", "O_z", "O_x"}

@@ -16,7 +16,8 @@ from scipy.interpolate import CubicSpline
 from invariant_control import algebra, cli, dynamics, measures, optimize, protocols
 from invariant_control.constants import MASS_100_CA40, TWO_PI
 from invariant_control.dynamics import tls_fidelity
-from invariant_control.errors import IllConditionedPhase, InvariantControlError, NonPositiveRho, NoRoot
+from invariant_control.errors import (DimensionMismatch, IllConditionedPhase, InvariantControlError,
+                                     NonPositiveRho, NoRoot)
 from invariant_control.polynomial import BoundaryPolynomial
 from invariant_control.protocols import (
     BSpec,
@@ -141,6 +142,39 @@ def test_windowed_chain_flat_outside_window():
     np.testing.assert_array_equal(chain(ts, 1), 0.0)
 
 
+@pytest.mark.parametrize("window", [(0.8, 0.2), (0.5, 0.5), (-0.1, 0.5), (0.5, 1.1),
+                                    (np.nan, 0.5)])
+def test_a_chain_window_outside_the_unit_interval_raises(window):
+    chain = SmoothstepChain((3,), 1.0, window=window)
+    for order in (0, 1):
+        with pytest.raises(ValueError, match="window"):
+            chain(np.linspace(0.0, 1.0, 5), order)
+
+
+def test_a_chain_order_other_than_0_or_1_raises():
+    chain = SmoothstepChain((3,), 1.0)
+    ts = np.linspace(0.0, 1.0, 5)
+    chain(ts)  # the memo holds value and slope: a negative index would pick one
+    for order in (-2, -1, 2):
+        with pytest.raises(ValueError, match="up to order 1"):
+            chain(ts, order)
+
+
+def test_path_combo_weights_and_paths_of_unequal_length_raise():
+    chain = SmoothstepChain((3,), T_F)
+    for weights in ((1.0, 2.0), ()):
+        with pytest.raises(DimensionMismatch):
+            protocols.PathCombo(0.0, weights, (chain,))
+
+
+@pytest.mark.parametrize("t_f", [-0.5e-3, 0.0, np.inf, np.nan])
+def test_chain_families_reject_a_t_f_not_positive_and_finite(t_f):
+    with pytest.raises(ValueError, match="positive and finite"):
+        make_tls_steep_protocol(DELTA0, t_f, 0.5)
+    with pytest.raises(ValueError, match="positive and finite"):
+        make_tls_dual_protocol(DELTA0, t_f, -0.5, 0.5)
+
+
 def _composed(chain, ts, order):
     """chain(ts, order) composed step by step from _smoothstep_scalar."""
     lo, hi = chain.window
@@ -158,9 +192,9 @@ def _counting_evaluate(monkeypatch):
     seen = []
     evaluate = SmoothstepChain._evaluate
 
-    def counting(self, t, order):
-        seen.append((self, order, len(t)))
-        return evaluate(self, t, order)
+    def counting(self, t):
+        seen.append((self, len(t)))
+        return evaluate(self, t)
 
     monkeypatch.setattr(SmoothstepChain, "_evaluate", counting)
     return seen
@@ -172,7 +206,7 @@ def test_memoized_chain_samples_equal_a_fresh_evaluation(order):
     ts = np.linspace(0.0, T_F, 1001)
     first, again = chain(ts, order), chain(ts.copy(), order)
     assert again is first  # equal samples hit
-    assert np.array_equal(first, chain._evaluate(ts, order))
+    assert np.array_equal(first, chain._evaluate(ts)[order])
     assert np.array_equal(first, _composed(chain, ts, order))
     assert not first.flags.writeable
     with pytest.raises(ValueError):
@@ -196,7 +230,29 @@ def test_chain_memo_hits_only_equal_samples(monkeypatch):
         assert np.array_equal(other(ts), _composed(other, ts, 0))
     assert np.array_equal(chain(ts, 1), _composed(chain, ts, 1))
     assert chain(ts) is base
-    assert len(seen) == 6  # base, moved, three others, order 1: no collision
+    assert len(seen) == 5  # base (order 1 hits), moved, three others: no collision
+
+
+def _held(memo):
+    """Bytes of the t, value and slope of every memo entry."""
+    return sum(len(samples.data) + val.nbytes + der.nbytes
+               for (_, samples), (val, der) in memo._entries.items())
+
+
+def test_one_evaluation_serves_both_orders(monkeypatch):
+    seen = _counting_evaluate(monkeypatch)
+    ts = np.linspace(0.0, T_F, 801)
+    chain = SmoothstepChain(DEFAULT_STEEP_CHAIN, T_F, window=(0.05, 0.9))
+    value, slope = chain(ts), chain(ts.copy(), 1)
+    assert seen == [(chain, 801)]
+    assert np.array_equal(value, _composed(chain, ts, 0))
+    assert np.array_equal(slope, _composed(chain, ts, 1))
+    # both orders of a three-chain G on a writable batch: one pass per chain
+    g = make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.7).g_poly
+    batch = np.linspace(0.0, T_F, 601)
+    seen.clear()
+    g(batch), g(batch, 1)
+    assert sorted(n for _, n in seen) == [601] * 3 and len(set(seen)) == 3
 
 
 def test_chain_memo_stays_within_its_bound():
@@ -204,15 +260,15 @@ def test_chain_memo_stays_within_its_bound():
     chain = SmoothstepChain((3,), 1.0)
     for n in range(1, 400, 7):
         ts = np.linspace(0.0, 1.0, n)
-        assert np.array_equal(memo(chain, ts, 0), _composed(chain, ts, 0))
-        held = sum(len(key[-1].data) + val.nbytes for key, val in memo._entries.items())
-        assert memo.nbytes == held <= memo.max_bytes
+        assert np.array_equal(memo(chain, ts)[0], _composed(chain, ts, 0))
+        assert memo.nbytes == _held(memo) <= memo.max_bytes
     # the newest entry stays; one larger than the bound is returned, not held
-    assert memo(chain, ts, 0) is memo(chain, ts.copy(), 0)
-    big = np.linspace(0.0, 1.0, 5000)
-    out = memo(chain, big, 0)
-    assert np.array_equal(out, _composed(chain, big, 0)) and memo.nbytes <= memo.max_bytes
-    assert memo(chain, big, 0) is not out
+    assert memo(chain, ts) is memo(chain, ts.copy())
+    big = np.linspace(0.0, 1.0, 3000)  # t and value 48 kB, with the slope 72 kB
+    out = memo(chain, big)
+    assert all(np.array_equal(out[k], _composed(chain, big, k)) for k in (0, 1))
+    assert memo.nbytes <= memo.max_bytes
+    assert memo(chain, big)[0] is not out[0]
     assert protocols._chain_samples.nbytes <= protocols._chain_samples.max_bytes
 
 
@@ -226,7 +282,7 @@ def test_chain_memo_shared_by_threads_keeps_its_count():
         rng = np.random.default_rng(seed)
         for _ in range(300):
             chain, ts = chains[rng.integers(2)], grids[rng.integers(len(grids))]
-            if not np.array_equal(memo(chain, ts, 0), _composed(chain, ts, 0)):
+            if not np.array_equal(memo(chain, ts)[0], _composed(chain, ts, 0)):
                 wrong.append(seed)
 
     interval = sys.getswitchinterval()
@@ -240,13 +296,13 @@ def test_chain_memo_shared_by_threads_keeps_its_count():
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads) and not wrong
-    held = sum(len(key[-1].data) + val.nbytes for key, val in memo._entries.items())
-    assert memo.nbytes == held <= memo.max_bytes
+    assert memo.nbytes == _held(memo) <= memo.max_bytes
 
 
 def test_dual_scan_samples_each_chain_once_per_grid(monkeypatch):
     # a chain depends on (orders, duration, window) only: over a 9-cell
-    # tls_dual scan of the closed forms each one is sampled once on the grid
+    # tls_dual scan of the closed forms each one is sampled once on the grid,
+    # value and slope together: two smoothstep calls per level
     calls = []
 
     def counting(n, u, order):
@@ -269,7 +325,7 @@ def test_dual_scan_samples_each_chain_once_per_grid(monkeypatch):
     rows = optimize.scan(cell, [[-1.0, 1.0], [0.0, 1.0]], [3, 3])
     # base, steep, early = rise and late = fall: B's windows are G's
     assert len(rows) == 9 and len(chains) == 4
-    assert len(calls) == sum(len(c.orders) for c in chains)
+    assert len(calls) == 2 * sum(len(c.orders) for c in chains)
 
 
 def _read_only(a):
