@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from math import comb, cos, isfinite, sin
 from threading import Lock
 
@@ -46,6 +46,15 @@ _REAL_ROOT_TOL = 1e-7
 #: largest admitted cancellation of the sqrt_poly phase sum: it then loses at
 #: most three of sixteen digits (default and benchmark fig4 cells: <= 3.4)
 _PHASE_CANCELLATION_MAX = 1e3
+#: largest relative miss of a g-constrained protocol's phase integral: the
+#: solved cells of the default and benchmark scans miss by at most 4.3e-15
+_PHASE_MISS_MAX = 1e-9
+
+
+def _check_positive(**values):
+    """ValueError unless every value is positive and finite."""
+    if not all(v > 0.0 and isfinite(v) for v in values.values()):
+        raise ValueError(f"{', '.join(values)} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -154,8 +163,7 @@ def make_tls_protocol(delta0: float, t_f: float, g_extra=(), b_spec: BSpec | Non
     (in the scaled variable t/t_f) deform the path without touching the
     boundary conditions.
     """
-    if t_f <= 0:
-        raise ValueError("t_f must be positive")
+    _check_positive(t_f=t_f)
     if b_spec is None:
         b_spec = BSpec()
     g_poly = _solve_angle_poly(t_f, np.pi, 0.0, 0.0, 0.0, g_extra)
@@ -359,6 +367,8 @@ class PathCombo:
             raise InvariantControlError(f"path weights {self.weights} are not all finite")
 
     def __call__(self, t, order: int = 0):
+        if order not in (0, 1):
+            raise ValueError("path derivatives implemented up to order 1")
         t = np.asarray(t, dtype=float)
         if t.flags.writeable:
             self._samples.pop(order, None)
@@ -391,8 +401,7 @@ def make_tls_steep_protocol(delta0: float, t_f: float, g4: float) -> TlsProtocol
     full steepness of the composed smoothstep chain DEFAULT_STEEP_CHAIN;
     values beyond 1 extrapolate along the same ray. B stays at pi/2.
     """
-    if not (t_f > 0.0 and isfinite(t_f)):
-        raise ValueError("t_f must be positive and finite")
+    _check_positive(t_f=t_f)
     base = SmoothstepChain((1,), t_f)
     steep = SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f)
     g_path = PathCombo(np.pi, (-np.pi * (1.0 - g4), -np.pi * g4), (base, steep))
@@ -415,8 +424,7 @@ def make_tls_dual_protocol(delta0: float, t_f: float, shape: float,
     G sits at a pole would require a divergent detuning, so without a
     plateau B stays flat.
     """
-    if not (t_f > 0.0 and isfinite(t_f)):
-        raise ValueError("t_f must be positive and finite")
+    _check_positive(t_f=t_f)
     if not -1.0 <= shape <= 1.0:
         raise ValueError("shape must lie in [-1, 1]")
     if not 0.0 <= b_dip <= 1.0:
@@ -628,12 +636,26 @@ def make_ho_protocol(
     """Build a trap-expansion protocol satisfying the six Ermakov boundary
     conditions rho(0)=1, rho(t_f)=sqrt(omega0/omega_f), rhodot = rhoddot = 0
     at both edges."""
-    if min(omega0, omega_f, mass, t_f) <= 0:
-        raise ValueError("omega0, omega_f, mass and t_f must be positive")
+    _check_positive(omega0=omega0, omega_f=omega_f, mass=mass, t_f=t_f)
     return HoProtocol(
         inner=_ermakov_inner(omega0, omega_f, t_f, form, tuple(r_extra)), form=form,
         omega0=omega0, omega_f=omega_f, mass=mass, t_f=t_f,
     )
+
+
+@lru_cache(maxsize=16)
+def _ermakov_basis(omega0, omega_f, t_f, form):
+    """(c0, e6, e7, g0, g6, g7), the arrays read-only: the inner polynomial
+    P with the free values (r6, r7) has the coefficients c0 + r6 e6 + r7 e7
+    and the integral g0 + r6 g6 + r7 g7 over [0, t_f], both affine in (r6,
+    r7). Three solves per key, at (r6, r7) = (0, 0), (1, 0) and (0, 1)."""
+    c0, c6, c7 = (_ermakov_inner(omega0, omega_f, t_f, form, extra).coefficients
+                  for extra in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+    e6, e7 = c6 - c0, c7 - c0
+    for c in (c0, e6, e7):
+        c.flags.writeable = False
+    g0, g6, g7 = (float(BoundaryPolynomial(c, t_f).antiderivative_at(t_f)) for c in (c0, e6, e7))
+    return c0, e6, e7, g0, g6, g7
 
 
 def constrain_g_phase(
@@ -649,20 +671,38 @@ def constrain_g_phase(
 
     Only the inverse-square-root form is solved: its integrand 1/rho^2 is the
     inner polynomial, so g is affine in r7 and the root is exact. r6 is the
-    scan parameter of the family.
+    scan parameter of the family. The coefficients and g are affine in (r6,
+    r7), so the Ermakov system is solved once per (omega0, omega_f, t_f)
+    into a basis (_ermakov_basis, cached), and each build takes r7 in
+    closed form and the coefficients as one three-term combination, without
+    a solve. Against the three solves per build that this replaced, on the
+    default fig3 and benchmark cells: S0 within 5.7e-14 relative, omega^2
+    within 5.7e-14 of its maximum, r7 within 1.6e-12 relative, the phase
+    within 4.3e-15 of g_target (the three solves: 4.3e-14), and on the fig3
+    scan widened to r6 in [-2000, 2000] the same cells infeasible. A phase
+    that misses g_target by more than _PHASE_MISS_MAX relative raises
+    NoRoot: the coefficients then cancel past double precision.
     """
+    _check_positive(omega0=omega0, omega_f=omega_f, mass=mass, t_f=t_f)
     if form != "inverse_sqrt_poly":
         raise ValueError(f"the phase constraint is solved for the inverse_sqrt_poly "
                          f"form only, got {form!r}")
-    # g(r7) = int P dt is affine in the free coefficient; sample it at
-    # r7 = 0 and 1 without positivity checks, then solve the line
-    g0, g1 = (float(_ermakov_inner(omega0, omega_f, t_f, form, (r6, r7)).antiderivative_at(t_f))
-              for r7 in (0.0, 1.0))
-    if g1 == g0:
+    c0, e6, e7, g0, g6, g7 = _ermakov_basis(omega0, omega_f, t_f, form)
+    if g7 == 0.0:
         raise NoRoot("phase integral does not depend on r7")
+    r6 = float(r6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r7 = (g_target - g0 - r6 * g6) / g7
+        coeffs = c0 + r6 * e6 + r7 * e7
+    if not np.isfinite(coeffs).all():
+        raise InvariantControlError("the polynomial coefficients are not finite")
     # positivity of the inner polynomial is enforced by the constructor;
     # an infeasible g_target surfaces as NonPositiveRho here
-    return make_ho_protocol(omega0, omega_f, mass, t_f, form, (r6, (g_target - g0) / (g1 - g0)))
+    proto = HoProtocol(inner=BoundaryPolynomial(coeffs, t_f, (r6, float(r7))), form=form,
+                       omega0=omega0, omega_f=omega_f, mass=mass, t_f=t_f)
+    if not abs(proto.g_phase - g_target) <= _PHASE_MISS_MAX * abs(g_target):
+        raise NoRoot(f"the phase integral {proto.g_phase:.6g} misses g_target {g_target:.6g}")
+    return proto
 
 
 @dataclass(frozen=True)
@@ -725,8 +765,7 @@ class ConstantMuControl:
 
 def make_constant_mu_protocol(omega0: float, omega_f: float, t_f: float,
                               mass: float = MASS_100_CA40) -> ConstantMuControl:
-    if min(omega0, omega_f, t_f, mass) <= 0:
-        raise ValueError("omega0, omega_f, t_f and mass must be positive")
+    _check_positive(omega0=omega0, omega_f=omega_f, t_f=t_f, mass=mass)
     return ConstantMuControl(omega0=omega0, omega_f=omega_f, t_f=t_f, mass=mass)
 
 

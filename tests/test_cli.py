@@ -234,7 +234,10 @@ def test_default_two_level_figures_are_byte_identical(tmp_path, figure, digest):
 
 
 @pytest.mark.parametrize("figure, digests", [
-    ("fig3", {"fig3": "870bf3161c7299c7", "fig3_trace": "377c0f6f7745adfb"}),
+    # fig3_trace re-pinned when g-constrained builds combined a cached affine
+    # basis instead of solving three times: 21 of 802 rows changed omega_sq
+    # by at most 5.2e-12 relative (1.0e-12 of its maximum), the table not
+    ("fig3", {"fig3": "870bf3161c7299c7", "fig3_trace": "1f2d9e520b1a3e8d"}),
     # fig4 re-pinned when the Magnus kernel's products moved from matmul to
     # einsum: 3 of 30 rows changed F by at most 2.0e-12, the power column not
     ("fig4", {"fig4": "7733bc7c6dacebff"}),

@@ -1295,10 +1295,13 @@ def test_exact_q_moments_reject_other_channels():
 
 
 def test_q_noise_quadrature_raises_past_its_interval_cap():
-    # r6 = -1.4e16 gives a g-constrained fig3 protocol with 3.4e17 periods of
-    # phase: the quadrature refuses its 5e18 intervals instead of sweeping them
+    # free values (-1.4e16, -2.0e14) give a fig3-like protocol with 3.4e17
+    # periods of phase: the quadrature refuses its 5e18 intervals instead of
+    # sweeping them (constrain_g_phase rejects this r6: its phase cannot hit
+    # the target in double precision)
     omega0 = TWO_PI * 15.92e6
-    proto = constrain_g_phase(omega0, omega0 / 100.0, 50.5e-6, r6=-1.4097324734086768e16)
+    proto = make_ho_protocol(omega0, omega0 / 100.0,
+                             r_extra=(-1.4097324734086768e16, -195530639951983.28))
     assert float(proto.theta(proto.t_f)) / np.pi > 1e17
     with pytest.raises(StepSizeUnderflow, match="intervals"):
         dynamics.coherent_fidelity(proto, 1.0 + 1.0j, dynamics.NoiseChannel("q", 10.0))

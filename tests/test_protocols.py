@@ -13,7 +13,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import cumulative_simpson, quad, simpson
 from scipy.interpolate import CubicSpline
 
-from invariant_control import algebra, cli, dynamics, measures, optimize, protocols
+from invariant_control import algebra, cli, dynamics, measures, optimize, polynomial, protocols
 from invariant_control.constants import MASS_100_CA40, TWO_PI
 from invariant_control.dynamics import tls_fidelity
 from invariant_control.errors import (DimensionMismatch, IllConditionedPhase, InvariantControlError,
@@ -155,9 +155,13 @@ def test_a_chain_order_other_than_0_or_1_raises():
     chain = SmoothstepChain((3,), 1.0)
     ts = np.linspace(0.0, 1.0, 5)
     chain(ts)  # the memo holds value and slope: a negative index would pick one
+    # a combo raises whether or not any of its weights is nonzero
+    combos = (protocols.PathCombo(np.pi / 2, (), ()), protocols.PathCombo(0.5, (0.0,), (chain,)),
+              protocols.PathCombo(0.5, (1.0,), (chain,)))
     for order in (-2, -1, 2):
-        with pytest.raises(ValueError, match="up to order 1"):
-            chain(ts, order)
+        for path in (chain, *combos):
+            with pytest.raises(ValueError, match="up to order 1"):
+                path(ts, order)
 
 
 def test_path_combo_weights_and_paths_of_unequal_length_raise():
@@ -713,13 +717,18 @@ def _default_trap_cells():
             for proto in _trap_cells(cli.ExperimentConfig(experiment=experiment))]
 
 
-def _benchmark_thermal_cells(seed):
-    """The sqrt_poly cells of the benchmark's ho_thermal workload at seed."""
+def _benchmark_inputs(workload, seed):
+    """The benchmark's seeded inputs of workload (perfbench/inputs.py)."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    return [proto for cfg in inputs.make_inputs("ho_thermal", seed)["configs"].values()
+    return inputs.make_inputs(workload, seed)
+
+
+def _benchmark_thermal_cells(seed):
+    """The sqrt_poly cells of the benchmark's ho_thermal workload at seed."""
+    return [proto for cfg in _benchmark_inputs("ho_thermal", seed)["configs"].values()
             for proto in _trap_cells(cli.ExperimentConfig.from_dict(cfg))]
 
 
@@ -832,6 +841,218 @@ def test_constrain_g_phase_solves_only_the_inverse_sqrt_form():
         constrain_g_phase(omega0, omega0 / 100.0, 5e-6, t_f=10e-6, form="sqrt_poly")
 
 
+@pytest.fixture
+def fresh_ermakov_basis():
+    """An empty _ermakov_basis cache before and after the test, so a basis
+    built under a patched solve never outlives it."""
+    protocols._ermakov_basis.cache_clear()
+    yield protocols._ermakov_basis
+    protocols._ermakov_basis.cache_clear()
+
+
+def _three_solve_constrain(omega0, omega_f, g_target, mass, t_f, r6):
+    """The g-constrained build that the cached affine basis replaced, kept as
+    its oracle: solve at r7 = 0 and 1, put r7 on the line through the two
+    phases, and solve a third time there."""
+    g0, g1 = (float(protocols._ermakov_inner(omega0, omega_f, t_f, "inverse_sqrt_poly", (r6, r7))
+                    .antiderivative_at(t_f)) for r7 in (0.0, 1.0))
+    if g1 == g0:
+        raise NoRoot("phase integral does not depend on r7")
+    return make_ho_protocol(omega0, omega_f, mass, t_f, "inverse_sqrt_poly",
+                            (r6, (g_target - g0) / (g1 - g0)))
+
+
+def _coherent_cells(config):
+    """(omega0, omega_f, g_target, mass, t_f, r6) of every cell that a scan
+    of config builds."""
+    cells = []
+    for _, family, ranges, sizes in cli._EXPERIMENTS[config.experiment].plan(config):
+        p = family.params
+
+        def record(free):
+            cells.append((p["omega0"], p["omega_f"], p["g_target"], p["mass"], family.t_f,
+                          free[0]))
+            return 0.0
+
+        optimize.scan(record, ranges, sizes)
+    return cells
+
+
+def _design_cells(seed):
+    """The cells of the benchmark design's constrained scan at seed."""
+    c = _benchmark_inputs("design", seed)["spec"]["coherent"]
+    return [(c["omega0"], c["omega0"] / c["omega_ratio"], c["g_target"], c["mass"], c["t_f"],
+             float(r6)) for r6 in np.linspace(*c["r6"], c["size"])]
+
+
+def _constrained_deviations(cells):
+    """Largest deviations of constrain_g_phase from the three-solve oracle
+    over cells, and the r6 of the cells that both find infeasible."""
+    dev = dict.fromkeys(("s0", "w_sq", "r7", "miss", "oracle_miss"), 0.0)
+    infeasible = []
+    for omega0, omega_f, g_target, mass, t_f, r6 in cells:
+        protos = []
+        for build in (constrain_g_phase, _three_solve_constrain):
+            try:
+                protos.append(build(omega0, omega_f, g_target, mass, t_f, r6=r6))
+            except (NonPositiveRho, NoRoot):
+                protos.append(None)
+        if None in protos:
+            assert protos == [None, None], r6
+            infeasible.append(r6)
+            continue
+        new, old = protos
+        assert new.inner.free_values[0] == old.inner.free_values[0] == r6
+        s0_new, s0_old = (measures.ho_overlap_Sn(p.rho, 0, mass, omega0, t_f) for p in protos)
+        ts = np.linspace(0.0, t_f, 4001)
+        w_new, w_old = new.omega_sq(ts), old.omega_sq(ts)
+        for key, value in (("s0", abs(s0_new / s0_old - 1.0)),
+                           ("w_sq", np.abs(w_new - w_old).max() / np.abs(w_old).max()),
+                           ("r7", abs(new.inner.free_values[1] / old.inner.free_values[1] - 1.0)),
+                           ("miss", abs(new.g_phase / g_target - 1.0)),
+                           ("oracle_miss", abs(old.g_phase / g_target - 1.0))):
+            dev[key] = max(dev[key], float(value))
+    return dev, infeasible
+
+
+def test_constrained_builds_agree_with_the_three_solve_oracle():
+    # the cells that run: the default fig3 scan, the benchmark's ho_coherent
+    # cells at seed 1 and its design scans at seeds 1, 5, 7 and 29, 492 in
+    # all. Measured: S0 within 5.7e-14 relative, omega^2 within 5.7e-14 of
+    # its maximum on the design's 4001-point grid, r7 within 1.6e-12
+    # relative, and the phase within 4.3e-15 of g_target (the oracle: 4.3e-14)
+    cells = _coherent_cells(cli.ExperimentConfig(experiment="ho_coherent"))
+    for cfg in _benchmark_inputs("ho_coherent", 1)["configs"].values():
+        cells += _coherent_cells(cli.ExperimentConfig.from_dict(cfg))
+    for seed in (1, 5, 7, 29):
+        cells += _design_cells(seed)
+    assert len(cells) == 9 + 3 + 4 * 120
+    dev, infeasible = _constrained_deviations(cells)
+    assert not infeasible
+    bounds = {"s0": 6e-14, "w_sq": 6e-14, "r7": 1.6e-12, "miss": 5e-15,
+              "oracle_miss": 5e-14}
+    assert all(dev[key] <= bound for key, bound in bounds.items()), dev
+
+
+def test_wide_constrained_scan_agrees_with_the_oracle_and_misses_less():
+    # the default fig3 scan widened to r6 in [-2000, 2000]: the same 24 of
+    # 41 cells infeasible on both routes. The feasible ones cancel more, the
+    # oracle most: it misses g_target by up to 1.9e-11, the basis by 2.5e-13
+    wide = {"experiment": "ho_coherent", "scan": {"ranges": [[-2000, 2000]], "sizes": [41]}}
+    dev, infeasible = _constrained_deviations(
+        _coherent_cells(cli.ExperimentConfig.from_dict(wide)))
+    assert len(infeasible) == 24
+    bounds = {"s0": 4.8e-11, "w_sq": 3.6e-11, "r7": 1.6e-12, "miss": 2.6e-13,
+              "oracle_miss": 2e-11}
+    assert all(dev[key] <= bound for key, bound in bounds.items()), dev
+
+
+def test_a_constrained_scan_solves_three_times_per_trap(monkeypatch, fresh_ermakov_basis):
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return polynomial.solve_boundary_polynomial(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "solve_boundary_polynomial", counting)
+    omega0, t_f = TWO_PI * 15.92e6, 30e-6
+    for repeat in range(2):
+        solves.clear()
+        for r6 in np.linspace(-20.0, 5.0, 120):
+            constrain_g_phase(omega0, omega0 / 100.0, 0.505 * t_f, t_f=t_f, r6=r6)
+        assert len(solves) == (3 if repeat == 0 else 0)
+    assert fresh_ermakov_basis.cache_info().currsize == 1
+
+
+def test_the_ermakov_basis_is_read_only_and_affine(fresh_ermakov_basis):
+    omega0, t_f = TWO_PI * 15.92e6, 100e-6
+    c0, e6, e7, g0, g6, g7 = fresh_ermakov_basis(omega0, omega0 / 100.0, t_f,
+                                                 "inverse_sqrt_poly")
+    for c in (c0, e6, e7):
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0] = 0.0
+    # the free slots hold r6 and r7 exactly
+    assert (e6[6], e6[7], e7[6], e7[7], c0[6], c0[7]) == (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=t_f, r_extra=(-3.0, 2.0))
+    c = proto.inner.coefficients
+    np.testing.assert_allclose(c, c0 - 3.0 * e6 + 2.0 * e7, rtol=0.0,
+                               atol=1e-15 * np.abs(c).max())
+    assert proto.g_phase == pytest.approx(g0 - 3.0 * g6 + 2.0 * g7, rel=1e-14)
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"g_target": np.nan}, InvariantControlError),
+    ({"g_target": np.inf}, InvariantControlError),
+    ({"g_target": -np.inf}, InvariantControlError),
+    ({"r6": np.nan}, InvariantControlError),
+    ({"r6": np.inf}, InvariantControlError),
+    ({"r6": -np.inf}, InvariantControlError),
+    ({"g_target": -10e-6}, NonPositiveRho),
+    ({"g_target": 0.0}, NonPositiveRho),
+    ({"g_target": 1e-9}, NonPositiveRho),
+    ({"form": "sqrt_poly"}, ValueError),
+])
+def test_invalid_constrained_inputs_raise_as_the_three_solve_route_did(change, error):
+    # the exception classes of the three-solve route, which the cached
+    # basis keeps
+    omega0 = TWO_PI * 15.92e6
+    args = dict(omega0=omega0, omega_f=omega0 / 100.0, g_target=50.5e-6, r6=-10.0)
+    with pytest.raises(error) as raised:
+        constrain_g_phase(**{**args, **change})
+    if error is InvariantControlError:  # not one of its subclasses
+        assert type(raised.value) is InvariantControlError
+
+
+@pytest.mark.parametrize("name", ["omega0", "omega_f", "mass", "t_f"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+def test_trap_builders_reject_a_value_not_positive_and_finite(name, value, monkeypatch,
+                                                             fresh_ermakov_basis):
+    # before any solve or basis lookup: an inf or NaN t_f used to end in the
+    # solve's LinAlgError, a NaN mass built a protocol, and a NaN key never
+    # hits the cache
+    monkeypatch.setattr(protocols, "solve_boundary_polynomial", None)
+    args = dict(omega0=TWO_PI * 15.92e6, omega_f=TWO_PI * 15.92e4, mass=MASS_100_CA40,
+                t_f=100e-6)
+    args[name] = value
+    with pytest.raises(ValueError, match="positive and finite"):
+        make_ho_protocol(**args)
+    with pytest.raises(ValueError, match="positive and finite"):
+        constrain_g_phase(g_target=50.5e-6, **args)
+    with pytest.raises(ValueError, match="positive and finite"):
+        make_constant_mu_protocol(**args)
+    if name == "t_f":
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_tls_protocol(DELTA0, value)
+    info = fresh_ermakov_basis.cache_info()
+    assert info.hits + info.misses == 0
+
+
+def test_a_constrained_phase_that_misses_its_target_raises(monkeypatch):
+    omega0, t_f = TWO_PI * 15.92e6, 100e-6
+    args = (omega0, omega0 / 100.0, 50.5e-6, MASS_100_CA40, t_f)
+    # the three-solve route returned this cell with a phase 2e14 times its
+    # target: its coefficients reach 4e16, and P's integral cancels past
+    # double precision
+    r6 = -1.4097324734086768e16
+    assert _three_solve_constrain(*args, r6).g_phase > 1e14 * 50.5e-6
+    with pytest.raises((NoRoot, NonPositiveRho)):
+        constrain_g_phase(*args, r6=r6)
+    # a basis whose phase g0 is off by 1e-6 relative (here g0 is about
+    # g_target): a cell that passes the positivity check then misses by
+    # 1e-6 and raises NoRoot, and one off by 1e-12 passes
+    c0, e6, e7, g0, g6, g7 = protocols._ermakov_basis(omega0, omega0 / 100.0, t_f,
+                                                      "inverse_sqrt_poly")
+    for off, raises in ((1e-6, True), (1e-12, False)):
+        monkeypatch.setattr(protocols, "_ermakov_basis",
+                            lambda *key, off=off: (c0, e6, e7, g0 * (1.0 + off), g6, g7))
+        if raises:
+            with pytest.raises(NoRoot, match="misses g_target"):
+                constrain_g_phase(*args, r6=-10.0)
+        else:
+            constrain_g_phase(*args, r6=-10.0)
+
+
 def test_constant_mu_protocol():
     omega0, omega_f, t_f = TWO_PI * 2.53e6, TWO_PI * 2.53e4, 10e-6
     ref = make_constant_mu_protocol(omega0, omega_f, t_f)
@@ -893,7 +1114,9 @@ def test_family_builds_go_through_the_module_level_builders(monkeypatch):
     expected = {
         "tls_steep_blend": ["make_tls_steep_protocol"],
         "tls_dual": ["make_tls_dual_protocol"],
-        "ho_coherent": ["constrain_g_phase", "make_ho_protocol"],
+        # the constrained build combines a cached basis, without a solve or
+        # a make_ho_protocol call of its own
+        "ho_coherent": ["constrain_g_phase"],
         "ho_thermal": ["make_ho_protocol"],
         "ho_constant_mu": ["make_constant_mu_protocol"],
     }
