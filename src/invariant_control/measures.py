@@ -25,7 +25,6 @@ from functools import cache, lru_cache
 from math import erf, factorial, isfinite, sqrt
 
 import numpy as np
-from numpy.polynomial.hermite import hermroots
 
 from .errors import (
     AllZeroStrengths,
@@ -205,8 +204,12 @@ def weighted_average(measures, strengths) -> float:
     if np.any(eta < 0):
         raise ValueError("strengths must be nonnegative")
     total = eta.sum()
+    if not isfinite(total):
+        raise ValueError("strengths and their sum must be finite")
     if total == 0:
         raise AllZeroStrengths("all channel strengths are zero")
+    if not all(map(isfinite, m.tolist())):
+        raise ValueError("measures must be finite")
     return float(m @ eta / total)
 
 
@@ -225,9 +228,14 @@ def hermite_abs_integral(n: int) -> float:
     12), where the tails are far below roundoff. Cached: J_n depends on n
     alone, and every S_n evaluation reads it.
     """
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    roots = np.sort(hermroots(coeffs).real) if n > 0 else []
+    roots = []
+    if n > 0:
+        # numpy.polynomial loads nine modules, and only n >= 1 needs it
+        from numpy.polynomial.hermite import hermroots
+
+        coeffs = np.zeros(n + 1)
+        coeffs[n] = 1.0
+        roots = np.sort(hermroots(coeffs).real)
     edge = sqrt(2.0 * n + 1.0) + 12.0
     y = np.array([-edge, *roots, edge])
     gauss = np.exp(-0.5 * y * y)

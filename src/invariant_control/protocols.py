@@ -348,11 +348,12 @@ class PathCombo:
 
     Samples are read-only. Each derivative order keeps its last samples of a
     read-only t in one slot (_last), keyed by the _Samples of t, so a repeat
-    call on equal samples (the closed forms of one cell on the cached
-    Simpson grid) returns the same array. A writable t (a fresh Magnus
-    batch, not asked for again) empties its order's slot, as holding those
-    samples through an integration moved a two-level cell's heap into about
-    550 minor page faults per benchmark tls_scan pass.
+    call on equal samples (the closed forms of one cell, or of the cells of
+    one tls_dual shape, which share their G, on the cached Simpson grid)
+    returns the same array. A writable t (a fresh Magnus batch, not asked
+    for again) empties its order's slot, as holding those samples through an
+    integration moved a two-level cell's heap into about 550 minor page
+    faults per benchmark tls_scan pass.
     """
 
     constant: float
@@ -409,6 +410,31 @@ def make_tls_steep_protocol(delta0: float, t_f: float, g4: float) -> TlsProtocol
                        omega_r=delta0, t_f=t_f)
 
 
+def _dual_windows(t_f: float) -> tuple[SmoothstepChain, SmoothstepChain]:
+    """The tls_dual edge steps, 0 to 1 over the first and over the last
+    _DUAL_WINDOW t_f."""
+    return (SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f, window=(0.0, _DUAL_WINDOW)),
+            SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f, window=(1.0 - _DUAL_WINDOW, 1.0)))
+
+
+def _dual_g_path(t_f: float, shape: float) -> PathCombo:
+    """The tls_dual G at shape, which depends on (t_f, shape) alone."""
+    base = SmoothstepChain((1,), t_f)
+    if shape >= 0:
+        steep = SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f)
+        return PathCombo(np.pi, (-np.pi * (1.0 - shape), -np.pi * shape), (base, steep))
+    a = -shape
+    return PathCombo(np.pi, (-np.pi * (1.0 - a), -0.5 * np.pi * a, -0.5 * np.pi * a),
+                     (base, *_dual_windows(t_f)))
+
+
+#: "g" -> ((t_f, shape), G): the last tls_dual G, by the slot rule _last. The
+#: cells of one shape (a scan's inner b_dip axis) share one PathCombo and so
+#: its per-order sample slots; shapes 0.0 and -0.0 share a key and a G, whose
+#: zero weight drops out either way
+_dual_g: dict = {}
+
+
 def make_tls_dual_protocol(delta0: float, t_f: float, shape: float,
                            b_dip: float) -> TlsProtocol:
     """Two-channel trade-off family for simultaneous sigma_z / sigma_x noise.
@@ -429,18 +455,10 @@ def make_tls_dual_protocol(delta0: float, t_f: float, shape: float,
         raise ValueError("shape must lie in [-1, 1]")
     if not 0.0 <= b_dip <= 1.0:
         raise ValueError("b_dip must lie in [0, 1]")
-    base = SmoothstepChain((1,), t_f)
-    rise = SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f, window=(0.0, _DUAL_WINDOW))
-    fall = SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f, window=(1.0 - _DUAL_WINDOW, 1.0))
-    if shape >= 0:
-        steep = SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f)
-        g_path = PathCombo(np.pi, (-np.pi * (1.0 - shape), -np.pi * shape), (base, steep))
-    else:
-        a = -shape
-        g_path = PathCombo(np.pi, (-np.pi * (1.0 - a), -0.5 * np.pi * a, -0.5 * np.pi * a),
-                           (base, rise, fall))
+    key = (float(t_f), float(shape))
+    g_path = _last(_dual_g, "g", key, lambda: _dual_g_path(*key))
     dip = 0.5 * np.pi * _DUAL_MAX_DIP * b_dip * max(0.0, -shape)
-    b_path = PathCombo(np.pi / 2, (-dip, dip), (rise, fall))
+    b_path = PathCombo(np.pi / 2, (-dip, dip), _dual_windows(t_f))
     return TlsProtocol(g_poly=g_path, b_poly=b_path, omega_r=delta0, t_f=t_f)
 
 

@@ -902,6 +902,25 @@ def test_reproducing_every_figure_loads_no_scipy(tmp_path):
     assert len(list(tmp_path.glob("*.csv"))) >= 4
 
 
+def test_reproducing_every_figure_loads_no_numpy_polynomial(tmp_path):
+    # numpy.polynomial serves the Hermite roots of J_n at n >= 1 only, and
+    # fig1-fig4 read J_0
+    code = (
+        "import sys\n"
+        "from invariant_control import cli\n"
+        "for fig in ('fig1', 'fig2', 'fig3', 'fig4'):\n"
+        "    assert cli.main(['--out', sys.argv[1], '--grid', '3', 'reproduce', fig]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+        "from invariant_control import measures\n"
+        "measures.hermite_abs_integral(2)\n"
+        "print('numpy.polynomial.hermite' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.splitlines()[-2:] == ["[]", "True"]
+
+
 def test_matrix_oracles_and_nelder_mead_load_no_scipy():
     # both RK45 oracles and the simplex descent step in numpy: a dense
     # two-level run, a Fock run of the vacuum, whose 3-level start is

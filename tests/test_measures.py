@@ -1,6 +1,7 @@
 """Noise-sensitivity measures and their closed forms."""
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,16 @@ def test_weighted_average():
         measures.weighted_average([1.0], [0.0])
     with pytest.raises(ValueError):
         measures.weighted_average([1.0, 2.0], [1.0, -1.0])
+    # a non-finite strength or measure raises, with no RuntimeWarning on the
+    # way, a measure of weight zero included
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, eta in [([1.0, 3.0], [np.nan, 1.0]), ([1.0, 3.0], [np.inf, 1.0]),
+                       ([np.nan, 3.0], [1.0, 1.0]), ([1.0, np.inf], [1.0, 1.0]),
+                       ([1.0, -np.inf], [1.0, 1.0]), ([np.nan, 3.0], [0.0, 1.0]),
+                       ([np.inf, 3.0], [0.0, 1.0])]:
+            with pytest.raises(ValueError, match="finite"):
+                measures.weighted_average(m, eta)
 
 
 def test_hermite_abs_integrals_low_orders():

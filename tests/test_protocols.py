@@ -316,6 +316,7 @@ def test_dual_scan_samples_each_chain_once_per_grid(monkeypatch):
     step = protocols._smoothstep_scalar
     monkeypatch.setattr(protocols, "_smoothstep_scalar", counting)
     monkeypatch.setattr(protocols, "_chain_samples", protocols._SampleMemo(4 << 20))
+    monkeypatch.setattr(protocols, "_dual_g", {})
     channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
     family = ProtocolFamily("tls_dual", {"delta0": DELTA0}, T_F)
     chains = set()
@@ -372,7 +373,9 @@ def test_path_combo_slot_hits_only_equal_read_only_samples_of_one_order():
 
 def test_a_dual_cell_samples_each_angle_path_once(monkeypatch):
     # cli._tls_dual_measures hands G to closed_form_O_z and closed_form_O_x:
-    # the second read hits G's slot, so each chain is called once per path
+    # the second read hits G's slot, so the first cell of a shape calls each
+    # chain once per path; a repeat cell of that shape gets the same G, whose
+    # slot already holds the samples, and calls B's chains only
     calls = []
     chain_call = SmoothstepChain.__call__
 
@@ -382,12 +385,60 @@ def test_a_dual_cell_samples_each_angle_path_once(monkeypatch):
 
     channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
     want = cli._tls_dual_measures(make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.7), None, channels)
+    monkeypatch.setattr(protocols, "_dual_g", {})
     monkeypatch.setattr(SmoothstepChain, "__call__", counting)
     proto = make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.7)
     assert cli._tls_dual_measures(proto, None, channels) == want
     g_chains, b_chains = ([(p, 0) for w, p in zip(path.weights, path.paths) if w != 0.0]
                           for path in (proto.g_poly, proto.b_poly))
     assert calls == g_chains + b_chains and len(g_chains) == 3
+    calls.clear()
+    repeat = make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.2)
+    assert repeat.g_poly is proto.g_poly
+    cli._tls_dual_measures(repeat, None, channels)
+    assert calls == b_chains
+
+
+def test_dual_cells_sharing_g_equal_fresh_builds_bit_for_bit():
+    # a 5 x 4 scan whose shape axis comes back to its first shape after
+    # another and holds 0.0 then -0.0 (one key): each cell, its G shared or
+    # not, gives the O_z, O_x, O_bar and, on every other b_dip, the
+    # fidelity of a cold cell with a fresh G and empty closed-form slots
+    shapes = (-0.5, 0.0, -0.0, 0.75, -0.5)
+    channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
+    family = ProtocolFamily("tls_dual", {"delta0": DELTA0}, T_F)
+    protos = []
+
+    def cell(coeffs):
+        i, j = round(coeffs[0]), round(3 * coeffs[1])
+        proto = family.with_free((shapes[i], coeffs[1])).build()
+        protos.append(proto)
+        out = cli._tls_dual_measures(proto, None, channels)
+        if j % 2:
+            out["fidelity"] = tls_fidelity(proto, channels)
+        return out
+
+    def cold(coeffs):
+        protocols._dual_g.clear()
+        measures._slots.clear()
+        return cell(coeffs)
+
+    ranges, sizes = [[0.0, 4.0], [0.0, 1.0]], [5, 4]
+    want = [r.measures for r in optimize.scan(cold, ranges, sizes)]
+    fresh = protos[:]
+    protos.clear()
+    protocols._dual_g.clear()
+    measures._slots.clear()
+    got = [r.measures for r in optimize.scan(cell, ranges, sizes)]
+    # repr, unlike ==, tells -0.0 from 0.0
+    assert repr(got) == repr(want) and len(got) == 20
+    assert sum("fidelity" in m for m in got) == 10
+    # one G per run of equal shapes: 0.0 and -0.0 share one, the second -0.5
+    # run builds its own, and each equals the fresh G of its cell
+    g_ids = [id(p.g_poly) for p in protos]
+    assert [len(set(g_ids[k:k + 4])) for k in range(0, 20, 4)] == [1] * 5
+    assert len(set(g_ids)) == 4 and g_ids[4] == g_ids[8] and g_ids[0] != g_ids[16]
+    assert all(p.g_poly == f.g_poly and p.g_poly is not f.g_poly for p, f in zip(protos, fresh))
 
 
 def test_dual_scan_takes_one_sine_per_distinct_g(monkeypatch):
