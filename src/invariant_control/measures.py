@@ -8,15 +8,18 @@ two-channel landscape and the average power complete the set. Every time
 integral is composite Simpson on a uniform grid, w @ y with cached weights
 w = h/3 (1, 4, 2, ..., 4, 1); scipy.integrate.simpson is its test oracle.
 
-The two-level closed forms reuse their last result on bit-identical angle
-samples, by the slot rule protocols._last. Three quantities keep one slot
-each, keyed by (t_f, grid) and the _Samples of the float64 samples: sin G
-(shared by O_z, A_z and O_x), the O_z value, and the O_x value (keyed by
-G and B). A scan that holds G fixed along its inner axis (tls_dual at one
-shape) or both angles (shape >= 0, where B stays at pi/2) takes each sine
-and overlap sum once; a hit returns a cold call's value bit for bit. The
-slots hold at most five float64 grid arrays, 40 * grid bytes (160 kB at
-grid 4001).
+The two-level closed forms reuse their last result on an equal angle path,
+by the slot rule _last. Three quantities keep one slot each: sin G (shared
+by O_z, A_z and O_x) and the O_z value keyed by (G, t_f, grid), and the O_x
+value keyed by (G, B, t_f, grid); a path is sampled on a miss only. Equal
+PathCombos give bit-identical samples on a grid (a signed zero aside, which
+|sin G| and cos B cannot see); a BoundaryPolynomial or any other callable
+is equal only to itself, and the slot's strong reference keeps its id from
+being reused. So a path must be a pure function of t. A scan whose cells
+share G (tls_dual at one shape) or both angles (shape >= 0, where B stays
+at pi/2) takes each sine and overlap sum once, and a hit returns a cold
+call's value bit for bit. The slots hold one float64 grid array, 8 * grid
+bytes (32 kB at grid 4001).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .errors import (
     NonPositiveRho,
     ZeroNormalizer,
 )
-from .protocols import _last, _Samples
 
 __all__ = [
     "overlap_matrix",
@@ -162,37 +164,43 @@ def _overlap_sum_x(sin_g, b):
 _slots: dict = {}
 
 
-def _sampled(path, t_f: float, grid: int):
-    """(w, float64 samples of path on the Simpson grid (t_f, grid), slot key)."""
-    ts, w = _simpson_rule(t_f, grid)
-    samples = np.asarray(path(ts), dtype=float)
-    return w, samples, (t_f, grid, _Samples(samples))
+def _last(slots: dict, name, key, compute):
+    """slots[name]'s value if its key equals key, else compute() kept there,
+    as one (key, value) tuple read once: threads sharing a slot can recompute
+    a value but never hit a key that is not their own."""
+    slot = slots.get(name)
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    value = compute()
+    slots[name] = (key, value)
+    return value
 
 
-def _sin_g(g, key: tuple):
-    """sin G of the samples g whose slot key is key, from the sine slot."""
-    return _last(_slots, "sin", key, lambda: np.sin(g))
+def _sin_g(g_path, ts, key: tuple):
+    """sin G on the Simpson grid ts, whose slot key is key, from the sine slot."""
+    return _last(_slots, "sin", key, lambda: np.sin(np.asarray(g_path(ts), dtype=float)))
 
 
 def closed_form_O_z(g_path, t_f: float, grid: int = 4001) -> float:
     """O for X = sigma_z: (1/t_f) int 2(|sin(G/2)| + |cos(G/2)| - 1) dt."""
-    w, g, key = _sampled(g_path, t_f, grid)
+    ts, w = _simpson_rule(t_f, grid)
+    key = (g_path, t_f, grid)
     return _last(_slots, "O_z", key, lambda: float(
-        w @ (_overlap_sum_z(_sin_g(g, key)) - 2.0) / t_f))
+        w @ (_overlap_sum_z(_sin_g(g_path, ts, key)) - 2.0) / t_f))
 
 
 def closed_form_A_z(g_path, t_f: float, grid: int = 4001) -> float:
     """A for X = sigma_z: (1/t_f) int |sin G| dt."""
-    w, g, key = _sampled(g_path, t_f, grid)
-    return float(w @ np.abs(_sin_g(g, key)) / t_f)
+    ts, w = _simpson_rule(t_f, grid)
+    return float(w @ np.abs(_sin_g(g_path, ts, (g_path, t_f, grid))) / t_f)
 
 
 def closed_form_O_x(g_path, b_path, t_f: float, grid: int = 4001) -> float:
     """O for X = sigma_x, depending on both angles through cos(B) sin(G)."""
-    w, g, g_key = _sampled(g_path, t_f, grid)
-    _, b, b_key = _sampled(b_path, t_f, grid)
-    return _last(_slots, "O_x", (g_key, b_key), lambda: float(
-        w @ (_overlap_sum_x(_sin_g(g, g_key), b) - 2.0) / t_f))
+    ts, w = _simpson_rule(t_f, grid)
+    return _last(_slots, "O_x", (g_path, b_path, t_f, grid), lambda: float(
+        w @ (_overlap_sum_x(_sin_g(g_path, ts, (g_path, t_f, grid)),
+                            np.asarray(b_path(ts), dtype=float)) - 2.0) / t_f))
 
 
 def weighted_average(measures, strengths) -> float:

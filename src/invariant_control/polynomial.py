@@ -38,9 +38,13 @@ class Constraint:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryPolynomial:
-    """Polynomial in t with coefficients stored in s = t / duration."""
+    """Polynomial in t with coefficients stored in s = t / duration.
+
+    Equal only to itself: the coefficients must not change (_derivs caches
+    what they give), and the closed-form slots of measures key on the object.
+    """
 
     coefficients: np.ndarray
     duration: float

@@ -9,7 +9,7 @@ through the Ermakov scaling function rho. A constant-mu reference expansion
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache, cached_property, lru_cache
 from math import comb, cos, isfinite, sin
 from threading import Lock
@@ -49,6 +49,11 @@ _PHASE_CANCELLATION_MAX = 1e3
 #: largest relative miss of a g-constrained protocol's phase integral: the
 #: solved cells of the default and benchmark scans miss by at most 4.3e-15
 _PHASE_MISS_MAX = 1e-9
+#: largest miss of a trap protocol's Ermakov boundary conditions in s = t /
+#: duration, relative to the larger boundary value of P (_meets_boundaries):
+#: the default and benchmark cells miss by at most 2.0e-13, the widest test
+#: scans (r6 in [-2000, 2000]) by 1.0e-11
+_BOUNDARY_MISS_MAX = 1e-9
 
 
 def _check_positive(**values):
@@ -237,8 +242,6 @@ class SmoothstepChain:
     def __call__(self, t, order: int = 0):
         if order not in (0, 1):
             raise ValueError("chain derivatives implemented up to order 1")
-        if isinstance(t, _KeyedSamples):
-            return _chain_samples(self, t.t, t.samples)[order]
         return _chain_samples(self, np.asarray(t, dtype=float))[order]
 
     def _evaluate(self, t):
@@ -255,7 +258,7 @@ class SmoothstepChain:
 
 
 class _Samples:
-    """A float64 sample array as a slot or memo key: hashed by its first and
+    """A float64 sample array as a chain memo key: hashed by its first and
     last samples only and equal only to bit-identical bytes of the same
     shape, so a lookup hashes 16 bytes and compares the rest once, and equal
     ends with other interiors are distinct keys."""
@@ -271,28 +274,6 @@ class _Samples:
 
     def __eq__(self, other):
         return self.shape == other.shape and self.data == other.data
-
-
-def _last(slots: dict, name, key, compute):
-    """slots[name]'s value if its key equals key, else compute() kept there,
-    as one (key, value) tuple read once: threads sharing a slot can recompute
-    a value but never hit a key that is not their own."""
-    slot = slots.get(name)
-    if slot is not None and slot[0] == key:
-        return slot[1]
-    value = compute()
-    slots[name] = (key, value)
-    return value
-
-
-class _KeyedSamples:
-    """Samples t with their _Samples, as a PathCombo call hands them to each
-    of its chains, so the bytes of t are copied once per call."""
-
-    __slots__ = ("t", "samples")
-
-    def __init__(self, t: np.ndarray, samples: _Samples):
-        self.t, self.samples = t, samples
 
 
 class _SampleMemo:
@@ -343,23 +324,12 @@ _chain_samples = _SampleMemo(4 << 20)
 @dataclass(frozen=True)
 class PathCombo:
     """Affine combination of smoothstep chains: constant + sum_i w_i *
-    path_i(t). A call builds the _Samples of t once and hands it to each
-    chain with t (_KeyedSamples), so their memo lookups copy no more bytes.
-
-    Samples are read-only. Each derivative order keeps its last samples of a
-    read-only t in one slot (_last), keyed by the _Samples of t, so a repeat
-    call on equal samples (the closed forms of one cell, or of the cells of
-    one tls_dual shape, which share their G, on the cached Simpson grid)
-    returns the same array. A writable t (a fresh Magnus batch, not asked
-    for again) empties its order's slot, as holding those samples through an
-    integration moved a two-level cell's heap into about 550 minor page
-    faults per benchmark tls_scan pass.
-    """
+    path_i(t). A call builds the _Samples of t once and looks each chain with
+    a nonzero weight up in the chain memo under it."""
 
     constant: float
     weights: tuple[float, ...]
     paths: tuple
-    _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.paths):
@@ -371,19 +341,11 @@ class PathCombo:
         if order not in (0, 1):
             raise ValueError("path derivatives implemented up to order 1")
         t = np.asarray(t, dtype=float)
-        if t.flags.writeable:
-            self._samples.pop(order, None)
-            return self._combine(t, order, _Samples(t) if any(self.weights) else None)
-        samples = _Samples(t)
-        return _last(self._samples, order, samples, lambda: self._combine(t, order, samples))
-
-    def _combine(self, t, order, samples):
-        keyed = _KeyedSamples(t, samples)
+        samples = _Samples(t) if any(self.weights) else None
         acc = np.full(t.shape, self.constant if order == 0 else 0.0)
         for w, p in zip(self.weights, self.paths):
             if w != 0.0:
-                acc += w * p(keyed, order)
-        acc.flags.writeable = False
+                acc += w * _chain_samples(p, t, samples)[order]
         return acc
 
 
@@ -410,31 +372,6 @@ def make_tls_steep_protocol(delta0: float, t_f: float, g4: float) -> TlsProtocol
                        omega_r=delta0, t_f=t_f)
 
 
-def _dual_windows(t_f: float) -> tuple[SmoothstepChain, SmoothstepChain]:
-    """The tls_dual edge steps, 0 to 1 over the first and over the last
-    _DUAL_WINDOW t_f."""
-    return (SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f, window=(0.0, _DUAL_WINDOW)),
-            SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f, window=(1.0 - _DUAL_WINDOW, 1.0)))
-
-
-def _dual_g_path(t_f: float, shape: float) -> PathCombo:
-    """The tls_dual G at shape, which depends on (t_f, shape) alone."""
-    base = SmoothstepChain((1,), t_f)
-    if shape >= 0:
-        steep = SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f)
-        return PathCombo(np.pi, (-np.pi * (1.0 - shape), -np.pi * shape), (base, steep))
-    a = -shape
-    return PathCombo(np.pi, (-np.pi * (1.0 - a), -0.5 * np.pi * a, -0.5 * np.pi * a),
-                     (base, *_dual_windows(t_f)))
-
-
-#: "g" -> ((t_f, shape), G): the last tls_dual G, by the slot rule _last. The
-#: cells of one shape (a scan's inner b_dip axis) share one PathCombo and so
-#: its per-order sample slots; shapes 0.0 and -0.0 share a key and a G, whose
-#: zero weight drops out either way
-_dual_g: dict = {}
-
-
 def make_tls_dual_protocol(delta0: float, t_f: float, shape: float,
                            b_dip: float) -> TlsProtocol:
     """Two-channel trade-off family for simultaneous sigma_z / sigma_x noise.
@@ -448,17 +385,27 @@ def make_tls_dual_protocol(delta0: float, t_f: float, shape: float,
     capped so sin(B) stays bounded away from zero, and its amplitude is
     scaled by the plateau weight max(0, -shape): rotating the azimuth while
     G sits at a pole would require a divergent detuning, so without a
-    plateau B stays flat.
+    plateau B stays flat. G depends on (t_f, shape) alone, so the cells of
+    one shape build equal G paths, and the closed-form slots of measures,
+    keyed by the path, sample and take the sine of one G per shape.
     """
     _check_positive(t_f=t_f)
     if not -1.0 <= shape <= 1.0:
         raise ValueError("shape must lie in [-1, 1]")
     if not 0.0 <= b_dip <= 1.0:
         raise ValueError("b_dip must lie in [0, 1]")
-    key = (float(t_f), float(shape))
-    g_path = _last(_dual_g, "g", key, lambda: _dual_g_path(*key))
+    base = SmoothstepChain((1,), t_f)
+    rise = SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f, window=(0.0, _DUAL_WINDOW))
+    fall = SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f, window=(1.0 - _DUAL_WINDOW, 1.0))
+    if shape >= 0:
+        steep = SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f)
+        g_path = PathCombo(np.pi, (-np.pi * (1.0 - shape), -np.pi * shape), (base, steep))
+    else:
+        a = -shape
+        g_path = PathCombo(np.pi, (-np.pi * (1.0 - a), -0.5 * np.pi * a, -0.5 * np.pi * a),
+                           (base, rise, fall))
     dip = 0.5 * np.pi * _DUAL_MAX_DIP * b_dip * max(0.0, -shape)
-    b_path = PathCombo(np.pi / 2, (-dip, dip), _dual_windows(t_f))
+    b_path = PathCombo(np.pi / 2, (-dip, dip), (rise, fall))
     return TlsProtocol(g_poly=g_path, b_poly=b_path, omega_r=delta0, t_f=t_f)
 
 
@@ -630,17 +577,38 @@ class HoProtocol:
         return r2 + self.omega_sq(t) * rho - self.omega0**2 / rho**3
 
 
+def _p_final(omega0, omega_f, form) -> float:
+    """P(t_f) of rho = P^(-+1/2) by form, for rho(t_f) = sqrt(omega0/omega_f)."""
+    return omega_f / omega0 if form == "inverse_sqrt_poly" else omega0 / omega_f
+
+
 def _ermakov_inner(omega0, omega_f, t_f, form, extra) -> BoundaryPolynomial:
     """Inner polynomial P of rho = P^(-+1/2) by form, with the six Ermakov
     boundary conditions and the free coefficients extra."""
-    p_final = omega_f / omega0 if form == "inverse_sqrt_poly" else omega0 / omega_f
     return solve_boundary_polynomial(
-        [Constraint(0.0, 0, 1.0), Constraint(t_f, 0, p_final),
+        [Constraint(0.0, 0, 1.0), Constraint(t_f, 0, _p_final(omega0, omega_f, form)),
          *(Constraint(t, k, 0.0) for k in (1, 2) for t in (0.0, t_f))],
         degree=5 + len(extra),
         free_values=tuple(extra),
         duration=t_f,
     )
+
+
+def _meets_boundaries(proto: HoProtocol) -> HoProtocol:
+    """proto, unless its inner polynomial P misses one of the six boundary
+    conditions of _ermakov_inner (P, dP/ds and d2P/ds2 at s = 0 and t_f /
+    duration) by more than _BOUNDARY_MISS_MAX times the larger boundary
+    value of P: then InvariantControlError, as its free values cancel past
+    double precision."""
+    p = proto.inner
+    p_final = _p_final(proto.omega0, proto.omega_f, proto.form)
+    for s, value in ((0.0, 1.0), (proto.t_f / p.duration, p_final)):
+        v, d1, d2 = (horner(p._scaled_coeffs(k), s) for k in range(3))
+        miss = max(abs(v - value), abs(d1), abs(d2)) / max(1.0, p_final)
+        if not miss <= _BOUNDARY_MISS_MAX:
+            raise InvariantControlError(f"the trap protocol misses its boundary conditions "
+                                        f"at s = {s:g} by {miss:.3g} relative")
+    return proto
 
 
 def make_ho_protocol(
@@ -653,12 +621,13 @@ def make_ho_protocol(
 ) -> HoProtocol:
     """Build a trap-expansion protocol satisfying the six Ermakov boundary
     conditions rho(0)=1, rho(t_f)=sqrt(omega0/omega_f), rhodot = rhoddot = 0
-    at both edges."""
+    at both edges. A solve that misses them by more than _BOUNDARY_MISS_MAX
+    raises InvariantControlError (_meets_boundaries)."""
     _check_positive(omega0=omega0, omega_f=omega_f, mass=mass, t_f=t_f)
-    return HoProtocol(
+    return _meets_boundaries(HoProtocol(
         inner=_ermakov_inner(omega0, omega_f, t_f, form, tuple(r_extra)), form=form,
         omega0=omega0, omega_f=omega_f, mass=mass, t_f=t_f,
-    )
+    ))
 
 
 @lru_cache(maxsize=16)
@@ -697,9 +666,11 @@ def constrain_g_phase(
     default fig3 and benchmark cells: S0 within 5.7e-14 relative, omega^2
     within 5.7e-14 of its maximum, r7 within 1.6e-12 relative, the phase
     within 4.3e-15 of g_target (the three solves: 4.3e-14), and on the fig3
-    scan widened to r6 in [-2000, 2000] the same cells infeasible. A phase
-    that misses g_target by more than _PHASE_MISS_MAX relative raises
-    NoRoot: the coefficients then cancel past double precision.
+    scan widened to r6 in [-2000, 2000] the same cells infeasible. Where the
+    coefficients cancel past double precision, a protocol that misses its
+    boundary conditions raises InvariantControlError (_meets_boundaries),
+    and a phase that misses g_target by more than _PHASE_MISS_MAX relative
+    raises NoRoot.
     """
     _check_positive(omega0=omega0, omega_f=omega_f, mass=mass, t_f=t_f)
     if form != "inverse_sqrt_poly":
@@ -716,8 +687,9 @@ def constrain_g_phase(
         raise InvariantControlError("the polynomial coefficients are not finite")
     # positivity of the inner polynomial is enforced by the constructor;
     # an infeasible g_target surfaces as NonPositiveRho here
-    proto = HoProtocol(inner=BoundaryPolynomial(coeffs, t_f, (r6, float(r7))), form=form,
-                       omega0=omega0, omega_f=omega_f, mass=mass, t_f=t_f)
+    proto = _meets_boundaries(HoProtocol(
+        inner=BoundaryPolynomial(coeffs, t_f, (r6, float(r7))), form=form,
+        omega0=omega0, omega_f=omega_f, mass=mass, t_f=t_f))
     if not abs(proto.g_phase - g_target) <= _PHASE_MISS_MAX * abs(g_target):
         raise NoRoot(f"the phase integral {proto.g_phase:.6g} misses g_target {g_target:.6g}")
     return proto

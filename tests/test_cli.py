@@ -233,6 +233,58 @@ def test_default_two_level_figures_are_byte_identical(tmp_path, figure, digest):
     assert _data_digest(tmp_path / f"{figure}.csv") == digest
 
 
+def test_figures_run_in_one_process_equal_fresh_processes(tmp_path):
+    # the module caches (closed-form slots, chain memo, Ermakov basis) live
+    # on from one figure to the next: fig2, fig1 and fig2 again in this
+    # process write the bytes of a fresh process per figure
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for figure in ("fig1", "fig2"):
+        subprocess.run([sys.executable, "-m", "invariant_control.cli", "--out",
+                        str(tmp_path / "fresh"), "reproduce", figure], env=env, check=True,
+                       capture_output=True)
+    for k, figure in enumerate(("fig2", "fig1", "fig2")):
+        assert cli.main(["--out", str(tmp_path / str(k)), "reproduce", figure]) == 0
+    fresh = {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+    assert sorted(fresh) == ["fig1.csv", "fig1.schema.json", "fig2.csv", "fig2.schema.json"]
+    for k, figure in enumerate(("fig2", "fig1", "fig2")):
+        written = {p.name: p.read_bytes() for p in (tmp_path / str(k)).iterdir()}
+        assert written == {name: data for name, data in fresh.items()
+                           if name.startswith(figure + ".")}
+
+
+def test_repeat_fig2_cells_of_one_shape_sample_no_g_on_the_simpson_grid(tmp_path, monkeypatch):
+    # the closed forms key their slots on the angle paths: a fig1 cell
+    # samples its G once on the 4001-point grid, a fig2 cell its G only when
+    # the shape changes and its B only when B changes (each cell at shape < 0,
+    # where the dip moves with b_dip; once per shape at shape >= 0): 75
+    # samplings over both figures
+    from invariant_control import measures, protocols
+
+    calls = []
+    combo_call = protocols.PathCombo.__call__
+
+    def counting(self, t, order=0):
+        if np.size(t) == 4001:
+            calls.append(self)
+        return combo_call(self, t, order)
+
+    measures._slots.clear()
+    monkeypatch.setattr(protocols.PathCombo, "__call__", counting)
+    counts = {}
+    for figure in ("fig1", "fig2"):
+        calls.clear()
+        assert cli.main(["--out", str(tmp_path), "reproduce", figure]) == 0
+        rows = list(csv.reader(line for line in (tmp_path / f"{figure}.csv").open()
+                               if not line.startswith("#")))[1:]
+        g_calls = [p for p in calls if p.constant == np.pi]
+        counts[figure] = (len(rows), len(g_calls), len(calls) - len(g_calls))
+    shapes = [float(row[0]) for row in rows]
+    assert counts["fig1"] == (41, 41, 0)
+    assert counts["fig2"] == (45, len(set(shapes)), sum(s < 0 for s in shapes)
+                              + len({s for s in shapes if s >= 0}))
+    assert sum(sum(c[1:]) for c in counts.values()) == 75
+
+
 @pytest.mark.parametrize("figure, digests", [
     # fig3_trace re-pinned when g-constrained builds combined a cached affine
     # basis instead of solving three times: 21 of 802 rows changed omega_sq

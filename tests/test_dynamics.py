@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from invariant_control import algebra, cli, dynamics, measures, states
+from invariant_control import algebra, cli, dynamics, measures, protocols, states
 from invariant_control.constants import MASS_100_CA40, TWO_PI
 from invariant_control.errors import (
     DimensionMismatch,
@@ -16,6 +16,7 @@ from invariant_control.errors import (
     UnsupportedChannel,
 )
 from invariant_control.protocols import (
+    HoProtocol,
     ProtocolFamily,
     constrain_g_phase,
     make_constant_mu_protocol,
@@ -1297,11 +1298,15 @@ def test_exact_q_moments_reject_other_channels():
 def test_q_noise_quadrature_raises_past_its_interval_cap():
     # free values (-1.4e16, -2.0e14) give a fig3-like protocol with 3.4e17
     # periods of phase: the quadrature refuses its 5e18 intervals instead of
-    # sweeping them (constrain_g_phase rejects this r6: its phase cannot hit
-    # the target in double precision)
+    # sweeping them. The trap builders reject these free values, whose solve
+    # cancels past double precision and misses the boundary conditions, so
+    # the protocol is built from the solved coefficients directly
     omega0 = TWO_PI * 15.92e6
-    proto = make_ho_protocol(omega0, omega0 / 100.0,
-                             r_extra=(-1.4097324734086768e16, -195530639951983.28))
+    t_f, form = 100e-6, "inverse_sqrt_poly"
+    inner = protocols._ermakov_inner(omega0, omega0 / 100.0, t_f, form,
+                                     (-1.4097324734086768e16, -195530639951983.28))
+    proto = HoProtocol(inner=inner, form=form, omega0=omega0, omega_f=omega0 / 100.0,
+                       mass=MASS_100_CA40, t_f=t_f)
     assert float(proto.theta(proto.t_f)) / np.pi > 1e17
     with pytest.raises(StepSizeUnderflow, match="intervals"):
         dynamics.coherent_fidelity(proto, 1.0 + 1.0j, dynamics.NoiseChannel("q", 10.0))

@@ -2,6 +2,7 @@
 
 import ast
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -330,49 +331,70 @@ def test_a_steep_cell_takes_one_sine_for_O_z_and_A_z(monkeypatch):
     assert sines == [4001] and got == _COLD[(0.35,)]
 
 
-def test_changed_samples_or_t_f_miss_the_slots(monkeypatch):
-    rng = np.random.default_rng(25)
-    g = rng.uniform(0.0, np.pi, 4001)
-    b = rng.uniform(0.0, np.pi, 4001)
+def test_changed_paths_t_f_or_grid_miss_the_slots(monkeypatch):
+    # the slots key on (G, t_f, grid) and (G, B, t_f, grid): a value-equal
+    # fresh path hits, and a G one ulp off in one weight, another t_f or
+    # another grid misses and equals a cold call
+    g = make_tls_steep_protocol(_DELTA0, _T_F, 0.35).g_poly
+    b = make_tls_dual_protocol(_DELTA0, _T_F, -0.5, 0.7).b_poly
     sines = _count_sines(monkeypatch)
 
-    def forms(g, b, t_f=1.0):
-        grid = len(g)
-        return (measures.closed_form_O_z(lambda ts: g, t_f, grid),
-                measures.closed_form_A_z(lambda ts: g, t_f, grid),
-                measures.closed_form_O_x(lambda ts: g, lambda ts: b, t_f, grid))
+    def forms(g, b, t_f=_T_F, grid=4001):
+        return (measures.closed_form_O_z(g, t_f, grid), measures.closed_form_A_z(g, t_f, grid),
+                measures.closed_form_O_x(g, b, t_f, grid))
 
     def cold(*args):
         measures._slots.clear()
         return forms(*args)
 
     first = forms(g, b)
-    assert forms(np.array(g), np.array(b)) == first and sines == [4001]  # equal bytes hit
-    moved = np.array(g)
-    moved[2000] = np.nextafter(moved[2000], 4.0)  # one interior value, one ulp
-    longer = np.append(g, [0.5, 0.5])  # the same leading bytes, on grid 4003
-    for args in ((moved, b), (longer, np.append(b, [0.5, 0.5])), (g, b, 2.0)):
+    assert forms(replace(g), replace(b)) == first and sines == [4001]  # equal paths hit
+    moved = replace(g, weights=(g.weights[0], np.nextafter(g.weights[1], 0.0)))
+    for args in ((moved, b), (g, b, 2.0 * _T_F), (g, b, _T_F, 2001)):
         n = len(sines)
         got = forms(*args)
         assert len(sines) == n + 1  # the sine missed; O_z, A_z and O_x share it
         assert got == cold(*args)
         forms(g, b)  # back in the slots
-    b_moved = np.array(b)
-    b_moved[2000] += 0.5
+    b_moved = make_tls_dual_protocol(_DELTA0, _T_F, -0.5, 0.2).b_poly
     n = len(sines)
-    got = measures.closed_form_O_x(lambda ts: g, lambda ts: b_moved, 1.0)
+    got = measures.closed_form_O_x(g, b_moved, _T_F)
     assert got != first[2] and len(sines) == n  # O_x keys on B too; G's sine hit
     assert got == cold(g, b_moved)[2]
 
 
-def test_closed_form_slots_hold_at_most_five_grid_arrays():
-    # stated bound: 40 * grid bytes, five float64 arrays of the grid
+def test_distinct_polynomial_and_lambda_paths_alternate_through_the_slots():
+    # a BoundaryPolynomial and a lambda are equal only to themselves: two of
+    # each, alternated through the three closed forms, raise nothing in the
+    # key compare and each give a cold call's values
+    protos = [make_tls_protocol(_DELTA0, _T_F, g_extra=(x,)) for x in (0.4, -0.3)]
+    lambdas = [(lambda t, p=p: p.g_poly(t), lambda t, p=p: p.b_poly(t)) for p in protos]
+    paths = [(p.g_poly, p.b_poly) for p in protos] + lambdas
+
+    def forms(g, b):
+        return (measures.closed_form_O_z(g, _T_F), measures.closed_form_A_z(g, _T_F),
+                measures.closed_form_O_x(g, b, _T_F))
+
+    cold = []
+    for g, b in paths:
+        measures._slots.clear()
+        cold.append(forms(g, b))
+    assert cold[0] != cold[1] and cold[2:] == cold[:2]
+    for k in (0, 2, 1, 3, 0, 1, 1, 2, 3, 0, 3):
+        assert forms(*paths[k]) == cold[k]
+    # G of one with B of the other
+    got = measures.closed_form_O_x(paths[0][0], paths[3][1], _T_F)
+    measures._slots.clear()
+    assert got == measures.closed_form_O_x(paths[0][0], paths[3][1], _T_F)
+
+
+def test_closed_form_slots_hold_one_grid_array():
+    # stated bound: 8 * grid bytes, the sine; the keys hold paths and numbers
     measures._slots.clear()
     for cell in _CELLS:
         _cell_measures(cell)
-        held = 0
-        for key, value in measures._slots.values():
-            parts = key if isinstance(key[0], tuple) else (key,)
-            held += sum(len(part[-1].data) for part in parts) + getattr(value, "nbytes", 0)
-        assert held <= 40 * 4001
+        held = sum(getattr(value, "nbytes", 0) for _, value in measures._slots.values())
+        assert held <= 8 * 4001
+        for key, _ in measures._slots.values():
+            assert all(callable(part) or isinstance(part, (int, float)) for part in key)
     assert set(measures._slots) == {"sin", "O_z", "O_x"}

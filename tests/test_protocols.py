@@ -316,7 +316,6 @@ def test_dual_scan_samples_each_chain_once_per_grid(monkeypatch):
     step = protocols._smoothstep_scalar
     monkeypatch.setattr(protocols, "_smoothstep_scalar", counting)
     monkeypatch.setattr(protocols, "_chain_samples", protocols._SampleMemo(4 << 20))
-    monkeypatch.setattr(protocols, "_dual_g", {})
     channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
     family = ProtocolFamily("tls_dual", {"delta0": DELTA0}, T_F)
     chains = set()
@@ -339,106 +338,103 @@ def _read_only(a):
     return out
 
 
-def test_path_combo_slot_hits_only_equal_read_only_samples_of_one_order():
+def _combined(path, ts, order):
+    """path(ts, order) of a PathCombo, combined from _composed chain samples."""
+    acc = np.full(ts.shape, path.constant if order == 0 else 0.0)
+    for w, chain in zip(path.weights, path.paths):
+        if w != 0.0:
+            acc += w * _composed(chain, ts, order)
+    return acc
+
+
+def test_path_combo_samples_equal_a_fresh_combination():
+    # every call combines afresh: samples of either order, on read-only or
+    # writable t of any interior, length or shape, equal the chains combined
+    # by hand, and equal combos give equal samples
     g = make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.7).g_poly
     ts = _read_only(np.linspace(0.0, T_F, 801))
-    first = g(ts)
-    assert g(_read_only(ts)) is first  # equal samples hit
-    assert np.array_equal(first, replace(g)(ts))  # a fresh combo, empty slot
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0] = 1.0
-    # another interior, another length, another shape on the same bytes:
-    # each misses, equals a fresh evaluation and replaces the slot
     moved = np.array(ts)
     moved[400] += 0.25 * (ts[1] - ts[0])
-    for t in (_read_only(moved), ts[:-1], ts.reshape(1, -1)):
-        got = g(t)
-        assert got is not first and np.array_equal(got, replace(g)(t))
-        assert g(t) is got and not got.flags.writeable
-    again = g(ts)
-    assert again is not first and np.array_equal(again, first)
-    # each order keeps its own slot
-    slope = g(ts, 1)
-    assert np.array_equal(slope, replace(g)(ts, 1))
-    assert g(ts) is again and g(ts, 1) is slope
-    # writable samples are evaluated afresh, read-only out, and empty the
-    # slot of their order only
-    fresh = g(np.array(ts))
-    assert fresh is not again and np.array_equal(fresh, again) and not fresh.flags.writeable
-    assert g(ts, 1) is slope
-    assert g(ts) is not again
-    assert replace(g) == g  # the slot takes no part in equality
+    for t in (ts, np.array(ts), _read_only(moved), ts[:-1], ts.reshape(1, -1)):
+        for order in (0, 1):
+            got = g(t, order)
+            assert got.shape == t.shape and np.array_equal(got, _combined(g, t, order))
+            again = g(t, order)
+            assert again is not got and np.array_equal(again, got)
+            assert np.array_equal(replace(g)(t, order), got)
+    assert not np.array_equal(g(moved), g(ts))
+    assert replace(g) == g and replace(g) is not g
+
+
+def _counting_combos(monkeypatch):
+    """Record (combo, order) of every PathCombo call on the closed-form grid."""
+    calls = []
+    combo_call = protocols.PathCombo.__call__
+    grid = measures._simpson_rule(T_F, 4001)[0]
+
+    def counting(self, t, order=0):
+        if t is grid:
+            calls.append((self, order))
+        return combo_call(self, t, order)
+
+    monkeypatch.setattr(protocols.PathCombo, "__call__", counting)
+    return calls
 
 
 def test_a_dual_cell_samples_each_angle_path_once(monkeypatch):
     # cli._tls_dual_measures hands G to closed_form_O_z and closed_form_O_x:
-    # the second read hits G's slot, so the first cell of a shape calls each
-    # chain once per path; a repeat cell of that shape gets the same G, whose
-    # slot already holds the samples, and calls B's chains only
-    calls = []
-    chain_call = SmoothstepChain.__call__
-
-    def counting(self, t, order=0):
-        calls.append((self, order))
-        return chain_call(self, t, order)
-
+    # the second read hits G's sine slot, so a cell samples each path once
+    # on the grid; a repeat cell of that shape builds a fresh G equal to the
+    # last, which hits, and samples B only
     channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
     want = cli._tls_dual_measures(make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.7), None, channels)
-    monkeypatch.setattr(protocols, "_dual_g", {})
-    monkeypatch.setattr(SmoothstepChain, "__call__", counting)
+    calls = _counting_combos(monkeypatch)
+    measures._slots.clear()
     proto = make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.7)
     assert cli._tls_dual_measures(proto, None, channels) == want
-    g_chains, b_chains = ([(p, 0) for w, p in zip(path.weights, path.paths) if w != 0.0]
-                          for path in (proto.g_poly, proto.b_poly))
-    assert calls == g_chains + b_chains and len(g_chains) == 3
+    assert [(id(p), order) for p, order in calls] == [(id(proto.g_poly), 0), (id(proto.b_poly), 0)]
     calls.clear()
     repeat = make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.2)
-    assert repeat.g_poly is proto.g_poly
+    assert repeat.g_poly == proto.g_poly and repeat.g_poly is not proto.g_poly
     cli._tls_dual_measures(repeat, None, channels)
-    assert calls == b_chains
+    assert [(id(p), order) for p, order in calls] == [(id(repeat.b_poly), 0)]
 
 
-def test_dual_cells_sharing_g_equal_fresh_builds_bit_for_bit():
+def test_dual_cells_of_one_shape_equal_cold_cells_bit_for_bit(monkeypatch):
     # a 5 x 4 scan whose shape axis comes back to its first shape after
-    # another and holds 0.0 then -0.0 (one key): each cell, its G shared or
-    # not, gives the O_z, O_x, O_bar and, on every other b_dip, the
-    # fidelity of a cold cell with a fresh G and empty closed-form slots
+    # another and holds 0.0 then -0.0 (equal G paths): each cell, its G hit
+    # in the slots or not, gives the O_z, O_x, O_bar and, on every other
+    # b_dip, the fidelity of a cold cell with empty closed-form slots
     shapes = (-0.5, 0.0, -0.0, 0.75, -0.5)
     channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
     family = ProtocolFamily("tls_dual", {"delta0": DELTA0}, T_F)
-    protos = []
 
     def cell(coeffs):
         i, j = round(coeffs[0]), round(3 * coeffs[1])
         proto = family.with_free((shapes[i], coeffs[1])).build()
-        protos.append(proto)
         out = cli._tls_dual_measures(proto, None, channels)
         if j % 2:
             out["fidelity"] = tls_fidelity(proto, channels)
         return out
 
     def cold(coeffs):
-        protocols._dual_g.clear()
         measures._slots.clear()
         return cell(coeffs)
 
     ranges, sizes = [[0.0, 4.0], [0.0, 1.0]], [5, 4]
     want = [r.measures for r in optimize.scan(cold, ranges, sizes)]
-    fresh = protos[:]
-    protos.clear()
-    protocols._dual_g.clear()
     measures._slots.clear()
+    calls = _counting_combos(monkeypatch)
     got = [r.measures for r in optimize.scan(cell, ranges, sizes)]
     # repr, unlike ==, tells -0.0 from 0.0
     assert repr(got) == repr(want) and len(got) == 20
     assert sum("fidelity" in m for m in got) == 10
-    # one G per run of equal shapes: 0.0 and -0.0 share one, the second -0.5
-    # run builds its own, and each equals the fresh G of its cell
-    g_ids = [id(p.g_poly) for p in protos]
-    assert [len(set(g_ids[k:k + 4])) for k in range(0, 20, 4)] == [1] * 5
-    assert len(set(g_ids)) == 4 and g_ids[4] == g_ids[8] and g_ids[0] != g_ids[16]
-    assert all(p.g_poly == f.g_poly and p.g_poly is not f.g_poly for p, f in zip(protos, fresh))
+    # G is sampled once per run of equal shapes (0.0 and -0.0 are one run);
+    # B once per cell at -0.5, where it moves with b_dip, and once per run
+    # at shape >= 0, where it stays at pi/2
+    g_samples = [p for p, _ in calls if p.constant == np.pi]
+    assert len(g_samples) == 4 and len(calls) - len(g_samples) == 4 + 1 + 1 + 4
+    assert repr(g_samples[1].weights) == repr((-np.pi, -0.0))  # shape 0.0 sampled, -0.0 hit
 
 
 def test_dual_scan_takes_one_sine_per_distinct_g(monkeypatch):
@@ -487,11 +483,9 @@ def test_path_combo_copies_the_samples_once_per_call(monkeypatch):
     want = replace(g)(ts)
     monkeypatch.setattr(protocols, "_Samples", Counting)
     assert len([w for w in g.weights if w != 0.0]) == 3
-    for t in (ts, _read_only(ts)):  # writable, then read-only (slot miss)
+    for t in (ts, _read_only(ts), _read_only(ts)):  # writable, then read-only twice
         built.clear()
         assert np.array_equal(g(t), want) and built == [801]
-    built.clear()
-    assert np.array_equal(g(_read_only(ts)), want) and built == [801]  # a slot hit
 
 
 def test_steep_blend_endpoints_and_midpoint():
@@ -1084,9 +1078,11 @@ def test_a_constrained_phase_that_misses_its_target_raises(monkeypatch):
     args = (omega0, omega0 / 100.0, 50.5e-6, MASS_100_CA40, t_f)
     # the three-solve route returned this cell with a phase 2e14 times its
     # target: its coefficients reach 4e16, and P's integral cancels past
-    # double precision
+    # double precision, as do its boundary values, which its last step,
+    # make_ho_protocol, now checks
     r6 = -1.4097324734086768e16
-    assert _three_solve_constrain(*args, r6).g_phase > 1e14 * 50.5e-6
+    with pytest.raises(InvariantControlError, match="boundary conditions"):
+        _three_solve_constrain(*args, r6)
     with pytest.raises((NoRoot, NonPositiveRho)):
         constrain_g_phase(*args, r6=r6)
     # a basis whose phase g0 is off by 1e-6 relative (here g0 is about
@@ -1102,6 +1098,79 @@ def test_a_constrained_phase_that_misses_its_target_raises(monkeypatch):
                 constrain_g_phase(*args, r6=-10.0)
         else:
             constrain_g_phase(*args, r6=-10.0)
+
+
+_W_COHERENT, _W_THERMAL = TWO_PI * 15.92e6, TWO_PI * 2.53e6
+
+
+@pytest.mark.parametrize("build, error", [
+    # the free values whose solve gives rho(t_f) = 1 for a target of 10 and
+    # rho_dot t_f = -1 at both ends: the phase-cap test's protocol
+    ((make_ho_protocol, _W_COHERENT, 100e-6, "inverse_sqrt_poly",
+      (-1.4097324734086768e16, -195530639951983.28)), InvariantControlError),
+    ((make_ho_protocol, _W_COHERENT, 20e-6, "inverse_sqrt_poly", (-65834309019.35805,)),
+     InvariantControlError),
+    ((make_ho_protocol, _W_THERMAL, 20e-6, "sqrt_poly", (-70706728776826.31,)),
+     InvariantControlError),
+    ((make_ho_protocol, _W_COHERENT, 20e-6, "inverse_sqrt_poly", (-80556.32323719097,)), None),
+    ((make_ho_protocol, _W_THERMAL, 20e-6, "sqrt_poly", (1e3, -1e3)), None),
+    # large |r6| constrained builds: P dips below zero before its boundary
+    # values cancel
+    *(((constrain_g_phase, _W_COHERENT, t_f, r6), error)
+      for t_f in (20e-6, 100e-6)
+      for r6, error in ((1e3, None), (-1e3, NonPositiveRho if t_f > 50e-6 else None),
+                        (1e4, NonPositiveRho), (-1e8, NonPositiveRho), (1e12, NonPositiveRho),
+                        (1e16, NonPositiveRho), (-1.4097324734086768e16, NonPositiveRho))),
+], ids=lambda v: (f"{v[0].__name__}-{v[2] * 1e6:g}us-{v[-1]}" if isinstance(v, tuple)
+                  else getattr(v, "__name__", "meets")))
+def test_trap_builds_meet_their_boundary_conditions_or_raise(build, error):
+    # a build either meets P(0) = 1, P(t_f) = its target and P' = P'' = 0 at
+    # both ends, checked here in physical time to 1e-9 of the larger target
+    # (P' t_f and P'' t_f^2), or raises: a free value that cancels past
+    # double precision no longer gives a protocol that breaks them
+    builder, omega0, t_f, *rest = build
+    if builder is make_ho_protocol:
+        form, extra = rest
+        call = lambda: make_ho_protocol(omega0, omega0 / 100.0, MASS_100_CA40, t_f, form, extra)
+    else:
+        call = lambda: constrain_g_phase(omega0, omega0 / 100.0, 50.5e-6, MASS_100_CA40, t_f,
+                                         r6=rest[0])
+    if error is not None:
+        match = "boundary conditions" if error is InvariantControlError else None
+        with pytest.raises(error, match=match):
+            call()
+        return
+    proto = call()
+    p_final = 0.01 if proto.form == "inverse_sqrt_poly" else 100.0
+    assert proto.rho(t_f) == pytest.approx(10.0, rel=1e-9)
+    for t, target in ((0.0, 1.0), (t_f, p_final)):
+        misses = (proto.inner(t) - target, proto.inner(t, 1) * t_f, proto.inner(t, 2) * t_f**2)
+        assert max(map(abs, misses)) <= 1e-9 * max(1.0, p_final)
+
+
+def test_a_constrained_build_that_misses_its_boundary_conditions_raises(monkeypatch):
+    # a basis whose e6 has dP/ds(0) = delta: at r6 = -10 a delta of 1e-6
+    # misses by 1e-5 and raises, one of 1e-14 passes
+    args = (_W_COHERENT, _W_COHERENT / 100.0, 50.5e-6, MASS_100_CA40, 100e-6)
+    c0, e6, e7, g0, g6, g7 = protocols._ermakov_basis(_W_COHERENT, _W_COHERENT / 100.0, 100e-6,
+                                                      "inverse_sqrt_poly")
+    for delta, raises in ((1e-6, True), (1e-14, False)):
+        bent = e6 + delta * np.eye(len(e6))[1]
+        monkeypatch.setattr(protocols, "_ermakov_basis",
+                            lambda *key, bent=bent: (c0, bent, e7, g0, g6, g7))
+        if raises:
+            with pytest.raises(InvariantControlError, match="boundary conditions at s = 0"):
+                constrain_g_phase(*args, r6=-10.0)
+        else:
+            constrain_g_phase(*args, r6=-10.0)
+
+
+def test_the_raw_solve_of_a_rejected_build_misses_its_boundary_conditions():
+    # the guard's case: the solve itself, unchecked, gives dP/ds = 2 at s = 0
+    # where the condition asks for 0, and P(t_f) = 1 for a target of 0.01
+    inner = protocols._ermakov_inner(_W_COHERENT, _W_COHERENT / 100.0, 100e-6, "inverse_sqrt_poly",
+                                     (-1.4097324734086768e16, -195530639951983.28))
+    assert inner.coefficients[1] == 2.0 and inner(100e-6) == pytest.approx(1.0)
 
 
 def test_constant_mu_protocol():
