@@ -1,9 +1,9 @@
 """SU(2) and Ermakov inverse engineering.
 
-A two-level invariant is Omega_R ((cosG, sinG e^{iB}), (sinG e^{-iB}, -cosG))
-for polar angles (G, B); the controls of H = Delta/2 sigma_z + Omega/2 sigma_x
-that keep it invariant follow from the angle paths alone
-(su2_controls_from_angles). A trap expansion is prescribed by the Ermakov
+A two-level invariant is a multiple of ((cosG, sinG e^{iB}), (sinG e^{-iB},
+-cosG)) for polar angles (G, B); the controls of H = Delta/2 sigma_z +
+Omega/2 sigma_x that keep it invariant follow from the angle paths alone
+(su2_controls_from_angles), whatever the scale. A trap expansion is prescribed by the Ermakov
 scaling function rho, and the trap frequency follows from rho and its second
 derivative (omega_sq_from_rho).
 """
@@ -26,11 +26,11 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def su2_invariant_matrix(g_angle: float, b_angle: float, omega_r: float) -> np.ndarray:
-    """2x2 invariant Omega_R * ((cosG, sinG e^{iB}), (sinG e^{-iB}, -cosG))."""
+def su2_invariant_matrix(g_angle: float, b_angle: float, scale: float) -> np.ndarray:
+    """2x2 invariant scale * ((cosG, sinG e^{iB}), (sinG e^{-iB}, -cosG))."""
     cg, sg = np.cos(g_angle), np.sin(g_angle)
     e = np.exp(1j * b_angle)
-    return omega_r * np.array([[cg, sg * e], [sg * np.conj(e), -cg]], dtype=complex)
+    return scale * np.array([[cg, sg * e], [sg * np.conj(e), -cg]], dtype=complex)
 
 
 #: a denominator sin(B) or sin(G) sin(B) below this counts as zero

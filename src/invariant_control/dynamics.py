@@ -36,8 +36,7 @@ oscillator routes are checked against. Of the oracles only integrate_moments,
 one scipy DOP853 call, imports scipy (on its first call, from the test
 extra), so the package, invctl and the RK45 oracles load numpy only.
 tls_fidelity, coherent_fidelity and thermal_fidelity are the one fidelity
-routine of each simulated system; the dissipator in the invariant eigenbasis
-backs the common-eigenbasis check.
+routine of each simulated system.
 """
 
 from __future__ import annotations
@@ -69,8 +68,6 @@ __all__ = [
     "tls_fidelity",
     "coherent_fidelity",
     "thermal_fidelity",
-    "dissipative_matrix_elements",
-    "dissipator_superoperator",
     "HoFockTrajectory",
 ]
 
@@ -92,8 +89,8 @@ class NoiseChannel:
     def __post_init__(self):
         if self.operator_tag not in PAULI_TAGS + OSC_TAGS:
             raise UnsupportedChannel(f"unknown operator tag {self.operator_tag!r}")
-        if self.eta < 0:
-            raise ValueError("noise strength must be nonnegative")
+        if not 0.0 <= self.eta < np.inf:
+            raise ValueError(f"noise strength must be nonnegative and finite, got {self.eta!r}")
 
     def matrix(self) -> np.ndarray:
         """The Pauli matrix of a two-level channel."""
@@ -251,29 +248,14 @@ class HoFockTrajectory:
     """Interaction-picture Fock trajectory of a trap-expansion run.
 
     rhos[i] is the density matrix in the frame co-moving with the noiseless
-    dynamics, so for eta = 0 it never moves. Lab-frame moments are obtained
-    by pairing it with the Heisenberg quadratures of the protocol.
+    dynamics, so for eta = 0 it never moves; it pairs with the protocol's
+    Heisenberg quadratures (heisenberg_coeffs) to give lab-frame moments.
     """
 
     protocol: HoProtocol
     times: np.ndarray
     rhos: np.ndarray
     dim: int
-
-    def moments(self):
-        """Lab-frame (<q>, <p>, <q^2>, <p^2>, <qp+pq>/2) at each sample."""
-        q, p, _ = fock_operators(self.dim, self.protocol.mass, self.protocol.omega0)
-        fq, fp, gq, gp = self.protocol.heisenberg_coeffs(self.times)
-        out = np.empty((len(self.times), 5))
-        for i, rho in enumerate(self.rhos):
-            qh = fq[i] * q + fp[i] * p
-            ph = gq[i] * q + gp[i] * p
-            out[i, 0] = np.trace(rho @ qh).real
-            out[i, 1] = np.trace(rho @ ph).real
-            out[i, 2] = np.trace(rho @ (qh @ qh)).real
-            out[i, 3] = np.trace(rho @ (ph @ ph)).real
-            out[i, 4] = 0.5 * np.trace(rho @ (qh @ ph + ph @ qh)).real
-        return out
 
     @property
     def final_rho(self) -> np.ndarray:
@@ -308,6 +290,8 @@ def _fock_rhs(protocol: HoProtocol, channel: NoiseChannel, q, p):
 _FOCK_MAX_DIM = 512
 #: largest truncation the Fock oracle starts at
 _FOCK_START_MAX_DIM = 40
+#: relative and absolute tolerances of the Fock oracle's RK45 steps
+_FOCK_RTOL, _FOCK_ATOL = 1e-9, 1e-12
 
 
 def _top_two(rho):
@@ -318,12 +302,12 @@ def _top_two(rho):
 def _fock_start_dim(rho0_builder) -> int:
     """Smallest d at which rho0_builder(d) holds below 1e-12 population both
     on its top two levels and past its last one (1e-4 of the run's gate,
-    headroom for noise heating), or _FOCK_START_MAX_DIM. The states' Fock
-    builders do not renormalise, so 1 - tr rho0 is the exact missing tail,
-    which falls monotonically in d; the top-two population alone does not
-    (a coherent state's rises up to its mean, and at d = 2 it is below 1e-12
-    for |alpha|^2 >= 32). d grows one level at a time, so no rho0 larger
-    than the start is built."""
+    headroom for noise heating), or _FOCK_START_MAX_DIM. A Fock builder such
+    as states.coherent_state does not renormalise, so 1 - tr rho0 is the
+    exact missing tail, which falls monotonically in d; the top-two
+    population alone does not (a coherent state's rises up to its mean, and
+    at d = 2 it is below 1e-12 for |alpha|^2 >= 32). d grows one level at a
+    time, so no rho0 larger than the start is built."""
     for d in range(2, _FOCK_START_MAX_DIM):
         rho0 = rho0_builder(d)
         if _top_two(rho0) < 1e-12 and 1.0 - np.trace(rho0).real < 1e-12:
@@ -331,11 +315,10 @@ def _fock_start_dim(rho0_builder) -> int:
     return _FOCK_START_MAX_DIM
 
 
-def _integrate_ho_fixed_dim(protocol, rho0_builder, channel, t_eval, d, rtol, atol,
-                            stop=None):
+def _integrate_ho_fixed_dim(protocol, rho0_builder, channel, t_eval, d, stop=None):
     q, p, _ = fock_operators(d, protocol.mass, protocol.omega0)
     return _rk45_matrix(_fock_rhs(protocol, channel, q, p), rho0_builder(d), t_eval,
-                        rtol, atol, stop=stop)
+                        _FOCK_RTOL, _FOCK_ATOL, stop=stop)
 
 
 def integrate_ho_master(
@@ -344,8 +327,6 @@ def integrate_ho_master(
     channel: NoiseChannel,
     t_eval=None,
     dim: int | None = None,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
 ) -> HoFockTrajectory:
     """Integrate an oscillator run in the truncated Fock basis.
 
@@ -354,15 +335,16 @@ def integrate_ho_master(
     truncation d (in the omega0 representation), exactly Hermitian as the
     states module builds it. The right-hand side (_fock_rhs) takes two d x d
     products for q noise and three for q^2 and is Hermitian to the last bit,
-    so the RK45 samples stay exactly Hermitian with no projection; its
-    oracle is lindblad_rhs's five-product _double_commutator. Unless dim
-    fixes it, the truncation starts at the smallest d, at most 40, whose
-    rho0 holds below 1e-12 population on its top two levels and past its
-    last one (_fock_start_dim). A run is abandoned as soon as its top two
-    levels hold 1e-8 (at t = 0, or at the end of a step, which moves no step
-    of a run it does not end), and the run goes on at 40 levels from a start
-    below 40, else at twice the levels, until the top two levels stay below
-    1e-8 population at every sample. Only a run at a fixed dim, or one whose
+    so the RK45 samples, stepped at _FOCK_RTOL and _FOCK_ATOL, stay exactly
+    Hermitian with no projection; its oracle is lindblad_rhs's five-product
+    _double_commutator. Unless dim fixes it, the truncation starts at the
+    smallest d, at most 40, whose rho0 holds below 1e-12 population on its
+    top two levels and past its last one (_fock_start_dim). A run is
+    abandoned as soon as its top two levels hold 1e-8 (at t = 0, or at the
+    end of a step, which moves no step of a run it does not end), and the
+    run goes on at 40 levels from a start below 40, else at twice the
+    levels, until the top two levels stay below 1e-8 population at every
+    sample. Only a run at a fixed dim, or one whose
     doubling would pass _FOCK_MAX_DIM, has no stop: it runs to t_f and
     warns with TruncationWarning if it fails the gate. Loads numpy only.
     """
@@ -376,7 +358,7 @@ def integrate_ho_master(
     while True:
         last = dim is not None or 2 * d > _FOCK_MAX_DIM
         rhos = _integrate_ho_fixed_dim(
-            protocol, rho0_builder, channel, t_eval, d, rtol, atol,
+            protocol, rho0_builder, channel, t_eval, d,
             stop=None if last else (lambda rho: _top_two(rho) - 1e-8),
         )
         if rhos is not None:
@@ -880,46 +862,11 @@ def thermal_fidelity(protocol, n_bar: float, channel: NoiseChannel) -> tuple[flo
     so the power integral shares the fidelity's trajectory.
     """
     mass = protocol.mass
-    init = states.thermal_state(n_bar, protocol.omega0, mass, "gaussian")
+    init = states.thermal_state(n_bar, protocol.omega0, mass)
     ts, ys = magnus_q2_moments(protocol, init.raw(), channel)
-    target = states.thermal_state(n_bar, protocol.omega_f, mass, "gaussian")
+    target = states.thermal_state(n_bar, protocol.omega_f, mass)
     fid = states.gaussian_fidelity(states.GaussianMoments.from_raw(*ys[-1]), target)
     power = measures.average_power(
         protocol.omega_sq_dot, ys[:, 2], mass, protocol.t_f, grid=len(ts)
     )
     return fid, power
-
-
-# ---------------------------------------------------------------------------
-# the dissipator in the invariant eigenbasis
-
-
-def dissipative_matrix_elements(rho_basis: np.ndarray, eigenvectors: np.ndarray,
-                                x: np.ndarray, eta: float) -> np.ndarray:
-    """Dissipator matrix elements in the invariant eigenbasis.
-
-    rho_basis holds rho_lk = <phi_l|rho|phi_k>; the result is
-    <phi_l| L rho |phi_k> for L rho = -eta [X, [X, rho]]. With
-    dissipator_superoperator, the two routes of the acceptance check of
-    common-eigenbasis dissipation rates.
-    """
-    phi = np.asarray(eigenvectors, dtype=complex)
-    rho_basis = np.asarray(rho_basis, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    if phi.shape != x.shape or rho_basis.shape != x.shape:
-        raise DimensionMismatch("all operators must share one basis dimension")
-    xb = phi.conj().T @ x @ phi
-    x2b = phi.conj().T @ (x @ x) @ phi
-    return -eta * (x2b @ rho_basis + rho_basis @ x2b - 2.0 * xb @ rho_basis @ xb)
-
-
-def dissipator_superoperator(x: np.ndarray, eta: float) -> np.ndarray:
-    """Matrix of L rho = -eta [X, [X, rho]] acting on vec(rho) (column
-    stacking): the direct route of the common-eigenbasis rate check."""
-    x = np.asarray(x, dtype=complex)
-    d = x.shape[0]
-    eye = np.eye(d)
-    x2 = x @ x
-    return -eta * (
-        np.kron(eye, x2) + np.kron(x2.T, eye) - 2.0 * np.kron(x.T, x)
-    )

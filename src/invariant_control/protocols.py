@@ -102,11 +102,15 @@ def _solve_angle_poly(t_f, v0, vf, d0, df, extra, pins=()):
 
 @dataclass(frozen=True)
 class TlsProtocol:
-    """Two-level population-inversion protocol from invariant angles."""
+    """Two-level population-inversion protocol from invariant angles.
+
+    The controls follow from the angle paths (G, B) alone: the invariant's
+    overall scale enters no control, measure or fidelity, so a protocol
+    carries none.
+    """
 
     g_poly: BoundaryPolynomial
     b_poly: BoundaryPolynomial
-    omega_r: float
     t_f: float
 
     def controls(self, t):
@@ -144,25 +148,10 @@ class TlsProtocol:
             return -b_dot, omega, np.zeros_like(removable)
         return delta, omega, removable
 
-    def hamiltonian(self, t):
-        """H(t) = Delta/2 sigma_z + Omega/2 sigma_x at a single time.
 
-        The right-hand side of the dense master-equation oracle
-        (dynamics.integrate_master) that checks tls_fidelity.
-        """
-        delta, omega = self.controls(np.atleast_1d(t))
-        return 0.5 * delta[0] * algebra.PAULI_Z + 0.5 * omega[0] * algebra.PAULI_X
-
-    def invariant(self, t):
-        """Invariant matrix at a single time: the path that the direct
-        measures (measures.measure_O, measure_A) take to check the closed
-        forms."""
-        g, b = self.g_poly(t), self.b_poly(t)
-        return algebra.su2_invariant_matrix(float(g), float(b), self.omega_r)
-
-
-def make_tls_protocol(delta0: float, t_f: float, g_extra=(), b_spec: BSpec | None = None) -> TlsProtocol:
-    """Build a population-inversion protocol.
+def make_tls_protocol(t_f: float, g_extra=(), b_spec: BSpec | None = None) -> TlsProtocol:
+    """Build a population-inversion protocol of duration t_f (no invariant
+    scale: TlsProtocol).
 
     G runs from pi to 0 with flat edges; extra polynomial coefficients
     (in the scaled variable t/t_f) deform the path without touching the
@@ -176,7 +165,7 @@ def make_tls_protocol(delta0: float, t_f: float, g_extra=(), b_spec: BSpec | Non
         t_f, b_spec.b0, b_spec.bf, b_spec.b0_dot, b_spec.bf_dot,
         b_spec.extra, b_spec.pins,
     )
-    return TlsProtocol(g_poly=g_poly, b_poly=b_poly, omega_r=delta0, t_f=t_f)
+    return TlsProtocol(g_poly=g_poly, b_poly=b_poly, t_f=t_f)
 
 
 # ---------------------------------------------------------------------------
@@ -357,23 +346,22 @@ _DUAL_WINDOW = 0.12
 _DUAL_MAX_DIP = 0.95
 
 
-def make_tls_steep_protocol(delta0: float, t_f: float, g4: float) -> TlsProtocol:
+def make_tls_steep_protocol(t_f: float, g4: float) -> TlsProtocol:
     """Inversion protocol blending the cubic ramp toward a steep-step G.
 
     g4 = 0 is the standard cubic protocol; g4 = 1 crosses the equator at the
     full steepness of the composed smoothstep chain DEFAULT_STEEP_CHAIN;
-    values beyond 1 extrapolate along the same ray. B stays at pi/2.
+    values beyond 1 extrapolate along the same ray. B stays at pi/2. t_f
+    and g4 fix the protocol (no invariant scale: TlsProtocol).
     """
     _check_positive(t_f=t_f)
     base = SmoothstepChain((1,), t_f)
     steep = SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f)
     g_path = PathCombo(np.pi, (-np.pi * (1.0 - g4), -np.pi * g4), (base, steep))
-    return TlsProtocol(g_poly=g_path, b_poly=PathCombo(np.pi / 2, (), ()),
-                       omega_r=delta0, t_f=t_f)
+    return TlsProtocol(g_poly=g_path, b_poly=PathCombo(np.pi / 2, (), ()), t_f=t_f)
 
 
-def make_tls_dual_protocol(delta0: float, t_f: float, shape: float,
-                           b_dip: float) -> TlsProtocol:
+def make_tls_dual_protocol(t_f: float, shape: float, b_dip: float) -> TlsProtocol:
     """Two-channel trade-off family for simultaneous sigma_z / sigma_x noise.
 
     shape in [-1, 1] morphs G: positive values blend toward a steep single
@@ -385,9 +373,11 @@ def make_tls_dual_protocol(delta0: float, t_f: float, shape: float,
     capped so sin(B) stays bounded away from zero, and its amplitude is
     scaled by the plateau weight max(0, -shape): rotating the azimuth while
     G sits at a pole would require a divergent detuning, so without a
-    plateau B stays flat. G depends on (t_f, shape) alone, so the cells of
-    one shape build equal G paths, and the closed-form slots of measures,
-    keyed by the path, sample and take the sine of one G per shape.
+    plateau B stays flat. t_f, shape and b_dip fix the protocol (no
+    invariant scale: TlsProtocol). G depends on (t_f, shape) alone, so the
+    cells of one shape build equal G paths, and the closed-form slots of
+    measures, keyed by the path, sample and take the sine of one G per
+    shape.
     """
     _check_positive(t_f=t_f)
     if not -1.0 <= shape <= 1.0:
@@ -406,7 +396,7 @@ def make_tls_dual_protocol(delta0: float, t_f: float, shape: float,
                            (base, rise, fall))
     dip = 0.5 * np.pi * _DUAL_MAX_DIP * b_dip * max(0.0, -shape)
     b_path = PathCombo(np.pi / 2, (-dip, dip), (rise, fall))
-    return TlsProtocol(g_poly=g_path, b_poly=b_path, omega_r=delta0, t_f=t_f)
+    return TlsProtocol(g_poly=g_path, b_poly=b_path, t_f=t_f)
 
 
 # ---------------------------------------------------------------------------
@@ -569,12 +559,6 @@ class HoProtocol:
         gq = self.mass * (rho_dot * c - (self.omega0 / rho) * s)
         gp = (rho_dot * s + (self.omega0 / rho) * c) / self.omega0
         return fq, fp, gq, gp
-
-    def ermakov_residual(self, t):
-        """rhoddot + omega^2 rho - omega0^2 / rho^3, zero for a consistent
-        trap control: the Ermakov check of the acceptance suite."""
-        rho, _, r2 = self._rho_derivs(t, 2)
-        return r2 + self.omega_sq(t) * rho - self.omega0**2 / rho**3
 
 
 def _p_final(omega0, omega_f, form) -> float:
@@ -767,8 +751,8 @@ def make_constant_mu_protocol(omega0: float, omega_f: float, t_f: float,
 #: free)). Each builder looks its make_* (or constrain_g_phase) up in this
 #: module when it runs, so a build goes through whatever that name holds.
 _BUILDERS = {
-    "tls_steep_blend": (1, lambda p, t_f, free: make_tls_steep_protocol(p["delta0"], t_f, *free)),
-    "tls_dual": (2, lambda p, t_f, free: make_tls_dual_protocol(p["delta0"], t_f, *free)),
+    "tls_steep_blend": (1, lambda p, t_f, free: make_tls_steep_protocol(t_f, *free)),
+    "tls_dual": (2, lambda p, t_f, free: make_tls_dual_protocol(t_f, *free)),
     "ho_coherent": (1, lambda p, t_f, free: constrain_g_phase(
         p["omega0"], p["omega_f"], p["g_target"], p.get("mass", MASS_100_CA40), t_f, r6=free[0])),
     "ho_thermal": (None, lambda p, t_f, free: make_ho_protocol(
@@ -784,7 +768,8 @@ class ProtocolFamily:
 
     An "ho_coherent" family has r6 as its only free coefficient: build()
     solves r7 so the phase integral hits params["g_target"]
-    (constrain_g_phase).
+    (constrain_g_phase). The two-level kinds read no params. No kind checks
+    the params keys, so a key that its builder does not read is ignored.
     """
 
     kind: str

@@ -9,6 +9,7 @@ cross-validated against each other in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -36,6 +37,10 @@ class GaussianMoments:
     v_qp: float
 
     def __post_init__(self):
+        # the tests below let a NaN through, and a non-finite moment would
+        # clip a Gaussian fidelity to 1
+        if not all(map(isfinite, (self.mean_q, self.mean_p, self.v_qq, self.v_pp, self.v_qp))):
+            raise InvalidCovariance("moments must be finite")
         if self.v_qq <= 0 or self.v_pp <= 0:
             raise InvalidCovariance("diagonal covariances must be positive")
         if self.det_v < 0.25 - 1e-9:
@@ -101,14 +106,8 @@ def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def gaussian_fidelity(a: GaussianMoments, b: GaussianMoments) -> float:
-    """Single-mode Gaussian-state fidelity from means and covariances.
-
-    Raises InvalidCovariance for non-finite moments, which would otherwise
-    clip to a perfect fidelity.
-    """
+    """Single-mode Gaussian-state fidelity from means and covariances."""
     va, vb = a.covariance, b.covariance
-    if not np.all(np.isfinite([va, vb])) or not np.all(np.isfinite([a.mean, b.mean])):
-        raise InvalidCovariance("moments must be finite")
     vsum = va + vb
     delta = b.mean - a.mean
     big = float(np.linalg.det(vsum))
@@ -122,19 +121,13 @@ def gaussian_fidelity(a: GaussianMoments, b: GaussianMoments) -> float:
     return float(min(1.0, np.sqrt(max(f_sq, 0.0))))
 
 
-def thermal_state(n_bar: float, omega: float, mass: float,
-                  representation: str = "gaussian", dim: int = 64):
-    """Thermal oscillator state with mean occupation n_bar."""
+def thermal_state(n_bar: float, omega: float, mass: float) -> GaussianMoments:
+    """Gaussian moments of the thermal oscillator state with mean occupation
+    n_bar in a trap at frequency omega."""
     if n_bar < 0:
         raise ValueError("n_bar must be nonnegative")
-    if representation == "gaussian":
-        s = n_bar + 0.5
-        return GaussianMoments(0.0, 0.0, s / (mass * omega), s * mass * omega, 0.0)
-    if representation != "fock":
-        raise ValueError(f"unknown representation {representation!r}")
-    ratio = n_bar / (n_bar + 1.0)
-    pops = ratio ** np.arange(dim) / (n_bar + 1.0)  # 0.0**0 == 1.0: exact vacuum at n_bar 0
-    return np.diag(pops).astype(complex)
+    s = n_bar + 0.5
+    return GaussianMoments(0.0, 0.0, s / (mass * omega), s * mass * omega, 0.0)
 
 
 def coherent_state(alpha: complex, omega: float, mass: float,

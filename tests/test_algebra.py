@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from invariant_control import algebra
-from invariant_control.constants import TWO_PI
 from invariant_control.errors import NonPositiveRho, SingularControl
 from invariant_control.protocols import BSpec, make_tls_protocol
 
@@ -57,7 +56,7 @@ def test_singular_controls_raise():
     # 0/0 with Gdot = 0 is removable, not singular
     assert algebra.su2_controls_from_angles(0.0, 0.0, np.pi / 4, 0.0)[2]
     # the protocol raises through the same formula: B held at 0 while G moves
-    proto = make_tls_protocol(TWO_PI * 10e3, 0.5e-3, b_spec=BSpec(b0=0.0, bf=0.0))
+    proto = make_tls_protocol(0.5e-3, b_spec=BSpec(b0=0.0, bf=0.0))
     with pytest.raises(SingularControl):
         proto.controls(np.linspace(0.0, 0.5e-3, 11))
 

@@ -23,7 +23,7 @@ from invariant_control.errors import ConfigError
 
 def test_config_defaults_merged_and_round_trip():
     config = ExperimentConfig(experiment="tls_single")
-    assert config.params["delta0_hz"] == pytest.approx(10e3)
+    assert config.params == {"t_f": 0.5e-3, "measure": "O"}  # no invariant scale
     assert config.channels[0]["operator_tag"] == "sigma_z"
     again = ExperimentConfig.from_json(json.dumps(config.to_dict()))
     assert again == config
@@ -111,8 +111,24 @@ def test_synthesize_header_names_the_protocol_family(tmp_path):
     line, = [line for line in (tmp_path / "tls_dual_controls.csv").read_text().splitlines()
              if line.startswith("# protocol: ")]
     header = json.loads(line.removeprefix("# protocol: "))
-    assert header == {"kind": "tls_dual", "params": {"delta0": 2.0 * np.pi * 10e3},
+    assert header == {"kind": "tls_dual", "params": {},
                       "t_f": 0.5e-3, "free": [-0.5, 0.25]}
+
+
+def test_the_invariant_scale_moves_no_byte_of_any_table(tmp_path):
+    # delta0_hz is accepted and checked, then dropped: two tls_dual configs
+    # that differ in it alone write the same files, headers included
+    tables = []
+    for delta0_hz in (1e4, 1234.5):
+        out = tmp_path / str(delta0_hz)
+        cfg_path = tmp_path / f"{delta0_hz}.json"
+        cfg_path.write_text(json.dumps({"experiment": "tls_dual",
+                                        "params": {"delta0_hz": delta0_hz}}))
+        for verb in (["scan"], ["synthesize", "--free", "-0.5", "0.25"]):
+            assert cli.main(["--config", str(cfg_path), "--out", str(out), "--grid", "2",
+                             *verb]) == 0
+        tables.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert len(tables[0]) == 4 and tables[0] == tables[1]
 
 
 def test_synthesize_deterministic(tmp_path):
@@ -333,7 +349,7 @@ def _ints_for_integral_floats(value):
 
 
 @pytest.mark.parametrize("experiment, digest", [
-    ("tls_single", "8bdc98d97a732002"), ("tls_dual", "981b6fdb74f56875"),
+    ("tls_single", "6313a35ad076c4f5"), ("tls_dual", "b1c65f4ba884136e"),
     ("ho_coherent", "6bde4831611c044b"), ("ho_thermal", "1e05258847fefac6"),
 ])
 def test_config_hash_covers_exactly_the_numbers_run(experiment, digest):
@@ -351,6 +367,11 @@ def test_config_hash_covers_exactly_the_numbers_run(experiment, digest):
         changed = value + 1 if isinstance(value, int) else value / 2 if value else 0.25
         config = ExperimentConfig.from_dict(_with_value(default, path, changed))
         assert config.digest != digest, name
+    # and a dropped field, which moves no number, leaves it alone
+    for name, path in _dropped_fields(experiment).items():
+        for value in (1234.5, 1e4):
+            config = ExperimentConfig.from_dict(_with_value(default, path, value))
+            assert path[-1] not in config.params and config.digest == digest, name
 
 
 def test_grid_applies_to_the_figure_of_a_config_of_another_experiment(tmp_path):
@@ -467,6 +488,11 @@ def _numeric_fields(config):
     return fields
 
 
+def _dropped_fields(experiment):
+    """{field name: path} of the params that experiment accepts and drops."""
+    return {f"params.{key}": ("params", key) for key in cli._DROPPED_PARAMS.get(experiment, {})}
+
+
 def _at(config, path):
     for key in path:
         config = config[key]
@@ -483,7 +509,7 @@ def _bad_numeric_fields():
     cases = []
     for experiment, bad in _OUT_OF_RULE.items():
         config = ExperimentConfig(experiment=experiment).to_dict()
-        for name, path in _numeric_fields(config).items():
+        for name, path in {**_numeric_fields(config), **_dropped_fields(experiment)}.items():
             cases += [pytest.param(_with_value(config, path, value), name,
                                    id=f"{experiment}-{name}-{value!r}")
                       for value in ("1", True, bad[name])]
@@ -492,7 +518,7 @@ def _bad_numeric_fields():
 
 def test_out_of_rule_numbers_cover_every_numeric_field():
     assert {e: set(bad) for e, bad in _OUT_OF_RULE.items()} == {
-        e: set(_numeric_fields(ExperimentConfig(experiment=e).to_dict()))
+        e: {*_numeric_fields(ExperimentConfig(experiment=e).to_dict()), *_dropped_fields(e)}
         for e in cli._EXPERIMENTS}
 
 
@@ -956,21 +982,31 @@ def test_reproducing_every_figure_loads_no_scipy(tmp_path):
 
 def test_reproducing_every_figure_loads_no_numpy_polynomial(tmp_path):
     # numpy.polynomial serves the Hermite roots of J_n at n >= 1 only, and
-    # fig1-fig4 read J_0
+    # fig1-fig4 read J_0. No figure reaches the tests' oracles, importable
+    # here, and importing those by themselves loads no scipy
     code = (
         "import sys\n"
         "from invariant_control import cli\n"
         "for fig in ('fig1', 'fig2', 'fig3', 'fig4'):\n"
         "    assert cli.main(['--out', sys.argv[1], '--grid', '3', 'reproduce', fig]) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+        "print('oracles' in sys.modules)\n"
         "from invariant_control import measures\n"
         "measures.hermite_abs_integral(2)\n"
         "print('numpy.polynomial.hermite' in sys.modules)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    path = os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                          text=True, env=env, check=True)
-    assert out.stdout.splitlines()[-2:] == ["[]", "True"]
+    assert out.stdout.splitlines()[-3:] == ["[]", "False", "True"]
+    code = ("import sys\n"
+            "import oracles\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.splitlines() == ["[]"]
 
 
 def test_matrix_oracles_and_nelder_mead_load_no_scipy():
@@ -982,7 +1018,6 @@ def test_matrix_oracles_and_nelder_mead_load_no_scipy():
         "import sys\n"
         "import numpy as np\n"
         "from invariant_control import dynamics, measures, optimize, states\n"
-        "from invariant_control.constants import TWO_PI\n"
         "from invariant_control.protocols import ProtocolFamily, make_ho_protocol\n"
         "w = 2e8\n"
         "proto = make_ho_protocol(w, w / 100.0, t_f=5e-6)\n"
@@ -993,7 +1028,7 @@ def test_matrix_oracles_and_nelder_mead_load_no_scipy():
         "    np.diag([1.0, 0.0]), lambda t: np.diag([1e4, -1e4]),\n"
         "    [dynamics.NoiseChannel('sigma_x', 1e3)], [0.0, 1e-3])\n"
         "t_f = 0.5e-3\n"
-        "dual = ProtocolFamily('tls_dual', {'delta0': TWO_PI * 10e3}, t_f)\n"
+        "dual = ProtocolFamily('tls_dual', {}, t_f)\n"
         "def o_bar(x):\n"
         "    p = dual.with_free(np.clip(x, [-1.0, 0.0], [1.0, 1.0])).build()\n"
         "    return measures.weighted_average([measures.closed_form_O_z(p.g_poly, t_f),\n"

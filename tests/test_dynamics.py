@@ -24,6 +24,8 @@ from invariant_control.protocols import (
     make_tls_protocol,
 )
 
+import oracles
+
 
 def _random_density(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -43,8 +45,9 @@ def _random_hermitian(rng, d):
 def test_noise_channel_validation():
     with pytest.raises(UnsupportedChannel):
         dynamics.NoiseChannel("bogus", 1.0)
-    with pytest.raises(ValueError):
-        dynamics.NoiseChannel("sigma_z", -1.0)
+    for eta in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            dynamics.NoiseChannel("sigma_z", eta)
     np.testing.assert_array_equal(
         dynamics.NoiseChannel("sigma_x", 1.0).matrix(), algebra.PAULI_X
     )
@@ -149,11 +152,11 @@ def test_tls_fidelity_magnus_route_matches_master_equation(kind, free, etas):
     # tls_fidelity's Bloch-frame Magnus route against RK45 on the dense
     # master equation at rtol 1e-11. Measured agreement: |dF| <= 3.5e-10
     t_f = 0.5e-3
-    proto = ProtocolFamily(kind, {"delta0": TWO_PI * 10e3}, t_f).with_free(free).build()
+    proto = ProtocolFamily(kind, {}, t_f).with_free(free).build()
     channels = [dynamics.NoiseChannel(tag, eta) for tag, eta in etas.items()]
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     _, rhos = dynamics.integrate_master(
-        rho0, proto.hamiltonian, channels, [0.0, t_f],
+        rho0, oracles.tls_hamiltonian(proto), channels, [0.0, t_f],
         rtol=1e-11, atol=1e-14, max_step=t_f / 100,
     )
     assert abs(dynamics.tls_fidelity(proto, channels) - rhos[-1][1, 1].real) <= 1e-9
@@ -163,7 +166,7 @@ def _default_two_level_cells(experiment):
     """(protocol, channels) of every cell of invctl reproduce fig1 or fig2."""
     exp = cli._EXPERIMENTS[experiment]
     params = {name: default for name, (default, _) in exp.params.items()}
-    family = ProtocolFamily(exp.kind, {"delta0": TWO_PI * params["delta0_hz"]}, params["t_f"])
+    family = ProtocolFamily(exp.kind, {}, params["t_f"])
     channels = [dynamics.NoiseChannel(tag, eta) for tag, eta in exp.channels.items()]
     axes = [np.linspace(lo, hi, n) for (lo, hi), n, _ in exp.free.values()]
     return [(family.with_free(tuple(map(float, free))).build(), channels)
@@ -200,14 +203,14 @@ def test_tls_fidelity_meets_its_tolerance_on_every_default_cell(monkeypatch, exp
 
 
 def _tls_dual_cell():
-    proto = ProtocolFamily("tls_dual", {"delta0": TWO_PI * 10e3}, 0.5e-3).with_free(
+    proto = ProtocolFamily("tls_dual", {}, 0.5e-3).with_free(
         (-1.0, 1.0)).build()
     channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
     return lambda: dynamics.tls_fidelity(proto, channels)
 
 
 def _fig4_q2_run(proto):
-    init = states.thermal_state(12.58, proto.omega0, proto.mass, "gaussian").raw()
+    init = states.thermal_state(12.58, proto.omega0, proto.mass).raw()
     return lambda: dynamics.magnus_q2_moments(
         proto, init, dynamics.NoiseChannel("q_squared", 0.0527))
 
@@ -239,7 +242,7 @@ def test_magnus_propagator_raises_when_the_step_cap_is_reached(monkeypatch, cell
 
 
 def test_tls_fidelity_rejects_oscillator_channels():
-    proto = make_tls_protocol(TWO_PI * 10e3, 0.5e-3)
+    proto = make_tls_protocol(0.5e-3)
     for tag in ("q", "q_squared"):
         with pytest.raises(UnsupportedChannel):
             dynamics.tls_fidelity(proto, [dynamics.NoiseChannel(tag, 1.0)])
@@ -671,7 +674,7 @@ def _matmul_route(monkeypatch):
 ])
 def test_tls_fidelity_matches_the_matmul_kernel(monkeypatch, kind, free, etas):
     # measured: |dF| <= 5.6e-16 on these fig1 and fig2 cells
-    proto = ProtocolFamily(kind, {"delta0": TWO_PI * 10e3}, 0.5e-3).with_free(free).build()
+    proto = ProtocolFamily(kind, {}, 0.5e-3).with_free(free).build()
     channels = [dynamics.NoiseChannel(tag, eta) for tag, eta in etas.items()]
     got = dynamics.tls_fidelity(proto, channels)
     _matmul_route(monkeypatch)
@@ -710,10 +713,10 @@ def test_matrix_elements_match_superoperator():
             rho = _random_density(rng, d)
             phi = np.linalg.eigh(_random_hermitian(rng, d))[1]
             rho_basis = phi.conj().T @ rho @ phi
-            via_elements = dynamics.dissipative_matrix_elements(
+            via_elements = oracles.dissipative_matrix_elements(
                 rho_basis, phi, x, eta
             )
-            sup = dynamics.dissipator_superoperator(x, eta)
+            sup = oracles.dissipator_superoperator(x, eta)
             l_rho = (sup @ rho.ravel(order="F")).reshape((d, d), order="F")
             via_sup = phi.conj().T @ l_rho @ phi
             np.testing.assert_allclose(via_elements, via_sup, atol=1e-12)
@@ -729,7 +732,7 @@ def test_common_eigenbasis_rates():
     x = phi @ np.diag(x_vals) @ phi.conj().T
     eta = 0.8
     rho_basis = phi.conj().T @ _random_density(rng, d) @ phi
-    out = dynamics.dissipative_matrix_elements(rho_basis, phi, x, eta)
+    out = oracles.dissipative_matrix_elements(rho_basis, phi, x, eta)
     expected = -eta * (x_vals[:, None] - x_vals[None, :]) ** 2 * rho_basis
     np.testing.assert_allclose(out, expected, atol=1e-12)
     np.testing.assert_allclose(np.diag(out), 0.0, atol=1e-12)
@@ -866,7 +869,7 @@ def test_ho_master_noiseless_state_frozen_in_frame():
     proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6, form="sqrt_poly")
     traj = dynamics.integrate_ho_master(
         proto,
-        lambda d: states.thermal_state(2.0, omega0, proto.mass, "fock", d),
+        lambda d: oracles.thermal_fock_state(2.0, d),
         dynamics.NoiseChannel("q_squared", 0.0),
         t_eval=[0.0, proto.t_f],
         dim=60,
@@ -897,8 +900,8 @@ def _spy_fock_runs(monkeypatch):
     runs = []
     fixed_dim = dynamics._integrate_ho_fixed_dim
 
-    def spy(protocol, rho0_builder, channel, t_eval, d, rtol, atol, stop=None):
-        rhos = fixed_dim(protocol, rho0_builder, channel, t_eval, d, rtol, atol, stop)
+    def spy(protocol, rho0_builder, channel, t_eval, d, stop=None):
+        rhos = fixed_dim(protocol, rho0_builder, channel, t_eval, d, stop)
         runs.append((d, rhos is None))
         return rhos
 
@@ -1099,7 +1102,7 @@ def test_fock_run_equals_the_full_matrix_rhs(tag, eta):
         return states.coherent_state(1.0 + 1.0j, omega0, proto.mass, "fock", dim)
 
     ts = [0.0, proto.t_f]
-    rhos = dynamics._integrate_ho_fixed_dim(proto, initial_state, channel, ts, d, 1e-9, 1e-12)
+    rhos = dynamics._integrate_ho_fixed_dim(proto, initial_state, channel, ts, d)
     q, p, _ = dynamics.fock_operators(d, proto.mass, omega0)
     rho0 = initial_state(d)
     ref = dynamics._rk45_matrix(_full_matrix_fock_rhs(proto, channel, q, p),
@@ -1208,12 +1211,13 @@ def test_rk45_matrix_equals_solve_ivp_on_the_dense_two_level_oracle(monkeypatch)
     # a fig2 dual cell on the dense master equation, its step capped as in
     # the two-level route's check, at 51 samples
     t_f = 0.5e-3
-    proto = ProtocolFamily("tls_dual", {"delta0": TWO_PI * 10e3}, t_f).with_free((1.0, 0.0)).build()
+    proto = ProtocolFamily("tls_dual", {}, t_f).with_free((1.0, 0.0)).build()
     channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
 
     def rhos():
-        return dynamics.integrate_master(np.diag([1.0, 0.0]), proto.hamiltonian, channels,
-                                         np.linspace(0.0, t_f, 51), max_step=t_f / 100)[1]
+        return dynamics.integrate_master(np.diag([1.0, 0.0]), oracles.tls_hamiltonian(proto),
+                                         channels, np.linspace(0.0, t_f, 51),
+                                         max_step=t_f / 100)[1]
 
     out = rhos()
     monkeypatch.setattr(dynamics, "_rk45_matrix", _solve_ivp_rk45_matrix)
@@ -1328,12 +1332,12 @@ def test_thermal_fidelity_magnus_route_matches_moment_integrator(t_f, r6):
         proto = make_ho_protocol(omega0, omega0 / 100.0, MASS_100_CA40, t_f,
                                  "sqrt_poly", (r6,))
     channel = dynamics.NoiseChannel("q_squared", 0.0527)
-    init = states.thermal_state(n_bar, omega0, proto.mass, "gaussian")
+    init = states.thermal_state(n_bar, omega0, proto.mass)
     ts, ys = dynamics.integrate_moments(
         proto.omega_sq, init.raw(), channel, t_f, proto.mass,
         t_eval=np.linspace(0.0, t_f, 401), rtol=1e-13, atol=1e-14,
     )
-    target = states.thermal_state(n_bar, proto.omega_f, proto.mass, "gaussian")
+    target = states.thermal_state(n_bar, proto.omega_f, proto.mass)
     f_ode = states.gaussian_fidelity(states.GaussianMoments.from_raw(*ys[-1]), target)
     p_ode = measures.average_power(proto.omega_sq_dot, ys[:, 2], proto.mass, t_f,
                                    grid=len(ts))
@@ -1346,7 +1350,7 @@ def test_thermal_fidelity_magnus_route_matches_moment_integrator(t_f, r6):
 def test_magnus_q2_moments_reject_other_channels():
     omega0 = TWO_PI * 2.53e6
     proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6, form="sqrt_poly")
-    y0 = states.thermal_state(1.0, omega0, proto.mass, "gaussian").raw()
+    y0 = states.thermal_state(1.0, omega0, proto.mass).raw()
     for tag in ("q", "sigma_z"):
         with pytest.raises(UnsupportedChannel):
             dynamics.magnus_q2_moments(proto, y0, dynamics.NoiseChannel(tag, 1.0))

@@ -20,6 +20,8 @@ from invariant_control.protocols import (
     make_tls_steep_protocol,
 )
 
+import oracles
+
 O_MAX = measures.O_MAX_TWO_LEVEL
 
 
@@ -43,17 +45,19 @@ def test_measure_O_constant_equator_path():
 
 
 def test_measure_O_matches_closed_form_on_protocol():
-    delta0, t_f = TWO_PI * 10e3, 0.5e-3
-    proto = make_tls_protocol(delta0, t_f, g_extra=(0.4,))
-    direct = measures.measure_O(proto.invariant, algebra.PAULI_Z, t_f, grid=2001)
+    t_f = 0.5e-3
+    proto = make_tls_protocol(t_f, g_extra=(0.4,))
+    invariant = oracles.tls_invariant(proto, TWO_PI * 10e3)
+    direct = measures.measure_O(invariant, algebra.PAULI_Z, t_f, grid=2001)
     closed = measures.closed_form_O_z(lambda t: proto.g_poly(t), t_f, grid=2001)
     assert direct == pytest.approx(closed, abs=1e-7)
 
 
 def test_measure_A_matches_closed_form_on_protocol():
-    delta0, t_f = TWO_PI * 10e3, 0.5e-3
-    proto = make_tls_protocol(delta0, t_f, g_extra=(-0.3,))
-    direct = measures.measure_A(proto.invariant, algebra.PAULI_Z, t_f, grid=2001)
+    t_f = 0.5e-3
+    proto = make_tls_protocol(t_f, g_extra=(-0.3,))
+    invariant = oracles.tls_invariant(proto, TWO_PI * 10e3)
+    direct = measures.measure_A(invariant, algebra.PAULI_Z, t_f, grid=2001)
     closed = measures.closed_form_A_z(lambda t: proto.g_poly(t), t_f, grid=2001)
     assert direct == pytest.approx(closed, abs=1e-7)
 
@@ -108,7 +112,7 @@ def test_closed_forms_agree_with_scipy():
     # the route the cached rule replaced, kept as the oracle: O_z and A_z
     # come out bit for bit, O_x within 2.6 eps
     t_f = 0.5e-3
-    proto = make_tls_dual_protocol(TWO_PI * 10e3, t_f, -0.5, 0.7)
+    proto = make_tls_dual_protocol(t_f, -0.5, 0.7)
     ts = np.linspace(0.0, t_f, 4001)
     g, b = proto.g_poly(ts), proto.b_poly(ts)
     o_z = 2.0 * (np.sqrt(1.0 + np.abs(np.sin(g))) - 1.0)
@@ -277,7 +281,7 @@ def test_two_channel_landscape_equals_a_fresh_computation():
 # reuse of the closed forms' last results
 
 
-_DELTA0, _T_F = TWO_PI * 10e3, 0.5e-3
+_T_F = 0.5e-3
 #: steep cells (g4) and dual cells (shape, b_dip): dual cells of one shape
 #: share G, and shape >= 0 keeps B at pi/2 whatever b_dip is
 _STEEP = (0.0, 0.35, 1.0)
@@ -286,9 +290,9 @@ _DUAL = ((-1.0, 0.0), (-1.0, 0.5), (-0.3, 0.5), (0.0, 0.2), (0.0, 0.9), (0.6, 0.
 
 def _cell_measures(cell):
     if len(cell) == 1:
-        g = make_tls_steep_protocol(_DELTA0, _T_F, cell[0]).g_poly
+        g = make_tls_steep_protocol(_T_F, cell[0]).g_poly
         return (measures.closed_form_O_z(g, _T_F), measures.closed_form_A_z(g, _T_F))
-    proto = make_tls_dual_protocol(_DELTA0, _T_F, *cell)
+    proto = make_tls_dual_protocol(_T_F, *cell)
     return (measures.closed_form_O_z(proto.g_poly, _T_F),
             measures.closed_form_O_x(proto.g_poly, proto.b_poly, _T_F))
 
@@ -335,8 +339,8 @@ def test_changed_paths_t_f_or_grid_miss_the_slots(monkeypatch):
     # the slots key on (G, t_f, grid) and (G, B, t_f, grid): a value-equal
     # fresh path hits, and a G one ulp off in one weight, another t_f or
     # another grid misses and equals a cold call
-    g = make_tls_steep_protocol(_DELTA0, _T_F, 0.35).g_poly
-    b = make_tls_dual_protocol(_DELTA0, _T_F, -0.5, 0.7).b_poly
+    g = make_tls_steep_protocol(_T_F, 0.35).g_poly
+    b = make_tls_dual_protocol(_T_F, -0.5, 0.7).b_poly
     sines = _count_sines(monkeypatch)
 
     def forms(g, b, t_f=_T_F, grid=4001):
@@ -356,7 +360,7 @@ def test_changed_paths_t_f_or_grid_miss_the_slots(monkeypatch):
         assert len(sines) == n + 1  # the sine missed; O_z, A_z and O_x share it
         assert got == cold(*args)
         forms(g, b)  # back in the slots
-    b_moved = make_tls_dual_protocol(_DELTA0, _T_F, -0.5, 0.2).b_poly
+    b_moved = make_tls_dual_protocol(_T_F, -0.5, 0.2).b_poly
     n = len(sines)
     got = measures.closed_form_O_x(g, b_moved, _T_F)
     assert got != first[2] and len(sines) == n  # O_x keys on B too; G's sine hit
@@ -367,7 +371,7 @@ def test_distinct_polynomial_and_lambda_paths_alternate_through_the_slots():
     # a BoundaryPolynomial and a lambda are equal only to themselves: two of
     # each, alternated through the three closed forms, raise nothing in the
     # key compare and each give a cold call's values
-    protos = [make_tls_protocol(_DELTA0, _T_F, g_extra=(x,)) for x in (0.4, -0.3)]
+    protos = [make_tls_protocol(_T_F, g_extra=(x,)) for x in (0.4, -0.3)]
     lambdas = [(lambda t, p=p: p.g_poly(t), lambda t, p=p: p.b_poly(t)) for p in protos]
     paths = [(p.g_poly, p.b_poly) for p in protos] + lambdas
 

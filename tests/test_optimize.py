@@ -157,8 +157,7 @@ def test_minimize_takes_only_an_integer_iteration_cap():
 
 
 def test_objective_builds_protocol_from_family():
-    delta0, t_f = TWO_PI * 10e3, 0.5e-3
-    fam = ProtocolFamily("tls_steep_blend", {"delta0": delta0}, t_f, (0.0,))
+    fam = ProtocolFamily("tls_steep_blend", {}, 0.5e-3, (0.0,))
     obj = optimize.Objective(
         fam, lambda proto: measures.closed_form_O_z(
             lambda t: proto.g_poly(t), proto.t_f

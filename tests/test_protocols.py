@@ -34,6 +34,8 @@ from invariant_control.protocols import (
     make_tls_steep_protocol,
 )
 
+import oracles
+
 DELTA0 = TWO_PI * 10e3
 T_F = 0.5e-3
 
@@ -43,7 +45,7 @@ T_F = 0.5e-3
 
 
 def test_tls_boundary_conditions():
-    proto = make_tls_protocol(DELTA0, T_F)
+    proto = make_tls_protocol(T_F)
     ts = np.array([0.0, T_F])
     g, b = proto.g_poly(ts), proto.b_poly(ts)
     np.testing.assert_allclose(g, [np.pi, 0.0], atol=1e-9)
@@ -53,7 +55,7 @@ def test_tls_boundary_conditions():
 
 
 def test_tls_controls_regular_and_zero_at_edges():
-    proto = make_tls_protocol(DELTA0, T_F)
+    proto = make_tls_protocol(T_F)
     ts = np.linspace(0.0, T_F, 101)
     delta, omega = proto.controls(ts)
     assert np.all(np.isfinite(delta)) and np.all(np.isfinite(omega))
@@ -64,14 +66,14 @@ def test_tls_controls_regular_and_zero_at_edges():
 def test_tls_invariant_equation_on_interior_grid():
     rng = np.random.default_rng(17)
     for g_extra in ((), tuple(rng.uniform(-1.0, 1.0, 2))):
-        proto = make_tls_protocol(DELTA0, T_F, g_extra)
+        proto = make_tls_protocol(T_F, g_extra)
+        hamiltonian = oracles.tls_hamiltonian(proto)
+        invariant = oracles.tls_invariant(proto, DELTA0)
         h_step = 1e-7 * T_F
         for t in np.linspace(0.1 * T_F, 0.9 * T_F, 17):
-            h = proto.hamiltonian(t)
-            di_dt = (proto.invariant(t + h_step) - proto.invariant(t - h_step)) / (
-                2.0 * h_step
-            )
-            comm = -1j * (h @ proto.invariant(t) - proto.invariant(t) @ h)
+            h = hamiltonian(t)
+            di_dt = (invariant(t + h_step) - invariant(t - h_step)) / (2.0 * h_step)
+            comm = -1j * (h @ invariant(t) - invariant(t) @ h)
             scale = np.max(np.abs(di_dt)) + DELTA0
             np.testing.assert_allclose(di_dt, comm, atol=1e-5 * scale)
 
@@ -80,7 +82,7 @@ def test_boundary_detuning_spec_hits_target_at_edges():
     # G touches the poles quadratically, so the removable limit gives
     # Delta(t_b) = -3 Bdot(t_b); interior pins hold B near pi/2
     b_spec = BSpec(b0_dot=-DELTA0 / 3.0, bf_dot=DELTA0 / 3.0, pins=(0.25, 0.5, 0.75))
-    proto = make_tls_protocol(DELTA0, T_F, b_spec=b_spec)
+    proto = make_tls_protocol(T_F, b_spec=b_spec)
     delta, _ = proto.controls(np.array([0.0, T_F]))
     assert delta[0] == pytest.approx(DELTA0, rel=1e-3)
     assert delta[-1] == pytest.approx(-DELTA0, rel=1e-3)
@@ -174,9 +176,9 @@ def test_path_combo_weights_and_paths_of_unequal_length_raise():
 @pytest.mark.parametrize("t_f", [-0.5e-3, 0.0, np.inf, np.nan])
 def test_chain_families_reject_a_t_f_not_positive_and_finite(t_f):
     with pytest.raises(ValueError, match="positive and finite"):
-        make_tls_steep_protocol(DELTA0, t_f, 0.5)
+        make_tls_steep_protocol(t_f, 0.5)
     with pytest.raises(ValueError, match="positive and finite"):
-        make_tls_dual_protocol(DELTA0, t_f, -0.5, 0.5)
+        make_tls_dual_protocol(t_f, -0.5, 0.5)
 
 
 def _composed(chain, ts, order):
@@ -252,7 +254,7 @@ def test_one_evaluation_serves_both_orders(monkeypatch):
     assert np.array_equal(value, _composed(chain, ts, 0))
     assert np.array_equal(slope, _composed(chain, ts, 1))
     # both orders of a three-chain G on a writable batch: one pass per chain
-    g = make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.7).g_poly
+    g = make_tls_dual_protocol(T_F, -0.5, 0.7).g_poly
     batch = np.linspace(0.0, T_F, 601)
     seen.clear()
     g(batch), g(batch, 1)
@@ -317,7 +319,7 @@ def test_dual_scan_samples_each_chain_once_per_grid(monkeypatch):
     monkeypatch.setattr(protocols, "_smoothstep_scalar", counting)
     monkeypatch.setattr(protocols, "_chain_samples", protocols._SampleMemo(4 << 20))
     channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
-    family = ProtocolFamily("tls_dual", {"delta0": DELTA0}, T_F)
+    family = ProtocolFamily("tls_dual", {}, T_F)
     chains = set()
 
     def cell(free):
@@ -351,7 +353,7 @@ def test_path_combo_samples_equal_a_fresh_combination():
     # every call combines afresh: samples of either order, on read-only or
     # writable t of any interior, length or shape, equal the chains combined
     # by hand, and equal combos give equal samples
-    g = make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.7).g_poly
+    g = make_tls_dual_protocol(T_F, -0.5, 0.7).g_poly
     ts = _read_only(np.linspace(0.0, T_F, 801))
     moved = np.array(ts)
     moved[400] += 0.25 * (ts[1] - ts[0])
@@ -387,14 +389,14 @@ def test_a_dual_cell_samples_each_angle_path_once(monkeypatch):
     # on the grid; a repeat cell of that shape builds a fresh G equal to the
     # last, which hits, and samples B only
     channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
-    want = cli._tls_dual_measures(make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.7), None, channels)
+    want = cli._tls_dual_measures(make_tls_dual_protocol(T_F, -0.5, 0.7), None, channels)
     calls = _counting_combos(monkeypatch)
     measures._slots.clear()
-    proto = make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.7)
+    proto = make_tls_dual_protocol(T_F, -0.5, 0.7)
     assert cli._tls_dual_measures(proto, None, channels) == want
     assert [(id(p), order) for p, order in calls] == [(id(proto.g_poly), 0), (id(proto.b_poly), 0)]
     calls.clear()
-    repeat = make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.2)
+    repeat = make_tls_dual_protocol(T_F, -0.5, 0.2)
     assert repeat.g_poly == proto.g_poly and repeat.g_poly is not proto.g_poly
     cli._tls_dual_measures(repeat, None, channels)
     assert [(id(p), order) for p, order in calls] == [(id(repeat.b_poly), 0)]
@@ -407,7 +409,7 @@ def test_dual_cells_of_one_shape_equal_cold_cells_bit_for_bit(monkeypatch):
     # b_dip, the fidelity of a cold cell with empty closed-form slots
     shapes = (-0.5, 0.0, -0.0, 0.75, -0.5)
     channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
-    family = ProtocolFamily("tls_dual", {"delta0": DELTA0}, T_F)
+    family = ProtocolFamily("tls_dual", {}, T_F)
 
     def cell(coeffs):
         i, j = round(coeffs[0]), round(3 * coeffs[1])
@@ -448,7 +450,7 @@ def test_dual_scan_takes_one_sine_per_distinct_g(monkeypatch):
         return sin(x, *args, **kwargs)
 
     channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
-    family = ProtocolFamily("tls_dual", {"delta0": DELTA0}, T_F)
+    family = ProtocolFamily("tls_dual", {}, T_F)
 
     def cell(free):
         return cli._tls_dual_measures(family.with_free(free).build(), None, channels)
@@ -478,7 +480,7 @@ def test_path_combo_copies_the_samples_once_per_call(monkeypatch):
             built.append(t.size)
             super().__init__(t)
 
-    g = make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.7).g_poly
+    g = make_tls_dual_protocol(T_F, -0.5, 0.7).g_poly
     ts = np.linspace(0.0, T_F, 801)
     want = replace(g)(ts)
     monkeypatch.setattr(protocols, "_Samples", Counting)
@@ -490,7 +492,7 @@ def test_path_combo_copies_the_samples_once_per_call(monkeypatch):
 
 def test_steep_blend_endpoints_and_midpoint():
     for g4 in (0.0, 0.5, 1.0):
-        proto = make_tls_steep_protocol(DELTA0, T_F, g4)
+        proto = make_tls_steep_protocol(T_F, g4)
         g = proto.g_poly(np.array([0.0, 0.5 * T_F, T_F]))
         np.testing.assert_allclose(g, [np.pi, np.pi / 2, 0.0], atol=1e-12)
 
@@ -500,8 +502,8 @@ def test_dual_family_reduces_to_steep_blend_without_plateau():
     # the single-channel steep blend at g4 = shape
     ts = np.linspace(0.0, T_F, 301)
     for shape in (0.0, 0.4, 1.0):
-        dual = make_tls_dual_protocol(DELTA0, T_F, shape, 0.7)
-        single = make_tls_steep_protocol(DELTA0, T_F, shape)
+        dual = make_tls_dual_protocol(T_F, shape, 0.7)
+        single = make_tls_steep_protocol(T_F, shape)
         np.testing.assert_allclose(dual.g_poly(ts), single.g_poly(ts), atol=1e-14)
         np.testing.assert_allclose(dual.b_poly(ts), np.pi / 2, atol=1e-14)
         # B is exactly flat on the equator, so the detuning is exactly 0
@@ -509,14 +511,14 @@ def test_dual_family_reduces_to_steep_blend_without_plateau():
 
 
 def test_dual_family_plateau_and_dip():
-    proto = make_tls_dual_protocol(DELTA0, T_F, -1.0, 1.0)
+    proto = make_tls_dual_protocol(T_F, -1.0, 1.0)
     g, b = proto.g_poly(np.array([0.5 * T_F])), proto.b_poly(np.array([0.5 * T_F]))
     assert g[0] == pytest.approx(np.pi / 2, abs=1e-12)
     assert b[0] == pytest.approx(np.pi / 2 - 0.95 * np.pi / 2, abs=1e-12)
     with pytest.raises(ValueError):
-        make_tls_dual_protocol(DELTA0, T_F, 1.5, 0.0)
+        make_tls_dual_protocol(T_F, 1.5, 0.0)
     with pytest.raises(ValueError):
-        make_tls_dual_protocol(DELTA0, T_F, 0.0, -0.1)
+        make_tls_dual_protocol(T_F, 0.0, -0.1)
 
 
 def test_tls_controls_go_through_the_algebra_formula(monkeypatch):
@@ -529,7 +531,7 @@ def test_tls_controls_go_through_the_algebra_formula(monkeypatch):
         return formula(*args)
 
     monkeypatch.setattr(algebra, "su2_controls_from_angles", counting)
-    proto = make_tls_dual_protocol(DELTA0, T_F, -0.5, 0.5)
+    proto = make_tls_dual_protocol(T_F, -0.5, 0.5)
     delta, omega = proto.controls(np.linspace(0.0, T_F, 101))
     assert calls and calls[0] == 101
     assert np.all(np.isfinite(delta)) and np.all(np.isfinite(omega))
@@ -538,7 +540,7 @@ def test_tls_controls_go_through_the_algebra_formula(monkeypatch):
 def test_dual_plateau_protocol_inverts_without_noise():
     # the polar angle only moves inside two narrow windows; the integrator
     # must not step across them even though H = 0 on the long plateau
-    proto = make_tls_dual_protocol(DELTA0, T_F, -1.0, 0.5)
+    proto = make_tls_dual_protocol(T_F, -1.0, 0.5)
     assert tls_fidelity(proto) > 1.0 - 1e-6
 
 
@@ -567,7 +569,7 @@ def test_ho_ermakov_residual_small():
     omega0 = TWO_PI * 2.53e6
     proto = make_ho_protocol(omega0, omega0 / 100.0, t_f=5e-6, form="sqrt_poly")
     ts = np.linspace(0.0, proto.t_f, 501)
-    res = proto.ermakov_residual(ts)
+    res = oracles.ermakov_residual(proto, ts)
     scale = np.max(np.abs(omega0**2 / proto.rho(ts) ** 3))
     assert np.max(np.abs(res)) < 1e-9 * scale
 
@@ -645,7 +647,7 @@ def test_path_weights_that_are_not_finite_raise():
     # g4 = 1e308 puts pi (1 - g4) past the largest double
     for g4 in (1e308, -1e308):
         with pytest.raises(InvariantControlError, match="not all finite"):
-            make_tls_steep_protocol(TWO_PI * 10e3, 0.5e-3, g4)
+            make_tls_steep_protocol(0.5e-3, g4)
     with pytest.raises(InvariantControlError):
         protocols.PathCombo(np.nan, (), ())
 
@@ -1068,7 +1070,7 @@ def test_trap_builders_reject_a_value_not_positive_and_finite(name, value, monke
         make_constant_mu_protocol(**args)
     if name == "t_f":
         with pytest.raises(ValueError, match="positive and finite"):
-            make_tls_protocol(DELTA0, value)
+            make_tls_protocol(value)
     info = fresh_ermakov_basis.cache_info()
     assert info.hits + info.misses == 0
 
@@ -1191,8 +1193,8 @@ def test_constant_mu_protocol():
 
 
 EVERY_KIND = [
-    ProtocolFamily("tls_steep_blend", {"delta0": DELTA0}, T_F, (0.8,)),
-    ProtocolFamily("tls_dual", {"delta0": DELTA0}, T_F, (-0.5, 0.3)),
+    ProtocolFamily("tls_steep_blend", {}, T_F, (0.8,)),
+    ProtocolFamily("tls_dual", {}, T_F, (-0.5, 0.3)),
     ProtocolFamily(
         "ho_coherent",
         {"omega0": TWO_PI * 15.92e6, "omega_f": TWO_PI * 15.92e4,
@@ -1251,8 +1253,16 @@ def test_protocol_family_unknown_kind():
         ProtocolFamily("unknown", {}, 1.0)
 
 
+def test_two_level_families_read_no_params():
+    # no kind checks its params keys: a two-level family that still carries
+    # the invariant's scale builds the same protocol as one without
+    for kind, free in (("tls_steep_blend", (0.8,)), ("tls_dual", (-0.5, 0.3))):
+        bare = ProtocolFamily(kind, {}, T_F, free).build()
+        assert ProtocolFamily(kind, {"delta0": DELTA0}, T_F, free).build() == bare
+
+
 def test_protocol_family_with_free():
-    fam = ProtocolFamily("tls_steep_blend", {"delta0": DELTA0}, T_F, (0.0,))
+    fam = ProtocolFamily("tls_steep_blend", {}, T_F, (0.0,))
     assert fam.with_free((0.7,)).free == (0.7,)
 
 

@@ -8,6 +8,8 @@ from invariant_control.constants import TWO_PI
 from invariant_control.errors import InvalidCovariance
 from invariant_control.protocols import make_ho_protocol
 
+import oracles
+
 
 def test_gaussian_moments_raw_round_trip():
     g = states.GaussianMoments(0.4, -0.2, 0.8, 0.9, 0.1)
@@ -24,18 +26,18 @@ def test_gaussian_moments_validation_and_purity():
     # purity 1 / (2 sqrt(det V)): 1 for a coherent state, 1 / (2 n + 1) thermal
     coh = states.coherent_state(1.0 + 1.0j, 2.0, 1.0, "gaussian")
     assert coh.det_v == pytest.approx(0.25, rel=1e-12)
-    th = states.thermal_state(3.0, 2.0, 1.0, "gaussian")
+    th = states.thermal_state(3.0, 2.0, 1.0)
     assert th.det_v == pytest.approx((3.0 + 0.5) ** 2, rel=1e-12)
 
 
 def test_thermal_state_fock_populations():
     n_bar, dim = 2.5, 120
-    rho = states.thermal_state(n_bar, 1.0, 1.0, "fock", dim)
+    rho = oracles.thermal_fock_state(n_bar, dim)
     pops = np.diag(rho).real
     assert pops.sum() == pytest.approx(1.0, abs=1e-10)
     assert (np.arange(dim) * pops).sum() == pytest.approx(n_bar, rel=1e-8)
     # n_bar = 0 is the exact vacuum
-    vacuum = states.thermal_state(0.0, 1.0, 1.0, "fock", 5)
+    vacuum = oracles.thermal_fock_state(0.0, 5)
     assert np.array_equal(vacuum, np.diag([1.0, 0.0, 0.0, 0.0, 0.0]).astype(complex))
     with pytest.raises(ValueError):
         states.thermal_state(-1.0, 1.0, 1.0)
@@ -119,27 +121,31 @@ def test_gaussian_fidelity_displaced_coherent_closed_form():
 
 
 def test_gaussian_fidelity_rejects_non_finite_moments():
-    good = states.coherent_state(0.5 + 0.5j, 1.0, 1.0, "gaussian")
-    nan = float("nan")
-    for bad in (states.GaussianMoments(nan, 0.0, 1.0, 1.0, 0.0),
-                states.GaussianMoments(0.0, 0.0, nan, 1.0, 0.0)):
-        with pytest.raises(InvalidCovariance):
-            states.gaussian_fidelity(bad, good)
-        with pytest.raises(InvalidCovariance):
-            states.gaussian_fidelity(good, bad)
+    # a non-finite moment would clip a fidelity to 1: no GaussianMoments
+    # holds one, so gaussian_fidelity never sees it
+    good = (0.0, 0.0, 1.0, 1.0, 0.0)
+    for i in range(5):
+        for value in (np.nan, np.inf, -np.inf):
+            bad = (*good[:i], value, *good[i + 1:])
+            with pytest.raises(InvalidCovariance, match="finite"):
+                states.GaussianMoments(*bad)
+            with pytest.raises(InvalidCovariance, match="finite"):
+                states.GaussianMoments.from_raw(*bad)
+    with pytest.raises(InvalidCovariance, match="finite"):
+        states.thermal_state(np.nan, 1.0, 1.0)
 
 
 def test_gaussian_fidelity_matches_fock_uhlmann():
     omega, mass, dim = 1.0, 1.0, 80
     pairs = [
-        (states.thermal_state(1.5, omega, mass, "gaussian"),
-         states.thermal_state(3.0, omega, mass, "gaussian"),
-         states.thermal_state(1.5, omega, mass, "fock", dim),
-         states.thermal_state(3.0, omega, mass, "fock", dim)),
+        (states.thermal_state(1.5, omega, mass),
+         states.thermal_state(3.0, omega, mass),
+         oracles.thermal_fock_state(1.5, dim),
+         oracles.thermal_fock_state(3.0, dim)),
         (states.coherent_state(0.7, omega, mass, "gaussian"),
-         states.thermal_state(0.8, omega, mass, "gaussian"),
+         states.thermal_state(0.8, omega, mass),
          states.coherent_state(0.7, omega, mass, "fock", dim),
-         states.thermal_state(0.8, omega, mass, "fock", dim)),
+         oracles.thermal_fock_state(0.8, dim)),
     ]
     for ga, gb, fa, fb in pairs:
         f_gauss = states.gaussian_fidelity(ga, gb)
