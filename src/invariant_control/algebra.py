@@ -3,9 +3,9 @@
 A two-level invariant is a multiple of ((cosG, sinG e^{iB}), (sinG e^{-iB},
 -cosG)) for polar angles (G, B); the controls of H = Delta/2 sigma_z +
 Omega/2 sigma_x that keep it invariant follow from the angle paths alone
-(su2_controls_from_angles), whatever the scale. A trap expansion is prescribed by the Ermakov
-scaling function rho, and the trap frequency follows from rho and its second
-derivative (omega_sq_from_rho).
+(su2_controls_from_angles; on the equator, cot B = 0, TlsProtocol skips it).
+A trap expansion is set by the Ermakov scaling function rho, and the trap
+frequency follows from rho and its second derivative (omega_sq_from_rho).
 """
 
 from __future__ import annotations

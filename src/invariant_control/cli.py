@@ -621,7 +621,10 @@ def _load_config(args) -> ExperimentConfig:
             text = Path(args.config).read_text(encoding="utf-8")  # as JSON requires
         except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8 ...
             raise ConfigError(f"--config: {exc}") from None
-        data = ExperimentConfig._checked_fields(_json_value(text))
+        flag, data = data["experiment"], ExperimentConfig._checked_fields(_json_value(text))
+        if flag not in (None, data["experiment"]):
+            raise ConfigError(f"--experiment {flag} differs from the config's experiment "
+                              f"{data['experiment']!r}")
     elif data["experiment"] is None and args.verb != "reproduce":
         raise ConfigError("need --config or --experiment")
     if args.verb == "reproduce":

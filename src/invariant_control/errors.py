@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its positivity check."""
+
+from math import isfinite
+
+
+def check_positive(**values):
+    """ValueError unless every value is positive and finite."""
+    if not all(v > 0.0 and isfinite(v) for v in values.values()):
+        raise ValueError(f"{', '.join(values)} must be positive and finite")
 
 
 class InvariantControlError(Exception):

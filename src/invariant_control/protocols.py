@@ -8,7 +8,6 @@ through the Ermakov scaling function rho. A constant-mu reference expansion
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, lru_cache
 from math import comb, cos, isfinite, sin
@@ -19,7 +18,7 @@ import numpy as np
 from . import algebra
 from .constants import MASS_100_CA40
 from .errors import (DimensionMismatch, IllConditionedPhase, InvariantControlError,
-                     NonPositiveRho, NoRoot)
+                     NonPositiveRho, NoRoot, check_positive)
 from .polynomial import BoundaryPolynomial, Constraint, horner, solve_boundary_polynomial
 
 __all__ = [
@@ -54,12 +53,6 @@ _PHASE_MISS_MAX = 1e-9
 #: the default and benchmark cells miss by at most 2.0e-13, the widest test
 #: scans (r6 in [-2000, 2000]) by 1.0e-11
 _BOUNDARY_MISS_MAX = 1e-9
-
-
-def _check_positive(**values):
-    """ValueError unless every value is positive and finite."""
-    if not all(v > 0.0 and isfinite(v) for v in values.values()):
-        raise ValueError(f"{', '.join(values)} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -138,15 +131,13 @@ class TlsProtocol:
         return flat and abs(np.cos(b(0.0))) < 1e-12
 
     def _controls_raw(self, t):
-        """(Delta, Omega, removable) from algebra.su2_controls_from_angles."""
+        """(Delta, Omega, removable): algebra.su2_controls_from_angles where B
+        moves; on the equator (cot B = 0) just -Bdot, Gdot / sin(B) and no 0/0."""
         b_dot = self.b_poly(t, 1)
-        delta, omega, removable = algebra.su2_controls_from_angles(
-            self.g_poly(t), self.g_poly(t, 1), self.b_poly(t), b_dot)
         if self._b_on_equator:
-            # the cot(B) term holds only the roundoff of cos(pi/2): drop it,
-            # and with it every 0/0 of that term
-            return -b_dot, omega, np.zeros_like(removable)
-        return delta, omega, removable
+            return -b_dot, self.g_poly(t, 1) / np.sin(self.b_poly(t)), np.zeros(t.shape, bool)
+        return algebra.su2_controls_from_angles(
+            self.g_poly(t), self.g_poly(t, 1), self.b_poly(t), b_dot)
 
 
 def make_tls_protocol(t_f: float, g_extra=(), b_spec: BSpec | None = None) -> TlsProtocol:
@@ -157,7 +148,7 @@ def make_tls_protocol(t_f: float, g_extra=(), b_spec: BSpec | None = None) -> Tl
     (in the scaled variable t/t_f) deform the path without touching the
     boundary conditions.
     """
-    _check_positive(t_f=t_f)
+    check_positive(t_f=t_f)
     if b_spec is None:
         b_spec = BSpec()
     g_poly = _solve_angle_poly(t_f, np.pi, 0.0, 0.0, 0.0, g_extra)
@@ -188,8 +179,8 @@ def _smoothstep_coeffs(n: int) -> tuple[float, ...]:
                  for k in range(n + 1))
 
 
-def _smoothstep_scalar(n: int, u, order: int):
-    """Value (order 0) or slope (order 1) of the n-th smoothstep on [0, 1].
+def _smoothstep(n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and slope of the n-th smoothstep on [0, 1].
 
     S_n(u) = u^(n+1) sum_k c_k u^k (degree 2n+1): the sum by Horner's rule,
     then n+1 multiplications by u. S_n'(u) = (2n+1) C(2n, n) (u(1-u))^n by
@@ -198,19 +189,14 @@ def _smoothstep_scalar(n: int, u, order: int):
     coefficients sum to 1: windowed chains stay exactly flat outside their
     window.
     """
-    u = np.asarray(u, dtype=float)
-    if order == 0:
-        out = horner(_smoothstep_coeffs(n), u)
-        for _ in range(n + 1):
-            out = out * u
-        return out
-    if order == 1:
-        w = u * (1.0 - u)
-        out = np.full_like(u, (2 * n + 1) * comb(2 * n, n))
-        for _ in range(n):
-            out = out * w
-        return out
-    raise ValueError("smoothstep derivatives implemented up to order 1")
+    val = horner(_smoothstep_coeffs(n), u)
+    for _ in range(n + 1):
+        val = val * u
+    w = u * (1.0 - u)
+    der = np.full_like(u, (2 * n + 1) * comb(2 * n, n))
+    for _ in range(n):
+        der = der * w
+    return val, der
 
 
 @dataclass(frozen=True)
@@ -241,8 +227,8 @@ class SmoothstepChain:
         val = np.clip((t / self.duration - lo) / (hi - lo), 0.0, 1.0)
         der = np.ones_like(val)
         for n in reversed(self.orders):
-            der = der * _smoothstep_scalar(n, val, 1)
-            val = _smoothstep_scalar(n, val, 0)
+            val, slope = _smoothstep(n, val)
+            der = der * slope
         return val, der * (1.0 / ((hi - lo) * self.duration))
 
 
@@ -266,21 +252,22 @@ class _Samples:
 
 
 class _SampleMemo:
-    """Least-recently-used memo of read-only chain samples, bounded in bytes.
+    """Memo of read-only chain samples, bounded in bytes.
 
     A chain depends only on (orders, duration, window), while the free
     coefficients of a family enter only the PathCombo weights, so a scan
     samples the same chains on the same grid in every cell. An entry, keyed
     by the chain and the _Samples of t so only equal samples hit, holds the
     value and slope of one _evaluate and counts the bytes of t, value and
-    slope; the oldest entries go to hold at most max_bytes. A lock keeps the
-    entries and their byte count consistent when threads share the memo.
+    slope. An entry that would pass max_bytes empties the memo first, and
+    one larger is not held; fig1-fig4 in one process hold 0.74 MiB at most.
+    A lock keeps the entries and byte count consistent when threads share it.
     """
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self.nbytes = 0
-        self._entries: OrderedDict = OrderedDict()
+        self._entries: dict = {}
         self._lock = Lock()
 
     def __call__(self, chain: SmoothstepChain, t: np.ndarray,
@@ -290,17 +277,15 @@ class _SampleMemo:
         with self._lock:
             pair = self._entries.get(key)
             if pair is not None:
-                self._entries.move_to_end(key)
                 return pair
             val, der = map(np.asarray, chain._evaluate(t))
             val.flags.writeable = der.flags.writeable = False
             pair, size = (val, der), t.nbytes + val.nbytes + der.nbytes
             if size <= self.max_bytes:
+                if self.nbytes + size > self.max_bytes:
+                    self._entries, self.nbytes = {}, 0
                 self._entries[key] = pair
                 self.nbytes += size
-                while self.nbytes > self.max_bytes:
-                    (_, old_t), (val, der) = self._entries.popitem(last=False)
-                    self.nbytes -= len(old_t.data) + val.nbytes + der.nbytes
             return pair
 
 
@@ -354,7 +339,7 @@ def make_tls_steep_protocol(t_f: float, g4: float) -> TlsProtocol:
     values beyond 1 extrapolate along the same ray. B stays at pi/2. t_f
     and g4 fix the protocol (no invariant scale: TlsProtocol).
     """
-    _check_positive(t_f=t_f)
+    check_positive(t_f=t_f)
     base = SmoothstepChain((1,), t_f)
     steep = SmoothstepChain(DEFAULT_STEEP_CHAIN, t_f)
     g_path = PathCombo(np.pi, (-np.pi * (1.0 - g4), -np.pi * g4), (base, steep))
@@ -379,7 +364,7 @@ def make_tls_dual_protocol(t_f: float, shape: float, b_dip: float) -> TlsProtoco
     measures, keyed by the path, sample and take the sine of one G per
     shape.
     """
-    _check_positive(t_f=t_f)
+    check_positive(t_f=t_f)
     if not -1.0 <= shape <= 1.0:
         raise ValueError("shape must lie in [-1, 1]")
     if not 0.0 <= b_dip <= 1.0:
@@ -607,7 +592,7 @@ def make_ho_protocol(
     conditions rho(0)=1, rho(t_f)=sqrt(omega0/omega_f), rhodot = rhoddot = 0
     at both edges. A solve that misses them by more than _BOUNDARY_MISS_MAX
     raises InvariantControlError (_meets_boundaries)."""
-    _check_positive(omega0=omega0, omega_f=omega_f, mass=mass, t_f=t_f)
+    check_positive(omega0=omega0, omega_f=omega_f, mass=mass, t_f=t_f)
     return _meets_boundaries(HoProtocol(
         inner=_ermakov_inner(omega0, omega_f, t_f, form, tuple(r_extra)), form=form,
         omega0=omega0, omega_f=omega_f, mass=mass, t_f=t_f,
@@ -656,7 +641,7 @@ def constrain_g_phase(
     and a phase that misses g_target by more than _PHASE_MISS_MAX relative
     raises NoRoot.
     """
-    _check_positive(omega0=omega0, omega_f=omega_f, mass=mass, t_f=t_f)
+    check_positive(omega0=omega0, omega_f=omega_f, mass=mass, t_f=t_f)
     if form != "inverse_sqrt_poly":
         raise ValueError(f"the phase constraint is solved for the inverse_sqrt_poly "
                          f"form only, got {form!r}")
@@ -739,7 +724,7 @@ class ConstantMuControl:
 
 def make_constant_mu_protocol(omega0: float, omega_f: float, t_f: float,
                               mass: float = MASS_100_CA40) -> ConstantMuControl:
-    _check_positive(omega0=omega0, omega_f=omega_f, t_f=t_f, mass=mass)
+    check_positive(omega0=omega0, omega_f=omega_f, t_f=t_f, mass=mass)
     return ConstantMuControl(omega0=omega0, omega_f=omega_f, t_f=t_f, mass=mass)
 
 

@@ -13,7 +13,7 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidCovariance, NonPSDInput
+from .errors import DimensionMismatch, InvalidCovariance, NonPSDInput, check_positive
 
 __all__ = [
     "GaussianMoments",
@@ -124,6 +124,7 @@ def gaussian_fidelity(a: GaussianMoments, b: GaussianMoments) -> float:
 def thermal_state(n_bar: float, omega: float, mass: float) -> GaussianMoments:
     """Gaussian moments of the thermal oscillator state with mean occupation
     n_bar in a trap at frequency omega."""
+    check_positive(omega=omega, mass=mass)
     if n_bar < 0:
         raise ValueError("n_bar must be nonnegative")
     s = n_bar + 0.5
@@ -139,6 +140,7 @@ def coherent_state(alpha: complex, omega: float, mass: float,
     y y^T and Im rho = y x^T - x y^T are symmetric and antisymmetric to the
     bit, so rho equals rho^H exactly.
     """
+    check_positive(omega=omega, mass=mass)
     if representation == "gaussian":
         return GaussianMoments(
             mean_q=np.sqrt(2.0 / (mass * omega)) * np.real(alpha),

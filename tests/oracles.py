@@ -2,9 +2,9 @@
 
 Each one checks a library route by another: the Hamiltonian and invariant of
 a two-level protocol for the dense master equation and the direct measures,
-the Ermakov residual of a trap protocol, the lab-frame moments of a Fock
-trajectory, the dissipator in an eigenbasis and as a superoperator, and the
-Fock-basis thermal state. The package never imports this module, and it
+its equator controls by the general SU(2) formula, the Ermakov residual of a
+trap protocol, the lab-frame moments of a Fock trajectory, the dissipator in
+an eigenbasis and as a superoperator, and the Fock-basis thermal state. The package never imports this module, and it
 loads numpy and the package only, no scipy.
 """
 
@@ -34,6 +34,18 @@ def tls_invariant(proto, scale):
         return algebra.su2_invariant_matrix(float(proto.g_poly(t)), float(proto.b_poly(t)), scale)
 
     return invariant
+
+
+def equator_controls(proto, t):
+    """(Delta, Omega) of a two-level protocol whose B stays at pi/2, by the
+    general formula algebra.su2_controls_from_angles with its cot(B) term
+    dropped, and with it every 0/0 of that term (where G sits at a pole):
+    the route TlsProtocol.controls took on the equator before it skipped the
+    formula there."""
+    b_dot = proto.b_poly(t, 1)
+    _, omega, _ = algebra.su2_controls_from_angles(
+        proto.g_poly(t), proto.g_poly(t, 1), proto.b_poly(t), b_dot)
+    return -b_dot, omega
 
 
 def ermakov_residual(proto, t):

@@ -663,6 +663,23 @@ def test_custom_experiment_id_exits_2(tmp_path, capsys):
         assert "unknown id 'custom'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["synthesize", "measure", "simulate", "scan"])
+def test_experiment_flag_must_name_the_config_experiment(tmp_path, capsys, verb):
+    # another --experiment than the config's exits 2 before any cell, naming
+    # both; the config's own experiment is accepted
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"experiment": "tls_single",
+                                    "scan": {"ranges": [[0.0, 1.0]], "sizes": [2]}}))
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg_path), "--out", str(out), verb]
+    assert cli.main([*argv, "--experiment", "tls_dual"]) == 2
+    err = capsys.readouterr().err
+    assert "--experiment tls_dual" in err and "'tls_single'" in err
+    assert not out.exists()
+    assert cli.main([*argv, "--experiment", "tls_single"]) == 0
+    assert not list(out.glob("tls_dual*"))
+
+
 @pytest.mark.parametrize(
     "experiment, free", [("tls_single", ["0.1", "0.2"]), ("tls_dual", ["0.5"]),
                          ("ho_coherent", [])],

@@ -25,7 +25,7 @@ from invariant_control.protocols import (
     HoProtocol,
     ProtocolFamily,
     SmoothstepChain,
-    _smoothstep_scalar,
+    _smoothstep,
     constrain_g_phase,
     make_constant_mu_protocol,
     make_ho_protocol,
@@ -121,13 +121,13 @@ def test_smoothstep_horner_matches_pow_form(n):
     us = np.concatenate([np.linspace(0.0, 1.0, 10001), rng.uniform(0.0, 1.0, 200_000)])
     for order in (0, 1):
         np.testing.assert_allclose(
-            _smoothstep_scalar(n, us, order), _smoothstep_pow_form(n, us, order),
+            _smoothstep(n, us)[order], _smoothstep_pow_form(n, us, order),
             rtol=0.0, atol=5e-14,
         )
     # exact flat edges keep a windowed chain exactly 0 or 1 outside its window
-    ends = np.array([0.0, 1.0])
-    assert _smoothstep_scalar(n, ends, 0).tolist() == [0.0, 1.0]
-    assert _smoothstep_scalar(n, ends, 1).tolist() == [0.0, 0.0]
+    value, slope = _smoothstep(n, np.array([0.0, 1.0]))
+    assert value.tolist() == [0.0, 1.0]
+    assert slope.tolist() == [0.0, 0.0]
 
 
 def test_smoothstep_chain_center_slope():
@@ -182,19 +182,20 @@ def test_chain_families_reject_a_t_f_not_positive_and_finite(t_f):
 
 
 def _composed(chain, ts, order):
-    """chain(ts, order) composed step by step from _smoothstep_scalar."""
+    """chain(ts, order) composed step by step from _smoothstep."""
     lo, hi = chain.window
     val = np.clip((ts / chain.duration - lo) / (hi - lo), 0.0, 1.0)
     der = np.ones_like(val)
     for n in reversed(chain.orders):
-        der = der * _smoothstep_scalar(n, val, 1)
-        val = _smoothstep_scalar(n, val, 0)
+        val, slope = _smoothstep(n, val)
+        der = der * slope
     return val if order == 0 else der * (1.0 / ((hi - lo) * chain.duration))
 
 
 def _counting_evaluate(monkeypatch):
     """Record every chain an empty memo has to evaluate."""
-    monkeypatch.setattr(protocols, "_chain_samples", protocols._SampleMemo(4 << 20))
+    bound = protocols._chain_samples.max_bytes
+    monkeypatch.setattr(protocols, "_chain_samples", protocols._SampleMemo(bound))
     seen = []
     evaluate = SmoothstepChain._evaluate
 
@@ -278,6 +279,34 @@ def test_chain_memo_stays_within_its_bound():
     assert protocols._chain_samples.nbytes <= protocols._chain_samples.max_bytes
 
 
+def test_a_memo_pushed_past_its_bound_empties_then_holds_the_newest_entry():
+    memo = protocols._SampleMemo(max_bytes=64 * 1024)
+    chain = SmoothstepChain((3,), 1.0)
+    grids = [np.linspace(0.0, 1.0, n) for n in (1000, 1001, 1002)]  # 24 kB each
+    held = [memo(chain, ts) for ts in grids[:2]]
+    assert len(memo._entries) == 2 and memo.nbytes == _held(memo) == 24 * (1000 + 1001)
+    newest = memo(chain, grids[2])  # 48 kB + 24 kB passes 64 kiB
+    assert len(memo._entries) == 1 and memo.nbytes == _held(memo) == 24 * 1002
+    assert memo(chain, grids[2].copy()) is newest
+    # an emptied entry is evaluated afresh, to the same bits
+    again = memo(chain, grids[0])
+    assert again is not held[0]
+    assert all(np.array_equal(again[k], held[0][k]) for k in (0, 1))
+
+
+def test_reproducing_every_figure_never_empties_the_chain_memo(tmp_path, monkeypatch):
+    # the traffic that lets the memo drop least-recently-used order: fig1-fig4
+    # in one process, from an empty memo and empty closed-form slots, hold
+    # every chain sampling they make (0.74 MiB, 42 entries, when measured)
+    seen = _counting_evaluate(monkeypatch)
+    memo = protocols._chain_samples
+    measures._slots.clear()
+    for figure in ("fig1", "fig2", "fig3", "fig4"):
+        assert cli.main(["--out", str(tmp_path), "reproduce", figure]) == 0
+    assert seen and len(memo._entries) == len(seen)
+    assert memo.nbytes == _held(memo) <= memo.max_bytes
+
+
 def test_chain_memo_shared_by_threads_keeps_its_count():
     memo = protocols._SampleMemo(max_bytes=32 * 1024)
     chains = [SmoothstepChain((3,), 1.0), SmoothstepChain((2, 3), 1.0)]
@@ -308,15 +337,15 @@ def test_chain_memo_shared_by_threads_keeps_its_count():
 def test_dual_scan_samples_each_chain_once_per_grid(monkeypatch):
     # a chain depends on (orders, duration, window) only: over a 9-cell
     # tls_dual scan of the closed forms each one is sampled once on the grid,
-    # value and slope together: two smoothstep calls per level
+    # value and slope together: one smoothstep call per level
     calls = []
 
-    def counting(n, u, order):
+    def counting(n, u):
         calls.append(n)
-        return step(n, u, order)
+        return step(n, u)
 
-    step = protocols._smoothstep_scalar
-    monkeypatch.setattr(protocols, "_smoothstep_scalar", counting)
+    step = protocols._smoothstep
+    monkeypatch.setattr(protocols, "_smoothstep", counting)
     monkeypatch.setattr(protocols, "_chain_samples", protocols._SampleMemo(4 << 20))
     channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
     family = ProtocolFamily("tls_dual", {}, T_F)
@@ -331,7 +360,7 @@ def test_dual_scan_samples_each_chain_once_per_grid(monkeypatch):
     rows = optimize.scan(cell, [[-1.0, 1.0], [0.0, 1.0]], [3, 3])
     # base, steep, early = rise and late = fall: B's windows are G's
     assert len(rows) == 9 and len(chains) == 4
-    assert len(calls) == 2 * sum(len(c.orders) for c in chains)
+    assert len(calls) == sum(len(c.orders) for c in chains)
 
 
 def _read_only(a):
@@ -535,6 +564,72 @@ def test_tls_controls_go_through_the_algebra_formula(monkeypatch):
     delta, omega = proto.controls(np.linspace(0.0, T_F, 101))
     assert calls and calls[0] == 101
     assert np.all(np.isfinite(delta)) and np.all(np.isfinite(omega))
+
+
+def _default_cells(experiment):
+    """The protocol of every cell of the experiment's default invctl scan."""
+    config = cli.ExperimentConfig(experiment=experiment)
+    family, protos = cli._family(config), []
+    optimize.scan(lambda c: protos.append(family.with_free(c).build()) or 0.0,
+                  config.scan["ranges"], config.scan["sizes"])
+    return protos
+
+
+class _FirstBatch(Exception):
+    pass
+
+
+def _first_magnus_batch(proto, channels):
+    """The samples of the first controls call of tls_fidelity(proto)."""
+    seen = []
+
+    def stop(self, t):
+        seen.append(np.array(t))
+        raise _FirstBatch
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocols.TlsProtocol, "controls", stop)
+        with pytest.raises(_FirstBatch):
+            tls_fidelity(proto, channels)
+    return seen[0]
+
+
+def test_equator_controls_equal_the_formula_without_its_cot_term():
+    # every default fig1 cell and every fig2 cell whose B stays at pi/2: the
+    # controls skip the general formula and keep its bits, on the first Magnus
+    # batch and on the closed forms' 4001-point grid
+    channels = [dynamics.NoiseChannel("sigma_z", 125.0), dynamics.NoiseChannel("sigma_x", 62.5)]
+    fig1, fig2 = _default_cells("tls_single"), _default_cells("tls_dual")
+    equator = [p for p in fig2 if p._b_on_equator]
+    assert all(p._b_on_equator for p in fig1) and (len(fig1), len(equator)) == (41, 29)
+    for proto in fig1 + equator:
+        grid = measures._simpson_rule(proto.t_f, 4001)[0]
+        for ts in (_first_magnus_batch(proto, channels), grid):
+            got = proto.controls(ts)
+            for a, b in zip(got, oracles.equator_controls(proto, ts)):
+                assert a.tobytes() == b.tobytes()
+
+
+def test_the_formula_runs_only_on_the_fig2_cells_whose_b_moves(tmp_path, monkeypatch):
+    # reproducing fig1 and fig2 calls algebra.su2_controls_from_angles on the
+    # 16 cells with shape < 0 and b_dip > 0 only
+    formula, raw = algebra.su2_controls_from_angles, protocols.TlsProtocol._controls_raw
+    current, callers = [], {"fig1": set(), "fig2": set()}
+
+    def tracking(self, t):
+        current.append(self)
+        return raw(self, t)
+
+    def counting(*args):
+        callers[figure].add((current[-1].g_poly, current[-1].b_poly))
+        return formula(*args)
+
+    monkeypatch.setattr(protocols.TlsProtocol, "_controls_raw", tracking)
+    monkeypatch.setattr(algebra, "su2_controls_from_angles", counting)
+    for figure in ("fig1", "fig2"):
+        assert cli.main(["--out", str(tmp_path), "reproduce", figure]) == 0
+    moving = {(p.g_poly, p.b_poly) for p in _default_cells("tls_dual") if any(p.b_poly.weights)}
+    assert callers == {"fig1": set(), "fig2": moving} and len(moving) == 16
 
 
 def test_dual_plateau_protocol_inverts_without_noise():

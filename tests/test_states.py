@@ -1,5 +1,7 @@
 """State constructors and the two fidelity routes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,26 @@ def test_gaussian_fidelity_rejects_non_finite_moments():
                 states.GaussianMoments.from_raw(*bad)
     with pytest.raises(InvalidCovariance, match="finite"):
         states.thermal_state(np.nan, 1.0, 1.0)
+
+
+_TRAP_BUILDS = {
+    "thermal": lambda omega, mass: states.thermal_state(1.0, omega, mass),
+    "coherent": lambda omega, mass: states.coherent_state(1.0 + 1.0j, omega, mass),
+    "coherent_fock": lambda omega, mass: states.coherent_state(1.0, omega, mass, "fock", 8),
+}
+
+
+@pytest.mark.parametrize("build", sorted(_TRAP_BUILDS))
+@pytest.mark.parametrize("arg", ["omega", "mass"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_state_constructors_reject_a_trap_not_positive_and_finite(build, arg, bad):
+    # checked first, as the trap builders do: no ZeroDivisionError, and no
+    # numpy warning before the error
+    values = {"omega": 2.0, "mass": 1.0, arg: bad}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{arg}.*must be positive and finite"):
+            _TRAP_BUILDS[build](**values)
 
 
 def test_gaussian_fidelity_matches_fock_uhlmann():
