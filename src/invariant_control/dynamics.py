@@ -23,10 +23,13 @@ and half-step runs agree; the running products of both runs are one pairwise
 scan over all steps, and a mask marks the steps that end a start step)
 serves both: tls_fidelity, with integrate_master as its test oracle, by
 sixth-order steps (_magnus6_steps) on 128 start steps, as its output is the
-end of the run alone, and magnus_q2_moments by fourth-order steps
-(_magnus_steps), as its output is sampled at the ends of its 400 start
-steps, which it therefore cannot coarsen; there the higher order gains no
-measurable time and would move every fig4 row. Under q noise
+end of the run alone, and magnus_q2_moments by fourth-order steps, as its
+output is sampled at the ends of its 400 start steps, which it therefore
+cannot coarsen. Its generators are rank one and nilpotent, u w^T with
+w . u = 0, so each of its steps (_rank_one_steps) is a closed 2x2 formula,
+exact to roundoff at any step norm, where a generic step takes a 3x3
+commutator and a degree-12 Taylor exponential (_expm3, which the Magnus-6
+steps keep). Under q noise
 exact_q_moments adds the noise to the same flow by one Simpson quadrature;
 both map to the lab frame by _lab_moments.
 Every trap control (HoProtocol and the constant-mu reference
@@ -524,7 +527,7 @@ Q2_DOSE_MAX = float(np.log(np.finfo(float).max))
 #: bound on the estimated error of the sampled invariant-frame moments,
 #: relative to their largest entry. fig4 cells stop at 800 half steps (1600
 #: at t_f = 20 us), within 2.4e-11 of F and 4.4e-9 of the mean power of
-#: DOP853 at rtol 1e-13 (constant-mu rows: 7.5e-12 and 2.1e-9)
+#: DOP853 at rtol 1e-13 (constant-mu rows: 7.7e-12 and 2.1e-9)
 _Q2_TOL = 1e-8
 #: a refinement splits every step whose own one-step/half-step difference
 #: exceeds _SPLIT times the largest; the propagator raises StepSizeUnderflow
@@ -539,10 +542,8 @@ _GL6 = np.sqrt(15.0) / 10.0
 #: step exponentials: Taylor degree, and the norm the scaling brings them to
 _TAYLOR_DEGREE = 12
 _TAYLOR_NORM = 0.5
-#: steps per block of the Omega_4 and of the Omega_6 terms that take
-#: temporaries (a two-level cell's first Magnus-6 batch, 3 _TLS_MIN_STEPS
-#: steps, is one block)
-_ASSEMBLY_BLOCK = 256
+#: steps per block of the Omega_6 terms that take temporaries (a two-level
+#: cell's first Magnus-6 batch, 3 _TLS_MIN_STEPS steps, is one block)
 _ASSEMBLY_BLOCK6 = 512
 
 
@@ -576,32 +577,49 @@ def _expm3(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _magnus_steps(generator, left: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """Magnus-4 propagators (3, 3, n) of dx/dt = A(t) x over [left, left + width).
+def _rank_one_steps(generator, left: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Magnus-4 propagators (3, 3, n) of dx/dt = u(t) w(t)^T x over [left,
+    left + width), for rank-one generators with w . u = 0 at every t (the q^2
+    route's).
 
-    generator(t) -> A(t), a (3, 3, len(t)) batch, runs once on the two
-    Gauss-Legendre nodes of every step. Its output is released before the
-    step exponentials are taken, so their buffers can reuse its memory.
+    generator(t) -> (u, w), two (3, len(t)) batches, runs once on the two
+    Gauss-Legendre nodes of every step. With u_i, w_i there, h the width,
+    a = h/2, c = sqrt(3) h^2/12, p = w2 . u1 and q = w1 . u2, the step's
+    exponent is Omega_4 = a (A1 + A2) + c [A2, A1] = U M W^T, U = [u1 u2],
+    W = [w1 w2], M = [[a, -c q], [c p, a]], and W^T U = [[0, q], [p, 0]]. So
+    exp(Omega_4) = I + U phi1(X) M W^T, phi1(x) = (e^x - 1)/x, with the 2x2
+    X = M W^T U, whose square is z I, z = p q (a^2 + c^2 p q) (Higham,
+    Functions of Matrices, SIAM 2008, ch. 1): phi1(X) = s0 I + s1 X with
+    s0 = sinh(r)/r and s1 = (cosh(r) - 1)/r^2 = (sinh(r/2)/(r/2))^2 / 2,
+    r = sqrt(z), which turn into sin for z < 0 and are 1 and 1/2 at z = 0.
+    Each function is taken on its own entries only, so no step divides by
+    zero, and no step needs scaling and squaring.
     """
-    return _expm3(_magnus_exponents(generator(np.concatenate(
-        [left + (0.5 - _GL) * width, left + (0.5 + _GL) * width])), width))
-
-
-def _magnus_exponents(a: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """Omega_4 = w/2 (A1 + A2) + sqrt(3) w^2/12 [A2, A1] of each step of width
-    w, from a = [A1 of every step, A2 of every step] (last axis), left as is.
-
-    Omega_4 is built in one batch-sized buffer; the terms that need their
-    own temporaries are added _ASSEMBLY_BLOCK steps at a time.
-    """
-    a1, a2 = a[..., :len(width)], a[..., len(width):]
-    omega = _mul(a2, a1)
-    for s in range(0, len(width), _ASSEMBLY_BLOCK):
-        b1, b2, wb, o = (v[..., s:s + _ASSEMBLY_BLOCK] for v in (a1, a2, width, omega))
-        o -= _mul(b1, b2)
-        o *= (np.sqrt(3.0) / 12.0) * wb * wb
-        o += 0.5 * wb * (b1 + b2)
-    return omega
+    n = len(width)
+    u, w = generator(np.concatenate([left + (0.5 - _GL) * width, left + (0.5 + _GL) * width]))
+    u1, u2, w1, w2 = u[:, :n], u[:, n:], w[:, :n], w[:, n:]
+    p = np.einsum("in,in->n", w2, u1)
+    q = np.einsum("in,in->n", w1, u2)
+    a = 0.5 * width
+    c = (np.sqrt(3.0) / 12.0) * width * width
+    pq = p * q
+    e = a * a + c * c * pq
+    z = pq * e
+    s0, s1 = np.ones(n), np.full(n, 0.5)
+    for sel, root, fn in ((z > 0.0, z, np.sinh), (z < 0.0, -z, np.sin)):
+        r = np.sqrt(root[sel])
+        s0[sel] = fn(r) / r
+        s1[sel] = 0.5 * (fn(0.5 * r) / (0.5 * r)) ** 2
+    # U phi1(X) M = U [[s0 a, q (s1 e - s0 c)], [p (s1 e + s0 c), s0 a]]
+    diag = s0 * a
+    c *= s0
+    e *= s1
+    y1 = diag * u1 + (p * (e + c)) * u2
+    y2 = (q * (e - c)) * u1 + diag * u2
+    out = y1[:, None] * w1
+    out += y2[:, None] * w2
+    out[(0, 1, 2), (0, 1, 2)] += 1.0
+    return out
 
 
 def _magnus6_steps(generator, left: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -666,7 +684,7 @@ def _magnus6_exponents(a: np.ndarray, width: np.ndarray) -> np.ndarray:
 
 def _one_and_halves(generator, steps, left, h, one=None):
     """(one step, first half, second half) propagators of the steps
-    [left, left + h) by the step kernel steps (_magnus_steps or
+    [left, left + h) by the step kernel steps (_rank_one_steps or
     _magnus6_steps); one, when given, holds the known one-step propagators."""
     starts, widths = [left, left + 0.5 * h], [0.5 * h, 0.5 * h]
     if one is None:
@@ -701,7 +719,9 @@ def _running_products(u: np.ndarray) -> np.ndarray:
 def _magnus_path(generator, t_f: float, n_start: int, x0, error, steps, order: int) -> np.ndarray:
     """x(t) of dx/dt = A(t) x, x(0) = x0, at the n_start + 1 ends of a uniform
     start grid on [0, t_f], by the step kernel steps of order p = order
-    (_magnus_steps, p = 4, or _magnus6_steps, p = 6).
+    (_rank_one_steps, p = 4, or _magnus6_steps, p = 6), which takes the
+    generator as it is: one that returns the kernel's form of A(t), (u, w)
+    pairs for _rank_one_steps and (3, 3, len(t)) batches for _magnus6_steps.
 
     Every step is taken as one step and as two half steps. Until the two runs
     agree, error(one-step run, half-step run) <= 2^p - 1 in units of the
@@ -759,10 +779,11 @@ def magnus_q2_moments(protocol, y0, channel: NoiseChannel):
     S_I by the rank-one linear generator 8 eta <q^2> c c^T, c = (-fp, fq):
     with p in units of m omega0, s = (S_I00, S_I01, S_I11) obeys
     ds/dt = kappa u w^T s, u = (fp^2, -fp fq, fq^2), w = (fq^2, 2 fq fp,
-    fp^2). The Magnus
-    propagator (_magnus_path) takes Magnus-4 steps from the 400 output
-    intervals and refines until the largest change of a sampled moment is
-    within _Q2_TOL of the largest moment. The means stay M m0.
+    fp^2). As w . u = 0, that generator is nilpotent, and each Magnus-4 step
+    of the propagator (_magnus_path) is the closed form _rank_one_steps of
+    the pairs (kappa u, w). It steps from the 400 output intervals and
+    refines until the largest change of a sampled moment is within _Q2_TOL
+    of the largest moment. The means stay M m0.
     """
     if channel.operator_tag != "q_squared":
         raise UnsupportedChannel("the invariant-frame propagator covers q^2 noise only")
@@ -775,14 +796,13 @@ def magnus_q2_moments(protocol, y0, channel: NoiseChannel):
         def generator(t):
             fq, fp, _, _ = protocol.heisenberg_coeffs(t)
             fp = fp * scale
-            u = np.stack([fp * fp, -fp * fq, fq * fq])
-            w = np.stack([fq * fq, 2.0 * fq * fp, fp * fp])
-            return kappa * u[:, None] * w
+            return (kappa * np.stack([fp * fp, -fp * fq, fq * fq]),
+                    np.stack([fq * fq, 2.0 * fq * fp, fp * fp]))
 
         s = _magnus_path(
             generator, protocol.t_f, _Q2_INTERVALS, s,
             lambda coarse, fine: np.abs(fine - coarse).max() / (_Q2_TOL * np.abs(fine).max()),
-            _magnus_steps, 4)
+            _rank_one_steps, 4)
     ts = np.linspace(0.0, protocol.t_f, _Q2_INTERVALS + 1)
     second = np.atleast_2d(s).T * np.array([[1.0], [scale], [scale**2]])
     return ts, _lab_moments(protocol, ts, (mq, mp), second)

@@ -4,8 +4,13 @@ from math import isfinite
 
 
 def check_positive(**values):
-    """ValueError unless every value is positive and finite."""
-    if not all(v > 0.0 and isfinite(v) for v in values.values()):
+    """ValueError unless every value is positive and finite; an int past the
+    float range is not (isfinite cannot convert it)."""
+    try:
+        ok = all(v > 0.0 and isfinite(v) for v in values.values())
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ValueError(f"{', '.join(values)} must be positive and finite")
 
 

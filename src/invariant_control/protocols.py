@@ -563,6 +563,15 @@ def _ermakov_inner(omega0, omega_f, t_f, form, extra) -> BoundaryPolynomial:
     )
 
 
+def _boundary_values(p: BoundaryPolynomial, s_end: float):
+    """(P, dP/ds, d2P/ds2) at s = 0 and at s_end, by Horner's rule at s_end
+    only: at s = 0 they are c0, c1 and 2 c2, read off the coefficients, which
+    are Horner's values there up to the sign of a zero, as a built
+    protocol's coefficients are finite."""
+    c0, c1, c2 = p.coefficients[:3].tolist()
+    return (c0, c1, 2.0 * c2), tuple(horner(p._scaled_coeffs(k), s_end) for k in range(3))
+
+
 def _meets_boundaries(proto: HoProtocol) -> HoProtocol:
     """proto, unless its inner polynomial P misses one of the six boundary
     conditions of _ermakov_inner (P, dP/ds and d2P/ds2 at s = 0 and t_f /
@@ -571,8 +580,9 @@ def _meets_boundaries(proto: HoProtocol) -> HoProtocol:
     double precision."""
     p = proto.inner
     p_final = _p_final(proto.omega0, proto.omega_f, proto.form)
-    for s, value in ((0.0, 1.0), (proto.t_f / p.duration, p_final)):
-        v, d1, d2 = (horner(p._scaled_coeffs(k), s) for k in range(3))
+    s_end = proto.t_f / p.duration
+    start, end = _boundary_values(p, s_end)
+    for s, value, (v, d1, d2) in ((0.0, 1.0, start), (s_end, p_final, end)):
         miss = max(abs(v - value), abs(d1), abs(d2)) / max(1.0, p_final)
         if not miss <= _BOUNDARY_MISS_MAX:
             raise InvariantControlError(f"the trap protocol misses its boundary conditions "

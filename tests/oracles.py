@@ -4,14 +4,19 @@ Each one checks a library route by another: the Hamiltonian and invariant of
 a two-level protocol for the dense master equation and the direct measures,
 its equator controls by the general SU(2) formula, the Ermakov residual of a
 trap protocol, the lab-frame moments of a Fock trajectory, the dissipator in
-an eigenbasis and as a superoperator, and the Fock-basis thermal state. The package never imports this module, and it
-loads numpy and the package only, no scipy.
+an eigenbasis and as a superoperator, the Fock-basis thermal state, and the
+generic Magnus-4 step that the q^2 route's closed form replaced. The package
+never imports this module, and it loads numpy and the package only, no
+scipy.
 """
 
 import numpy as np
 
 from invariant_control import algebra
-from invariant_control.dynamics import fock_operators
+from invariant_control.dynamics import _GL, _expm3, _mul, fock_operators
+
+#: steps per block of the Omega_4 terms that take temporaries
+ASSEMBLY_BLOCK = 256
 
 
 def tls_hamiltonian(proto):
@@ -103,3 +108,44 @@ def thermal_fock_state(n_bar, dim):
     ratio = n_bar / (n_bar + 1.0)
     pops = ratio ** np.arange(dim) / (n_bar + 1.0)  # 0.0**0 == 1.0: exact vacuum at n_bar 0
     return np.diag(pops).astype(complex)
+
+
+def magnus_steps(generator, left, width):
+    """Magnus-4 propagators (3, 3, n) of dx/dt = A(t) x over [left, left + width),
+    for any generator, by the Taylor exponential dynamics._expm3: the step the
+    q^2 route took before its closed form (dynamics._rank_one_steps), and its
+    oracle.
+
+    generator(t) -> A(t), a (3, 3, len(t)) batch, runs once on the two
+    Gauss-Legendre nodes of every step. Its output is released before the
+    step exponentials are taken, so their buffers can reuse its memory.
+    """
+    return _expm3(magnus_exponents(generator(np.concatenate(
+        [left + (0.5 - _GL) * width, left + (0.5 + _GL) * width])), width))
+
+
+def magnus_exponents(a, width):
+    """Omega_4 = w/2 (A1 + A2) + sqrt(3) w^2/12 [A2, A1] of each step of width
+    w, from a = [A1 of every step, A2 of every step] (last axis), left as is.
+
+    Omega_4 is built in one batch-sized buffer; the terms that need their
+    own temporaries are added ASSEMBLY_BLOCK steps at a time.
+    """
+    a1, a2 = a[..., :len(width)], a[..., len(width):]
+    omega = _mul(a2, a1)
+    for s in range(0, len(width), ASSEMBLY_BLOCK):
+        b1, b2, wb, o = (v[..., s:s + ASSEMBLY_BLOCK] for v in (a1, a2, width, omega))
+        o -= _mul(b1, b2)
+        o *= (np.sqrt(3.0) / 12.0) * wb * wb
+        o += 0.5 * wb * (b1 + b2)
+    return omega
+
+
+def rank_one_by_magnus_steps(generator, left, width):
+    """dynamics._rank_one_steps by the generic route: the (u, w) pairs of
+    generator become the (3, 3, n) batch u w^T, stepped by magnus_steps."""
+    def outer(t):
+        u, w = generator(t)
+        return u[:, None] * w
+
+    return magnus_steps(outer, left, width)

@@ -19,6 +19,9 @@ from hypothesis import given, settings, strategies as st
 from invariant_control import cli, dynamics
 from invariant_control.cli import ExperimentConfig
 from invariant_control.errors import ConfigError
+from invariant_control.protocols import make_tls_protocol
+
+import oracles
 
 
 def test_config_defaults_merged_and_round_trip():
@@ -306,13 +309,42 @@ def test_repeat_fig2_cells_of_one_shape_sample_no_g_on_the_simpson_grid(tmp_path
     # basis instead of solving three times: 21 of 802 rows changed omega_sq
     # by at most 5.2e-12 relative (1.0e-12 of its maximum), the table not
     ("fig3", {"fig3": "870bf3161c7299c7", "fig3_trace": "1f2d9e520b1a3e8d"}),
-    # fig4 re-pinned when the Magnus kernel's products moved from matmul to
-    # einsum: 3 of 30 rows changed F by at most 2.0e-12, the power column not
-    ("fig4", {"fig4": "7733bc7c6dacebff"}),
+    # fig4 re-pinned when the q^2 route's Magnus-4 steps took their closed
+    # form (dynamics._rank_one_steps) instead of the Taylor exponential: 1 of
+    # 30 rows moved, F of the constant-mu row at t_f = 2.58 us by 1.05e-11
+    # (0.2545238252 -> 0.25452382521); no printed power moved (at most
+    # 5.3e-13 relative)
+    ("fig4", {"fig4": "7dae08b4fd660b01"}),
 ])
 def test_default_trap_figures_are_byte_identical(tmp_path, figure, digests):
     assert cli.main(["--out", str(tmp_path), "reproduce", figure]) == 0
     assert {csv: _data_digest(tmp_path / f"{csv}.csv") for csv in digests} == digests
+
+
+def test_fig4_by_the_taylor_route_keeps_its_old_rows(tmp_path, monkeypatch):
+    # the generic Magnus-4 step of tests/oracles.py, on the u w^T batches the
+    # q^2 generator built before its closed form, is that route bit for bit:
+    # it writes the fig4 rows pinned before the closed form
+    monkeypatch.setattr(dynamics, "_rank_one_steps", oracles.rank_one_by_magnus_steps)
+    assert cli.main(["--out", str(tmp_path), "reproduce", "fig4"]) == 0
+    assert _data_digest(tmp_path / "fig4.csv") == "7733bc7c6dacebff"
+
+
+def test_fig4_takes_no_taylor_exponential(tmp_path, monkeypatch):
+    # every fig4 step is the closed form: _expm3 runs 0 times, while a
+    # two-level cell's Magnus-6 steps still call it
+    calls = []
+    expm3 = dynamics._expm3
+
+    def counting(x):
+        calls.append(x.shape[-1])
+        return expm3(x)
+
+    monkeypatch.setattr(dynamics, "_expm3", counting)
+    assert cli.main(["--out", str(tmp_path), "reproduce", "fig4"]) == 0
+    assert calls == []
+    dynamics.tls_fidelity(make_tls_protocol(0.5e-3))
+    assert calls
 
 
 def test_coherent_scan_skips_the_cells_whose_inner_polynomial_crosses_zero(tmp_path):
@@ -1080,29 +1112,23 @@ def test_no_package_module_imports_scipy_at_module_level():
     assert not found
 
 
-def test_package_comes_from_the_first_pythonpath_entry_that_holds_it():
-    # conftest appends the checkout's src behind PYTHONPATH, so an explicit
-    # PYTHONPATH decides which sources are tested
-    entries = [Path(e).resolve() for e in os.environ.get("PYTHONPATH", "").split(os.pathsep) if e]
-    holders = [e for e in entries if (e / "invariant_control" / "__init__.py").is_file()]
-    holders.append(Path(__file__).resolve().parents[1] / "src")
-    assert Path(cli.__file__).resolve().parents[1] == holders[0]
-
-
 def test_explicit_pythonpath_wins_over_the_checkout(tmp_path):
+    # each child collects the one probe module, without hypothesis's plugin,
+    # which this probe does not use
     other = tmp_path / "other" / "src"
     shutil.copytree(Path(cli.__file__).parent, other / "invariant_control",
                     ignore=shutil.ignore_patterns("__pycache__"))
     (tmp_path / "empty").mkdir()
-    this = Path(__file__).resolve()
-    test = f"{this}::test_package_comes_from_the_first_pythonpath_entry_that_holds_it"
+    here = Path(__file__).resolve().parent
+    test = (f"{here / 'test_pythonpath_probe.py'}"
+            "::test_package_comes_from_the_first_pythonpath_entry_that_holds_it")
     for pythonpath in (str(other), os.pathsep.join([str(tmp_path / "empty"), str(other)]), None):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         if pythonpath is not None:
             env["PYTHONPATH"] = pythonpath
         run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test,
-             "-o", "addopts=", f"--rootdir={this.parents[1]}"],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "-p", "no:hypothesispytest", test, "-o", "addopts=", f"--rootdir={here.parent}"],
             capture_output=True, text=True, env=env, cwd=tmp_path)
         assert run.returncode == 0, run.stdout + run.stderr
 

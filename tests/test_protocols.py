@@ -13,7 +13,8 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import cumulative_simpson, quad, simpson
 from scipy.interpolate import CubicSpline
 
-from invariant_control import algebra, cli, dynamics, measures, optimize, polynomial, protocols
+from invariant_control import (algebra, cli, dynamics, measures, optimize, polynomial,
+                               protocols, states)
 from invariant_control.constants import MASS_100_CA40, TWO_PI
 from invariant_control.dynamics import tls_fidelity
 from invariant_control.errors import (DimensionMismatch, IllConditionedPhase, InvariantControlError,
@@ -1170,6 +1171,36 @@ def test_trap_builders_reject_a_value_not_positive_and_finite(name, value, monke
     assert info.hits + info.misses == 0
 
 
+#: every builder and state constructor that checks positive, finite values,
+#: as (call, the names of those values)
+_POSITIVE_CHECKS = {
+    "make_tls_protocol": (make_tls_protocol, ("t_f",)),
+    "make_tls_steep_protocol": (lambda t_f: make_tls_steep_protocol(t_f, 0.5), ("t_f",)),
+    "make_tls_dual_protocol": (lambda t_f: make_tls_dual_protocol(t_f, 0.5, 0.5), ("t_f",)),
+    "make_ho_protocol": (make_ho_protocol, ("omega0", "omega_f", "mass", "t_f")),
+    "constrain_g_phase": (lambda **kw: constrain_g_phase(g_target=50.5e-6, **kw),
+                          ("omega0", "omega_f", "mass", "t_f")),
+    "make_constant_mu_protocol": (make_constant_mu_protocol,
+                                  ("omega0", "omega_f", "mass", "t_f")),
+    "thermal_state": (lambda **kw: states.thermal_state(1.0, **kw), ("omega", "mass")),
+    "coherent_state": (lambda **kw: states.coherent_state(1.0 + 1.0j, **kw), ("omega", "mass")),
+}
+_POSITIVE_DEFAULTS = dict(t_f=100e-6, omega0=TWO_PI * 15.92e6, omega_f=TWO_PI * 15.92e4,
+                          mass=MASS_100_CA40, omega=TWO_PI * 15.92e6)
+
+
+@pytest.mark.parametrize("name", sorted(_POSITIVE_CHECKS))
+def test_an_int_past_the_float_range_is_rejected_as_not_finite(name):
+    # 10**400 compares as positive, but isfinite cannot convert it: the
+    # check's own ValueError, not a bare OverflowError
+    call, names = _POSITIVE_CHECKS[name]
+    for arg in names:
+        values = {n: _POSITIVE_DEFAULTS[n] for n in names}
+        values[arg] = 10**400
+        with pytest.raises(ValueError, match=f"{arg}.*must be positive and finite"):
+            call(**values)
+
+
 def test_a_constrained_phase_that_misses_its_target_raises(monkeypatch):
     omega0, t_f = TWO_PI * 15.92e6, 100e-6
     args = (omega0, omega0 / 100.0, 50.5e-6, MASS_100_CA40, t_f)
@@ -1243,6 +1274,23 @@ def test_trap_builds_meet_their_boundary_conditions_or_raise(build, error):
     for t, target in ((0.0, 1.0), (t_f, p_final)):
         misses = (proto.inner(t) - target, proto.inner(t, 1) * t_f, proto.inner(t, 2) * t_f**2)
         assert max(map(abs, misses)) <= 1e-9 * max(1.0, p_final)
+
+
+def test_boundary_values_equal_horners_rule_bit_for_bit():
+    # _meets_boundaries reads P, dP/ds and d2P/ds2 at s = 0 off the
+    # coefficients (c0, c1, 2 c2) and takes Horner's rule at t_f only: on
+    # every default fig3/fig4 cell (the g-constrained fig3 builds too) and on
+    # random cells of both forms, all six values are Horner's bit for bit
+    # (their magnitudes: a zero's sign may differ, which the check's abs
+    # cannot see), so every accept, reject and message stays as it was
+    cells = _default_trap_cells() + _random_trap_cells(60)
+    assert len(cells) > 100
+    for proto in cells:
+        p = proto.inner
+        s_end = proto.t_f / p.duration
+        for s, values in zip((0.0, s_end), protocols._boundary_values(p, s_end)):
+            want = [polynomial.horner(p._scaled_coeffs(k), s) for k in range(3)]
+            assert [abs(v).hex() for v in values] == [abs(w).hex() for w in want]
 
 
 def test_a_constrained_build_that_misses_its_boundary_conditions_raises(monkeypatch):
